@@ -100,6 +100,12 @@ grep -q '"serve.completed": 2' "$BATCH_CACHE/serve_metrics.json" \
   || { echo "FAIL: serve metrics snapshot missing request counts"; exit 1; }
 grep -q '"serve.latency_ms"' "$BATCH_CACHE/serve_metrics.json" \
   || { echo "FAIL: serve metrics snapshot lacks the latency histogram"; exit 1; }
+# One cache lookup per request: the cold request is the worker's one
+# miss, the warm one is answered from memory at admission (one hit).
+grep -q '"runs.cached": 1' "$BATCH_CACHE/serve_metrics.json" \
+  || { echo "FAIL: warm serve request was not one cached run"; exit 1; }
+grep -q '"cache.misses": 1' "$BATCH_CACHE/serve_metrics.json" \
+  || { echo "FAIL: serve counted other than one miss for cold + warm"; exit 1; }
 # Overload probe: one worker, queue depth 1, three back-to-back identical
 # requests over stdio with coalescing disabled.  The single worker holds
 # the first (heavy) request while the later lines arrive, so the bounded

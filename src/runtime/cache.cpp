@@ -152,24 +152,26 @@ void ResultCache::erase_locked(
   shard.index.erase(it);
 }
 
-std::optional<CachedEntry> ResultCache::get(std::uint64_t key) {
+std::optional<CachedEntry> ResultCache::get_resident(std::uint64_t key) {
   Shard& shard = shard_for(key);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-      if (expired_locked(shard, it->second->second)) {
-        // Past the TTL: drop the resident copy and fall through to the
-        // disk probe / miss path below.
-        erase_locked(shard, it);
-        shard.expired += 1;
-      } else {
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-        shard.hits += 1;
-        return it->second->second.entry;
-      }
-    }
+  std::lock_guard<std::mutex> lock(shard.mu);
+  auto it = shard.index.find(key);
+  if (it == shard.index.end()) return std::nullopt;
+  if (expired_locked(shard, it->second->second)) {
+    // Past the TTL: drop the resident copy; get() goes on to the disk
+    // probe / miss path.
+    erase_locked(shard, it);
+    shard.expired += 1;
+    return std::nullopt;
   }
+  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+  shard.hits += 1;
+  return it->second->second.entry;
+}
+
+std::optional<CachedEntry> ResultCache::get(std::uint64_t key) {
+  if (std::optional<CachedEntry> entry = get_resident(key)) return entry;
+  Shard& shard = shard_for(key);
   if (!config_.disk_dir.empty()) {
     // Disk probe outside the lock: file IO must not serialize the pool.
     if (std::optional<CachedEntry> entry = disk_load(key, shard)) {

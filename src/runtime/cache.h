@@ -95,6 +95,13 @@ class ResultCache {
   /// memory).  Updates hit/miss counters.
   std::optional<CachedEntry> get(std::uint64_t key);
 
+  /// Memory-only lookup: the resident, unexpired entry for `key`, or
+  /// nullopt.  Counts a hit (and drops an entry past its TTL, counting it
+  /// expired) but never counts a miss and never touches the disk layer --
+  /// a caller that gets nullopt is expected to follow up with get(), which
+  /// records the one miss.  Cheap enough for the serve admission path.
+  std::optional<CachedEntry> get_resident(std::uint64_t key);
+
   /// Inserts (or refreshes) the entry, evicting the shard's LRU tail past
   /// its entry or byte limits, and writes through to disk when enabled.
   void put(std::uint64_t key, CachedEntry entry);

@@ -762,17 +762,32 @@ std::string AnalysisSession::compute_payload(const AnalysisRequest& req,
   }
 }
 
+AnalysisResult AnalysisSession::cached_result(std::uint64_t key,
+                                              CachedEntry hit) {
+  metrics_->count("runs.cached");
+  AnalysisResult res;
+  res.key = key;
+  res.status = static_cast<ExitCode>(hit.status);
+  res.cache_hit = true;
+  res.payload = std::move(hit.payload);
+  return res;
+}
+
+std::optional<AnalysisResult> AnalysisSession::recall_resident(
+    std::uint64_t key) {
+  std::optional<CachedEntry> hit = cache_->get_resident(key);
+  if (!hit) return std::nullopt;
+  metrics_->count("runs.total");
+  return cached_result(key, std::move(*hit));
+}
+
 AnalysisResult AnalysisSession::run_with_threads(const AnalysisRequest& req,
                                                  int threads) {
   AnalysisResult res;
   res.key = request_key(req);
   metrics_->count("runs.total");
   if (std::optional<CachedEntry> hit = cache_->get(res.key)) {
-    metrics_->count("runs.cached");
-    res.status = static_cast<ExitCode>(hit->status);
-    res.cache_hit = true;
-    res.payload = std::move(hit->payload);
-    return res;
+    return cached_result(res.key, std::move(*hit));
   }
   metrics_->count("runs.computed");
   Metrics::ScopedTimer t = metrics_->time("stage.total");

@@ -233,6 +233,13 @@ class AnalysisSession {
   /// serially inside the fan-out (no nested pools).
   std::vector<AnalysisResult> run_batch(const std::vector<AnalysisRequest>& requests);
 
+  /// Memory-only recall by content hash (request_key): a resident result
+  /// is counted as one cached run, exactly as run() counts it; otherwise
+  /// nullopt, with nothing counted, so a follow-up run() records the one
+  /// cache miss.  Never reads the disk layer.  Thread-safe -- the serve
+  /// admission path answers warm requests with it.
+  std::optional<AnalysisResult> recall_resident(std::uint64_t key);
+
   /// The content hash `run` would use for this request (exposed so tests
   /// can assert invalidation rules).
   std::uint64_t request_key(const AnalysisRequest& req) const;
@@ -257,6 +264,7 @@ class AnalysisSession {
 
  private:
   AnalysisResult run_with_threads(const AnalysisRequest& req, int threads);
+  AnalysisResult cached_result(std::uint64_t key, CachedEntry hit);
   std::string compute_payload(const AnalysisRequest& req, int threads,
                               ExitCode* status);
 

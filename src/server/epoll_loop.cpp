@@ -21,6 +21,11 @@ void set_nonblocking(int fd) {
   if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
+/// The loop currently dispatching request lines on this thread.  A line
+/// answered synchronously (an admission-time cache hit) is flushed by
+/// that same step(), so its write_line needs no self-pipe wake.
+thread_local const EventLoop* tl_dispatching = nullptr;
+
 }  // namespace
 
 TcpSink::~TcpSink() {
@@ -36,7 +41,7 @@ void TcpSink::write_line(const std::string& line) {
     out_.push_back('\n');
     loop = loop_;
   }
-  if (loop) loop->wake();
+  if (loop && loop != tl_dispatching) loop->wake();
 }
 
 EventLoop::EventLoop(int listen_fd, LineHandler on_line)
@@ -167,12 +172,14 @@ void EventLoop::read_ready(Conn& conn) {
     return;
   }
   size_t start = 0;
+  tl_dispatching = this;  // step() flushes this conn right after
   for (size_t nl = conn.in.find('\n', start); nl != std::string::npos;
        nl = conn.in.find('\n', start)) {
     std::string line = conn.in.substr(start, nl - start);
     start = nl + 1;
     if (!line.empty() && admit_lines_ && on_line_) on_line_(line, conn.sink);
   }
+  tl_dispatching = nullptr;
   conn.in.erase(0, start);
 }
 

@@ -12,8 +12,9 @@
 //
 // Worker threads never see a socket.  Their half of a connection is the
 // TcpSink: write_line appends to the connection's pending-output buffer
-// under a small mutex and wakes the loop through a self-pipe; the loop
-// flushes opportunistically, keeping whatever a full socket buffer or a
+// under a small mutex and wakes the loop through a self-pipe (skipped
+// when the loop thread itself answers a line it is dispatching -- the
+// same step() flushes it); the loop flushes opportunistically, keeping whatever a full socket buffer or a
 // slow client refuses (partial-write handling) until POLLOUT.  A client
 // that vanished mid-response costs the loop an EPIPE errno on its own
 // send -- it cannot kill or even block a worker, and the other
@@ -64,7 +65,7 @@ class EventLoop {
   /// Called once per complete request line (without the newline), with
   /// the connection's sink.  The handler may answer synchronously or hand
   /// the sink to a worker; either way response bytes travel through
-  /// TcpSink::write_line.
+  /// TcpSink::write_line, and only through the sink it was given.
   using LineHandler = std::function<void(const std::string& line,
                                          const std::shared_ptr<ResponseSink>& sink)>;
 

@@ -11,6 +11,7 @@
 #include <istream>
 #include <list>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <utility>
 
@@ -187,6 +188,18 @@ void AnalysisServer::admit_line(const std::string& line,
     return;
   }
   job.admitted = std::chrono::steady_clock::now();
+  // The coalescing identity is the cache key: same canonicalized source,
+  // kind, and options => same flight, regardless of id or deadline.
+  AnalysisSession& session = *sessions_.front();
+  job.key = session.request_key(job.request.analysis);
+  // A resident result is answered here, on the transport thread: no
+  // flight, no queue slot, no worker, and no deadline to miss.  A miss
+  // counts nothing yet -- the worker's run() records the one lookup and
+  // is the only place the disk layer is read.
+  if (std::optional<AnalysisResult> hit = session.recall_resident(job.key)) {
+    respond_result(job, *hit, false);
+    return;
+  }
   if (job.request.deadline_ms > 0) {
     job.has_deadline = true;
     job.deadline =
@@ -194,9 +207,6 @@ void AnalysisServer::admit_line(const std::string& line,
                            std::chrono::duration<double, std::milli>(
                                job.request.deadline_ms));
   }
-  // The coalescing identity is the cache key: same canonicalized source,
-  // kind, and options => same flight, regardless of id or deadline.
-  job.key = sessions_.front()->request_key(job.request.analysis);
   if (opts_.coalesce && !flights_.lead_or_wait(job.key, &job)) {
     // A leader for this key is queued or computing; the job is parked in
     // the flight and its worker will answer it.  No queue slot consumed.

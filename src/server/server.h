@@ -18,6 +18,16 @@
 //    (interleaved across requests, correlated by id), and
 //  * serve_streams(in, out): stdin/stdout framing for tests and scripts.
 //
+// Cache hits at admission: admit_line hashes every parsed request and
+// probes the in-memory result cache (ResultCache::get_resident, which
+// never reads disk and never counts a miss).  A resident result is
+// answered on the admitting thread -- no flight, no queue slot, no
+// worker -- so a hit is never shed or timed out, and it may overtake an
+// earlier cold request on the same connection (responses are correlated
+// by id).  A miss goes on to coalescing and the queue; the worker's
+// session.run() counts the one miss and is the only reader of the disk
+// layer.
+//
 // Admission control: a BoundedQueue between the readers and the pool.  A
 // full queue sheds the request immediately with an `overloaded` error --
 // backlog is bounded by construction, never buffered.  Deadlines: a
@@ -110,9 +120,10 @@ class AnalysisServer {
   /// from other threads (tests bind port 0 and discover the port here).
   int tcp_port() const { return tcp_port_.load(std::memory_order_acquire); }
 
-  /// Parses, admits, coalesces, or sheds one request line; any immediate
-  /// error (bad_request / overloaded) is written to `sink` before
-  /// returning.  Exposed for tests; transports call this per line.
+  /// Parses one request line and answers it from the in-memory cache, or
+  /// coalesces, queues, or sheds it; a cache hit or any immediate error
+  /// (bad_request / overloaded) is written to `sink` before returning.
+  /// Exposed for tests; transports call this per line.
   void admit_line(const std::string& line,
                   const std::shared_ptr<ResponseSink>& sink);
 

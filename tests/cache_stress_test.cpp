@@ -1,7 +1,8 @@
 // Concurrency stress for the shared ResultCache and the serve pool's
 // single-flight table (satellites of the serve subsystem): many threads
 // hammering overlapping keys through one cache with a live disk layer,
-// the same traffic through a sharded/TTL/byte-budget configuration, and
+// the same traffic through a sharded/TTL/byte-budget configuration, the
+// memory-only admission probe racing puts, evictions and expiry, and
 // racing leaders on a SingleFlight.  Designed to run under TSan
 // (scripts/tier1.sh TSan stage) to catch torn reads and counter races.
 //
@@ -148,6 +149,68 @@ TEST(ResultCacheStress, ShardedConfigKeepsInvariantsUnderContention) {
   EXPECT_LE(cache.bytes(), cfg.byte_budget);
   EXPECT_LE(cache.shard_entries_max(), cfg.capacity / cfg.shards);
   EXPECT_GT(cache.evictions(), 0);  // the budget actually pushed back
+}
+
+TEST(ResultCacheStress, ResidentLookupRacesPutsUnderTinyCapacityAndTtl) {
+  // The serve admission probe (get_resident) spins on hot keys for as long
+  // as writers churn a cache small enough, and a TTL short enough, that
+  // the probed entries are constantly evicted, expired and re-inserted
+  // under it.
+  constexpr int kWriters = 3;
+  constexpr int kRounds = 2000;
+  constexpr std::uint64_t kHotKeys = 4;
+  constexpr std::uint64_t kKeys = 6;  // > capacity: evictions too
+
+  ResultCacheConfig cfg;
+  cfg.capacity = 4;
+  cfg.ttl_seconds = 0.0001;
+  ResultCache cache(cfg);
+
+  std::atomic<bool> writers_done{false};
+  long resident_hits = 0;
+  int torn_reads = 0;
+  std::vector<long> writer_hits(kWriters, 0), writer_misses(kWriters, 0);
+  std::thread reader([&] {
+    for (std::uint64_t r = 0; !writers_done.load(std::memory_order_acquire); ++r) {
+      const std::uint64_t key = r % kHotKeys;
+      if (auto entry = cache.get_resident(key)) {
+        resident_hits += 1;
+        if (entry->payload != value_for(key) ||
+            entry->status != status_for(key)) {
+          torn_reads += 1;
+        }
+      }
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kWriters; ++t) {
+    writers.emplace_back([&, t] {
+      for (int r = 0; r < kRounds; ++r) {
+        std::uint64_t key =
+            (static_cast<std::uint64_t>(r) * (2 * t + 1) + t) % kKeys;
+        if (cache.get(key)) {
+          writer_hits[t] += 1;
+        } else {
+          writer_misses[t] += 1;
+          cache.put(key, {status_for(key), value_for(key)});
+        }
+      }
+    });
+  }
+  for (auto& th : writers) th.join();
+  writers_done.store(true, std::memory_order_release);
+  reader.join();
+
+  EXPECT_EQ(torn_reads, 0);
+  long hits = resident_hits, misses = 0;
+  for (int t = 0; t < kWriters; ++t) {
+    hits += writer_hits[t];
+    misses += writer_misses[t];
+  }
+  // The resident probe counts its hits and nothing else.
+  EXPECT_EQ(cache.hits(), hits);
+  EXPECT_EQ(cache.misses(), misses);
+  EXPECT_LE(cache.size(), cfg.capacity);
 }
 
 TEST(SingleFlightStress, ExactlyOneLeaderPerKeyAndNoLostWaiters) {

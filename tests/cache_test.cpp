@@ -240,6 +240,51 @@ TEST(ResultCachePolicy, TtlExpiresMemoryAndDiskEntries) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(ResultCachePolicy, ResidentLookupCountsHitsOnlyAndNeverReadsDisk) {
+  const std::string dir = ::testing::TempDir() + "lmre_cache_resident";
+  std::filesystem::remove_all(dir);
+  write_cache_file(dir, 5, "lmre-cache v1 status=0\n{\"x\":5}");
+  ResultCache c(4, dir);
+  // On disk but not resident: a silent nullopt -- no miss, no disk read,
+  // no promotion.
+  EXPECT_FALSE(c.get_resident(5).has_value());
+  EXPECT_FALSE(c.get_resident(6).has_value());
+  EXPECT_EQ(c.misses(), 0);
+  EXPECT_EQ(c.hits(), 0);
+  EXPECT_EQ(c.disk_hits(), 0);
+  EXPECT_EQ(c.size(), 0u);
+  // get() is the one that reads disk and promotes; then the key is
+  // resident and the memory-only lookup counts a hit.
+  ASSERT_TRUE(c.get(5).has_value());
+  EXPECT_EQ(c.disk_hits(), 1);
+  auto entry = c.get_resident(5);
+  ASSERT_TRUE(entry.has_value());
+  EXPECT_EQ(entry->payload, "{\"x\":5}");
+  EXPECT_EQ(c.hits(), 2);
+  EXPECT_EQ(c.disk_hits(), 1);
+  EXPECT_EQ(c.misses(), 0);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ResultCachePolicy, ResidentLookupHonoursTtl) {
+  ResultCacheConfig cfg;
+  cfg.ttl_seconds = 0.05;
+  ResultCache c(cfg);
+  c.put(7, {0, "fresh"});
+  ASSERT_TRUE(c.get_resident(7).has_value());
+  std::this_thread::sleep_for(std::chrono::milliseconds(120));
+  // Past the TTL: dropped and counted expired, but not a miss -- the
+  // follow-up get() records the one miss without a second expiry.
+  EXPECT_FALSE(c.get_resident(7).has_value());
+  EXPECT_EQ(c.expired(), 1);
+  EXPECT_EQ(c.misses(), 0);
+  EXPECT_EQ(c.size(), 0u);
+  EXPECT_FALSE(c.get(7).has_value());
+  EXPECT_EQ(c.expired(), 1);
+  EXPECT_EQ(c.misses(), 1);
+  EXPECT_EQ(c.hits(), 1);
+}
+
 TEST(ResultCachePolicy, RefreshingAKeyReplacesBytesExactly) {
   ResultCacheConfig cfg;
   cfg.capacity = 4;

@@ -3,7 +3,8 @@
 // over all three transports (stdio, Unix socket, TCP) -- byte-identity
 // with direct session runs, load-shedding at a full queue, single-flight
 // coalescing of identical requests, deadline expiry, graceful drain,
-// dead-client teardown, and concurrent clients sharing one warm cache.
+// dead-client teardown, concurrent clients sharing one warm cache, and
+// cache hits answered at admission (never shed, one lookup per request).
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -403,6 +405,90 @@ TEST(Server, FullQueueShedsWithOverloaded) {
   ASSERT_TRUE(heavy.has_value());
   EXPECT_EQ(wire_status(*heavy), 0);
   EXPECT_EQ(server.metrics().counter("serve.overloaded"), 1);
+}
+
+// Waits (bounded) until `sink` holds `n` response lines.
+std::vector<std::string> await_lines(CollectingSink& sink, size_t n) {
+  for (int i = 0; i < 5000 && sink.lines().size() < n; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return sink.lines();
+}
+
+// Admits `lines` while the single worker is busy on `heavy` and the one
+// queue slot holds `filler`: any of them answered other than `overloaded`
+// did not go through the queue.
+void admit_behind_full_queue(AnalysisServer& server,
+                             const std::shared_ptr<CollectingSink>& sink,
+                             const std::string& heavy,
+                             const std::string& filler,
+                             const std::vector<std::string>& lines) {
+  server.admit_line(heavy, sink);
+  for (int i = 0; i < 2000 && server.queued() > 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(server.queued(), 0u) << "worker never picked up the request";
+  server.admit_line(filler, sink);
+  ASSERT_EQ(server.queued(), 1u);
+  for (const std::string& line : lines) server.admit_line(line, sink);
+}
+
+TEST(Server, ResidentHitIsNeverShedOrTimedOut) {
+  AnalysisSession direct;
+  const std::string expected =
+      direct.run({kFirSource, "x.loop", AnalysisRequest::Kind::kAnalyze})
+          .payload;
+  std::string heavy2 = kMatmultSource;  // same shape, different cache key
+  for (size_t at = heavy2.find("to 16"); at != std::string::npos;
+       at = heavy2.find("to 16", at)) {
+    heavy2.replace(at, 5, "to 15");
+  }
+
+  ServerOptions opts;
+  opts.workers = 1;
+  opts.queue_depth = 1;
+  AnalysisServer server(opts);
+  auto sink = std::make_shared<CollectingSink>();
+
+  // Cold: the line is not resident, so behind a full queue it is shed.
+  ASSERT_NO_FATAL_FAILURE(admit_behind_full_queue(
+      server, sink, request_line("\"heavy\"", kMatmultSource),
+      request_line("\"filler\"", kFirSource, "lint"),
+      {request_line("\"cold\"", kFirSource, "analyze")}));
+  auto lines = await_lines(*sink, 3);
+  ASSERT_EQ(lines.size(), 3u);
+  auto cold = response_for(lines, "\"cold\"");
+  ASSERT_TRUE(cold.has_value());
+  EXPECT_EQ(wire_status(*cold), static_cast<int>(ServeStatus::kOverloaded));
+
+  // Warm it through an idle pool.
+  server.admit_line(request_line("\"warm\"", kFirSource, "analyze"), sink);
+  lines = await_lines(*sink, 4);
+  ASSERT_EQ(lines.size(), 4u);
+
+  // Warm: the same line behind a full queue is answered at admission --
+  // before admit_line returns, ahead of the earlier heavy request -- and
+  // a 1 ms deadline cannot expire on it.
+  ASSERT_NO_FATAL_FAILURE(admit_behind_full_queue(
+      server, sink, request_line("\"heavy2\"", heavy2),
+      request_line("\"filler2\"", kMatmultSource, "lint"),
+      {request_line("\"hit\"", kFirSource, "analyze"),
+       request_line("\"hit_deadline\"", kFirSource, "analyze", 1.0)}));
+  lines = sink->lines();
+  for (const char* id : {"\"hit\"", "\"hit_deadline\""}) {
+    auto hit = response_for(lines, id);
+    ASSERT_TRUE(hit.has_value()) << id << " was not answered at admission";
+    EXPECT_EQ(wire_status(*hit), 0) << id;
+    const WireValue* payload = hit->find("result")->find("result");
+    ASSERT_NE(payload, nullptr);
+    EXPECT_EQ(payload->raw, expected) << id;
+  }
+  server.drain();
+
+  EXPECT_EQ(sink->lines().size(), 8u);
+  EXPECT_EQ(server.metrics().counter("serve.overloaded"), 1);
+  EXPECT_EQ(server.metrics().counter("serve.timeout"), 0);
+  EXPECT_EQ(server.cache().hits(), 2);
 }
 
 // ---- single-flight coalescing ----------------------------------------------
@@ -853,6 +939,155 @@ TEST(Server, TcpClientVanishingMidFlightDoesNotLoseOthers) {
   EXPECT_EQ(server.metrics().counter("serve.completed"), 2);
   EXPECT_EQ(server.metrics().gauge_value("serve.tcp_conns_opened"), 2.0);
   EXPECT_EQ(server.metrics().gauge_value("serve.tcp_conns_closed"), 2.0);
+}
+
+// ---- admission-time cache hits ---------------------------------------------
+
+// Every admitted request is exactly one cache lookup (a hit at admission
+// or in a worker, or a worker's miss) or one coalesced waiter, and every
+// hit is one cached run.
+void expect_one_lookup_per_request(AnalysisServer& server) {
+  Metrics& m = server.metrics();
+  EXPECT_EQ(server.cache().hits() + server.cache().misses() +
+                m.counter("serve.coalesced"),
+            m.counter("serve.requests") - m.counter("serve.bad_request"));
+  EXPECT_EQ(m.counter("runs.cached"), server.cache().hits());
+}
+
+// Three kinds of one source, four rounds each, plus one bad line: the
+// first of each kind misses, repeats hit or coalesce.
+std::vector<std::string> mixed_feed() {
+  std::vector<std::string> feed;
+  const char* kinds[] = {"lint", "analyze", "full"};
+  for (int i = 0; i < 12; ++i) {
+    feed.push_back(request_line(std::to_string(i), kFirSource, kinds[i % 3]));
+  }
+  feed.push_back("not json");
+  return feed;
+}
+
+// Pipelines `lines` over one TCP connection, half-closes, and returns
+// every response line received before the server closes.
+std::vector<std::string> tcp_exchange(int port,
+                                      const std::vector<std::string>& lines) {
+  int fd = tcp_connect("127.0.0.1", port);
+  if (fd < 0) return {};
+  for (const std::string& line : lines) send_all(fd, line);
+  ::shutdown(fd, SHUT_WR);
+  std::string text;
+  char chunk[4096];
+  ssize_t n;
+  while ((n = ::recv(fd, chunk, sizeof chunk, 0)) > 0) {
+    text.append(chunk, static_cast<size_t>(n));
+  }
+  ::close(fd);
+  return lines_of(text);
+}
+
+TEST(Server, StreamsCountOneLookupPerAdmittedRequest) {
+  ServerOptions opts;
+  opts.workers = 2;
+  AnalysisServer server(opts);
+  std::string feed;
+  for (const std::string& line : mixed_feed()) feed += line + "\n";
+  std::istringstream in(feed);
+  std::ostringstream out;
+  server.serve_streams(in, out);
+
+  EXPECT_EQ(lines_of(out.str()).size(), 13u);
+  EXPECT_EQ(server.metrics().counter("serve.bad_request"), 1);
+  EXPECT_EQ(server.cache().misses(), 3);
+  expect_one_lookup_per_request(server);
+}
+
+TEST(Server, TcpCountsOneLookupPerAdmittedRequest) {
+  ServerOptions opts;
+  opts.workers = 2;
+  AnalysisServer server(opts);
+  std::thread serving([&] {
+    EXPECT_EQ(server.serve_tcp("127.0.0.1", 0), ExitCode::kSuccess);
+  });
+  int port = wait_for_tcp_port(server);
+  ASSERT_GT(port, 0);
+
+  // Warm the lint key, so its four repeats below are admission hits.
+  ASSERT_FALSE(tcp_roundtrip(port, request_line("\"w\"", kFirSource, "lint")).empty());
+  std::vector<std::string> feed = mixed_feed();
+  std::vector<std::string> responses = tcp_exchange(port, feed);
+  server.request_stop();
+  serving.join();
+
+  EXPECT_EQ(responses.size(), feed.size());
+  EXPECT_GE(server.cache().hits(), 4);
+  EXPECT_EQ(server.cache().misses(), 3);
+  expect_one_lookup_per_request(server);
+}
+
+TEST(Server, ExpiredResidentEntryIsRecomputedByAWorker) {
+  ServerOptions opts;
+  opts.workers = 1;
+  opts.session.cache_ttl_seconds = 0.05;
+  AnalysisServer server(opts);
+  auto sink = std::make_shared<CollectingSink>();
+  server.admit_line(request_line("1", kFirSource, "analyze"), sink);
+  ASSERT_EQ(await_lines(*sink, 1).size(), 1u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(120));
+
+  const Int expired0 = server.cache().expired();
+  const Int misses0 = server.cache().misses();
+  const Int computed0 = server.metrics().counter("runs.computed");
+  server.admit_line(request_line("2", kFirSource, "analyze"), sink);
+  auto lines = await_lines(*sink, 2);
+  server.drain();
+
+  ASSERT_EQ(lines.size(), 2u);
+  // The admission probe drops the stale entry (expired +1, no miss); the
+  // worker's lookup is the one miss, and it recomputes.
+  EXPECT_EQ(server.cache().expired() - expired0, 1);
+  EXPECT_EQ(server.cache().misses() - misses0, 1);
+  EXPECT_EQ(server.metrics().counter("runs.computed") - computed0, 1);
+  EXPECT_EQ(server.cache().hits(), 0);
+  auto first = response_for(lines, "1");
+  auto second = response_for(lines, "2");
+  ASSERT_TRUE(first.has_value() && second.has_value());
+  EXPECT_EQ(first->find("result")->find("result")->raw,
+            second->find("result")->find("result")->raw);
+}
+
+TEST(Server, WarmDiskCacheIsReadByAWorkerThenHitAtAdmission) {
+  const std::string dir = ::testing::TempDir() + "lmre_serve_disk_cache";
+  std::filesystem::remove_all(dir);
+  ServerOptions opts;
+  opts.session.cache_dir = dir;
+  const std::string line = request_line("1", kFirSource, "analyze");
+  std::string cold;
+  {
+    AnalysisServer writer(opts);
+    std::istringstream in(line + "\n");
+    std::ostringstream out;
+    writer.serve_streams(in, out);
+    cold = out.str();
+  }
+
+  AnalysisServer server(opts);
+  auto sink = std::make_shared<CollectingSink>();
+  // Not resident in the fresh process: only a worker's lookup reads disk.
+  server.admit_line(line, sink);
+  ASSERT_EQ(await_lines(*sink, 1).size(), 1u);
+  EXPECT_EQ(server.cache().disk_hits(), 1);
+  EXPECT_EQ(server.metrics().counter("runs.computed"), 0);
+  // Promoted into memory: answered before admit_line returns.
+  server.admit_line(line, sink);
+  auto lines = sink->lines();
+  ASSERT_EQ(lines.size(), 2u);
+  server.drain();
+
+  EXPECT_EQ(server.cache().disk_hits(), 1);
+  EXPECT_EQ(server.cache().hits(), 2);
+  EXPECT_EQ(server.cache().misses(), 0);
+  EXPECT_EQ(server.metrics().counter("runs.cached"), 2);
+  for (const std::string& response : lines) EXPECT_EQ(response + "\n", cold);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Server, TcpStopWithoutClientsExitsCleanly) {
