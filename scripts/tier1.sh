@@ -8,7 +8,8 @@
 # sanitizer passes --
 # ThreadSanitizer over the parallel-search + shared-cache/server suites
 # and ASan+UBSan over the parser / lint / CLI suites (the layers that
-# chew on untrusted input) -- plus a symbolic-smoke stage (closed forms
+# chew on untrusted input) and the optimizer / report / session suites
+# -- plus a symbolic-smoke stage (closed forms
 # differential vs the oracle under ASan, golden + decline corpora), the
 # oracle perf gate, a codegen smoke (ASan emission, system-cc compile
 # + execute round trip, bench_codegen --check latency gate), and an
@@ -181,12 +182,18 @@ cmake --build build-tsan -j "$JOBS" \
 ./build-tsan/tests/server_test
 
 echo "== tier 1: ASan+UBSan pass over the input-handling suites =="
+# Plus the optimizer / report / session suites: the shared-dependence
+# search overloads and the uncertified-plan downgrade path.
 cmake -B build-asan -S . -DLMRE_SANITIZE=address,undefined >/dev/null
 cmake --build build-asan -j "$JOBS" \
-  --target parser_test lint_test cli_tool_test
+  --target parser_test lint_test cli_tool_test minimizer_test report_test \
+  runtime_test
 ./build-asan/tests/parser_test
 ./build-asan/tests/lint_test
 ./build-asan/tests/cli_tool_test
+./build-asan/tests/minimizer_test
+./build-asan/tests/report_test
+./build-asan/tests/runtime_test
 
 echo "== tier 1: symbolic-smoke (ASan differential subset + golden check) =="
 # The symbolic closed forms must stay oracle-exact under ASan+UBSan: run

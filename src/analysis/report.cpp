@@ -5,6 +5,7 @@
 #include "analysis/distinct.h"
 #include "analysis/nonuniform.h"
 #include "analysis/window.h"
+#include "dependence/dependence.h"
 #include "exact/oracle.h"
 #include "support/text.h"
 
@@ -16,6 +17,10 @@ MemoryReport report_from(const LoopNest& nest, const std::optional<TraceStats>& 
   MemoryReport rep;
   rep.default_memory = nest.default_memory();
 
+  // At most one dependence analysis serves every array's window estimate.
+  // The total is their sum: estimate_mws_total's value when every array
+  // has an estimate, nullopt otherwise or when no array is referenced.
+  std::optional<DependenceInfo> deps;
   bool mws_total_known = true;
   for (ArrayId id = 0; id < nest.arrays().size(); ++id) {
     std::vector<ArrayRef> refs = nest.refs_to(id);
@@ -37,7 +42,7 @@ MemoryReport report_from(const LoopNest& nest, const std::optional<TraceStats>& 
       ar.distinct_lower = b.lower_paper;
       rep.distinct_estimate_total += b.upper;
     }
-    ar.mws_estimate = estimate_mws_array(nest, id);
+    ar.mws_estimate = estimate_mws_array(nest, deps, id);
     if (!ar.mws_estimate) mws_total_known = false;
 
     if (exact) {
@@ -49,7 +54,11 @@ MemoryReport report_from(const LoopNest& nest, const std::optional<TraceStats>& 
     rep.arrays.push_back(std::move(ar));
   }
 
-  if (mws_total_known) rep.mws_estimate_total = estimate_mws_total(nest);
+  if (mws_total_known && !rep.arrays.empty()) {
+    Int total = 0;
+    for (const ArrayReport& a : rep.arrays) total = checked_add(total, *a.mws_estimate);
+    rep.mws_estimate_total = total;
+  }
   if (exact) {
     rep.distinct_exact_total = exact->distinct_total;
     rep.mws_exact_total = exact->mws_total;

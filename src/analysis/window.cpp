@@ -81,8 +81,8 @@ namespace {
 // matrix plus the constant cross-reference distances.  The window estimate
 // uses the lexicographically largest one ("it spans the maximum region in
 // the iteration space", Section 4.3).
-std::optional<IntVec> dominant_reuse_vector(const LoopNest& nest, ArrayId array) {
-  DependenceInfo info = analyze_dependences(nest);
+std::optional<IntVec> dominant_reuse_vector(const LoopNest& nest,
+                                           const DependenceInfo& info, ArrayId array) {
   std::optional<IntVec> best;
   const std::vector<ArrayRef> refs = nest.all_refs();
   for (const auto& dep : info.deps) {
@@ -95,6 +95,12 @@ std::optional<IntVec> dominant_reuse_vector(const LoopNest& nest, ArrayId array)
 }  // namespace
 
 std::optional<Int> estimate_mws_array(const LoopNest& nest, ArrayId array) {
+  std::optional<DependenceInfo> deps;
+  return estimate_mws_array(nest, deps, array);
+}
+
+std::optional<Int> estimate_mws_array(const LoopNest& nest,
+                                      std::optional<DependenceInfo>& deps, ArrayId array) {
   std::vector<ArrayRef> refs = nest.refs_to(array);
   require(!refs.empty(), "estimate_mws_array: array not referenced");
   for (size_t i = 1; i < refs.size(); ++i) {
@@ -109,7 +115,8 @@ std::optional<Int> estimate_mws_array(const LoopNest& nest, ArrayId array) {
     return mws2_estimate(alpha, nest.bounds(), 1, 0).ceil();
   }
 
-  std::optional<IntVec> v = dominant_reuse_vector(nest, array);
+  if (!deps) deps = analyze_dependences(nest);
+  std::optional<IntVec> v = dominant_reuse_vector(nest, *deps, array);
   if (!v) return 0;  // no reuse: nothing ever lives across iterations
   // The window can never exceed the number of distinct elements touched.
   Int cap = estimate_distinct(nest, array).distinct;
@@ -117,11 +124,12 @@ std::optional<Int> estimate_mws_array(const LoopNest& nest, ArrayId array) {
 }
 
 std::optional<Int> estimate_mws_total(const LoopNest& nest) {
+  std::optional<DependenceInfo> deps;
   Int total = 0;
   bool any = false;
   for (ArrayId id = 0; id < nest.arrays().size(); ++id) {
     if (nest.refs_to(id).empty()) continue;
-    std::optional<Int> m = estimate_mws_array(nest, id);
+    std::optional<Int> m = estimate_mws_array(nest, deps, id);
     if (!m) {
       // Non-uniform references: no window formula.  Fall back on the upper
       // bound of the distinct count -- the window can never exceed the

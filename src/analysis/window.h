@@ -22,6 +22,8 @@
 
 namespace lmre {
 
+struct DependenceInfo;  // dependence/dependence.h: a nest's distance vectors
+
 /// Rational maxspan of the inner loop after transforming a 2-deep nest with
 /// a transform whose first row is (a, b) (identity order: a=1, b=0).
 /// Requires (a, b) nonzero and primitive.
@@ -49,6 +51,12 @@ Int mws3_paper(const IntVec& v, const IntBox& box);
 /// Per-array MWS estimate for the untransformed nest.  nullopt when no
 /// formula applies (non-uniformly generated references).
 std::optional<Int> estimate_mws_array(const LoopNest& nest, ArrayId array);
+
+/// estimate_mws_array sharing one dependence analysis across the arrays of
+/// a nest: `deps` holds analyze_dependences(nest), filled in by the first
+/// call whose formula reads it (eq. (2) and non-uniform arrays never do).
+std::optional<Int> estimate_mws_array(const LoopNest& nest,
+                                      std::optional<DependenceInfo>& deps, ArrayId array);
 
 /// Sum of per-array estimates (an upper bound on the combined window's
 /// peak).  Arrays with no applicable formula contribute their estimated

@@ -691,6 +691,7 @@ std::string AnalysisSession::compute_payload(const AnalysisRequest& req,
         opt.set("uncertified_transform", transform_json(res.transform));
         res.transform = IntMat::identity(nest.depth());
         res.method = "identity (uncertified plan downgraded)";
+        res.predicted_mws = predicted_mws_after(nest, res.transform);
       }
       opt.set("method", res.method);
       opt.set("transform", transform_json(res.transform));

@@ -188,11 +188,16 @@ std::optional<MinimizerResult> branch_and_bound(const IntVec& alpha,
 
 std::optional<MinimizerResult> minimize_mws_2d(const LoopNest& nest,
                                                const MinimizerOptions& opts) {
+  return minimize_mws_2d(nest, analyze_dependences(nest), opts);
+}
+
+std::optional<MinimizerResult> minimize_mws_2d(const LoopNest& nest,
+                                               const DependenceInfo& info,
+                                               const MinimizerOptions& opts) {
   if (nest.depth() != 2) return std::nullopt;
   std::vector<RowTarget> targets = row_targets(nest);
   if (targets.empty()) return std::nullopt;
 
-  DependenceInfo info = analyze_dependences(nest);
   std::vector<IntVec> deps = info.distance_vectors(opts.include_input_reuse);
   const IntBox& box = nest.bounds();
 
@@ -272,6 +277,11 @@ std::optional<MinimizerResult> minimize_mws_2d(const LoopNest& nest,
 }
 
 std::optional<IntMat> embedding_transform(const LoopNest& nest, ArrayId array) {
+  return embedding_transform(nest, analyze_dependences(nest), array);
+}
+
+std::optional<IntMat> embedding_transform(const LoopNest& nest,
+                                          const DependenceInfo& info, ArrayId array) {
   std::vector<ArrayRef> refs = nest.refs_to(array);
   if (refs.empty()) return std::nullopt;
   for (size_t i = 1; i < refs.size(); ++i) {
@@ -282,7 +292,6 @@ std::optional<IntMat> embedding_transform(const LoopNest& nest, ArrayId array) {
   std::optional<IntMat> t = complete_rows_to_unimodular(acc);
   if (!t) return std::nullopt;
 
-  DependenceInfo info = analyze_dependences(nest);
   std::vector<IntVec> all = info.distance_vectors(/*include_input=*/true);
   std::vector<IntVec> memory = info.distance_vectors(/*include_input=*/false);
 
@@ -307,19 +316,6 @@ std::optional<IntMat> embedding_transform(const LoopNest& nest, ArrayId array) {
 }
 
 namespace {
-
-bool is_signed_permutation(const IntMat& t) {
-  for (size_t r = 0; r < t.rows(); ++r) {
-    int nonzero = 0;
-    for (size_t c = 0; c < t.cols(); ++c) {
-      if (t(r, c) == 0) continue;
-      if (checked_abs(t(r, c)) != 1) return false;
-      ++nonzero;
-    }
-    if (nonzero != 1) return false;
-  }
-  return true;
-}
 
 // Transformed-space extents: exact for signed permutations, bounding box
 // otherwise.
@@ -351,10 +347,13 @@ Int transformed_scan_volume(const LoopNest& nest, const IntMat& t) {
 }
 
 Int predicted_mws_after(const LoopNest& nest, const IntMat& t) {
-  DependenceInfo info = analyze_dependences(nest);
+  return predicted_mws_after(nest, analyze_dependences(nest), t);
+}
+
+Int predicted_mws_after(const LoopNest& nest, const DependenceInfo& info,
+                        const IntMat& t) {
   const std::vector<ArrayRef> refs = nest.all_refs();
   IntBox tbox = transformed_box(nest.bounds(), t);
-  (void)is_signed_permutation(t);  // exactness note: tbox is exact for these
 
   Int total = 0;
   for (ArrayId id = 0; id < nest.arrays().size(); ++id) {
@@ -397,13 +396,15 @@ OptimizeResult optimize_locality(const LoopNest& nest, const MinimizerOptions& o
 std::vector<CandidatePlan> candidate_plans(const LoopNest& nest,
                                            const MinimizerOptions& opts) {
   const size_t n = nest.depth();
+  // The dependences are a property of the nest, not of a candidate: one
+  // analysis serves the legality filter, the scoring and both searches.
   DependenceInfo info = analyze_dependences(nest);
   std::vector<IntVec> memory = info.distance_vectors(/*include_input=*/false);
 
   std::vector<CandidatePlan> candidates;
   auto consider = [&](const IntMat& t, const std::string& method) {
     if (!is_legal(t, memory)) return;
-    candidates.push_back(CandidatePlan{t, method, predicted_mws_after(nest, t)});
+    candidates.push_back(CandidatePlan{t, method, predicted_mws_after(nest, info, t)});
   };
 
   consider(IntMat::identity(n), "identity");
@@ -421,12 +422,12 @@ std::vector<CandidatePlan> candidate_plans(const LoopNest& nest,
     }
   } while (std::next_permutation(perm.begin(), perm.end()));
 
-  if (auto res = minimize_mws_2d(nest, opts)) {
+  if (auto res = minimize_mws_2d(nest, info, opts)) {
     consider(res->transform, "row-minimizer");
   }
   for (ArrayId id = 0; id < nest.arrays().size(); ++id) {
     if (nest.refs_to(id).empty()) continue;
-    if (auto t = embedding_transform(nest, id)) {
+    if (auto t = embedding_transform(nest, info, id)) {
       consider(*t, "embedding(" + nest.array(id).name + ")");
     }
   }

@@ -24,7 +24,8 @@
 
 namespace lmre {
 
-class TraceArena;  // exact/trace_engine.h: reusable dense-engine storage
+class TraceArena;      // exact/trace_engine.h: reusable dense-engine storage
+struct DependenceInfo;  // dependence/dependence.h: a nest's distance vectors
 
 struct MinimizerOptions {
   /// Search bound on |a| and |b| for first-row enumeration.
@@ -76,17 +77,28 @@ struct MinimizerResult {
 std::optional<MinimizerResult> minimize_mws_2d(const LoopNest& nest,
                                                const MinimizerOptions& opts = {});
 
+/// minimize_mws_2d over the nest's already-computed dependence analysis
+/// (`info` must be analyze_dependences(nest)); the overload above analyzes
+/// the nest itself.  The same holds for the other DependenceInfo overloads.
+std::optional<MinimizerResult> minimize_mws_2d(const LoopNest& nest,
+                                               const DependenceInfo& info,
+                                               const MinimizerOptions& opts);
+
 /// Section 4.3: unimodular T whose first rows equal the access matrix of
 /// `array` (reuse carried innermost).  The last row's sign is fixed so the
 /// transformed reuse vector is forward; returns nullopt when the access
 /// rows are not extendable or the result is illegal for the nest's memory
 /// dependences.
 std::optional<IntMat> embedding_transform(const LoopNest& nest, ArrayId array);
+std::optional<IntMat> embedding_transform(const LoopNest& nest,
+                                          const DependenceInfo& info, ArrayId array);
 
 /// Analytic prediction of the total MWS after applying `t` (sum over
 /// arrays).  Permutation-like transforms use the permuted box; general
 /// transforms fall back on bounding-box extents (an over-approximation).
 Int predicted_mws_after(const LoopNest& nest, const IntMat& t);
+Int predicted_mws_after(const LoopNest& nest, const DependenceInfo& info,
+                        const IntMat& t);
 
 /// Volume of the axis-aligned hull of t * bounds: the space the
 /// Fourier-Motzkin scanner sweeps when simulating the transformed nest.  A
@@ -112,9 +124,11 @@ struct CandidatePlan {
 /// The optimizer's candidate enumeration as a reusable product: identity,
 /// signed permutations, the depth-2 row minimizer, and per-array
 /// embeddings, legality-filtered against the memory dependences, scored by
-/// predicted_mws_after, and stably sorted best-first.  The identity is
-/// always present, so the result is never empty.  optimize_locality and
-/// the miss-ratio objective both re-score prefixes of this list.
+/// predicted_mws_after, and stably sorted best-first.  The nest's
+/// dependences are analyzed once and shared by every candidate.  The
+/// identity is always present, so the result is never empty.
+/// optimize_locality and the miss-ratio objective both re-score prefixes
+/// of this list.
 std::vector<CandidatePlan> candidate_plans(const LoopNest& nest,
                                            const MinimizerOptions& opts = {});
 

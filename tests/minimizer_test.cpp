@@ -4,6 +4,7 @@
 #include "codes/kernels.h"
 #include "dependence/dependence.h"
 #include "exact/oracle.h"
+#include "nest_corpus.h"
 #include "transform/minimizer.h"
 #include "transform/unimodular.h"
 
@@ -210,6 +211,56 @@ TEST(Optimize, VerifyLimitAppliesToTransformedScanSpace) {
   OptimizeResult full = optimize_locality(nest, generous);
   EXPECT_EQ(full.method, "row-minimizer");
   EXPECT_EQ(full.transform.row(0), (IntVec{2, 3}));
+}
+
+// The search analyzes a nest's dependences once and shares them with every
+// candidate; that must change no score and no search result.
+TEST(SharedDependences, SearchResultsMatchOneShotCalls) {
+  int row_minimized = 0, embedded = 0;
+  for (const auto& [name, nest] : test::nest_corpus()) {
+    SCOPED_TRACE(name);
+    const DependenceInfo info = analyze_dependences(nest);
+    const std::vector<IntVec> memory = info.distance_vectors(/*include_input=*/false);
+    const std::vector<CandidatePlan> plans = candidate_plans(nest);
+    for (const CandidatePlan& c : plans) {
+      EXPECT_EQ(c.score, predicted_mws_after(nest, c.t)) << c.method << " " << c.t.str();
+    }
+    // The searches' candidates are the one-shot searches' legal results.
+    auto plan_of = [&](const std::string& method) -> std::optional<IntMat> {
+      for (const CandidatePlan& c : plans) {
+        if (c.method == method) return c.t;
+      }
+      return std::nullopt;
+    };
+    auto if_legal = [&](const std::optional<IntMat>& t) -> std::optional<IntMat> {
+      if (t && is_legal(*t, memory)) return t;
+      return std::nullopt;
+    };
+
+    std::optional<MinimizerResult> one = minimize_mws_2d(nest);
+    std::optional<MinimizerResult> shared = minimize_mws_2d(nest, info, MinimizerOptions{});
+    ASSERT_EQ(one.has_value(), shared.has_value());
+    if (one) {
+      ++row_minimized;
+      EXPECT_EQ(one->transform, shared->transform);
+      EXPECT_EQ(one->predicted_mws, shared->predicted_mws);
+      EXPECT_EQ(one->candidates, shared->candidates);
+    }
+    EXPECT_EQ(plan_of("row-minimizer"),
+              if_legal(one ? std::optional<IntMat>(one->transform) : std::nullopt));
+
+    for (ArrayId id = 0; id < nest.arrays().size(); ++id) {
+      if (nest.refs_to(id).empty()) continue;
+      const std::string& array = nest.array(id).name;
+      std::optional<IntMat> t = embedding_transform(nest, id);
+      EXPECT_EQ(t, embedding_transform(nest, info, id)) << array;
+      EXPECT_EQ(plan_of("embedding(" + array + ")"), if_legal(t)) << array;
+      if (t) ++embedded;
+    }
+  }
+  // The corpus reaches both searches, not only their early exits.
+  EXPECT_GT(row_minimized, 0);
+  EXPECT_GT(embedded, 0);
 }
 
 }  // namespace

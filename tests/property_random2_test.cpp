@@ -16,6 +16,7 @@
 #include "ir/builder.h"
 #include "ir/parser.h"
 #include "layout/spatial.h"
+#include "nest_corpus.h"
 #include "polyhedra/counting.h"
 #include "transform/minimizer.h"
 #include "transform/tiling.h"
@@ -26,18 +27,7 @@ namespace {
 
 std::mt19937 rng_for(int seed) { return std::mt19937(0xBADC0DE + seed); }
 
-// Random 2-deep nest with a couple of 2-d uniformly generated references.
-LoopNest random_nest2(std::mt19937& rng) {
-  std::uniform_int_distribution<Int> bnd(3, 8), off(-2, 2);
-  Int n1 = bnd(rng), n2 = bnd(rng);
-  NestBuilder b;
-  b.loop("i", 1, n1).loop("j", 1, n2);
-  ArrayId a = b.array("A", {n1 + 6, n2 + 6});
-  b.statement()
-      .write(a, {{1, 0}, {0, 1}}, {off(rng) + 3, off(rng) + 3})
-      .read(a, {{1, 0}, {0, 1}}, {off(rng) + 3, off(rng) + 3});
-  return b.build();
-}
+using test::random_nest2;
 
 // ---------------------------------------------------------------------------
 class TilingProperty : public ::testing::TestWithParam<int> {};
@@ -150,14 +140,7 @@ class OptimizerDepth3Property : public ::testing::TestWithParam<int> {};
 
 TEST_P(OptimizerDepth3Property, LegalAndNeverWorse) {
   auto rng = rng_for(500 + GetParam());
-  std::uniform_int_distribution<Int> bnd(3, 6), coefd(0, 2);
-  NestBuilder b;
-  b.loop("i", 1, bnd(rng)).loop("j", 1, bnd(rng)).loop("k", 1, bnd(rng));
-  // 2-d array in a 3-deep nest: kernel-reuse optimization territory.
-  ArrayId a = b.array("A", {40, 40});
-  Int c1 = coefd(rng) + 1, c2 = coefd(rng);
-  b.statement().read(a, IntMat{{c1, 0, 1}, {0, 1, c2}}, IntVec{5, 5});
-  LoopNest nest = b.build();
+  LoopNest nest = test::random_kernel3(rng);
 
   OptimizeResult res = optimize_locality(nest);
   EXPECT_TRUE(res.transform.is_unimodular());

@@ -14,6 +14,7 @@
 #include "exact/stack_distance.h"
 #include "ir/builder.h"
 #include "layout/spatial.h"
+#include "nest_corpus.h"
 #include "polyhedra/scanner.h"
 #include "transform/wavefront.h"
 
@@ -22,19 +23,7 @@ namespace {
 
 std::mt19937 rng_for(int seed) { return std::mt19937(0xFEEDF00D + seed); }
 
-// Random stencil nest: A[i][j] = f(A[i-di][j-dj]) with a forward (di,dj).
-LoopNest random_stencil(std::mt19937& rng) {
-  std::uniform_int_distribution<Int> bnd(4, 9), d1(1, 2), d2(-2, 2);
-  Int n1 = bnd(rng), n2 = bnd(rng);
-  Int di = d1(rng), dj = d2(rng);
-  NestBuilder b;
-  b.loop("i", 1, n1).loop("j", 1, n2);
-  ArrayId a = b.array("A", {n1 + 4, n2 + 8});
-  b.statement()
-      .write(a, {{1, 0}, {0, 1}}, {2, 4})
-      .read(a, {{1, 0}, {0, 1}}, {2 - di, 4 - dj});
-  return b.build();
-}
+using test::random_stencil;
 
 // ---------------------------------------------------------------------------
 class WavefrontProperty : public ::testing::TestWithParam<int> {};

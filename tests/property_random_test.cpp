@@ -11,6 +11,8 @@
 #include "dependence/dependence.h"
 #include "exact/oracle.h"
 #include "ir/builder.h"
+#include "ir/printer.h"
+#include "nest_corpus.h"
 #include "polyhedra/scanner.h"
 #include "transform/minimizer.h"
 #include "transform/transformed.h"
@@ -243,24 +245,14 @@ class OptimizerProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(OptimizerProperty, NeverWorseAndAlwaysLegal) {
   auto rng = rng_for(6000 + GetParam());
-  std::uniform_int_distribution<Int> coefd(-4, 4), off(0, 6), bound(5, 12);
-  Int a1 = coefd(rng), a2 = coefd(rng);
-  if (a1 == 0 && a2 == 0) a1 = 2;
-  Int n1 = bound(rng), n2 = bound(rng);
-  NestBuilder b;
-  b.loop("i", 1, n1).loop("j", 1, n2);
-  ArrayId x = b.array("X", {200});
-  b.statement()
-      .write(x, IntMat{{a1, a2}}, IntVec{off(rng) + 60})
-      .read(x, IntMat{{a1, a2}}, IntVec{off(rng) + 60});
-  LoopNest nest = b.build();
+  LoopNest nest = test::random_stream2(rng);
   OptimizeResult res = optimize_locality(nest);
   EXPECT_TRUE(res.transform.is_unimodular());
   auto memory = analyze_dependences(nest).distance_vectors(false);
   EXPECT_TRUE(is_legal(res.transform, memory));
   Int before = simulate(nest).mws_total;
   Int after = simulate_transformed(nest, res.transform).mws_total;
-  EXPECT_LE(after, before) << "coeffs (" << a1 << "," << a2 << ")";
+  EXPECT_LE(after, before) << print_nest(nest);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, OptimizerProperty, ::testing::Range(0, 30));

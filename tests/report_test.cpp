@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include "analysis/report.h"
+#include "analysis/window.h"
 #include "codes/examples.h"
 #include "codes/kernels.h"
+#include "ir/parser.h"
+#include "nest_corpus.h"
 
 namespace lmre {
 namespace {
@@ -72,6 +75,40 @@ TEST(Report, MwsTotalAtLeastMaxOfArrays) {
     ASSERT_TRUE(a.mws_exact.has_value());
     EXPECT_GE(*rep.mws_exact_total, *a.mws_exact);
   }
+}
+
+// report_from sums the per-array estimates it already holds; the sum must
+// be estimate_mws_total's value whenever every array has an estimate.
+TEST(Report, SummedMwsTotalMatchesEstimateMwsTotal) {
+  std::vector<test::NamedNest> corpus = test::nest_corpus();
+  corpus.emplace_back("example6", codes::example_6());
+  // A is uniformly generated, B is not: B has no window formula.
+  corpus.emplace_back("mixed", parse_nest("array A[20]; array B[40];\n"
+                                          "for i = 1 to 8\n  for j = 1 to 6\n"
+                                          "    A[i + j] = B[2*i + j] + B[i + 3*j] + A[i + j - 1];\n"));
+  int without_total = 0;
+  for (const auto& [name, nest] : corpus) {
+    SCOPED_TRACE(name);
+    MemoryReport rep = analyze_memory(nest, /*with_oracle=*/false);
+    bool every_array_estimated = true;
+    size_t k = 0;
+    for (ArrayId id = 0; id < nest.arrays().size(); ++id) {
+      if (nest.refs_to(id).empty()) continue;
+      ASSERT_LT(k, rep.arrays.size());
+      EXPECT_EQ(rep.arrays[k].name, nest.array(id).name);
+      EXPECT_EQ(rep.arrays[k].mws_estimate, estimate_mws_array(nest, id));
+      if (!rep.arrays[k].mws_estimate) every_array_estimated = false;
+      ++k;
+    }
+    EXPECT_EQ(k, rep.arrays.size());
+    if (every_array_estimated) {
+      EXPECT_EQ(rep.mws_estimate_total, estimate_mws_total(nest));
+    } else {
+      EXPECT_FALSE(rep.mws_estimate_total.has_value());
+      ++without_total;
+    }
+  }
+  EXPECT_GE(without_total, 2);  // example6 and mixed
 }
 
 }  // namespace

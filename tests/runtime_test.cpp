@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -274,6 +275,33 @@ TEST(Session, PayloadIsFileNameIndependent) {
   AnalysisResult b = s.run({kExample8, "two.loop", AnalysisRequest::Kind::kFull});
   EXPECT_EQ(a.payload, b.payload);
   EXPECT_TRUE(b.cache_hit);  // same content, different name: one entry
+}
+
+// The integer value of the first `"key":` field in a compact payload.
+std::optional<Int> int_field(const std::string& payload, const std::string& key) {
+  size_t at = payload.find("\"" + key + "\":");
+  if (at == std::string::npos) return std::nullopt;
+  return std::stoll(payload.substr(at + key.size() + 3));
+}
+
+TEST(Session, DowngradedOptimizeReportsTheIdentitysPrediction) {
+  // The search's embedding(C) plan reverses B's dependence (2, -1, -9),
+  // which the minimizer's kernel-generator distances do not list, so the
+  // prover refuses it and the envelope ships the identity instead.  Every
+  // number in it must then describe the identity, not the refused plan
+  // (whose prediction is 38).
+  const char* source =
+      "array B[28]; array C[29];\n"
+      "for i = 0 to 10\n  for j = 1 to 9\n    for k = 0 to 9\n"
+      "      B[i + 2*j - 1] = C[i + j + k] + B[i + 2*j - 1];\n";
+  AnalysisSession s;
+  AnalysisResult r = s.run({source, "x.loop", AnalysisRequest::Kind::kOptimize});
+  ASSERT_EQ(r.status, ExitCode::kSuccess) << r.payload;
+  EXPECT_NE(r.payload.find("\"downgraded\":true"), std::string::npos) << r.payload;
+  EXPECT_EQ(int_field(r.payload, "predicted_mws"), 55) << r.payload;
+  std::optional<Int> after = int_field(r.payload, "mws_after");
+  ASSERT_TRUE(after.has_value()) << r.payload;
+  EXPECT_EQ(int_field(r.payload, "objective_value"), after) << r.payload;
 }
 
 TEST(Session, FreshSessionWarmsFromDiskCache) {
