@@ -183,17 +183,24 @@ cmake --build build-tsan -j "$JOBS" \
 
 echo "== tier 1: ASan+UBSan pass over the input-handling suites =="
 # Plus the optimizer / report / session suites: the shared-dependence
-# search overloads and the uncertified-plan downgrade path.
+# search overloads and the uncertified-plan downgrade path.  Plus the
+# support / vector / box suites: the checked arithmetic and the
+# bounds-checked accessors are inline, so a lost check shows here as
+# signed overflow or an out-of-bounds read.  (check_alloc_test replaces
+# operator new and stays out of this stage.)
 cmake -B build-asan -S . -DLMRE_SANITIZE=address,undefined >/dev/null
 cmake --build build-asan -j "$JOBS" \
   --target parser_test lint_test cli_tool_test minimizer_test report_test \
-  runtime_test
+  runtime_test support_test vec_mat_test scanner_box_test
 ./build-asan/tests/parser_test
 ./build-asan/tests/lint_test
 ./build-asan/tests/cli_tool_test
 ./build-asan/tests/minimizer_test
 ./build-asan/tests/report_test
 ./build-asan/tests/runtime_test
+./build-asan/tests/support_test
+./build-asan/tests/vec_mat_test
+./build-asan/tests/scanner_box_test
 
 echo "== tier 1: symbolic-smoke (ASan differential subset + golden check) =="
 # The symbolic closed forms must stay oracle-exact under ASan+UBSan: run

@@ -7,11 +7,6 @@
 
 namespace lmre {
 
-Int IntVec::at(size_t i) const {
-  require(i < v_.size(), "IntVec index out of range");
-  return v_[i];
-}
-
 IntVec IntVec::operator+(const IntVec& o) const {
   require(size() == o.size(), "IntVec size mismatch in +");
   IntVec r(size());

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "support/checked.h"
+#include "support/error.h"
 
 namespace lmre {
 
@@ -28,7 +29,10 @@ class IntVec {
   Int operator[](size_t i) const { return v_[i]; }
 
   /// Bounds-checked access (throws InvalidArgument out of range).
-  Int at(size_t i) const;
+  Int at(size_t i) const {
+    require(i < v_.size(), "IntVec index out of range");
+    return v_[i];
+  }
 
   const std::vector<Int>& data() const { return v_; }
 

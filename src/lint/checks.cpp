@@ -147,13 +147,15 @@ void check_subscript_bounds(const CheckContext& ctx, DiagnosticEngine& out) {
 void check_loop_ranges(const CheckContext& ctx, DiagnosticEngine& out) {
   const LoopNest& nest = ctx.nest;
   for (size_t k = 0; k < nest.depth(); ++k) {
+    // Compare the bounds directly: trip_count() throws on a range too wide
+    // for Int, which check_iteration_volume reports as LMRE-E009.
     const Range& r = nest.bounds().range(k);
     std::ostringstream msg;
-    if (r.trip_count() == 0) {
+    if (r.hi < r.lo) {
       msg << "loop '" << nest.loop_vars()[k] << "' has an empty range [" << r.lo
           << ", " << r.hi << "]; the nest executes no iterations";
       out.error("LMRE-E003", msg.str(), loop_span(ctx, k));
-    } else if (r.trip_count() == 1) {
+    } else if (r.hi == r.lo) {
       msg << "loop '" << nest.loop_vars()[k] << "' runs a single iteration ("
           << nest.loop_vars()[k] << " = " << r.lo
           << "); consider folding it into the body";

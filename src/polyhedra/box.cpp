@@ -3,8 +3,6 @@
 #include <ostream>
 #include <sstream>
 
-#include "support/error.h"
-
 namespace lmre {
 
 IntBox IntBox::from_upper_bounds(const std::vector<Int>& n) {
@@ -12,11 +10,6 @@ IntBox IntBox::from_upper_bounds(const std::vector<Int>& n) {
   ranges.reserve(n.size());
   for (Int hi : n) ranges.push_back(Range{1, hi});
   return IntBox(std::move(ranges));
-}
-
-const Range& IntBox::range(size_t i) const {
-  require(i < ranges_.size(), "IntBox::range out of range");
-  return ranges_[i];
 }
 
 Int IntBox::volume() const {

@@ -8,6 +8,8 @@
 #include <vector>
 
 #include "polyhedra/constraint.h"
+#include "support/checked.h"
+#include "support/error.h"
 
 namespace lmre {
 
@@ -16,7 +18,11 @@ struct Range {
   Int lo = 1;
   Int hi = 1;
 
-  Int trip_count() const { return hi >= lo ? hi - lo + 1 : 0; }
+  /// hi - lo + 1, or 0 for an empty range; throws OverflowError when the
+  /// count does not fit in Int (e.g. a range spanning all of Int).
+  Int trip_count() const {
+    return hi >= lo ? checked_add(checked_sub(hi, lo), 1) : 0;
+  }
   bool operator==(const Range& o) const { return lo == o.lo && hi == o.hi; }
 };
 
@@ -29,7 +35,10 @@ class IntBox {
   static IntBox from_upper_bounds(const std::vector<Int>& n);
 
   size_t dims() const { return ranges_.size(); }
-  const Range& range(size_t i) const;
+  const Range& range(size_t i) const {
+    require(i < ranges_.size(), "IntBox::range out of range");
+    return ranges_[i];
+  }
   const std::vector<Range>& ranges() const { return ranges_; }
 
   /// Total number of integer points (product of trip counts).

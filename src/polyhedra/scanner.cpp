@@ -106,14 +106,4 @@ FirstPointResult first_point(const ConstraintSystem& system, Int step_budget,
   return result;
 }
 
-std::optional<IntVec> lexicographic_min(const ConstraintSystem& system) {
-  // The first visited point is the lexicographic minimum; we stop the scan
-  // by unwinding with a sentinel exception-free approach: track and compare.
-  std::optional<IntVec> best;
-  scan(system, [&best](const IntVec& p) {
-    if (!best) best = p;
-  });
-  return best;
-}
-
 }  // namespace lmre

@@ -40,9 +40,6 @@ void scan_rows(const ConstraintSystem& system, const RowVisitor& visit);
 /// Number of integer points in the polyhedron (exact, by enumeration).
 Int count_points(const ConstraintSystem& system);
 
-/// Lexicographically smallest integer point, if any.
-std::optional<IntVec> lexicographic_min(const ConstraintSystem& system);
-
 /// Result of a budget-capped point search (see first_point).
 struct FirstPointResult {
   /// Lexicographically smallest integer point, when one was found.
@@ -55,9 +52,9 @@ struct FirstPointResult {
 };
 
 /// Lexicographically smallest integer point with an early exit and a step
-/// budget (each candidate value tried at any level costs one step).  Unlike
-/// lexicographic_min, this never enumerates past the first point found, and
-/// it abandons pathological scans -- rationally feasible but integer-empty
+/// budget (each candidate value tried at any level costs one step).  It
+/// never enumerates past the first point found, and it abandons
+/// pathological scans -- rationally feasible but integer-empty
 /// systems can force exponentially many blind alleys -- once `step_budget`
 /// is spent.  A nonzero `max_constraints` additionally caps the internal
 /// Fourier-Motzkin bound extraction (see extract_loop_bounds): elimination

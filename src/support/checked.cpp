@@ -1,35 +1,10 @@
 #include "support/checked.h"
 
-#include <limits>
-
 #include "support/error.h"
 
 namespace lmre {
 
-Int checked_add(Int a, Int b) {
-  Int r;
-  if (__builtin_add_overflow(a, b, &r)) throw OverflowError("checked_add overflow");
-  return r;
-}
-
-Int checked_sub(Int a, Int b) {
-  Int r;
-  if (__builtin_sub_overflow(a, b, &r)) throw OverflowError("checked_sub overflow");
-  return r;
-}
-
-Int checked_mul(Int a, Int b) {
-  Int r;
-  if (__builtin_mul_overflow(a, b, &r)) throw OverflowError("checked_mul overflow");
-  return r;
-}
-
-Int checked_neg(Int a) {
-  if (a == std::numeric_limits<Int>::min()) throw OverflowError("checked_neg overflow");
-  return -a;
-}
-
-Int checked_abs(Int a) { return a < 0 ? checked_neg(a) : a; }
+void throw_overflow(const char* what) { throw OverflowError(what); }
 
 Int gcd(Int a, Int b) {
   a = checked_abs(a);

@@ -7,26 +7,50 @@
 // OverflowError instead of silently wrapping.
 
 #include <cstdint>
+#include <limits>
 
 namespace lmre {
 
 /// Scalar type used throughout lmre for exact integer arithmetic.
 using Int = std::int64_t;
 
+/// Throws OverflowError with `what`; the out-of-line failure path of the
+/// inline helpers below, so a result that fits costs one overflow test.
+[[noreturn]] void throw_overflow(const char* what);
+
 /// Returns a + b, throwing OverflowError when the sum does not fit in Int.
-Int checked_add(Int a, Int b);
+inline Int checked_add(Int a, Int b) {
+  Int r;
+  if (__builtin_add_overflow(a, b, &r)) [[unlikely]]
+    throw_overflow("checked_add overflow");
+  return r;
+}
 
 /// Returns a - b, throwing OverflowError when the difference does not fit.
-Int checked_sub(Int a, Int b);
+inline Int checked_sub(Int a, Int b) {
+  Int r;
+  if (__builtin_sub_overflow(a, b, &r)) [[unlikely]]
+    throw_overflow("checked_sub overflow");
+  return r;
+}
 
 /// Returns a * b, throwing OverflowError when the product does not fit.
-Int checked_mul(Int a, Int b);
+inline Int checked_mul(Int a, Int b) {
+  Int r;
+  if (__builtin_mul_overflow(a, b, &r)) [[unlikely]]
+    throw_overflow("checked_mul overflow");
+  return r;
+}
 
 /// Returns -a, throwing OverflowError for the INT64_MIN corner case.
-Int checked_neg(Int a);
+inline Int checked_neg(Int a) {
+  if (a == std::numeric_limits<Int>::min()) [[unlikely]]
+    throw_overflow("checked_neg overflow");
+  return -a;
+}
 
 /// Returns |a|, throwing OverflowError for the INT64_MIN corner case.
-Int checked_abs(Int a);
+inline Int checked_abs(Int a) { return a < 0 ? checked_neg(a) : a; }
 
 /// Greatest common divisor; gcd(0,0) == 0, result is non-negative.
 Int gcd(Int a, Int b);

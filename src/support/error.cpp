@@ -2,6 +2,10 @@
 
 namespace lmre {
 
+void throw_invalid_argument(const char* what) { throw InvalidArgument(what); }
+
+void throw_internal_error(const char* what) { throw InternalError(what); }
+
 void require(bool cond, const std::string& what) {
   if (!cond) throw InvalidArgument(what);
 }

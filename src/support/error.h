@@ -43,10 +43,27 @@ class InternalError : public Error {
   explicit InternalError(const std::string& what) : Error(what) {}
 };
 
-/// Throws InvalidArgument with `what` when `cond` is false.
-void require(bool cond, const std::string& what);
+/// Out-of-line throw paths of require/ensure.  Keeping the throw (and the
+/// std::string it builds) out of line leaves a passing check as one
+/// compare and a not-taken branch at every call site.
+[[noreturn]] void throw_invalid_argument(const char* what);
+[[noreturn]] void throw_internal_error(const char* what);
 
-/// Throws InternalError with `what` when `cond` is false.
+/// Throws InvalidArgument with `what` when `cond` is false.  The literal
+/// overload allocates nothing unless the check fails.
+inline void require(bool cond, const char* what) {
+  if (!cond) [[unlikely]] throw_invalid_argument(what);
+}
+
+/// Throws InternalError with `what` when `cond` is false.  The literal
+/// overload allocates nothing unless the check fails.
+inline void ensure(bool cond, const char* what) {
+  if (!cond) [[unlikely]] throw_internal_error(what);
+}
+
+/// As above, for a message built at run time.  The caller pays for the
+/// string whether or not the check fails, so keep these off hot paths.
+void require(bool cond, const std::string& what);
 void ensure(bool cond, const std::string& what);
 
 /// Process exit codes shared by every lmre tool entry point (the CLI

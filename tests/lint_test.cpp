@@ -234,6 +234,22 @@ TEST(LintIterationVolume, TripCountProductOverflowIsError) {
   EXPECT_FALSE(res.clean());
 }
 
+TEST(LintIterationVolume, SingleLoopTripCountOverflowIsError) {
+  // One loop alone spans more values than Int64 holds, so its trip count
+  // overflows before any product is taken.  The constant subscript keeps
+  // every other check quiet: LMRE-E009 must be the only finding, with no
+  // LMRE-E000 from the loop-range check tripping over the same range.
+  for (const char* range : {"-9223372036854775807 to 9223372036854775807",
+                            "0 to 9223372036854775807"}) {
+    SCOPED_TRACE(range);
+    LintResult res = lint_source(std::string("for i = ") + range + "\n  use A[0];\n");
+    ASSERT_EQ(res.diagnostics.size(), 1u);
+    EXPECT_EQ(res.diagnostics[0].id, "LMRE-E009");
+    EXPECT_EQ(res.diagnostics[0].severity, Severity::kError);
+    EXPECT_FALSE(res.clean());
+  }
+}
+
 TEST(LintArrayUsage, DeclaredButUnreferencedWarns) {
   LintResult res = lint_source(R"(
     array B[5];

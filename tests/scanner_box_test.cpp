@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "polyhedra/box.h"
 #include "polyhedra/scanner.h"
 #include "support/error.h"
@@ -30,6 +32,15 @@ TEST(IntBox, TripCount) {
   EXPECT_EQ((Range{-2, 2}).trip_count(), 5);
 }
 
+TEST(IntBox, TripCountOverflowThrows) {
+  // hi - lo + 1 does not fit in Int: the count throws instead of wrapping.
+  constexpr Int kMax = std::numeric_limits<Int>::max();
+  EXPECT_THROW((Range{-kMax, kMax}).trip_count(), OverflowError);
+  EXPECT_THROW((Range{0, kMax}).trip_count(), OverflowError);
+  EXPECT_EQ((Range{1, kMax}).trip_count(), kMax);
+  EXPECT_THROW(IntBox({Range{0, kMax}}).volume(), OverflowError);
+}
+
 TEST(IntBox, Str) {
   EXPECT_EQ(IntBox::from_upper_bounds({2, 3}).str(), "[1,2] x [1,3]");
 }
@@ -54,16 +65,19 @@ TEST(Scanner, LexicographicMin) {
   ConstraintSystem sys(2);
   sys.add_range(AffineExpr::variable(2, 0), 3, 5);
   sys.add_range(AffineExpr::variable(2, 1), -2, 2);
-  auto m = lexicographic_min(sys);
-  ASSERT_TRUE(m.has_value());
-  EXPECT_EQ(*m, (IntVec{3, -2}));
+  FirstPointResult m = first_point(sys, /*step_budget=*/1000);
+  EXPECT_TRUE(m.complete);
+  ASSERT_TRUE(m.point.has_value());
+  EXPECT_EQ(*m.point, (IntVec{3, -2}));
 }
 
 TEST(Scanner, LexicographicMinEmpty) {
   ConstraintSystem sys(1);
   sys.add(AffineExpr::variable(1, 0) - 5);
   sys.add(-AffineExpr::variable(1, 0) + 3);
-  EXPECT_FALSE(lexicographic_min(sys).has_value());
+  FirstPointResult m = first_point(sys, /*step_budget=*/1000);
+  EXPECT_TRUE(m.complete);
+  EXPECT_FALSE(m.point.has_value());
 }
 
 TEST(Scanner, SingleDimension) {

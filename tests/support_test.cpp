@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 
+#include "linalg/vec.h"
+#include "polyhedra/box.h"
 #include "support/checked.h"
 #include "support/cli.h"
 #include "support/error.h"
@@ -104,6 +107,59 @@ TEST(Error, RequireAndEnsure) {
   EXPECT_THROW(require(false, "bad"), InvalidArgument);
   EXPECT_NO_THROW(ensure(true, "ok"));
   EXPECT_THROW(ensure(false, "bug"), InternalError);
+}
+
+// Runs `fn` and expects it to throw exactly `E` carrying `what`.
+template <typename E, typename Fn>
+void expect_throw_what(Fn fn, const std::string& what) {
+  try {
+    fn();
+    ADD_FAILURE() << "no exception; expected: " << what;
+  } catch (const E& e) {
+    EXPECT_EQ(std::string(e.what()), what);
+  }
+}
+
+TEST(Error, BothOverloadsKeepTypeAndMessage) {
+  // A literal picks the const char* overload, a std::string the other one;
+  // both must throw the same type with the message verbatim.
+  const std::string built = std::string("built at run time: ") + "42";
+  expect_throw_what<InvalidArgument>(
+      [] { require(false, "a literal longer than fifteen chars"); },
+      "a literal longer than fifteen chars");
+  expect_throw_what<InvalidArgument>([&] { require(false, built); }, built);
+  expect_throw_what<InternalError>(
+      [] { ensure(false, "transformed scan left the iteration space"); },
+      "transformed scan left the iteration space");
+  expect_throw_what<InternalError>([&] { ensure(false, built); }, built);
+  EXPECT_NO_THROW(require(true, built));
+  EXPECT_NO_THROW(ensure(true, built));
+}
+
+TEST(Checked, OverflowMessages) {
+  const Int max = std::numeric_limits<Int>::max();
+  const Int min = std::numeric_limits<Int>::min();
+  expect_throw_what<OverflowError>([&] { (void)checked_add(max, 1); },
+                                   "checked_add overflow");
+  expect_throw_what<OverflowError>([&] { (void)checked_sub(min, 1); },
+                                   "checked_sub overflow");
+  expect_throw_what<OverflowError>([&] { (void)checked_mul(max, 2); },
+                                   "checked_mul overflow");
+  expect_throw_what<OverflowError>([&] { (void)checked_neg(min); },
+                                   "checked_neg overflow");
+  expect_throw_what<OverflowError>([&] { (void)checked_abs(min); },
+                                   "checked_neg overflow");
+}
+
+TEST(Error, BoundsCheckedAccessorsKeepTheirMessages) {
+  const IntVec v{1, 2, 3};
+  const IntBox box = IntBox::from_upper_bounds({4, 5});
+  EXPECT_EQ(v.at(2), 3);
+  EXPECT_EQ(box.range(1).hi, 5);
+  expect_throw_what<InvalidArgument>([&] { (void)v.at(3); },
+                                     "IntVec index out of range");
+  expect_throw_what<InvalidArgument>([&] { (void)box.range(2); },
+                                     "IntBox::range out of range");
 }
 
 TEST(Text, Join) {
