@@ -10,8 +10,10 @@
 # --json` envelopes pinned by golden_symbolic_test; and
 # tests/golden/verify_example{10,6,8_witness}.json, the `lmre verify
 # --json` certificates pinned by golden_verify_test; the codegen documents
-# pinned by golden_codegen_test; and tests/golden/mrc_example*.json, the
-# `lmre mrc --json` envelopes pinned by golden_mrc_test.
+# pinned by golden_codegen_test; tests/golden/mrc_example*.json, the
+# `lmre mrc --json` envelopes pinned by golden_mrc_test; and
+# tests/golden/cli_*, the `lmre analyze` / `lmre optimize` text and --json
+# documents pinned by golden_cli_test.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -86,3 +88,17 @@ echo "wrote tests/golden/mrc_example10.json"
 "$LMRE" mrc --json --plan --capacities=1,64,128,540,687,1024 \
   tests/golden/example10.loop > tests/golden/mrc_example10_plan.json
 echo "wrote tests/golden/mrc_example10_plan.json"
+
+# CLI documents (golden_cli_test): the analyze and optimize verbs, text and
+# --json, plus the miss-ratio objective, on the paper's Examples 10 and 6.
+for EX in example10 example6; do
+  "$LMRE" analyze "tests/golden/$EX.loop" > "tests/golden/cli_analyze_$EX.txt"
+  "$LMRE" analyze --json "tests/golden/$EX.loop" \
+    > "tests/golden/cli_analyze_$EX.json"
+  "$LMRE" optimize "tests/golden/$EX.loop" > "tests/golden/cli_optimize_$EX.txt"
+  "$LMRE" optimize --json "tests/golden/$EX.loop" \
+    > "tests/golden/cli_optimize_$EX.json"
+  "$LMRE" optimize --json --objective=miss-ratio:64 "tests/golden/$EX.loop" \
+    > "tests/golden/cli_optimize_miss_ratio_$EX.json"
+  echo "wrote tests/golden/cli_{analyze,optimize}_$EX.* and cli_optimize_miss_ratio_$EX.json"
+done
