@@ -186,12 +186,15 @@ echo "== tier 1: ASan+UBSan pass over the input-handling suites =="
 # search overloads and the uncertified-plan downgrade path.  Plus the
 # support / vector / box suites: the checked arithmetic and the
 # bounds-checked accessors are inline, so a lost check shows here as
-# signed overflow or an out-of-bounds read.  (check_alloc_test replaces
-# operator new and stays out of this stage.)
+# signed overflow or an out-of-bounds read.  Plus the CLI document suites
+# (golden analyze/optimize/codegen/verify documents, JSON envelopes): the
+# verbs render from the same per-kind handlers batch and serve run.
+# (check_alloc_test replaces operator new and stays out of this stage.)
 cmake -B build-asan -S . -DLMRE_SANITIZE=address,undefined >/dev/null
 cmake --build build-asan -j "$JOBS" \
   --target parser_test lint_test cli_tool_test minimizer_test report_test \
-  runtime_test support_test vec_mat_test scanner_box_test
+  runtime_test support_test vec_mat_test scanner_box_test golden_cli_test \
+  golden_codegen_test golden_verify_test json_test
 ./build-asan/tests/parser_test
 ./build-asan/tests/lint_test
 ./build-asan/tests/cli_tool_test
@@ -201,6 +204,10 @@ cmake --build build-asan -j "$JOBS" \
 ./build-asan/tests/support_test
 ./build-asan/tests/vec_mat_test
 ./build-asan/tests/scanner_box_test
+./build-asan/tests/golden_cli_test
+./build-asan/tests/golden_codegen_test
+./build-asan/tests/golden_verify_test
+./build-asan/tests/json_test
 
 echo "== tier 1: symbolic-smoke (ASan differential subset + golden check) =="
 # The symbolic closed forms must stay oracle-exact under ASan+UBSan: run

@@ -45,12 +45,6 @@ MemoryReport report_from(const LoopNest& nest, const std::optional<TraceStats>& 
     ar.mws_estimate = estimate_mws_array(nest, deps, id);
     if (!ar.mws_estimate) mws_total_known = false;
 
-    if (exact) {
-      auto dit = exact->distinct.find(id);
-      ar.distinct_exact = dit == exact->distinct.end() ? 0 : dit->second;
-      auto mit = exact->mws.find(id);
-      ar.mws_exact = mit == exact->mws.end() ? 0 : mit->second;
-    }
     rep.arrays.push_back(std::move(ar));
   }
 
@@ -59,14 +53,26 @@ MemoryReport report_from(const LoopNest& nest, const std::optional<TraceStats>& 
     for (const ArrayReport& a : rep.arrays) total = checked_add(total, *a.mws_estimate);
     rep.mws_estimate_total = total;
   }
-  if (exact) {
-    rep.distinct_exact_total = exact->distinct_total;
-    rep.mws_exact_total = exact->mws_total;
-  }
+  if (exact) attach_exact(rep, nest, *exact);
   return rep;
 }
 
 }  // namespace
+
+void attach_exact(MemoryReport& report, const LoopNest& nest, const TraceStats& exact) {
+  // report.arrays holds the referenced arrays in ArrayId order.
+  size_t next = 0;
+  for (ArrayId id = 0; id < nest.arrays().size() && next < report.arrays.size(); ++id) {
+    if (nest.refs_to(id).empty()) continue;
+    ArrayReport& ar = report.arrays[next++];
+    auto dit = exact.distinct.find(id);
+    ar.distinct_exact = dit == exact.distinct.end() ? 0 : dit->second;
+    auto mit = exact.mws.find(id);
+    ar.mws_exact = mit == exact.mws.end() ? 0 : mit->second;
+  }
+  report.distinct_exact_total = exact.distinct_total;
+  report.mws_exact_total = exact.mws_total;
+}
 
 MemoryReport analyze_memory(const LoopNest& nest, bool with_oracle) {
   std::optional<TraceStats> exact;

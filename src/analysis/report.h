@@ -15,6 +15,8 @@
 
 namespace lmre {
 
+struct TraceStats;  // exact/oracle.h
+
 struct ArrayReport {
   std::string name;
   Int declared = 0;  ///< declared size (the paper's "default" column)
@@ -44,6 +46,10 @@ MemoryReport analyze_memory(const LoopNest& nest, bool with_oracle = true);
 /// when the nest's iteration count is within run.verify_limit, on
 /// run.threads workers (results independent of the thread count).
 MemoryReport analyze_memory(const LoopNest& nest, const RunOptions& run);
+
+/// Fills the report's exact columns from an oracle run over the same nest
+/// -- what analyze_memory does when it runs the oracle itself.
+void attach_exact(MemoryReport& report, const LoopNest& nest, const TraceStats& exact);
 
 /// Renders the report as an aligned text table.
 std::string render(const MemoryReport& report);

@@ -232,7 +232,7 @@ void check_iteration_volume(const CheckContext& ctx, DiagnosticEngine& out) {
   if (overflow) {
     out.error("LMRE-E009",
               "iteration volume overflows 64-bit arithmetic; exact analyses"
-              " (simulate, misscurve, series) would throw OverflowError",
+              " (simulate, mrc, series) would throw OverflowError",
               loop_span(ctx, 0));
   } else if (volume > ctx.opts.volume_warn_threshold) {
     std::ostringstream msg;

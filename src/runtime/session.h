@@ -18,6 +18,9 @@
 // The payload is file-name independent (diagnostics carry line/column but
 // no file), so identical sources under different names share one cache
 // entry; callers attach the file name when rendering.
+//
+// Past parse and lint, a request runs its kind's handler
+// (runtime/handlers.h) -- the same functions the CLI verbs render from.
 
 #include <memory>
 #include <optional>

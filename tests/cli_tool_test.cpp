@@ -7,6 +7,7 @@
 #include <string>
 
 #include "ir/parser.h"
+#include "runtime/session.h"
 #include "support/error.h"
 #include "tools/commands.h"
 
@@ -86,19 +87,20 @@ TEST(CliDistances, Table) {
   EXPECT_NE(s.find("(<, =)"), std::string::npos);  // (2,0)
 }
 
-TEST(CliMisscurve, ExplicitCapacities) {
+TEST(CliMrc, ExplicitCapacities) {
+  MrcCliOptions opts;
+  opts.capacities = {64};
   std::ostringstream out;
-  EXPECT_EQ(cmd_misscurve(kExample8, {64}, out), ExitCode::kSuccess);
+  EXPECT_EQ(cmd_mrc(kExample8, opts, out), ExitCode::kSuccess);
   std::string s = out.str();
-  EXPECT_NE(s.find("cold misses (distinct elements): 94"), std::string::npos);
+  EXPECT_NE(s.find("cold misses (distinct): 94"), std::string::npos);
   EXPECT_NE(s.find("64"), std::string::npos);
 }
 
-TEST(CliMisscurve, AutoSweepIncludesKnee) {
+TEST(CliMrc, AutoSweepIncludesKnee) {
   std::ostringstream out;
-  EXPECT_EQ(cmd_misscurve(kExample8, {}, out), ExitCode::kSuccess);
-  EXPECT_NE(out.str().find("knee (max finite stack distance): 48"),
-            std::string::npos);
+  EXPECT_EQ(cmd_mrc(kExample8, {}, out), ExitCode::kSuccess);
+  EXPECT_NE(out.str().find("knee: 48"), std::string::npos);
 }
 
 TEST(CliSeries, EmitsCsv) {
@@ -302,7 +304,7 @@ TEST(CliVerify, JsonEmitsCertificateAndCheckerVerdict) {
 
 TEST(CliAnalyzeJson, EnvelopeWrapsResult) {
   std::ostringstream out;
-  EXPECT_EQ(cmd_analyze_json(kExample8, out), ExitCode::kSuccess);
+  EXPECT_EQ(cmd_analyze(kExample8, out, "<input>", /*json=*/true), ExitCode::kSuccess);
   std::string s = out.str();
   EXPECT_NE(s.find("\"schema_version\": 2"), std::string::npos);
   EXPECT_NE(s.find("\"command\": \"analyze\""), std::string::npos);
@@ -311,11 +313,69 @@ TEST(CliAnalyzeJson, EnvelopeWrapsResult) {
 
 TEST(CliOptimizeJson, EnvelopeWrapsResult) {
   std::ostringstream out;
-  EXPECT_EQ(cmd_optimize_json(kExample8, out), ExitCode::kSuccess);
+  EXPECT_EQ(cmd_optimize(kExample8, out, 1, "<input>", {}, /*json=*/true),
+            ExitCode::kSuccess);
   std::string s = out.str();
   EXPECT_NE(s.find("\"schema_version\": 2"), std::string::npos);
   EXPECT_NE(s.find("\"command\": \"optimize\""), std::string::npos);
   EXPECT_NE(s.find("\"method\": \"row-minimizer\""), std::string::npos);
+}
+
+// ---- verify_limit gating ----------------------------------------------------
+// A 2000x1500 nest (3.0 M iterations) is past the default 2 M verify_limit:
+// every verb skips or refuses the exhaustive trace exactly as the session's
+// batch/serve payloads do, because both run the same handlers.
+
+const char* kPastVerifyLimit = R"(
+  for i = 1 to 2000
+    for j = 1 to 1500
+      A[i][j] = A[i-1][j+1];
+)";
+
+TEST(CliVerifyLimit, MrcTextRefusesLikeTheSession) {
+  std::ostringstream out;
+  EXPECT_EQ(cmd_mrc(kPastVerifyLimit, {}, out), ExitCode::kFailure);
+  EXPECT_EQ(out.str(),
+            "mrc needs an exhaustive trace; iteration volume exceeds the "
+            "verify limit\n");
+  MrcCliOptions json;
+  json.json = true;
+  std::ostringstream jout;
+  EXPECT_EQ(cmd_mrc(kPastVerifyLimit, json, jout), ExitCode::kFailure);
+  EXPECT_NE(jout.str().find("\"too_large\""), std::string::npos);
+}
+
+TEST(CliVerifyLimit, OptimizeJsonMatchesTheSessionPayload) {
+  std::ostringstream out;
+  EXPECT_EQ(cmd_optimize(kPastVerifyLimit, out, 1, "<input>", {}, /*json=*/true),
+            ExitCode::kSuccess);
+  const std::string s = out.str();
+  EXPECT_EQ(s.find("\"mws_before\""), std::string::npos);
+  EXPECT_EQ(s.find("\"mws_after\""), std::string::npos);
+  EXPECT_NE(s.find("\"objective_value\": 1500,"), std::string::npos);
+
+  AnalysisSession session;
+  AnalysisResult res = session.run(
+      AnalysisRequest{kPastVerifyLimit, "big", AnalysisRequest::Kind::kOptimize});
+  EXPECT_EQ(res.status, ExitCode::kSuccess);
+  EXPECT_NE(res.payload.find("\"objective_value\":1500,"), std::string::npos);
+  EXPECT_EQ(res.payload.find("\"mws_after\""), std::string::npos);
+}
+
+TEST(CliVerifyLimit, TextSaysTheExactWindowWasSkipped) {
+  const std::string skipped =
+      "exact window: skipped (iteration volume exceeds the verify limit)\n";
+  std::ostringstream out;
+  EXPECT_EQ(cmd_analyze(kPastVerifyLimit, out), ExitCode::kSuccess);
+  const std::string s = out.str();
+  EXPECT_NE(s.find("A      4,004,001  3,003,499     -               1,500    -"),
+            std::string::npos)
+      << s;
+  EXPECT_NE(s.find(skipped), std::string::npos);
+
+  std::ostringstream opt;
+  EXPECT_EQ(cmd_optimize(kPastVerifyLimit, opt), ExitCode::kSuccess);
+  EXPECT_NE(opt.str().find(skipped), std::string::npos);
 }
 
 // ---- batch verb ------------------------------------------------------------

@@ -83,12 +83,12 @@ TEST(Json, EnvelopeShape) {
 
 TEST(CliJson, AnalyzeEmitsWellFormedDocument) {
   std::ostringstream out;
-  ExitCode rc = tools::cmd_analyze_json(R"(
+  ExitCode rc = tools::cmd_analyze(R"(
     for i = 1 to 25
       for j = 1 to 10
         X[2*i + 5*j + 1] = X[2*i + 5*j + 5];
   )",
-                                        out);
+                                   out, "<input>", /*json=*/true);
   EXPECT_EQ(rc, ExitCode::kSuccess);
   std::string s = out.str();
   EXPECT_NE(s.find("\"schema_version\": 2"), std::string::npos);
@@ -103,12 +103,12 @@ TEST(CliJson, AnalyzeEmitsWellFormedDocument) {
 
 TEST(CliJson, OptimizeEmitsTransform) {
   std::ostringstream out;
-  ExitCode rc = tools::cmd_optimize_json(R"(
+  ExitCode rc = tools::cmd_optimize(R"(
     for i = 1 to 25
       for j = 1 to 10
         X[2*i + 5*j + 1] = X[2*i + 5*j + 5];
   )",
-                                         out);
+                                    out, 1, "<input>", {}, /*json=*/true);
   EXPECT_EQ(rc, ExitCode::kSuccess);
   std::string s = out.str();
   EXPECT_NE(s.find("\"method\": \"row-minimizer\""), std::string::npos);

@@ -26,12 +26,12 @@
 #include "dependence/dependence.h"
 #include "diag/diagnostic.h"
 #include "exact/oracle.h"
-#include "exact/stack_distance.h"
 #include "exact/trace_engine.h"
 #include "ir/parser.h"
 #include "ir/printer.h"
 #include "lint/lint.h"
 #include "mrc/mrc.h"
+#include "runtime/handlers.h"
 #include "runtime/session.h"
 #include "server/server.h"
 #include "server/tcp.h"
@@ -49,7 +49,7 @@ namespace lmre::tools {
 
 namespace {
 
-// Lint gate run at the top of analyze/optimize: errors abort the command
+// Lint gate run at the top of every analysis verb: errors abort the command
 // with rendered diagnostics (exit kDiagnostics); warnings are surfaced and
 // the command proceeds.  Returns nullopt to continue.  `command` names the
 // JSON envelope when json is set.
@@ -75,197 +75,76 @@ std::optional<ExitCode> lint_gate(const Program& program, const ProgramSourceMap
   return std::nullopt;
 }
 
+// Reports a failure the way every analysis verb does: the message as a
+// line of text, or as the "error" of the verb's JSON envelope.
+ExitCode refuse(const std::string& message, ExitCode status, bool json,
+                const std::string& command, std::ostream& out) {
+  if (json) {
+    Json doc = Json::object().set("error", message);
+    out << json_envelope(command, std::move(doc)).dump(2) << '\n';
+  } else {
+    out << message << '\n';
+  }
+  return status;
+}
+
+ExitCode refuse(const Refusal& r, bool json, const std::string& command,
+                std::ostream& out) {
+  return refuse(r.what(), r.status(), json, command, out);
+}
+
+// What a handler runs against from the CLI: the verb's thread count, the
+// default verify_limit, one arena, and metrics nobody reads.
+struct Pipeline {
+  RunOptions run;
+  TraceArena arena;
+  Metrics metrics;
+  explicit Pipeline(int threads) { run.threads = threads; }
+};
+
+constexpr const char* kExactSkipped =
+    "exact window: skipped (iteration volume exceeds the verify limit)\n";
+
 }  // namespace
 
 ExitCode cmd_analyze(const std::string& source, std::ostream& out,
-                     const std::string& file) {
+                     const std::string& file, bool json) {
   ProgramSourceMap smap;
-  Program parsed = parse_program(source, &smap);
-  if (auto rc = lint_gate(parsed, smap, file, /*json=*/false, "analyze", out)) {
-    return *rc;
-  }
-  const Program* program = &parsed;
+  Program program = parse_program(source, &smap);
+  if (auto rc = lint_gate(program, smap, file, json, "analyze", out)) return *rc;
+  Pipeline p(1);
 
-  if (program->phase_count() > 1) {
-    ProgramStats s = program->simulate();
-    out << "multi-phase program, " << s.iterations << " iterations\n";
+  if (program.phase_count() > 1) {
+    if (json) {
+      return refuse("analyze --json works on single-nest sources",
+                    ExitCode::kFailure, json, "analyze", out);
+    }
+    AnalyzeOutcome a = run_analyze(program, p.run, p.arena, p.metrics);
+    out << "multi-phase program, " << a.iterations << " iterations\n";
+    if (!a.program) {
+      out << kExactSkipped;
+      return ExitCode::kSuccess;
+    }
+    const ProgramStats& s = *a.program;
     TextTable t;
     t.header({"phase", "starts", "handoff in", "peak window"});
-    for (size_t k = 0; k < program->phase_count(); ++k) {
-      t.row({program->phase_name(k), with_commas(s.phase_start[k]),
+    for (size_t k = 0; k < program.phase_count(); ++k) {
+      t.row({program.phase_name(k), with_commas(s.phase_start[k]),
              with_commas(s.handoff[k]), with_commas(s.phase_mws[k])});
     }
     out << t.render() << "whole-program window: " << s.mws_total << '\n';
     return ExitCode::kSuccess;
   }
 
-  const LoopNest& nest = program->phase_nest(0);
-  out << print_nest(nest) << '\n';
-  out << summarize_dependences(analyze_dependences(nest));
-  out << '\n' << render(analyze_memory(nest));
-  return ExitCode::kSuccess;
-}
-
-ExitCode cmd_optimize(const std::string& source, std::ostream& out, int threads,
-                      const std::string& file, const std::string& objective) {
-  ProgramSourceMap smap;
-  Program parsed = parse_program(source, &smap);
-  if (auto rc = lint_gate(parsed, smap, file, /*json=*/false, "optimize", out)) {
-    return *rc;
+  const LoopNest& nest = program.phase_nest(0);
+  if (!json) {
+    out << print_nest(nest) << '\n';
+    out << summarize_dependences(analyze_dependences(nest));
+    AnalyzeOutcome a = run_analyze(program, p.run, p.arena, p.metrics);
+    out << '\n' << render(*a.report);
+    if (!a.report->mws_exact_total) out << kExactSkipped;
+    return ExitCode::kSuccess;
   }
-  const Program* program = &parsed;
-  if (program->phase_count() > 1) {
-    out << "optimize works on single-nest sources\n";
-    return ExitCode::kFailure;
-  }
-  const LoopNest& nest = program->phase_nest(0);
-  std::optional<ObjectiveSpec> ospec = parse_objective_spec(objective);
-  if (!ospec) {
-    out << "bad --objective spec '" << objective
-        << "' (want mws or miss-ratio:<capacity>)\n";
-    return ExitCode::kUsage;
-  }
-  MinimizerOptions opts;
-  opts.threads = threads;
-  TraceArena arena;
-  OptimizeResult res;
-  std::optional<MissRatioPlan> mr;
-  if (ospec->miss_ratio) {
-    mr = optimize_miss_ratio(nest, ospec->capacity, opts, arena);
-    if (!mr) {
-      out << "miss-ratio objective needs exact re-scoring; iteration volume "
-             "exceeds the verify limit\n";
-      return ExitCode::kFailure;
-    }
-    res.transform = mr->transform;
-    res.method = mr->method;
-    res.predicted_mws = predicted_mws_after(nest, res.transform);
-  } else {
-    res = optimize_locality(nest, opts);
-  }
-  // Independent legality audit (src/verify): an uncertifiable winner is
-  // never shipped -- it is downgraded to the identity with a notice.
-  VerifyPlan vplan;
-  vplan.steps = {res.transform};
-  VerifyResult verdict = verify_plan(nest, vplan);
-  if (!verdict.certified) {
-    out << "plan " << res.transform.str()
-        << " cannot be certified; downgraded to identity\n";
-    res.transform = IntMat::identity(nest.depth());
-    res.method = "identity (uncertified plan downgraded)";
-  }
-  out << "method: " << res.method << "\nT = " << res.transform.str()
-      << "\ncertified: " << (verdict.certified ? "yes" : "no") << " ("
-      << verdict.memory_deps << " memory dependences)\n\n";
-  TransformedNest tn(nest, res.transform);
-  out << tn.print() << "\nexact window: " << simulate(nest).mws_total << " -> "
-      << tn.simulate().mws_total << '\n';
-  if (ospec->miss_ratio) {
-    // Re-measure on the final transform so a downgrade reports the shipped
-    // plan's ratio, not the refused one's.
-    const bool ident = res.transform == IntMat::identity(nest.depth());
-    MrcOptions mo;
-    mo.transform = ident ? nullptr : &res.transform;
-    double after = compute_mrc(nest, mo, arena)
-                       .aggregate.miss_ratio(ospec->capacity);
-    out << "objective: miss-ratio at capacity " << with_commas(ospec->capacity)
-        << ": " << percent(mr->miss_ratio_before) << " -> " << percent(after)
-        << " (" << mr->candidates << " candidates re-scored)\n";
-  }
-  try {
-    SymbolicResult sym = symbolic_analysis_transformed(nest, res.transform);
-    if (sym.window_total) {
-      out << "symbolic window: " << sym.window_total->str() << '\n';
-    } else if (sym.window_estimate) {
-      out << "symbolic window: " << *sym.window_estimate << '\n';
-    }
-  } catch (const Error&) {
-    // Best-effort: the exact numbers above stay authoritative.
-  }
-  return ExitCode::kSuccess;
-}
-
-ExitCode cmd_distances(const std::string& source, std::ostream& out) {
-  Program parsed = parse_program(source);
-  const Program* program = &parsed;
-  TextTable t;
-  t.header({"phase", "kind", "distance", "direction", "level"});
-  for (size_t k = 0; k < program->phase_count(); ++k) {
-    DependenceInfo info = analyze_dependences(program->phase_nest(k));
-    for (const auto& d : info.deps) {
-      t.row({program->phase_name(k), to_string(d.kind), d.distance.str(),
-             direction_string(d.distance), std::to_string(d.level())});
-    }
-    if (info.has_nonuniform()) {
-      t.row({program->phase_name(k), "non-uniform", "-", "-", "-"});
-    }
-  }
-  out << t.render();
-  return ExitCode::kSuccess;
-}
-
-ExitCode cmd_misscurve(const std::string& source, const std::vector<Int>& capacities,
-                       std::ostream& out) {
-  Program parsed = parse_program(source);
-  const Program* program = &parsed;
-  if (program->phase_count() > 1) {
-    out << "misscurve works on single-nest sources\n";
-    return ExitCode::kFailure;
-  }
-  const LoopNest& nest = program->phase_nest(0);
-  StackDistanceProfile profile = stack_distances(nest);
-  std::vector<Int> caps = capacities;
-  if (caps.empty()) {
-    // Automatic sweep: powers of two up to just past the knee.
-    for (Int c = 1; c <= profile.max_distance() * 2 && c <= (1 << 20); c *= 2) {
-      caps.push_back(c);
-    }
-    caps.push_back(profile.max_distance());
-  }
-  TextTable t;
-  t.header({"LRU capacity", "misses", "hit rate"});
-  for (Int c : caps) {
-    Int misses = profile.lru_misses(c);
-    double hit = profile.total_accesses == 0
-                     ? 0.0
-                     : 1.0 - double(misses) / double(profile.total_accesses);
-    t.row({with_commas(c), with_commas(misses), percent(hit)});
-  }
-  out << t.render() << "cold misses (distinct elements): " << profile.cold_accesses
-      << "\nknee (max finite stack distance): " << profile.max_distance() << '\n';
-  return ExitCode::kSuccess;
-}
-
-ExitCode cmd_series(const std::string& source, std::ostream& out) {
-  Program parsed = parse_program(source);
-  const Program* program = &parsed;
-  if (program->phase_count() > 1) {
-    out << "series works on single-nest sources\n";
-    return ExitCode::kFailure;
-  }
-  const LoopNest& nest = program->phase_nest(0);
-  std::vector<Int> series = window_series(nest, IntMat::identity(nest.depth()));
-  out << "iteration,window\n";
-  for (size_t t = 0; t < series.size(); ++t) {
-    out << t << ',' << series[t] << '\n';
-  }
-  return ExitCode::kSuccess;
-}
-
-ExitCode cmd_analyze_json(const std::string& source, std::ostream& out,
-                          const std::string& file) {
-  ProgramSourceMap smap;
-  Program parsed = parse_program(source, &smap);
-  if (auto rc = lint_gate(parsed, smap, file, /*json=*/true, "analyze", out)) {
-    return *rc;
-  }
-  const Program* program = &parsed;
-  if (program->phase_count() > 1) {
-    Json doc = Json::object().set("error", "analyze --json works on single-nest sources");
-    out << json_envelope("analyze", std::move(doc)).dump(2) << '\n';
-    return ExitCode::kFailure;
-  }
-  const LoopNest& nest = program->phase_nest(0);
 
   Json doc = Json::object();
   doc.set("depth", static_cast<Int>(nest.depth()));
@@ -294,7 +173,8 @@ ExitCode cmd_analyze_json(const std::string& source, std::ostream& out,
   doc.set("dependences", std::move(deps));
   doc.set("nonuniform", info.has_nonuniform());
 
-  MemoryReport rep = analyze_memory(nest);
+  AnalyzeOutcome a = run_analyze(program, p.run, p.arena, p.metrics);
+  const MemoryReport& rep = *a.report;
   Json mem = Json::object();
   mem.set("default", rep.default_memory);
   mem.set("distinct_estimate", rep.distinct_estimate_total);
@@ -302,12 +182,12 @@ ExitCode cmd_analyze_json(const std::string& source, std::ostream& out,
   if (rep.mws_estimate_total) mem.set("mws_estimate", *rep.mws_estimate_total);
   if (rep.mws_exact_total) mem.set("mws_exact", *rep.mws_exact_total);
   Json arrays = Json::array();
-  for (const auto& a : rep.arrays) {
+  for (const ArrayReport& ar : rep.arrays) {
     Json ja = Json::object();
-    ja.set("name", a.name).set("declared", a.declared);
-    if (a.distinct_estimate) ja.set("distinct_estimate", *a.distinct_estimate);
-    if (a.distinct_exact) ja.set("distinct_exact", *a.distinct_exact);
-    if (a.mws_exact) ja.set("mws_exact", *a.mws_exact);
+    ja.set("name", ar.name).set("declared", ar.declared);
+    if (ar.distinct_estimate) ja.set("distinct_estimate", *ar.distinct_estimate);
+    if (ar.distinct_exact) ja.set("distinct_exact", *ar.distinct_exact);
+    if (ar.mws_exact) ja.set("mws_exact", *ar.mws_exact);
     arrays.push(std::move(ja));
   }
   mem.set("arrays", std::move(arrays));
@@ -317,18 +197,111 @@ ExitCode cmd_analyze_json(const std::string& source, std::ostream& out,
   return ExitCode::kSuccess;
 }
 
-ExitCode cmd_symbolic(const std::string& source, std::ostream& out,
-                      const std::string& file) {
+ExitCode cmd_optimize(const std::string& source, std::ostream& out, int threads,
+                      const std::string& file, const std::string& objective,
+                      bool json) {
   ProgramSourceMap smap;
-  Program parsed = parse_program(source, &smap);
-  if (auto rc = lint_gate(parsed, smap, file, /*json=*/false, "analyze", out)) {
-    return *rc;
+  Program program = parse_program(source, &smap);
+  if (auto rc = lint_gate(program, smap, file, json, "optimize", out)) return *rc;
+  if (json && program.phase_count() > 1) {
+    return refuse("optimize --json works on single-nest sources",
+                  ExitCode::kFailure, json, "optimize", out);
   }
-  if (parsed.phase_count() > 1) {
-    out << "symbolic analysis works on single-nest sources\n";
+  Pipeline p(threads);
+  OptimizeOutcome o;
+  try {
+    o = run_optimize(program, objective, p.run, p.arena, p.metrics);
+  } catch (const Refusal& r) {
+    return refuse(r, json, "optimize", out);
+  }
+  TransformedNest tn(program.phase_nest(0), o.plan.transform);
+  if (json) {
+    Json doc = optimize_json(o).set("transformed_loop", tn.print());
+    out << json_envelope("optimize", std::move(doc)).dump(2) << '\n';
+    return ExitCode::kSuccess;
+  }
+
+  if (o.uncertified) {
+    out << "plan " << o.uncertified->str()
+        << " cannot be certified; downgraded to identity\n";
+  }
+  out << "method: " << o.plan.method << "\nT = " << o.plan.transform.str()
+      << "\ncertified: " << (o.verdict.certified ? "yes" : "no") << " ("
+      << o.verdict.memory_deps << " memory dependences)\n\n";
+  out << tn.print() << '\n';
+  if (o.mws_before && o.mws_after) {
+    out << "exact window: " << *o.mws_before << " -> " << *o.mws_after << '\n';
+  } else {
+    out << kExactSkipped;
+  }
+  if (o.miss_ratio) {
+    out << "objective: miss-ratio at capacity " << with_commas(o.objective.capacity)
+        << ": " << percent(o.miss_ratio->miss_ratio_before) << " -> "
+        << percent(*o.miss_ratio_after) << " (" << o.miss_ratio->candidates
+        << " candidates re-scored)\n";
+  }
+  if (o.symbolic_window) {
+    out << "symbolic window: " << *o.symbolic_window << '\n';
+  } else if (o.symbolic_window_estimate) {
+    out << "symbolic window: " << *o.symbolic_window_estimate << '\n';
+  }
+  return ExitCode::kSuccess;
+}
+
+ExitCode cmd_distances(const std::string& source, std::ostream& out) {
+  Program parsed = parse_program(source);
+  const Program* program = &parsed;
+  TextTable t;
+  t.header({"phase", "kind", "distance", "direction", "level"});
+  for (size_t k = 0; k < program->phase_count(); ++k) {
+    DependenceInfo info = analyze_dependences(program->phase_nest(k));
+    for (const auto& d : info.deps) {
+      t.row({program->phase_name(k), to_string(d.kind), d.distance.str(),
+             direction_string(d.distance), std::to_string(d.level())});
+    }
+    if (info.has_nonuniform()) {
+      t.row({program->phase_name(k), "non-uniform", "-", "-", "-"});
+    }
+  }
+  out << t.render();
+  return ExitCode::kSuccess;
+}
+
+ExitCode cmd_series(const std::string& source, std::ostream& out) {
+  Program parsed = parse_program(source);
+  const Program* program = &parsed;
+  if (program->phase_count() > 1) {
+    out << "series works on single-nest sources\n";
     return ExitCode::kFailure;
   }
-  SymbolicResult sym = symbolic_analysis(parsed.phase_nest(0));
+  const LoopNest& nest = program->phase_nest(0);
+  std::vector<Int> series = window_series(nest, IntMat::identity(nest.depth()));
+  out << "iteration,window\n";
+  for (size_t t = 0; t < series.size(); ++t) {
+    out << t << ',' << series[t] << '\n';
+  }
+  return ExitCode::kSuccess;
+}
+
+ExitCode cmd_symbolic(const std::string& source, std::ostream& out,
+                      const std::string& file, bool json) {
+  ProgramSourceMap smap;
+  Program program = parse_program(source, &smap);
+  if (auto rc = lint_gate(program, smap, file, json, "analyze", out)) return *rc;
+  Pipeline p(1);
+  SymbolicResult sym;
+  try {
+    sym = run_symbolic(program, p.metrics);
+  } catch (const Refusal& r) {
+    return refuse(r, json, "analyze", out);
+  }
+  const ExitCode rc = sym.usable() ? ExitCode::kSuccess : ExitCode::kDiagnostics;
+  if (json) {
+    Json doc = Json::object();
+    doc.set("symbolic", symbolic_json(sym));
+    out << json_envelope("analyze", std::move(doc)).dump(2) << '\n';
+    return rc;
+  }
 
   out << "symbolic bounds:";
   for (size_t k = 0; k < sym.vars; ++k) {
@@ -373,140 +346,7 @@ ExitCode cmd_symbolic(const std::string& source, std::ostream& out,
   if (!sym.diagnostics.empty()) {
     out << render_text(sym.diagnostics, file, Severity::kNote);
   }
-  return sym.usable() ? ExitCode::kSuccess : ExitCode::kDiagnostics;
-}
-
-ExitCode cmd_symbolic_json(const std::string& source, std::ostream& out,
-                           const std::string& file) {
-  ProgramSourceMap smap;
-  Program parsed = parse_program(source, &smap);
-  if (auto rc = lint_gate(parsed, smap, file, /*json=*/true, "analyze", out)) {
-    return *rc;
-  }
-  if (parsed.phase_count() > 1) {
-    Json doc = Json::object().set("error",
-                                  "symbolic analysis works on single-nest sources");
-    out << json_envelope("analyze", std::move(doc)).dump(2) << '\n';
-    return ExitCode::kFailure;
-  }
-  SymbolicResult sym = symbolic_analysis(parsed.phase_nest(0));
-  Json doc = Json::object();
-  doc.set("symbolic", symbolic_json(sym));
-  out << json_envelope("analyze", std::move(doc)).dump(2) << '\n';
-  return sym.usable() ? ExitCode::kSuccess : ExitCode::kDiagnostics;
-}
-
-ExitCode cmd_optimize_json(const std::string& source, std::ostream& out, int threads,
-                           const std::string& file, const std::string& objective) {
-  ProgramSourceMap smap;
-  Program parsed = parse_program(source, &smap);
-  if (auto rc = lint_gate(parsed, smap, file, /*json=*/true, "optimize", out)) {
-    return *rc;
-  }
-  const Program* program = &parsed;
-  if (program->phase_count() > 1) {
-    Json doc = Json::object().set("error", "optimize --json works on single-nest sources");
-    out << json_envelope("optimize", std::move(doc)).dump(2) << '\n';
-    return ExitCode::kFailure;
-  }
-  const LoopNest& nest = program->phase_nest(0);
-  std::optional<ObjectiveSpec> ospec = parse_objective_spec(objective);
-  if (!ospec) {
-    Json doc = Json::object().set(
-        "error", "bad --objective spec '" + objective +
-                     "' (want mws or miss-ratio:<capacity>)");
-    out << json_envelope("optimize", std::move(doc)).dump(2) << '\n';
-    return ExitCode::kUsage;
-  }
-  MinimizerOptions opts;
-  opts.threads = threads;
-  TraceArena arena;
-  OptimizeResult res;
-  std::optional<MissRatioPlan> mr;
-  if (ospec->miss_ratio) {
-    mr = optimize_miss_ratio(nest, ospec->capacity, opts, arena);
-    if (!mr) {
-      Json doc = Json::object().set(
-          "error",
-          "miss-ratio objective needs exact re-scoring; iteration volume "
-          "exceeds the verify limit");
-      out << json_envelope("optimize", std::move(doc)).dump(2) << '\n';
-      return ExitCode::kFailure;
-    }
-    res.transform = mr->transform;
-    res.method = mr->method;
-    res.predicted_mws = predicted_mws_after(nest, res.transform);
-  } else {
-    res = optimize_locality(nest, opts);
-  }
-
-  Json doc = Json::object();
-  // Same certification gate as the runtime's optimize path: record the
-  // prover's verdict, never emit an uncertified transform.
-  VerifyPlan vplan;
-  vplan.steps = {res.transform};
-  VerifyResult verdict = verify_plan(nest, vplan);
-  doc.set("certified", verdict.certified);
-  if (!verdict.certified) {
-    Json bad = Json::array();
-    for (size_t r = 0; r < res.transform.rows(); ++r) {
-      Json row = Json::array();
-      for (size_t c = 0; c < res.transform.cols(); ++c) {
-        row.push(res.transform(r, c));
-      }
-      bad.push(std::move(row));
-    }
-    doc.set("downgraded", true);
-    doc.set("uncertified_transform", std::move(bad));
-    res.transform = IntMat::identity(nest.depth());
-    res.method = "identity (uncertified plan downgraded)";
-  }
-  doc.set("method", res.method);
-  Json rows = Json::array();
-  for (size_t r = 0; r < res.transform.rows(); ++r) {
-    Json row = Json::array();
-    for (size_t c = 0; c < res.transform.cols(); ++c) {
-      row.push(res.transform(r, c));
-    }
-    rows.push(std::move(row));
-  }
-  doc.set("transform", std::move(rows));
-  doc.set("mws_before", simulate(nest).mws_total);
-  const Int mws_after = simulate_transformed(nest, res.transform).mws_total;
-  doc.set("mws_after", mws_after);
-  // The chosen objective, named and valued, in every optimize document --
-  // miss-ratio runs stay distinguishable from MWS runs.
-  doc.set("objective", ospec->name());
-  if (ospec->miss_ratio) {
-    doc.set("objective_capacity", ospec->capacity);
-    // Re-measure on the final transform so a downgrade reports the shipped
-    // plan's ratio, not the refused one's.
-    const bool ident = res.transform == IntMat::identity(nest.depth());
-    MrcOptions mo;
-    mo.transform = ident ? nullptr : &res.transform;
-    const double after = compute_mrc(nest, mo, arena)
-                             .aggregate.miss_ratio(ospec->capacity);
-    doc.set("objective_value", Json::number(after));
-    doc.set("miss_ratio_before", Json::number(mr->miss_ratio_before));
-    doc.set("miss_ratio_after", Json::number(after));
-  } else {
-    doc.set("objective_value", mws_after);
-  }
-  TransformedNest tn(nest, res.transform);
-  doc.set("transformed_loop", tn.print());
-  try {
-    SymbolicResult sym = symbolic_analysis_transformed(nest, res.transform);
-    if (sym.window_total) {
-      doc.set("symbolic_window", sym.window_total->str());
-      doc.set("symbolic_window_value", sym.window_total->eval(sym.bound_values));
-    } else if (sym.window_estimate) {
-      doc.set("symbolic_window_estimate", *sym.window_estimate);
-    }
-  } catch (const Error&) {
-    // Best-effort: a decline just omits the fields.
-  }
-  out << json_envelope("optimize", std::move(doc)).dump(2) << '\n';
-  return ExitCode::kSuccess;
+  return rc;
 }
 
 ExitCode cmd_lint(const std::string& source, const LintCliOptions& cli,
@@ -542,48 +382,22 @@ ExitCode cmd_verify(const std::string& source, const VerifyCliOptions& cli,
                     std::ostream& out, const std::string& file) {
   ProgramSourceMap smap;
   Program program = parse_program(source, &smap);
-  if (auto rc = lint_gate(program, smap, file, cli.json, "verify", out)) {
-    return *rc;
-  }
-  if (program.phase_count() > 1) {
-    if (cli.json) {
-      Json doc = Json::object().set("error", "verify works on single-nest sources");
-      out << json_envelope("verify", std::move(doc)).dump(2) << '\n';
-    } else {
-      out << "verify works on single-nest sources\n";
-    }
-    return ExitCode::kFailure;
+  if (auto rc = lint_gate(program, smap, file, cli.json, "verify", out)) return *rc;
+  Pipeline p(cli.threads);
+  VerifyOutcome v;
+  try {
+    v = run_verify(program, cli.plan, p.run, p.arena, p.metrics);
+  } catch (const Refusal& r) {
+    return refuse(r, cli.json, "verify", out);
   }
   const LoopNest& nest = program.phase_nest(0);
-
-  VerifyPlan plan;
-  std::string origin = "supplied plan";
-  if (!cli.plan.empty()) {
-    std::string perr;
-    std::optional<VerifyPlan> parsed = parse_plan_spec(cli.plan, &perr);
-    if (!parsed) {
-      out << "bad --plan spec: " << perr << '\n';
-      return ExitCode::kUsage;
-    }
-    plan = std::move(*parsed);
-  } else {
-    // Audit mode: certify the plan `lmre optimize` itself would emit.
-    MinimizerOptions mopts;
-    mopts.threads = cli.threads;
-    OptimizeResult res = optimize_locality(nest, mopts);
-    plan.steps = {res.transform};
-    origin = "optimize plan (method '" + res.method + "')";
-  }
-
-  VerifyResult verdict = verify_plan(nest, plan);
-  DiagnosticEngine engine;
-  emit_verify_diagnostics(nest, verdict, origin, /*parallel_notes=*/true, engine);
+  const VerifyResult& verdict = v.verdict;
   CertificateCheck check = check_certificate(nest, verdict);
 
   if (cli.json) {
     Json doc = Json::object();
     doc.set("verify", certificate_json(nest, verdict));
-    doc.set("diagnostics", render_json(engine.diagnostics(), file));
+    doc.set("diagnostics", render_json(v.diagnostics, file));
     Json jc = Json::object();
     jc.set("ok", check.ok)
         .set("proofs", static_cast<Int>(check.checked_proofs))
@@ -597,7 +411,7 @@ ExitCode cmd_verify(const std::string& source, const VerifyCliOptions& cli,
     doc.set("checker", std::move(jc));
     out << json_envelope("verify", std::move(doc)).dump(2) << '\n';
   } else {
-    out << "plan: " << verdict.plan.str() << " (" << origin << ")\n";
+    out << "plan: " << verdict.plan.str() << " (" << v.plan.origin << ")\n";
     if (verdict.structure_error.empty()) {
       out << "combined T = " << verdict.combined.str() << '\n'
           << "legal: " << (verdict.legal ? "yes" : "no")
@@ -618,8 +432,8 @@ ExitCode cmd_verify(const std::string& source, const VerifyCliOptions& cli,
       }
       out << t.render();
     }
-    out << render_text(engine.diagnostics(), file)
-        << render_summary(engine.diagnostics()) << '\n';
+    out << render_text(v.diagnostics, file)
+        << render_summary(v.diagnostics) << '\n';
     out << "checker: " << (check.ok ? "ok" : "FAILED") << " ("
         << check.checked_proofs << " proofs, " << check.checked_witnesses
         << " witnesses re-validated, " << check.trusted << " trusted)\n";
@@ -631,113 +445,22 @@ ExitCode cmd_verify(const std::string& source, const VerifyCliOptions& cli,
   return verdict.certified ? ExitCode::kSuccess : ExitCode::kDiagnostics;
 }
 
-namespace {
-
-/// The "codegen" result object shared by --json output here and the
-/// runtime's batch/serve payloads: plan, combined transform, window
-/// accounting, per-array buffer plans, and the C source.  Deliberately
-/// free of wall clocks so identical inputs render identical documents
-/// (the golden files pin this).
-Json codegen_json(const VerifyPlan& plan, const CodegenResult& cg,
-                  bool include_source) {
-  Json jcg = Json::object();
-  jcg.set("plan", plan.str());
-  jcg.set("certified", true);
-  Json rows = Json::array();
-  for (size_t r = 0; r < cg.combined.rows(); ++r) {
-    Json row = Json::array();
-    for (size_t c = 0; c < cg.combined.cols(); ++c) row.push(cg.combined(r, c));
-    rows.push(std::move(row));
-  }
-  jcg.set("transform", std::move(rows));
-  if (!cg.tile_sizes.empty()) {
-    Json jt = Json::array();
-    for (Int s : cg.tile_sizes) jt.push(s);
-    jcg.set("tile_sizes", std::move(jt));
-  }
-  jcg.set("iterations", cg.iterations);
-  jcg.set("original_cells", cg.original_cells);
-  jcg.set("window_cells", cg.window_cells);
-  jcg.set("mws_total", cg.mws_total);
-  jcg.set("footprint_ratio", cg.footprint_ratio());
-  Json jbufs = Json::array();
-  for (const BufferPlan& b : cg.buffers) {
-    jbufs.push(Json::object()
-                   .set("name", b.name)
-                   .set("declared", b.declared)
-                   .set("region", b.region)
-                   .set("mws", b.mws)
-                   .set("modulus", b.modulus)
-                   .set("collision_free", b.collision_free)
-                   .set("cold_loads", b.cold_loads)
-                   .set("writebacks", b.writebacks));
-  }
-  jcg.set("buffers", std::move(jbufs));
-  if (include_source) jcg.set("c", cg.c_source);
-  return jcg;
-}
-
-}  // namespace
-
 ExitCode cmd_codegen(const std::string& source, const CodegenCliOptions& cli,
                      std::ostream& out, std::ostream& err,
                      const std::string& file) {
   ProgramSourceMap smap;
   Program program = parse_program(source, &smap);
-  if (auto rc = lint_gate(program, smap, file, cli.json, "codegen", out)) {
-    return *rc;
+  if (auto rc = lint_gate(program, smap, file, cli.json, "codegen", out)) return *rc;
+  Pipeline p(cli.threads);
+  AnalysisRequest::Codegen copt;
+  copt.plan = cli.plan;
+  CodegenOutcome outcome;
+  try {
+    outcome = run_codegen(program, copt, p.run, p.arena, p.metrics);
+  } catch (const Refusal& r) {
+    return refuse(r, cli.json, "codegen", out);
   }
-  if (program.phase_count() > 1) {
-    if (cli.json) {
-      Json doc = Json::object().set("error", "codegen works on single-nest sources");
-      out << json_envelope("codegen", std::move(doc)).dump(2) << '\n';
-    } else {
-      out << "codegen works on single-nest sources\n";
-    }
-    return ExitCode::kFailure;
-  }
-  const LoopNest& nest = program.phase_nest(0);
-
-  VerifyPlan plan;
-  std::string origin = "identity plan";
-  bool need_verify = false;
-  if (cli.plan == "auto") {
-    MinimizerOptions mopts;
-    mopts.threads = cli.threads;
-    OptimizeResult res = optimize_locality(nest, mopts);
-    plan.steps = {res.transform};
-    origin = "optimize plan (method '" + res.method + "')";
-    need_verify = true;
-  } else if (!cli.plan.empty()) {
-    std::string perr;
-    std::optional<VerifyPlan> parsed = parse_plan_spec(cli.plan, &perr);
-    if (!parsed) {
-      err << "bad --plan spec: " << perr << '\n';
-      return ExitCode::kUsage;
-    }
-    plan = std::move(*parsed);
-    origin = "supplied plan";
-    need_verify = true;
-  }
-  // The certification gate: nothing but the identity order is ever
-  // lowered without a dependence-preservation certificate.
-  if (need_verify) {
-    VerifyResult verdict = verify_plan(nest, plan);
-    if (!verdict.certified) {
-      const std::string msg = origin + " " + plan.str() +
-                              " cannot be certified; codegen refuses "
-                              "uncertified plans";
-      if (cli.json) {
-        Json doc = Json::object().set("error", msg);
-        out << json_envelope("codegen", std::move(doc)).dump(2) << '\n';
-      } else {
-        out << msg << '\n';
-      }
-      return ExitCode::kDiagnostics;
-    }
-  }
-
-  CodegenResult cg = emit_c(nest, plan);
+  const CodegenResult& cg = outcome.code;
 
   if (!cli.emit_file.empty()) {
     std::ofstream cf(cli.emit_file, std::ios::trunc);
@@ -747,43 +470,21 @@ ExitCode cmd_codegen(const std::string& source, const CodegenCliOptions& cli,
     }
     cf << cg.c_source;
   }
-
-  ExitCode rc = ExitCode::kSuccess;
-  std::optional<RunVerdict> run;
   if (cli.run) {
-    std::string cc = find_cc(cli.cc);
-    if (cc.empty()) {
-      err << "codegen --run: no usable C compiler ("
-          << (cli.cc.empty() ? std::string("cc") : cli.cc) << ") on PATH\n";
+    run_generated(outcome, cli.cc);
+    if (!outcome.no_compiler.empty()) {
+      err << "codegen --run: " << outcome.no_compiler << '\n';
       return ExitCode::kFailure;
     }
-    run = compile_and_run(cg.c_source, cc);
-    if (!run->ok()) rc = ExitCode::kFailure;
   }
+  const std::optional<RunVerdict>& run = outcome.run;
 
   if (cli.json) {
-    Json jcg = codegen_json(plan, cg, /*include_source=*/cli.emit_file.empty());
-    if (run) {
-      Json jr = Json::object()
-                    .set("compiled", run->compiled)
-                    .set("ran", run->ran)
-                    .set("identical", run->identical)
-                    .set("sink_match", run->sink_match)
-                    .set("mws_ok", run->mws_ok)
-                    .set("traffic_ok", run->traffic_ok)
-                    .set("status", run->status)
-                    .set("loads", run->loads)
-                    .set("stores", run->stores)
-                    .set("reloads", run->reloads)
-                    .set("mws_measured", run->mws_measured);
-      if (!run->ok()) jr.set("detail", run->detail);
-      jcg.set("run", std::move(jr));
-    }
     Json doc = Json::object();
-    doc.set("codegen", std::move(jcg));
+    doc.set("codegen", codegen_json(outcome, /*include_source=*/cli.emit_file.empty()));
     out << json_envelope("codegen", std::move(doc)).dump(2) << '\n';
   } else {
-    out << "plan: " << plan.str() << " (" << origin << ")\n"
+    out << "plan: " << outcome.plan.plan.str() << " (" << outcome.plan.origin << ")\n"
         << "combined T = " << cg.combined.str() << '\n';
     if (!cg.tile_sizes.empty()) {
       out << "tile sizes:";
@@ -823,19 +524,19 @@ ExitCode cmd_codegen(const std::string& source, const CodegenCliOptions& cli,
       out << "wrote " << cli.emit_file << '\n';
     }
   }
-  return rc;
+  return outcome.ok() ? ExitCode::kSuccess : ExitCode::kFailure;
 }
 
 ExitCode cmd_mrc(const std::string& source, const MrcCliOptions& cli,
                  std::ostream& out, const std::string& file) {
+  AnalysisRequest::Mrc mopt;
+  mopt.plan = cli.plan;
+  mopt.sample_rate = cli.sample_rate;
+  mopt.capacities = cli.capacities;
   if (cli.json) {
-    // Route through an AnalysisSession so the payload is byte-identical to
-    // what `lmre batch` and `lmre serve` embed for the same request
-    // (including lint rejections and volume-gate errors).
-    AnalysisRequest::Mrc mopt;
-    mopt.plan = cli.plan;
-    mopt.sample_rate = cli.sample_rate;
-    mopt.capacities = cli.capacities;
+    // The session's payload verbatim, byte-identical to what `lmre batch`
+    // and `lmre serve` embed for the same request (including lint
+    // rejections and volume-gate errors).
     SessionOptions sopts;
     sopts.run.threads = cli.threads;
     AnalysisSession session(sopts);
@@ -850,47 +551,14 @@ ExitCode cmd_mrc(const std::string& source, const MrcCliOptions& cli,
   if (auto rc = lint_gate(program, smap, file, /*json=*/false, "mrc", out)) {
     return *rc;
   }
-  if (program.phase_count() > 1) {
-    out << "mrc works on single-nest sources\n";
-    return ExitCode::kFailure;
+  Pipeline p(cli.threads);
+  MrcOutcome outcome;
+  try {
+    outcome = run_mrc(program, mopt, p.run, p.arena, p.metrics);
+  } catch (const Refusal& r) {
+    return refuse(r, /*json=*/false, "mrc", out);
   }
-  const LoopNest& nest = program.phase_nest(0);
-
-  // Resolve the execution order.  MRC measures an order, it does not
-  // certify one -- legality questions belong to `lmre verify`.
-  IntMat transform = IntMat::identity(nest.depth());
-  std::string plan_str = "identity";
-  std::string method;
-  if (cli.plan == "auto") {
-    MinimizerOptions mopts;
-    mopts.threads = cli.threads;
-    OptimizeResult res = optimize_locality(nest, mopts);
-    transform = res.transform;
-    method = res.method;
-    plan_str = transform.str();
-  } else if (!cli.plan.empty()) {
-    std::string perr;
-    std::optional<VerifyPlan> parsed = parse_plan_spec(cli.plan, &perr);
-    if (!parsed) {
-      out << "bad --plan spec: " << perr << '\n';
-      return ExitCode::kUsage;
-    }
-    if (parsed->has_tiling()) {
-      out << "mrc measures unimodular execution orders; tiling chunks are "
-             "not supported\n";
-      return ExitCode::kUsage;
-    }
-    transform = parsed->combined(nest.depth());
-    plan_str = parsed->str();
-  }
-
-  const bool ident = transform == IntMat::identity(nest.depth());
-  MrcOptions mo;
-  mo.transform = ident ? nullptr : &transform;
-  mo.sample_rate = cli.sample_rate;
-  MrcResult m = compute_mrc(nest, mo);
-  std::vector<Int> caps = cli.capacities;
-  if (caps.empty()) caps = default_mrc_capacities(m);
+  const MrcResult& m = outcome.curve;
 
   const bool exact = m.sample_rate >= 1.0;
   auto weight = [&](double v) {
@@ -900,8 +568,8 @@ ExitCode cmd_mrc(const std::string& source, const MrcCliOptions& cli,
     return ss.str();
   };
 
-  out << "plan: " << plan_str;
-  if (!method.empty()) out << " (method '" << method << "')";
+  out << "plan: " << outcome.plan.plan.str();
+  if (!outcome.plan.method.empty()) out << " (method '" << outcome.plan.method << "')";
   out << '\n';
   if (exact) {
     out << "mode: exact\n";
@@ -924,7 +592,7 @@ ExitCode cmd_mrc(const std::string& source, const MrcCliOptions& cli,
 
   TextTable curve;
   curve.header({"LRU capacity", "misses", "miss ratio"});
-  for (Int c : caps) {
+  for (Int c : outcome.capacities) {
     curve.row({with_commas(c), weight(m.aggregate.misses(c)),
                percent(m.aggregate.miss_ratio(c))});
   }
@@ -1368,7 +1036,6 @@ std::string usage() {
       "                                knobs, --raw prints just the payload\n"
       "  version                       schema version + build info\n"
       "  distances <file|->            dependence distance/direction table\n"
-      "  misscurve <file|-> [caps...]  exact LRU miss counts by capacity\n"
       "  series    <file|->            window-size time series as CSV\n"
       "  figure2   [--threads=N]       regenerate the paper's main table\n"
       "--threads: search/verify workers (0 = all cores, 1 = serial; the\n"
@@ -1780,7 +1447,7 @@ ExitCode run_cli(const std::vector<std::string>& args, std::ostream& out,
   }
   if (cmd == "analyze" || cmd == "optimize" || cmd == "lint" ||
       cmd == "verify" || cmd == "codegen" || cmd == "mrc" ||
-      cmd == "distances" || cmd == "misscurve" || cmd == "series") {
+      cmd == "distances" || cmd == "series") {
     if (rest.empty()) {
       err << usage();
       return ExitCode::kUsage;
@@ -1790,19 +1457,10 @@ ExitCode run_cli(const std::vector<std::string>& args, std::ostream& out,
     if (!source) return ExitCode::kFailure;
     const std::string file = path == "-" ? "<stdin>" : path;
     try {
-      if (cmd == "analyze" && symbolic) {
-        return json ? cmd_symbolic_json(*source, out, file)
-                    : cmd_symbolic(*source, out, file);
-      }
-      if (cmd == "analyze") {
-        return json ? cmd_analyze_json(*source, out, file)
-                    : cmd_analyze(*source, out, file);
-      }
-      if (cmd == "optimize" && json) {
-        return cmd_optimize_json(*source, out, threads, file, objective);
-      }
+      if (cmd == "analyze" && symbolic) return cmd_symbolic(*source, out, file, json);
+      if (cmd == "analyze") return cmd_analyze(*source, out, file, json);
       if (cmd == "optimize") {
-        return cmd_optimize(*source, out, threads, file, objective);
+        return cmd_optimize(*source, out, threads, file, objective, json);
       }
       if (cmd == "lint") return cmd_lint(*source, lint_opts, out, file);
       if (cmd == "verify") {
@@ -1821,12 +1479,7 @@ ExitCode run_cli(const std::vector<std::string>& args, std::ostream& out,
         return cmd_mrc(*source, mrc_opts, out, file);
       }
       if (cmd == "distances") return cmd_distances(*source, out);
-      if (cmd == "series") return cmd_series(*source, out);
-      std::vector<Int> caps;
-      for (size_t i = 1; i < rest.size(); ++i) {
-        caps.push_back(static_cast<Int>(std::stoll(rest[i])));
-      }
-      return cmd_misscurve(*source, caps, out);
+      return cmd_series(*source, out);
     } catch (const ParseError& e) {
       err << file << ':' << e.line() << ':' << e.column() << ": error: "
           << e.message() << '\n';

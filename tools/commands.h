@@ -25,23 +25,28 @@ namespace lmre::tools {
 // (json_envelope in support/json.h):
 //   {"schema_version": 1, "tool": "lmre", "command": ..., "result": ...}
 
-/// `lmre analyze <dsl>`: dependences + memory report (+ program handoffs
-/// for multi-phase sources).  Lints the input first: errors abort with
-/// diagnostics (exit kDiagnostics), warnings are printed and analysis
-/// continues.  `file` names the input in diagnostics.
+/// `lmre analyze [--json] <dsl>`: dependences + memory report (+ program
+/// handoffs for multi-phase sources); --json emits the single-nest report
+/// as an enveloped document.  Lints the input first: errors abort with
+/// diagnostics (exit kDiagnostics), warnings are printed (text mode) and
+/// analysis continues.  `file` names the input in diagnostics.  The exact
+/// columns are measured only within the default verify_limit.
 ExitCode cmd_analyze(const std::string& source, std::ostream& out,
-                     const std::string& file = "<input>");
+                     const std::string& file = "<input>", bool json = false);
 
-/// `lmre optimize [--objective=SPEC] <dsl>`: transformation search,
-/// transformed loop, before/after windows.  Lint-gated like cmd_analyze.
+/// `lmre optimize [--json] [--objective=SPEC] <dsl>`: transformation
+/// search, certification, transformed loop, before/after windows (exact
+/// within the default verify_limit).  Lint-gated like cmd_analyze.
 /// `threads` follows the RunOptions convention (0 = hardware concurrency,
 /// 1 = serial); results are identical either way.  `objective` selects the
 /// search metric: ""/"mws" = the paper's window objective,
 /// "miss-ratio:<capacity>" re-scores the top candidates by exact miss
-/// ratio at that LRU capacity (src/mrc).
+/// ratio at that LRU capacity (src/mrc).  The --json document always names
+/// the chosen objective ("objective", "objective_value"); miss-ratio runs
+/// add "objective_capacity" and the before/after miss ratios.
 ExitCode cmd_optimize(const std::string& source, std::ostream& out,
                       int threads = 1, const std::string& file = "<input>",
-                      const std::string& objective = {});
+                      const std::string& objective = {}, bool json = false);
 
 /// Options for `lmre lint`, parsed by run_cli.
 struct LintCliOptions {
@@ -61,45 +66,21 @@ ExitCode cmd_lint(const std::string& source, const LintCliOptions& opts,
 /// `lmre distances <dsl>`: dependence distance/direction table.
 ExitCode cmd_distances(const std::string& source, std::ostream& out);
 
-/// `lmre misscurve <dsl> [capacities...]`: LRU miss counts from the exact
-/// stack-distance profile; empty capacities = automatic sweep.
-ExitCode cmd_misscurve(const std::string& source,
-                       const std::vector<Int>& capacities, std::ostream& out);
-
 /// `lmre series <dsl>`: CSV of the window-size time series (ordinal,
 /// live-element count) in original order -- for plotting.
 ExitCode cmd_series(const std::string& source, std::ostream& out);
 
-/// `lmre analyze --json <dsl>`: the same analysis as cmd_analyze, emitted
-/// as an enveloped JSON document (single-nest sources only).  Lint errors
-/// produce a document whose result carries a "diagnostics" array.
-ExitCode cmd_analyze_json(const std::string& source, std::ostream& out,
-                          const std::string& file = "<input>");
-
-/// `lmre analyze --symbolic <dsl>`: closed-form analysis (src/symbolic) --
-/// per-array distinct/reuse/window formulas in the symbolic bounds N1..Nn,
-/// evaluated once at the nest's own trip counts.  Never runs the trace
-/// oracle, so the cost is independent of the bounds.  Exits kDiagnostics
-/// when no array admits a closed form (LMRE-E017); partial coverage is
-/// reported with per-quantity notes and exits kSuccess.
+/// `lmre analyze --symbolic [--json] <dsl>`: closed-form analysis
+/// (src/symbolic) -- per-array distinct/reuse/window formulas in the
+/// symbolic bounds N1..Nn, evaluated once at the nest's own trip counts.
+/// Never runs the trace oracle, so the cost is independent of the bounds.
+/// Exits kDiagnostics when no array admits a closed form (LMRE-E017);
+/// partial coverage is reported with per-quantity notes and exits
+/// kSuccess.  --json wraps the "symbolic" object (bounds, per-array
+/// formulas with rendered strings + polynomial terms, totals, diagnostics)
+/// that the runtime embeds for batch/serve "symbolic" requests.
 ExitCode cmd_symbolic(const std::string& source, std::ostream& out,
-                      const std::string& file = "<input>");
-
-/// `lmre analyze --symbolic --json <dsl>`: the symbolic result as an
-/// enveloped JSON document whose result carries a "symbolic" object
-/// (bounds, per-array formulas with rendered strings + polynomial terms,
-/// totals, diagnostics) -- the same document the runtime embeds for
-/// batch/serve "symbolic" requests.
-ExitCode cmd_symbolic_json(const std::string& source, std::ostream& out,
-                           const std::string& file = "<input>");
-
-/// `lmre optimize --json <dsl>`: machine-readable optimization result.
-/// The document always names the chosen objective ("objective",
-/// "objective_value"); miss-ratio runs add "objective_capacity" and the
-/// before/after miss ratios.
-ExitCode cmd_optimize_json(const std::string& source, std::ostream& out,
-                           int threads = 1, const std::string& file = "<input>",
-                           const std::string& objective = {});
+                      const std::string& file = "<input>", bool json = false);
 
 /// Options for `lmre verify`, parsed by run_cli.
 struct VerifyCliOptions {
@@ -167,7 +148,7 @@ struct MrcCliOptions {
 /// curve as a table; --json routes through an AnalysisSession so the
 /// payload is byte-identical to what batch/serve embed for the same
 /// request.  kUsage on a malformed plan/rate/capacity, kFailure when the
-/// trace volume exceeds the verify limit (JSON mode).
+/// trace volume exceeds the verify limit.
 ExitCode cmd_mrc(const std::string& source, const MrcCliOptions& opts,
                  std::ostream& out, const std::string& file = "<input>");
 
