@@ -33,13 +33,11 @@
 #include <poll.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <cerrno>
 #include <deque>
 #include <fstream>
@@ -130,17 +128,8 @@ class Client {
   }
 
   bool connect(const std::string& path) {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-    fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd_ < 0) return false;
-    if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-      ::close(fd_);
-      fd_ = -1;
-      return false;
-    }
-    return true;
+    fd_ = unix_connect(path);
+    return fd_ >= 0;
   }
 
   /// Sends `line`, blocks for the matching response line.

@@ -7,8 +7,8 @@
 # Unix transport + the bench_server --check load-harness gate), then two
 # sanitizer passes --
 # ThreadSanitizer over the parallel-search + shared-cache/server suites
-# and ASan+UBSan over the parser / lint / CLI suites (the layers that
-# chew on untrusted input) and the optimizer / report / session suites
+# and ASan+UBSan over the parser / lint / CLI / server suites (the layers
+# that chew on untrusted input) and the optimizer / report / session suites
 # -- plus a symbolic-smoke stage (closed forms
 # differential vs the oracle under ASan, golden + decline corpora), the
 # oracle perf gate, a codegen smoke (ASan emission, system-cc compile
@@ -101,6 +101,10 @@ grep -q '"serve.completed": 2' "$BATCH_CACHE/serve_metrics.json" \
   || { echo "FAIL: serve metrics snapshot missing request counts"; exit 1; }
 grep -q '"serve.latency_ms"' "$BATCH_CACHE/serve_metrics.json" \
   || { echo "FAIL: serve metrics snapshot lacks the latency histogram"; exit 1; }
+# The Unix transport runs on the shared socket loop: its live connection
+# counters count the two request connections.
+grep -q '"serve.conn_opened": 2' "$BATCH_CACHE/serve_metrics.json" \
+  || { echo "FAIL: serve metrics snapshot did not count 2 connections"; exit 1; }
 # One cache lookup per request: the cold request is the worker's one
 # miss, the warm one is answered from memory at admission (one hit).
 grep -q '"runs.cached": 1' "$BATCH_CACHE/serve_metrics.json" \
@@ -142,8 +146,8 @@ grep -q '"serve.coalesced": 2' "$BATCH_CACHE/serve_coalesce_metrics.json" \
 echo "== tier 1: serve-load smoke (TCP transport + load harness gate) =="
 # CLI TCP round trip: an ephemeral port announced on stdout, one request
 # over --tcp whose payload must be byte-identical to the Unix-socket
-# payload above, SIGTERM drain, and the metrics snapshot carrying the TCP
-# connection gauges and the shard configuration.
+# payload above, SIGTERM drain, and the metrics snapshot carrying the
+# connection counters and the shard configuration.
 TCP_OUT="$BATCH_CACHE/serve_tcp.out"
 ./build/tools/lmre serve --tcp=127.0.0.1:0 --workers=2 --cache-shards=4 \
   --metrics="$BATCH_CACHE/serve_tcp_metrics.json" > "$TCP_OUT" &
@@ -159,8 +163,8 @@ cmp "$BATCH_CACHE/tcp_cold.json" "$BATCH_CACHE/serve_cold.json" \
 kill -TERM "$TCP_PID"
 wait "$TCP_PID" \
   || { echo "FAIL: serve --tcp did not exit 0 on SIGTERM"; exit 1; }
-grep -q '"serve.tcp_conns_opened": 1' "$BATCH_CACHE/serve_tcp_metrics.json" \
-  || { echo "FAIL: TCP metrics snapshot missing the connection gauges"; exit 1; }
+grep -q '"serve.conn_opened": 1' "$BATCH_CACHE/serve_tcp_metrics.json" \
+  || { echo "FAIL: TCP metrics snapshot missing the connection counters"; exit 1; }
 grep -q '"cache.shards": 4' "$BATCH_CACHE/serve_tcp_metrics.json" \
   || { echo "FAIL: metrics snapshot missing the cache shard config"; exit 1; }
 # Load-harness regression gate at reduced scale: sharded-cache replay,
@@ -188,13 +192,15 @@ echo "== tier 1: ASan+UBSan pass over the input-handling suites =="
 # bounds-checked accessors are inline, so a lost check shows here as
 # signed overflow or an out-of-bounds read.  Plus the CLI document suites
 # (golden analyze/optimize/codegen/verify documents, JSON envelopes): the
-# verbs render from the same per-kind handlers batch and serve run.
+# verbs render from the same per-kind handlers batch and serve run.  Plus
+# server_test: one socket loop frames untrusted bytes for both the TCP and
+# the Unix-domain transport.
 # (check_alloc_test replaces operator new and stays out of this stage.)
 cmake -B build-asan -S . -DLMRE_SANITIZE=address,undefined >/dev/null
 cmake --build build-asan -j "$JOBS" \
   --target parser_test lint_test cli_tool_test minimizer_test report_test \
   runtime_test support_test vec_mat_test scanner_box_test golden_cli_test \
-  golden_codegen_test golden_verify_test json_test
+  golden_codegen_test golden_verify_test json_test server_test
 ./build-asan/tests/parser_test
 ./build-asan/tests/lint_test
 ./build-asan/tests/cli_tool_test
@@ -208,6 +214,7 @@ cmake --build build-asan -j "$JOBS" \
 ./build-asan/tests/golden_codegen_test
 ./build-asan/tests/golden_verify_test
 ./build-asan/tests/json_test
+./build-asan/tests/server_test
 
 echo "== tier 1: symbolic-smoke (ASan differential subset + golden check) =="
 # The symbolic closed forms must stay oracle-exact under ASan+UBSan: run

@@ -28,11 +28,11 @@ thread_local const EventLoop* tl_dispatching = nullptr;
 
 }  // namespace
 
-TcpSink::~TcpSink() {
+SocketSink::~SocketSink() {
   if (!closed_ && fd_ >= 0) ::close(fd_);
 }
 
-void TcpSink::write_line(const std::string& line) {
+void SocketSink::write_line(const std::string& line) {
   EventLoop* loop = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -143,7 +143,7 @@ void EventLoop::accept_ready() {
     set_nonblocking(fd);
     auto conn = std::make_unique<Conn>();
     conn->fd = fd;
-    conn->sink = std::make_shared<TcpSink>(this, fd);
+    conn->sink = std::make_shared<SocketSink>(this, fd);
     conns_.push_back(std::move(conn));
     ++conns_opened_;
   }
@@ -171,9 +171,11 @@ void EventLoop::read_ready(Conn& conn) {
     conn.dead = true;
     return;
   }
+  // Resume the newline search where the last read left off: a long line
+  // arriving in small pieces is scanned once, not once per piece.
   size_t start = 0;
   tl_dispatching = this;  // step() flushes this conn right after
-  for (size_t nl = conn.in.find('\n', start); nl != std::string::npos;
+  for (size_t nl = conn.in.find('\n', conn.scanned); nl != std::string::npos;
        nl = conn.in.find('\n', start)) {
     std::string line = conn.in.substr(start, nl - start);
     start = nl + 1;
@@ -181,10 +183,11 @@ void EventLoop::read_ready(Conn& conn) {
   }
   tl_dispatching = nullptr;
   conn.in.erase(0, start);
+  conn.scanned = conn.in.size();
 }
 
 void EventLoop::flush(Conn& conn) {
-  TcpSink& sink = *conn.sink;
+  SocketSink& sink = *conn.sink;
   std::lock_guard<std::mutex> lock(sink.mu_);
   while (sink.out_pos_ < sink.out_.size()) {
     ssize_t n = ::send(conn.fd, sink.out_.data() + sink.out_pos_,

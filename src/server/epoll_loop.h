@@ -1,31 +1,32 @@
 #pragma once
 
-// Event-driven readiness loop for the TCP transport.
+// Event-driven readiness loop for the socket transports (TCP and
+// Unix-domain: AnalysisServer::serve_tcp and serve_socket both run on it).
 //
 // One thread -- the one calling step() -- owns every socket: it accepts,
 // reads, frames NDJSON lines, and flushes response bytes.  Readiness
 // comes from poll(2) over non-blocking fds (the portable POSIX face of
 // the epoll-style level-triggered model; the fd counts lmre serves are
 // far below where poll's O(n) scan matters next to analysis cost).
-// Replacing the old thread-per-connection readers, 10k idle connections
-// now cost 10k pollfd entries instead of 10k blocked threads.
+// 10k idle connections cost 10k pollfd entries, not 10k blocked threads.
 //
 // Worker threads never see a socket.  Their half of a connection is the
-// TcpSink: write_line appends to the connection's pending-output buffer
+// SocketSink: write_line appends to the connection's pending-output buffer
 // under a small mutex and wakes the loop through a self-pipe (skipped
 // when the loop thread itself answers a line it is dispatching -- the
-// same step() flushes it); the loop flushes opportunistically, keeping whatever a full socket buffer or a
-// slow client refuses (partial-write handling) until POLLOUT.  A client
-// that vanished mid-response costs the loop an EPIPE errno on its own
-// send -- it cannot kill or even block a worker, and the other
-// connections' buffered responses are untouched.
+// same step() flushes it); the loop flushes opportunistically, keeping
+// whatever a full socket buffer or a slow client refuses (partial-write
+// handling) until POLLOUT.  A client that never reads grows only its own
+// buffer, and one that vanished mid-response costs the loop an EPIPE
+// errno on its own send -- neither can block a worker or shutdown, and
+// the other connections' buffered responses are untouched.
 //
 // Connection lifetime: a connection is reaped when the client is gone
-// (read error / reset), or when it has half-closed (EOF), its output has
-// fully drained, AND no in-flight job still holds the sink (the sink's
-// use_count is the in-flight reference count).  Reaping closes the fd
-// and marks the sink closed so a late write_line from a finishing worker
-// degrades to a silent drop, exactly like the Unix transport.
+// (read error / reset / a line over the 16 MiB cap), or when it has
+// half-closed (EOF), its output has fully drained, AND no in-flight job
+// still holds the sink (the sink's use_count is the in-flight reference
+// count).  Reaping closes the fd and marks the sink closed so a late
+// write_line from a finishing worker degrades to a silent drop.
 
 #include <cstdint>
 #include <functional>
@@ -40,12 +41,12 @@ namespace lmre {
 
 class EventLoop;
 
-/// ResponseSink over one TCP connection.  Thread-safe; never blocks on
-/// the network (see file comment).
-class TcpSink : public ResponseSink {
+/// ResponseSink over one socket connection.  Thread-safe; never blocks
+/// on the network (see file comment).
+class SocketSink : public ResponseSink {
  public:
-  TcpSink(EventLoop* loop, int fd) : loop_(loop), fd_(fd) {}
-  ~TcpSink() override;
+  SocketSink(EventLoop* loop, int fd) : loop_(loop), fd_(fd) {}
+  ~SocketSink() override;
 
   void write_line(const std::string& line) override;
 
@@ -65,7 +66,7 @@ class EventLoop {
   /// Called once per complete request line (without the newline), with
   /// the connection's sink.  The handler may answer synchronously or hand
   /// the sink to a worker; either way response bytes travel through
-  /// TcpSink::write_line, and only through the sink it was given.
+  /// SocketSink::write_line, and only through the sink it was given.
   using LineHandler = std::function<void(const std::string& line,
                                          const std::shared_ptr<ResponseSink>& sink)>;
 
@@ -110,7 +111,8 @@ class EventLoop {
   struct Conn {
     int fd = -1;
     std::string in;  ///< bytes read but not yet framed into lines
-    std::shared_ptr<TcpSink> sink;
+    size_t scanned = 0;  ///< prefix of `in` already searched for '\n'
+    std::shared_ptr<SocketSink> sink;
     bool read_eof = false;  ///< client half-closed (or shutdown_reads)
     bool dead = false;      ///< client gone; reap unconditionally
   };

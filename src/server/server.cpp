@@ -1,15 +1,9 @@
 #include "server/server.h"
 
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
-#include <cerrno>
-#include <cstring>
 #include <fstream>
 #include <istream>
-#include <list>
 #include <mutex>
 #include <optional>
 #include <ostream>
@@ -36,36 +30,6 @@ class StreamSink : public ResponseSink {
  private:
   std::mutex mu_;
   std::ostream& out_;
-};
-
-/// Response sink over a connected Unix socket; owns the fd (closed when
-/// the last job / reader reference is gone).
-class FdSink : public ResponseSink {
- public:
-  explicit FdSink(int fd) : fd_(fd) {}
-  ~FdSink() override { ::close(fd_); }
-
-  int fd() const { return fd_; }
-
-  void write_line(const std::string& line) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::string framed = line + '\n';
-    size_t sent = 0;
-    while (sent < framed.size()) {
-      // MSG_NOSIGNAL: a client that hung up costs us an EPIPE errno, not
-      // a process-killing SIGPIPE.  Only this connection's response is
-      // dropped; every other client's lines are written by their own
-      // sink, so one dead client never loses another's answer.
-      ssize_t n = ::send(fd_, framed.data() + sent, framed.size() - sent,
-                         MSG_NOSIGNAL);
-      if (n <= 0) return;  // client gone; drop the response
-      sent += static_cast<size_t>(n);
-    }
-  }
-
- private:
-  std::mutex mu_;
-  int fd_;
 };
 
 }  // namespace
@@ -249,99 +213,12 @@ void AnalysisServer::serve_streams(std::istream& in, std::ostream& out) {
   drain();
 }
 
-ExitCode AnalysisServer::serve_socket(const std::string& path) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(addr.sun_path)) return ExitCode::kFailure;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-
-  int listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+ExitCode AnalysisServer::serve_socket(const std::string& path,
+                                      std::string* error) {
+  int listen_fd = unix_listen(path, error);
   if (listen_fd < 0) return ExitCode::kFailure;
-  ::unlink(path.c_str());  // replace a stale socket from a dead server
-  if (::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0 ||
-      ::listen(listen_fd, 64) < 0) {
-    ::close(listen_fd);
-    return ExitCode::kFailure;
-  }
-
-  std::mutex conns_mu;
-  std::vector<std::weak_ptr<FdSink>> conns;
-  struct Reader {
-    std::thread thread;
-    std::shared_ptr<std::atomic<bool>> done;
-  };
-  std::list<Reader> readers;
-
-  // Accept loop: poll with a short timeout so request_stop() (one atomic
-  // store, possibly from a signal handler) is noticed within ~100ms.
-  while (!stopped()) {
-    // Reap readers whose clients already left: a long-lived server must
-    // not accumulate one parked thread per connection it ever served.
-    for (auto it = readers.begin(); it != readers.end();) {
-      if (it->done->load(std::memory_order_acquire)) {
-        it->thread.join();
-        metrics_->count("serve.conn_closed");
-        it = readers.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    pollfd pfd{listen_fd, POLLIN, 0};
-    int ready = ::poll(&pfd, 1, 100);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (ready == 0) continue;
-    int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) continue;
-    metrics_->count("serve.conn_opened");
-    auto sink = std::make_shared<FdSink>(fd);
-    {
-      std::lock_guard<std::mutex> lock(conns_mu);
-      conns.push_back(sink);
-    }
-    auto done = std::make_shared<std::atomic<bool>>(false);
-    readers.push_back(Reader{
-        std::thread([this, sink, done] {
-          // Per-connection reader: split the byte stream into lines,
-          // admit each.  The sink keeps the fd alive for any in-flight
-          // responses after this thread exits.
-          std::string buffer;
-          char chunk[4096];
-          while (true) {
-            ssize_t n = ::recv(sink->fd(), chunk, sizeof chunk, 0);
-            if (n <= 0) break;  // EOF, error, or shutdown(SHUT_RD) on drain
-            buffer.append(chunk, static_cast<size_t>(n));
-            size_t start = 0;
-            for (size_t nl = buffer.find('\n', start); nl != std::string::npos;
-                 nl = buffer.find('\n', start)) {
-              std::string line = buffer.substr(start, nl - start);
-              start = nl + 1;
-              if (!line.empty()) admit_line(line, sink);
-            }
-            buffer.erase(0, start);
-          }
-          done->store(true, std::memory_order_release);
-        }),
-        done});
-  }
-
-  ::close(listen_fd);
+  serve_listener(listen_fd);
   ::unlink(path.c_str());
-  {
-    // Wake readers blocked in recv: half-close the read side only, so
-    // responses for in-flight requests still go out below.
-    std::lock_guard<std::mutex> lock(conns_mu);
-    for (auto& weak : conns) {
-      if (auto sink = weak.lock()) ::shutdown(sink->fd(), SHUT_RD);
-    }
-  }
-  for (Reader& r : readers) {
-    r.thread.join();
-    metrics_->count("serve.conn_closed");
-  }
-  drain();  // finish everything admitted; every request gets its response
   return ExitCode::kSuccess;
 }
 
@@ -351,13 +228,35 @@ ExitCode AnalysisServer::serve_tcp(const std::string& host, int port,
   int listen_fd = tcp_listen(host, port, &bound_port, error);
   if (listen_fd < 0) return ExitCode::kFailure;
   tcp_port_.store(bound_port, std::memory_order_release);
+  serve_listener(listen_fd);
+  return ExitCode::kSuccess;
+}
 
+void AnalysisServer::serve_listener(int listen_fd) {
   EventLoop loop(listen_fd,
                  [this](const std::string& line,
                         const std::shared_ptr<ResponseSink>& sink) {
                    admit_line(line, sink);
                  });
-  while (!stopped()) loop.step(100);
+  // Connection counters are live, but folded into the registry only
+  // after a step that opened or reaped a connection: a step that just
+  // moves request bytes never touches it.
+  std::uint64_t opened = 0;
+  std::uint64_t closed = 0;
+  auto step = [&](int timeout_ms) {
+    loop.step(timeout_ms);
+    if (loop.conns_opened() != opened) {
+      metrics_->count("serve.conn_opened",
+                      static_cast<Int>(loop.conns_opened() - opened));
+      opened = loop.conns_opened();
+    }
+    if (loop.conns_closed() != closed) {
+      metrics_->count("serve.conn_closed",
+                      static_cast<Int>(loop.conns_closed() - closed));
+      closed = loop.conns_closed();
+    }
+  };
+  while (!stopped()) step(100);
 
   // Drain: stop admitting, then run the queue dry on a side thread while
   // this thread keeps the loop flushing -- in-flight responses are only
@@ -370,24 +269,19 @@ ExitCode AnalysisServer::serve_tcp(const std::string& host, int port,
     drained.store(true, std::memory_order_release);
     loop.wake();
   });
-  while (!drained.load(std::memory_order_acquire)) loop.step(50);
+  while (!drained.load(std::memory_order_acquire)) step(50);
   // Bounded final flush: clients that linger without reading cannot hold
   // shutdown hostage.
-  for (int i = 0; i < 100 && !loop.flushed(); ++i) loop.step(10);
+  for (int i = 0; i < 100 && !loop.flushed(); ++i) step(10);
   drainer.join();
 
-  metrics_->gauge("serve.tcp_conns_opened",
-                  static_cast<double>(loop.conns_opened()));
-  metrics_->gauge("serve.tcp_conns_closed",
-                  static_cast<double>(loop.conns_closed()));
-  metrics_->gauge("serve.tcp_partial_writes",
+  metrics_->gauge("serve.partial_writes",
                   static_cast<double>(loop.partial_writes()));
-  metrics_->gauge("serve.tcp_bytes_in", static_cast<double>(loop.bytes_in()));
-  metrics_->gauge("serve.tcp_bytes_out", static_cast<double>(loop.bytes_out()));
+  metrics_->gauge("serve.bytes_in", static_cast<double>(loop.bytes_in()));
+  metrics_->gauge("serve.bytes_out", static_cast<double>(loop.bytes_out()));
   // drain() already wrote the snapshot, but without the loop gauges
   // above (the loop was still flushing); rewrite the complete picture.
   write_metrics_file();
-  return ExitCode::kSuccess;
 }
 
 void AnalysisServer::drain() {

@@ -8,13 +8,13 @@
 // one snapshot describes the whole process.  Requests arrive as
 // newline-delimited JSON (server/wire.h) over any transport:
 //
-//  * serve_tcp(host, port): a TCP listener driven by a poll-based event
-//    loop (server/epoll_loop.h) -- one thread owns every socket, workers
-//    only ever append response bytes to per-connection buffers, so dead
-//    clients and slow readers cost the loop an errno, never a worker,
-//  * serve_socket(path): a Unix-domain stream socket; each accepted
-//    connection gets a reader thread (joined as soon as its client goes
-//    away, not at shutdown), responses go back over the same connection
+//  * serve_tcp(host, port) and serve_socket(path): a TCP or Unix-domain
+//    stream listener, both driven by one poll-based event loop
+//    (server/epoll_loop.h) -- one thread owns every socket and there are
+//    no per-connection reader threads; workers only ever append response
+//    bytes to per-connection buffers, so dead clients and clients that
+//    never read cost the loop an errno or a buffer, never a worker.
+//    Responses go back over the connection that carried the request
 //    (interleaved across requests, correlated by id), and
 //  * serve_streams(in, out): stdin/stdout framing for tests and scripts.
 //
@@ -28,7 +28,7 @@
 // session.run() counts the one miss and is the only reader of the disk
 // layer.
 //
-// Admission control: a BoundedQueue between the readers and the pool.  A
+// Admission control: a BoundedQueue between the transports and the pool.  A
 // full queue sheds the request immediately with an `overloaded` error --
 // backlog is bounded by construction, never buffered.  Deadlines: a
 // request with options.deadline_ms is abandoned (without computing) if it
@@ -44,9 +44,10 @@
 // byte-identical response lines.
 //
 // Shutdown: request_stop() is async-signal-safe (one atomic store).  The
-// transport loop notices within its poll interval, stops admitting, wakes
-// the connection readers, drains in-flight work, flushes metrics, and
-// exits cleanly -- every admitted request gets a response.
+// transport loop notices within its poll interval, stops admitting,
+// half-closes every connection's read side, drains in-flight work,
+// flushes buffered responses and metrics, and exits cleanly -- every
+// admitted request gets a response.
 //
 // The determinism contract extends to the wire: a serve response's result
 // payload is byte-identical to what `lmre batch` embeds for the same
@@ -80,8 +81,8 @@ struct ServerOptions {
 };
 
 /// Where a response line goes (one per client connection / stream).
-/// write_line is thread-safe per sink: workers and the reader interleave
-/// whole lines, never bytes.
+/// write_line is thread-safe per sink: workers and the transport thread
+/// interleave whole lines, never bytes.
 class ResponseSink {
  public:
   virtual ~ResponseSink() = default;
@@ -104,9 +105,11 @@ class AnalysisServer {
   void serve_streams(std::istream& in, std::ostream& out);
 
   /// Unix-domain socket transport: binds `path` (replacing a stale
-  /// socket file), accepts until request_stop(), then drains.  Returns
-  /// kFailure when the socket cannot be created/bound.
-  ExitCode serve_socket(const std::string& path);
+  /// socket file) and runs the same event loop as serve_tcp until
+  /// request_stop(), then drains, flushes, and removes the socket file.
+  /// kFailure when the socket cannot be created/bound (reason in *error
+  /// when given).
+  ExitCode serve_socket(const std::string& path, std::string* error = nullptr);
 
   /// TCP transport: binds host:port (port 0 = kernel-assigned; see
   /// tcp_port()) and runs the poll-based event loop on the calling thread
@@ -159,6 +162,9 @@ class AnalysisServer {
     std::chrono::steady_clock::time_point deadline;
   };
 
+  /// Runs the event loop over `listen_fd` (owned) until request_stop(),
+  /// then drains and flushes; the body of both socket transports.
+  void serve_listener(int listen_fd);
   void worker_loop(AnalysisSession& session);
   void respond(const Job& job, const std::string& line);
   /// Deadline-checks, records latency/counters, and writes the response

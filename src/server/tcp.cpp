@@ -4,6 +4,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -28,6 +29,24 @@ bool resolve_ipv4(const std::string& host, in_addr* out, std::string* error) {
   set_error(error, "unresolvable host '" + host +
                        "' (use a numeric IPv4 address or 'localhost')");
   return false;
+}
+
+/// A Unix-domain stream socket plus the address of `path` in *addr; -1
+/// with the reason when the path does not fit sun_path with its NUL.
+int unix_socket(const std::string& path, sockaddr_un* addr,
+                std::string* error) {
+  addr->sun_family = AF_UNIX;
+  if (path.size() >= sizeof(addr->sun_path)) {
+    set_error(error, "socket path is " + std::to_string(path.size()) +
+                         " bytes, over the " +
+                         std::to_string(sizeof(addr->sun_path) - 1) +
+                         "-byte limit of a Unix-domain socket path");
+    return -1;
+  }
+  std::memcpy(addr->sun_path, path.c_str(), path.size() + 1);
+  int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) set_error(error, std::string("socket: ") + std::strerror(errno));
+  return fd;
 }
 
 }  // namespace
@@ -104,6 +123,36 @@ int tcp_connect(const std::string& host, int port, std::string* error) {
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0) {
     set_error(error, "connect " + host + ":" + std::to_string(port) + ": " +
                          std::strerror(errno));
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+int unix_listen(const std::string& path, std::string* error) {
+  sockaddr_un addr{};
+  int fd = unix_socket(path, &addr, error);
+  if (fd < 0) return -1;
+  ::unlink(path.c_str());  // replace a stale socket from a dead server
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0) {
+    set_error(error, "bind " + path + ": " + std::strerror(errno));
+    ::close(fd);
+    return -1;
+  }
+  if (::listen(fd, 1024) < 0) {
+    set_error(error, std::string("listen: ") + std::strerror(errno));
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+int unix_connect(const std::string& path, std::string* error) {
+  sockaddr_un addr{};
+  int fd = unix_socket(path, &addr, error);
+  if (fd < 0) return -1;
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0) {
+    set_error(error, "connect " + path + ": " + std::strerror(errno));
     ::close(fd);
     return -1;
   }

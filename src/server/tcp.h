@@ -1,9 +1,9 @@
 #pragma once
 
-// Small TCP socket helpers shared by the serve transport
-// (server/epoll_loop), the CLI client (`lmre request --tcp=...`), and the
-// load bench.  Everything here is plain blocking/bound-socket plumbing;
-// the event loop flips accepted fds non-blocking itself.
+// Small socket helpers (TCP and Unix-domain) shared by the serve
+// transports (server/epoll_loop), the CLI client (`lmre request`), the
+// tests, and the load bench.  Everything here is plain blocking/bound-socket
+// plumbing; the event loop flips accepted fds non-blocking itself.
 
 #include <optional>
 #include <string>
@@ -31,5 +31,14 @@ int tcp_listen(const std::string& host, int port, int* bound_port,
 /// Connects a blocking TCP socket to host:port; -1 on failure.
 int tcp_connect(const std::string& host, int port,
                 std::string* error = nullptr);
+
+/// Creates a listening Unix-domain stream socket at `path`, replacing a
+/// stale socket file left by a dead server.  Returns the fd, or -1 with
+/// the reason in *error when given (a path longer than sun_path holds is
+/// refused up front, naming the limit).
+int unix_listen(const std::string& path, std::string* error = nullptr);
+
+/// Connects a blocking Unix-domain stream socket to `path`; -1 on failure.
+int unix_connect(const std::string& path, std::string* error = nullptr);
 
 }  // namespace lmre

@@ -515,6 +515,18 @@ TEST(CliServe, ValidatesTuningFlags) {
   }
 }
 
+TEST(CliServe, OverlongSocketPathNamesTheLimit) {
+  // sun_path holds 107 bytes plus the NUL; the refusal must say so, not
+  // just that listening failed.
+  std::string path = "/tmp/" + std::string(195, 's');
+  ASSERT_EQ(path.size(), 200u);
+  std::ostringstream out, err;
+  EXPECT_EQ(run_cli({"serve", path}, out, err), ExitCode::kFailure);
+  EXPECT_NE(err.str().find("cannot listen on " + path), std::string::npos)
+      << err.str();
+  EXPECT_NE(err.str().find("107-byte limit"), std::string::npos) << err.str();
+}
+
 TEST(CliRequest, UnreachableSocketFails) {
   std::string missing = ::testing::TempDir() + "no_such_server.sock";
   std::string file = ::testing::TempDir() + "request_input.loop";

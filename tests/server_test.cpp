@@ -3,18 +3,21 @@
 // over all three transports (stdio, Unix socket, TCP) -- byte-identity
 // with direct session runs, load-shedding at a full queue, single-flight
 // coalescing of identical requests, deadline expiry, graceful drain,
-// dead-client teardown, concurrent clients sharing one warm cache, and
-// cache hits answered at admission (never shed, one lookup per request).
+// dead-client teardown, concurrent clients sharing one warm cache, cache
+// hits answered at admission (never shed, one lookup per request), and the
+// socket loop's guarantees on both socket transports (a client that never
+// reads pins nothing, the 16 MiB line cap, line framing across writes).
 
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
-#include <sys/un.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <filesystem>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -611,24 +614,22 @@ std::string test_socket_path(const char* name) {
   return path;
 }
 
-// One-shot client: connect, send `line`, read one response line.
-std::string roundtrip(const std::string& path, const std::string& line) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) return "";
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
-    return "";
-  }
+void send_all(int fd, const std::string& line) {
   std::string framed = line + '\n';
   size_t sent = 0;
   while (sent < framed.size()) {
-    ssize_t n = ::send(fd, framed.data() + sent, framed.size() - sent, 0);
+    ssize_t n = ::send(fd, framed.data() + sent, framed.size() - sent,
+                       MSG_NOSIGNAL);
     if (n <= 0) break;
     sent += static_cast<size_t>(n);
   }
+}
+
+// One-shot exchange over a connected fd (closed here; -1 yields ""):
+// send `line`, half-close, read one response line.
+std::string exchange_one(int fd, const std::string& line) {
+  if (fd < 0) return "";
+  send_all(fd, line);
   ::shutdown(fd, SHUT_WR);  // one request per connection
   std::string response;
   char chunk[4096];
@@ -643,6 +644,11 @@ std::string roundtrip(const std::string& path, const std::string& line) {
   }
   ::close(fd);
   return response;
+}
+
+// One-shot Unix-socket client: connect, send `line`, read one response.
+std::string roundtrip(const std::string& path, const std::string& line) {
+  return exchange_one(unix_connect(path), line);
 }
 
 TEST(Server, SocketConcurrentClientsShareOneCacheAndDrainCleanly) {
@@ -714,31 +720,6 @@ TEST(Server, SocketStopWithoutClientsExitsCleanly) {
   server.request_stop();
   serving.join();  // poll loop notices within ~100ms
   EXPECT_TRUE(server.stopped());
-}
-
-// Connect-only unix client (the disconnect tests need a raw fd).
-int unix_connect(const std::string& path) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
-
-void send_all(int fd, const std::string& line) {
-  std::string framed = line + '\n';
-  size_t sent = 0;
-  while (sent < framed.size()) {
-    ssize_t n = ::send(fd, framed.data() + sent, framed.size() - sent,
-                       MSG_NOSIGNAL);
-    if (n <= 0) break;
-    sent += static_cast<size_t>(n);
-  }
 }
 
 TEST(Server, SocketClientKilledMidFlightDoesNotLoseOthersOrLeakReaders) {
@@ -819,23 +800,7 @@ TEST(Tcp, ParseHostPort) {
 
 // One-shot TCP client: connect, send `line`, read one response line.
 std::string tcp_roundtrip(int port, const std::string& line) {
-  int fd = tcp_connect("127.0.0.1", port);
-  if (fd < 0) return "";
-  send_all(fd, line);
-  ::shutdown(fd, SHUT_WR);  // half-close: the response must still arrive
-  std::string response;
-  char chunk[4096];
-  ssize_t n;
-  while ((n = ::recv(fd, chunk, sizeof chunk, 0)) > 0) {
-    response.append(chunk, static_cast<size_t>(n));
-    size_t nl = response.find('\n');
-    if (nl != std::string::npos) {
-      response.resize(nl);
-      break;
-    }
-  }
-  ::close(fd);
-  return response;
+  return exchange_one(tcp_connect("127.0.0.1", port), line);
 }
 
 // Binds port 0 and waits for the kernel-assigned port to surface.
@@ -872,7 +837,7 @@ TEST(Server, TcpResponseIsByteIdenticalToSessionPayload) {
   server.request_stop();
   serving.join();
   EXPECT_EQ(server.metrics().counter("serve.completed"), 1);
-  EXPECT_EQ(server.metrics().gauge_value("serve.tcp_conns_opened"), 1.0);
+  EXPECT_EQ(server.metrics().counter("serve.conn_opened"), 1);
 }
 
 TEST(Server, TcpConcurrentClientsAllAnswered) {
@@ -937,9 +902,241 @@ TEST(Server, TcpClientVanishingMidFlightDoesNotLoseOthers) {
   // Both requests were admitted and completed; A's bytes were dropped at
   // its dead socket without disturbing the loop or a worker.
   EXPECT_EQ(server.metrics().counter("serve.completed"), 2);
-  EXPECT_EQ(server.metrics().gauge_value("serve.tcp_conns_opened"), 2.0);
-  EXPECT_EQ(server.metrics().gauge_value("serve.tcp_conns_closed"), 2.0);
+  EXPECT_EQ(server.metrics().counter("serve.conn_opened"), 2);
+  EXPECT_EQ(server.metrics().counter("serve.conn_closed"), 2);
 }
+
+// ---- both socket transports ------------------------------------------------
+//
+// serve_socket and serve_tcp run one event loop; these tests hold each
+// transport to the same guarantees.
+
+enum class Transport { kUnix, kTcp };
+
+const char* transport_name(Transport t) {
+  return t == Transport::kUnix ? "unix" : "tcp";
+}
+
+void PrintTo(Transport t, std::ostream* os) { *os << transport_name(t); }
+
+void set_timeouts(int fd, int seconds) {
+  timeval tv{};
+  tv.tv_sec = seconds;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
+}
+
+// Reads until EOF, error, or the receive timeout; returns every byte.
+std::string read_all(int fd) {
+  std::string text;
+  char chunk[4096];
+  ssize_t n;
+  while ((n = ::recv(fd, chunk, sizeof chunk, 0)) > 0) {
+    text.append(chunk, static_cast<size_t>(n));
+  }
+  return text;
+}
+
+// fir with `n` outputs: a distinct cold request per n.
+std::string fir_source(int n) {
+  return "array y[" + std::to_string(n) + "];\narray x[" +
+         std::to_string(n + 8) + "];\narray h[8];\nfor i = 1 to " +
+         std::to_string(n) +
+         "\n  for k = 1 to 8\n    {\n      y[i] = y[i] + x[i + k] + h[k];\n"
+         "    }\n";
+}
+
+// One AnalysisServer serving the parameter's transport on a background
+// thread, and blocking client connections to it.
+class SocketTransport : public ::testing::TestWithParam<Transport> {
+ protected:
+  // Starts serving and waits until a client can connect.  `tag` names the
+  // Unix socket file, so concurrently running tests never share one.
+  void start(ServerOptions opts, const std::string& tag) {
+    server_ = std::make_unique<AnalysisServer>(std::move(opts));
+    if (GetParam() == Transport::kUnix) {
+      path_ = test_socket_path(("lmre_" + tag + ".sock").c_str());
+      serving_ = std::thread([this] {
+        EXPECT_EQ(server_->serve_socket(path_), ExitCode::kSuccess);
+      });
+    } else {
+      serving_ = std::thread([this] {
+        EXPECT_EQ(server_->serve_tcp("127.0.0.1", 0), ExitCode::kSuccess);
+      });
+    }
+    int fd = -1;
+    for (int i = 0; i < 500 && (fd = connect()) < 0; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    ASSERT_GE(fd, 0) << "server never came up";
+    ::close(fd);
+  }
+
+  // A blocking client connection, or -1.
+  int connect() {
+    if (GetParam() == Transport::kUnix) return unix_connect(path_);
+    int port = server_->tcp_port();
+    return port < 0 ? -1 : tcp_connect("127.0.0.1", port);
+  }
+
+  // request_stop() and join the serving thread; returns the seconds taken.
+  double stop() {
+    auto t0 = std::chrono::steady_clock::now();
+    server_->request_stop();
+    serving_.join();
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+        .count();
+  }
+
+  void TearDown() override {
+    if (serving_.joinable()) stop();
+    if (!path_.empty()) ::unlink(path_.c_str());
+  }
+
+  AnalysisServer& server() { return *server_; }
+
+ private:
+  std::unique_ptr<AnalysisServer> server_;
+  std::string path_;
+  std::thread serving_;  // uses the members above; joined in TearDown
+};
+
+TEST_P(SocketTransport, ClientThatNeverReadsDoesNotPinAWorker) {
+  ServerOptions opts;
+  opts.workers = 1;
+  ASSERT_NO_FATAL_FAILURE(start(opts, "never_reads"));
+
+  // Client A pipelines distinct cold codegen requests (~12 KB of C each)
+  // and never reads: far more response bytes than any socket buffer holds.
+  constexpr int kRequests = 400;
+  int a = connect();
+  ASSERT_GE(a, 0);
+  set_timeouts(a, 10);
+  for (int i = 0; i < kRequests; ++i) {
+    send_all(a, request_line(std::to_string(i), fir_source(64 + i), "codegen"));
+  }
+  // Every A request is computed or shed; its answers wait in A's buffer,
+  // not in a worker blocked on A's socket.
+  Metrics& m = server().metrics();
+  for (int i = 0; i < 1000 && m.counter("serve.completed") +
+                                      m.counter("serve.overloaded") <
+                                  kRequests;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(m.counter("serve.completed") + m.counter("serve.overloaded"),
+            kRequests);
+
+  // Client B's cold lint request needs the only worker.
+  int b = connect();
+  ASSERT_GE(b, 0);
+  set_timeouts(b, 10);
+  std::string response =
+      exchange_one(b, request_line("\"b\"", kFirSource, "lint"));
+  ASSERT_FALSE(response.empty()) << "a client that never reads pinned the worker";
+  auto doc = response_for({response}, "\"b\"");
+  ASSERT_TRUE(doc.has_value()) << response;
+  EXPECT_EQ(wire_status(*doc), 0);
+
+  // Shutdown cannot be held hostage by A's unread bytes either.
+  EXPECT_LT(stop(), 10.0);
+  ::close(a);
+}
+
+TEST_P(SocketTransport, LineOverTheCapDropsOnlyThatConnection) {
+  ASSERT_NO_FATAL_FAILURE(start(ServerOptions{}, "line_cap"));
+
+  // 17 MiB with no newline: past the 16 MiB line cap.
+  int big = connect();
+  ASSERT_GE(big, 0);
+  set_timeouts(big, 10);
+  const std::string junk(17u << 20, 'x');
+  size_t sent = 0;
+  while (sent < junk.size()) {
+    ssize_t n = ::send(big, junk.data() + sent, junk.size() - sent,
+                       MSG_NOSIGNAL);
+    if (n <= 0) break;  // EPIPE / ECONNRESET: already dropped
+    sent += static_cast<size_t>(n);
+  }
+  char byte = 0;
+  ssize_t n = ::recv(big, &byte, 1, 0);
+  const int recv_errno = errno;
+  // EOF or a reset; a receive timeout means the connection is still open.
+  EXPECT_TRUE(n == 0 || (n < 0 && recv_errno != EAGAIN &&
+                         recv_errno != EWOULDBLOCK))
+      << "connection still open after a " << sent << "-byte line";
+  ::close(big);
+
+  int c = connect();
+  ASSERT_GE(c, 0);
+  set_timeouts(c, 10);
+  std::string response =
+      exchange_one(c, request_line("\"after\"", kFirSource, "lint"));
+  auto doc = response_for({response}, "\"after\"");
+  ASSERT_TRUE(doc.has_value()) << "other clients must still be served";
+  EXPECT_EQ(wire_status(*doc), 0);
+}
+
+TEST_P(SocketTransport, FramesLinesSplitAcrossWritesAndSharingOne) {
+  ASSERT_NO_FATAL_FAILURE(start(ServerOptions{}, "framing"));
+  struct Line {
+    const char* id;
+    const char* source;
+    const char* kind;
+    AnalysisRequest::Kind session_kind;
+  };
+  const Line lines[] = {
+      {"1", kFirSource, "full", AnalysisRequest::Kind::kFull},
+      {"2", kFirSource, "lint", AnalysisRequest::Kind::kLint},
+      {"3", kMatmultSource, "analyze", AnalysisRequest::Kind::kAnalyze},
+      {"4", kMatmultSource, "lint", AnalysisRequest::Kind::kLint},
+  };
+  std::string text[4];
+  for (int i = 0; i < 4; ++i) {
+    text[i] = request_line(lines[i].id, lines[i].source, lines[i].kind) + "\n";
+  }
+
+  int fd = connect();
+  ASSERT_GE(fd, 0);
+  set_timeouts(fd, 10);
+  auto send_raw = [fd](const std::string& bytes) {
+    ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(bytes.size()));
+  };
+  // Line 1 a few bytes at a time, each piece its own read on the server.
+  for (size_t i = 0; i < text[0].size(); i += 3) {
+    send_raw(text[0].substr(i, 3));
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // Lines 2 and 3 in one write, with the head of line 4 behind them.
+  const size_t half = text[3].size() / 2;
+  send_raw(text[1] + text[2] + text[3].substr(0, half));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  send_raw(text[3].substr(half));
+  ::shutdown(fd, SHUT_WR);
+  std::vector<std::string> responses = lines_of(read_all(fd));
+  ::close(fd);
+
+  ASSERT_EQ(responses.size(), 4u);
+  AnalysisSession direct;
+  for (const Line& line : lines) {
+    auto doc = response_for(responses, line.id);
+    ASSERT_TRUE(doc.has_value()) << "no response for id " << line.id;
+    EXPECT_EQ(wire_status(*doc), 0) << line.id;
+    const WireValue* payload = doc->find("result")->find("result");
+    ASSERT_NE(payload, nullptr) << line.id;
+    EXPECT_EQ(payload->raw,
+              direct.run({line.source, "x.loop", line.session_kind}).payload)
+        << line.id;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Server, SocketTransport,
+    ::testing::Values(Transport::kUnix, Transport::kTcp),
+    [](const ::testing::TestParamInfo<Transport>& info) {
+      return std::string(transport_name(info.param));
+    });
 
 // ---- admission-time cache hits ---------------------------------------------
 
@@ -974,12 +1171,7 @@ std::vector<std::string> tcp_exchange(int port,
   if (fd < 0) return {};
   for (const std::string& line : lines) send_all(fd, line);
   ::shutdown(fd, SHUT_WR);
-  std::string text;
-  char chunk[4096];
-  ssize_t n;
-  while ((n = ::recv(fd, chunk, sizeof chunk, 0)) > 0) {
-    text.append(chunk, static_cast<size_t>(n));
-  }
+  std::string text = read_all(fd);
   ::close(fd);
   return lines_of(text);
 }

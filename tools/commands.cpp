@@ -1,7 +1,6 @@
 #include "tools/commands.h"
 
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -9,7 +8,6 @@
 #include <chrono>
 #include <cmath>
 #include <csignal>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
@@ -804,9 +802,10 @@ ExitCode cmd_serve(const ServeCliOptions& opts, std::istream& in,
       err << "serve: " << (terr.empty() ? "cannot listen" : terr) << '\n';
     }
   } else {
-    rc = server.serve_socket(opts.socket);
+    std::string uerr;
+    rc = server.serve_socket(opts.socket, &uerr);
     if (rc != ExitCode::kSuccess) {
-      err << "serve: cannot listen on " << opts.socket << '\n';
+      err << "serve: cannot listen on " << opts.socket << ": " << uerr << '\n';
     }
   }
 
@@ -852,19 +851,11 @@ ExitCode cmd_request(const std::string& source, const std::string& file,
       return ExitCode::kFailure;
     }
   } else {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (opts.socket.size() >= sizeof(addr.sun_path)) {
-      err << "request: socket path too long\n";
-      return ExitCode::kFailure;
-    }
-    std::strncpy(addr.sun_path, opts.socket.c_str(),
-                 sizeof(addr.sun_path) - 1);
-    fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0 ||
-        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-      if (fd >= 0) ::close(fd);
-      err << "request: cannot connect to " << opts.socket << '\n';
+    std::string uerr;
+    fd = unix_connect(opts.socket, &uerr);
+    if (fd < 0) {
+      err << "request: cannot connect to " << opts.socket << ": " << uerr
+          << '\n';
       return ExitCode::kFailure;
     }
   }
