@@ -194,13 +194,16 @@ echo "== tier 1: ASan+UBSan pass over the input-handling suites =="
 # (golden analyze/optimize/codegen/verify documents, JSON envelopes): the
 # verbs render from the same per-kind handlers batch and serve run.  Plus
 # server_test: one socket loop frames untrusted bytes for both the TCP and
-# the Unix-domain transport.
+# the Unix-domain transport.  Plus the dependence / Fourier-Motzkin /
+# lex-min differential suites: the echelon lex-min search and the in-place
+# elimination rows index their buffers by hand.
 # (check_alloc_test replaces operator new and stays out of this stage.)
 cmake -B build-asan -S . -DLMRE_SANITIZE=address,undefined >/dev/null
 cmake --build build-asan -j "$JOBS" \
   --target parser_test lint_test cli_tool_test minimizer_test report_test \
   runtime_test support_test vec_mat_test scanner_box_test golden_cli_test \
-  golden_codegen_test golden_verify_test json_test server_test
+  golden_codegen_test golden_verify_test json_test server_test \
+  dependence_test fourier_motzkin_test property_lattice_test
 ./build-asan/tests/parser_test
 ./build-asan/tests/lint_test
 ./build-asan/tests/cli_tool_test
@@ -215,6 +218,9 @@ cmake --build build-asan -j "$JOBS" \
 ./build-asan/tests/golden_verify_test
 ./build-asan/tests/json_test
 ./build-asan/tests/server_test
+./build-asan/tests/dependence_test
+./build-asan/tests/fourier_motzkin_test
+./build-asan/tests/property_lattice_test
 
 echo "== tier 1: symbolic-smoke (ASan differential subset + golden check) =="
 # The symbolic closed forms must stay oracle-exact under ASan+UBSan: run

@@ -2,7 +2,6 @@
 
 #include "analysis/nonuniform.h"
 #include "analysis/reuse.h"
-#include "dependence/lattice.h"
 #include "linalg/diophantine.h"
 #include "linalg/kernel.h"
 #include "support/error.h"
@@ -21,41 +20,33 @@ std::string to_string(DistinctMethod m) {
 
 namespace {
 
-// Sum of overlap volumes of every other reference against the anchor `s`:
-// the paper's "r-1 dependences due to all the other references" (Sec 3.1).
-// `unique_distance` == true means the access matrix is injective, so each
-// pair has at most one distance; otherwise the lex-min positive realizable
-// distance is used.
-Int anchor_reuse(const std::vector<ArrayRef>& refs, size_t s, const IntBox& box,
-                 bool unique_distance) {
-  const IntMat& acc = refs[s].access;
-  Int total = 0;
-  for (size_t i = 0; i < refs.size(); ++i) {
-    if (i == s) continue;
-    IntVec c = refs[i].offset - refs[s].offset;
-    if (unique_distance) {
-      auto sol = solve_diophantine(acc, c);
+// Best (largest) anchor reuse over all anchor choices.  An anchor's reuse
+// is the sum of overlap volumes of every other reference against it: the
+// paper's "r-1 dependences due to all the other references" (Sec 3.1).  The
+// paper picks "a node which is a sink to the dependence vectors from each
+// of the remaining r-1 nodes" -- maximizing makes the distinct estimate
+// tightest and agrees with the paper's symmetric examples.  The access
+// matrix is injective, so each pair has at most one distance, d for one
+// orientation and -d for the other, and both overlap by the same volume:
+// one solve per unordered pair.
+Int best_anchor_reuse(const std::vector<ArrayRef>& refs, const IntBox& box) {
+  const size_t r = refs.size();
+  const IntMat& acc = refs.front().access;
+  // volume[s][i] == volume[i][s]: overlap of references i and s.
+  std::vector<std::vector<Int>> volume(r, std::vector<Int>(r, 0));
+  for (size_t s = 0; s < r; ++s) {
+    for (size_t i = s + 1; i < r; ++i) {
+      auto sol = solve_diophantine(acc, refs[i].offset - refs[s].offset);
       if (!sol) continue;  // images never overlap
-      ensure(sol->kernel.empty(), "anchor_reuse: expected injective access");
-      total = checked_add(total, reuse_volume(sol->particular, box));
-    } else {
-      auto d = lexmin_positive_solution(acc, c, box);
-      if (!d && !c.is_zero()) d = lexmin_positive_solution(acc, -c, box);
-      if (d) total = checked_add(total, reuse_volume(*d, box));
+      ensure(sol->kernel.empty(), "best_anchor_reuse: expected injective access");
+      volume[s][i] = volume[i][s] = reuse_volume(sol->particular, box);
     }
   }
-  return total;
-}
-
-// Best (largest) anchor reuse over all anchor choices; the paper picks "a
-// node which is a sink to the dependence vectors from each of the remaining
-// r-1 nodes" -- maximizing makes the distinct estimate tightest and agrees
-// with the paper's symmetric examples.
-Int best_anchor_reuse(const std::vector<ArrayRef>& refs, const IntBox& box,
-                      bool unique_distance) {
   Int best = 0;
-  for (size_t s = 0; s < refs.size(); ++s) {
-    best = std::max(best, anchor_reuse(refs, s, box, unique_distance));
+  for (size_t s = 0; s < r; ++s) {
+    Int total = 0;
+    for (size_t i = 0; i < r; ++i) total = checked_add(total, volume[s][i]);
+    best = std::max(best, total);
   }
   return best;
 }
@@ -89,7 +80,7 @@ DistinctEstimate estimate_distinct(const LoopNest& nest, ArrayId array) {
       est.exact_claimed = true;
       return est;
     }
-    est.reuse = best_anchor_reuse(refs, box, /*unique_distance=*/true);
+    est.reuse = best_anchor_reuse(refs, box);
     est.distinct = checked_sub(checked_mul(r, volume), est.reuse);
     est.exact_claimed = (r == 2);
     return est;

@@ -112,12 +112,14 @@ DependenceInfo analyze_dependences(const LoopNest& nest) {
       for (size_t b = a + 1; b < members.size(); ++b) {
         size_t i = members[a], j = members[b];
         IntVec cij = refs[i].offset - refs[j].offset;
-        // ref_i at the earlier iteration, ref_j at the later: A d == c_ij.
-        if (auto d = lexmin_positive_solution(acc, cij, box)) {
-          add_edge(i, j, classify(refs[i].kind, refs[j].kind), *d);
+        // ref_i at the earlier iteration, ref_j at the later: A d == c_ij;
+        // the backward orientation (A d == -c_ij) swaps their roles.
+        LexminPair d = lexmin_positive_solutions(acc, cij, box);
+        if (d.forward) {
+          add_edge(i, j, classify(refs[i].kind, refs[j].kind), *d.forward);
         }
-        if (auto d = lexmin_positive_solution(acc, -cij, box)) {
-          add_edge(j, i, classify(refs[j].kind, refs[i].kind), *d);
+        if (d.backward) {
+          add_edge(j, i, classify(refs[j].kind, refs[i].kind), *d.backward);
         }
       }
     }

@@ -1,59 +1,81 @@
 #include "dependence/lattice.h"
 
+#include <limits>
+#include <vector>
+
+#include "linalg/normal_form.h"
 #include "polyhedra/scanner.h"
 #include "support/error.h"
 
 namespace lmre {
 
-std::vector<IntVec> realizable_solutions(const IntMat& a, const IntVec& c,
-                                         const IntBox& box) {
-  require(a.cols() == box.dims(), "realizable_solutions: shape mismatch");
-  std::vector<IntVec> out;
+namespace {
+
+bool realizable(const IntVec& d, const IntBox& box) {
+  for (size_t k = 0; k < d.size(); ++k) {
+    if (checked_abs(d[k]) > box.range(k).trip_count() - 1) return false;
+  }
+  return true;
+}
+
+// Lex-min positive realizable d = p + H t over integer t, where H's columns
+// are in column-echelon form (strictly increasing pivot rows, positive
+// pivots), so t -> d preserves lexicographic order.  A d with more leading
+// zeros is lex-smaller, hence the deepest level with a point wins, and
+// within a level the lex-first t is the lex-min d.
+std::optional<IntVec> echelon_lexmin(const IntVec& p, const IntMat& h,
+                                     const IntBox& box) {
+  const size_t n = p.size();
+  const size_t kdim = h.cols();
+  if (kdim == 0) {
+    if (p.lex_positive() && realizable(p, box)) return p;
+    return std::nullopt;
+  }
+  // d_k as an affine function of t.
+  std::vector<AffineExpr> d(n);
+  for (size_t k = 0; k < n; ++k) d[k] = AffineExpr(h.row(k), p[k]);
+  for (size_t l = n; l-- > 0;) {
+    ConstraintSystem sys(kdim);
+    for (size_t k = 0; k < n; ++k) {
+      if (k < l) {
+        sys.add_equality(d[k], 0);
+      } else {
+        Int m = box.range(k).trip_count() - 1;
+        sys.add_range(d[k], k == l ? 1 : -m, m);
+      }
+    }
+    if (sys.trivially_empty()) continue;
+    FirstPointResult first =
+        first_point(sys, std::numeric_limits<Int>::max());
+    ensure(first.complete, "lexmin search ran out of an unbounded budget");
+    if (first.point) return p + h * *first.point;
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
+LexminPair lexmin_positive_solutions(const IntMat& a, const IntVec& c,
+                                     const IntBox& box) {
+  require(a.cols() == box.dims(), "lexmin_positive_solutions: shape mismatch");
+  LexminPair out;
   auto sol = solve_diophantine(a, c);
   if (!sol) return out;
 
-  const size_t n = box.dims();
-  const size_t kdim = sol->kernel.size();
+  IntMat h = sol->kernel.empty()
+                 ? IntMat(box.dims(), 0)
+                 : column_hermite(IntMat::from_rows(sol->kernel).transposed()).h;
+  out.forward = echelon_lexmin(sol->particular, h, box);
+  out.backward = c.is_zero() ? out.forward
+                             : echelon_lexmin(-sol->particular, h, box);
 
-  auto realizable = [&](const IntVec& d) {
-    for (size_t k = 0; k < n; ++k) {
-      if (checked_abs(d[k]) > box.range(k).trip_count() - 1) return false;
-    }
-    return true;
+  auto check = [&](const std::optional<IntVec>& d, const IntVec& rhs) {
+    ensure(!d || (a * *d == rhs && realizable(*d, box) && d->lex_positive()),
+           "lexmin search returned a distance off the lattice or the box");
   };
-
-  if (kdim == 0) {
-    if (realizable(sol->particular)) out.push_back(sol->particular);
-    return out;
-  }
-
-  // d = particular + K t ; constrain each component into
-  // [-(trip_k - 1), trip_k - 1] and scan the resulting polytope over t.
-  ConstraintSystem sys(kdim);
-  for (size_t k = 0; k < n; ++k) {
-    IntVec row(kdim);
-    for (size_t j = 0; j < kdim; ++j) row[j] = sol->kernel[j][k];
-    AffineExpr expr(row, sol->particular[k]);
-    Int m = box.range(k).trip_count() - 1;
-    sys.add_range(expr, -m, m);
-  }
-  scan(sys, [&](const IntVec& t) {
-    IntVec d = sol->particular;
-    for (size_t j = 0; j < kdim; ++j) d = d + sol->kernel[j] * t[j];
-    ensure(realizable(d), "lattice scan produced unrealizable distance");
-    out.push_back(d);
-  });
+  check(out.forward, c);
+  check(out.backward, -c);
   return out;
-}
-
-std::optional<IntVec> lexmin_positive_solution(const IntMat& a, const IntVec& c,
-                                               const IntBox& box) {
-  std::optional<IntVec> best;
-  for (const IntVec& d : realizable_solutions(a, c, box)) {
-    if (!d.lex_positive()) continue;
-    if (!best || d.lex_less(*best)) best = d;
-  }
-  return best;
 }
 
 }  // namespace lmre

@@ -7,31 +7,45 @@
 
 namespace lmre {
 
-Constraint Constraint::normalized() const {
+namespace {
+
+// Divides all coefficients and the constant by their gcd, in place.
+void normalize(AffineExpr& expr) {
   Int g = expr.coeffs().content();
-  if (g <= 1) return *this;
-  IntVec c(expr.dims());
-  for (size_t i = 0; i < expr.dims(); ++i) c[i] = expr.coeff(i) / g;
+  if (g <= 1) return;
+  for (size_t i = 0; i < expr.dims(); ++i) expr.set_coeff(i, expr.coeff(i) / g);
   // expr >= 0  <=>  coeffs/g . x >= -constant/g ; floor on the negated
   // constant keeps all integer solutions and may cut fractional ones.
-  return Constraint{AffineExpr(std::move(c), floor_div(expr.constant(), g))};
+  expr.set_constant(floor_div(expr.constant(), g));
+}
+
+}  // namespace
+
+Constraint Constraint::normalized() const {
+  Constraint c = *this;
+  normalize(c.expr);
+  return c;
 }
 
 std::ostream& operator<<(std::ostream& os, const Constraint& c) {
   return os << c.expr.str() << " >= 0";
 }
 
-void ConstraintSystem::add(const AffineExpr& expr) {
+void ConstraintSystem::add(const AffineExpr& expr) { add(AffineExpr(expr)); }
+
+void ConstraintSystem::add(AffineExpr&& expr) {
   require(expr.dims() == dims_, "ConstraintSystem::add dims mismatch");
-  Constraint c = Constraint{expr}.normalized();
+  normalize(expr);
   for (auto& existing : cs_) {
-    if (existing.expr.coeffs() == c.expr.coeffs()) {
+    if (existing.expr.coeffs() == expr.coeffs()) {
       // Same left-hand side: keep the tighter (smaller) constant.
-      if (c.expr.constant() < existing.expr.constant()) existing = c;
+      if (expr.constant() < existing.expr.constant()) {
+        existing.expr.set_constant(expr.constant());
+      }
       return;
     }
   }
-  cs_.push_back(c);
+  cs_.push_back(Constraint{std::move(expr)});
 }
 
 void ConstraintSystem::add_range(const AffineExpr& expr, Int lo, Int hi) {

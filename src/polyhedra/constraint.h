@@ -42,6 +42,9 @@ class ConstraintSystem {
   /// dominated by an existing one with identical coefficients are dropped).
   void add(const AffineExpr& expr);
 
+  /// As above, normalizing `expr` in place and moving it in.
+  void add(AffineExpr&& expr);
+
   /// Adds lo <= expr <= hi as two constraints.
   void add_range(const AffineExpr& expr, Int lo, Int hi);
 

@@ -34,27 +34,38 @@ bool LoopBounds::range(size_t k, const IntVec& outer, Int& lo, Int& hi) const {
 
 ConstraintSystem eliminate_variable(const ConstraintSystem& system, size_t var) {
   require(var < system.dims(), "eliminate_variable: var out of range");
-  ConstraintSystem out(system.dims());
-  std::vector<Constraint> lowers, uppers;
+  const size_t n = system.dims();
+  ConstraintSystem out(n);
+  std::vector<const AffineExpr*> lowers, uppers;
   for (const auto& c : system.constraints()) {
     Int a = c.expr.coeff(var);
     if (a > 0) {
-      lowers.push_back(c);  // a*x + f >= 0  =>  x >= -f/a
+      lowers.push_back(&c.expr);  // a*x + f >= 0  =>  x >= -f/a
     } else if (a < 0) {
-      uppers.push_back(c);  // -q*x + g >= 0  =>  x <= g/q
+      uppers.push_back(&c.expr);  // -q*x + g >= 0  =>  x <= g/q
     } else {
       out.add(c.expr);
     }
   }
   // Combine every (lower, upper) pair:  x >= -f/p  and  x <= g/q  imply
-  // q*f + p*g >= 0.
-  for (const auto& l : lowers) {
-    Int p = l.expr.coeff(var);
-    for (const auto& u : uppers) {
-      Int q = checked_neg(u.expr.coeff(var));
-      AffineExpr combined = l.expr * q + u.expr * p;
-      ensure(combined.coeff(var) == 0, "FM combination kept the variable");
-      out.add(combined);
+  // q*f + p*g >= 0.  Each row is built once, in place; the checked
+  // products and sums run in the order `l * q + u * p` runs them (every
+  // product before any sum), so an overflow reports the same error.
+  std::vector<Int> scaled_upper(n);
+  for (const AffineExpr* l : lowers) {
+    Int p = l->coeff(var);
+    for (const AffineExpr* u : uppers) {
+      Int q = checked_neg(u->coeff(var));
+      IntVec row(n);
+      for (size_t i = 0; i < n; ++i) row[i] = checked_mul(l->coeffs()[i], q);
+      Int constant = checked_mul(l->constant(), q);
+      for (size_t i = 0; i < n; ++i) {
+        scaled_upper[i] = checked_mul(u->coeffs()[i], p);
+      }
+      Int upper_constant = checked_mul(u->constant(), p);
+      for (size_t i = 0; i < n; ++i) row[i] = checked_add(row[i], scaled_upper[i]);
+      ensure(row[var] == 0, "FM combination kept the variable");
+      out.add(AffineExpr(std::move(row), checked_add(constant, upper_constant)));
     }
   }
   return out;

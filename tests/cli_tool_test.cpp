@@ -57,6 +57,25 @@ TEST(CliAnalyze, MultiPhase) {
   EXPECT_NE(out.str().find("whole-program window: 8"), std::string::npos);
 }
 
+TEST(CliAnalyze, HugeRankOneNestFinishes) {
+  // 10^15 iterations: the lex-min distances are searched, not enumerated,
+  // so analyze answers at once (the exact window is skipped by the verify
+  // limit); the ctest TIMEOUT catches a regression to enumeration.
+  std::ostringstream out;
+  EXPECT_EQ(cmd_analyze(R"(
+    array A[300000];
+    for i = 0 to 99999
+      for j = 0 to 99999
+        for k = 0 to 99999
+          { A[i + j + k + 2] = A[i + j + k]; }
+  )",
+                        out),
+            ExitCode::kSuccess);
+  std::string s = out.str();
+  EXPECT_NE(s.find("flow (0, 0, 2) (=, =, <) level 3"), std::string::npos) << s;
+  EXPECT_NE(s.find("anti (0, 1, -3) (=, <, >) level 2"), std::string::npos) << s;
+}
+
 TEST(CliAnalyze, ParseErrorPropagates) {
   // run_cli formats ParseError as file:line:col (exit kDiagnostics); the
   // cmd_* functions let it propagate instead of flattening it to text.

@@ -6,9 +6,13 @@
 #include "dependence/dependence.h"
 #include "dependence/lattice.h"
 #include "ir/builder.h"
+#include "ir/parser.h"
+#include "lattice_reference.h"
 
 namespace lmre {
 namespace {
+
+using test::realizable_solutions;
 
 bool has_distance(const std::vector<IntVec>& ds, const IntVec& d) {
   return std::find(ds.begin(), ds.end(), d) != ds.end();
@@ -36,12 +40,11 @@ TEST(Lattice, RealizableSolutionsOfExample8Flow) {
 
 TEST(Lattice, LexminPositive) {
   IntBox box = IntBox::from_upper_bounds({25, 10});
-  auto d = lexmin_positive_solution(IntMat{{2, 5}}, IntVec{-4}, box);
-  ASSERT_TRUE(d.has_value());
-  EXPECT_EQ(*d, (IntVec{3, -2}));
-  d = lexmin_positive_solution(IntMat{{2, 5}}, IntVec{4}, box);
-  ASSERT_TRUE(d.has_value());
-  EXPECT_EQ(*d, (IntVec{2, 0}));
+  LexminPair d = lexmin_positive_solutions(IntMat{{2, 5}}, IntVec{-4}, box);
+  ASSERT_TRUE(d.forward.has_value());
+  EXPECT_EQ(*d.forward, (IntVec{3, -2}));
+  ASSERT_TRUE(d.backward.has_value());  // 2x + 5y == 4
+  EXPECT_EQ(*d.backward, (IntVec{2, 0}));
 }
 
 TEST(Lattice, UniqueSolutionCase) {
@@ -169,6 +172,18 @@ TEST(Dependence, SummaryRendersAllEdges) {
   EXPECT_NE(s.find("output (5, -2)"), std::string::npos);
   std::string nu = summarize_dependences(analyze_dependences(codes::example_6()));
   EXPECT_NE(nu.find("non-uniformly generated"), std::string::npos);
+}
+
+TEST(Dependence, HugeRankOneNestIsSearchedNotEnumerated) {
+  // 10^15 iterations, a kernel lattice of dimension 2: the lex-min
+  // distances come from a search whose work does not grow with the box.
+  LoopNest nest = parse_nest(
+      "array A[300000];\n"
+      "for i = 0 to 99999\n  for j = 0 to 99999\n    for k = 0 to 99999\n"
+      "      { A[i + j + k + 2] = A[i + j + k]; }\n");
+  DependenceInfo info = analyze_dependences(nest);
+  EXPECT_TRUE(has_dep(info, DepKind::kFlow, IntVec{0, 0, 2}));
+  EXPECT_TRUE(has_dep(info, DepKind::kAnti, IntVec{0, 1, -3}));
 }
 
 TEST(Dependence, Sec23TwoArrays) {

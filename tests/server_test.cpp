@@ -16,6 +16,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <memory>
 #include <mutex>
@@ -160,8 +161,9 @@ const char* kFirSource =
     "for i = 1 to 256\n  for k = 1 to 8\n"
     "    {\n      y[i] = y[i] + x[i + k] + h[k];\n    }\n";
 
-// Heavy enough (3-deep nest, full pipeline with optimize search) that a
-// worker is measurably busy while follow-up lines are admitted.
+// A 3-deep nest through the full pipeline with optimize search.  Tests
+// that need the worker busy while they admit follow-up lines hold it with
+// a GatedSink instead of relying on how long this takes to compute.
 const char* kMatmultSource =
     "array C[16][16];\narray A[16][16];\narray B[16][16];\n"
     "for i = 1 to 16\n  for j = 1 to 16\n    for k = 1 to 16\n"
@@ -374,26 +376,70 @@ class CollectingSink : public ResponseSink {
   std::vector<std::string> lines_;
 };
 
+// A CollectingSink that can hold the worker answering one request: the
+// response line for the id passed to hold() blocks in write_line until
+// release(), so lines admitted in between find that worker busy however
+// fast the held request computes.  The wait gives up after 10 s, so a test
+// that fails before release() still drains.
+class GatedSink : public CollectingSink {
+ public:
+  void hold(const std::string& id_json) {
+    std::lock_guard<std::mutex> lock(gate_mu_);
+    held_id_ = id_json;
+    open_ = false;
+  }
+  void release() {
+    {
+      std::lock_guard<std::mutex> lock(gate_mu_);
+      open_ = true;
+    }
+    gate_cv_.notify_all();
+  }
+  void write_line(const std::string& line) override {
+    {
+      std::unique_lock<std::mutex> lock(gate_mu_);
+      if (!open_ && response_for({line}, held_id_)) {
+        gate_cv_.wait_for(lock, std::chrono::seconds(10), [this] { return open_; });
+      }
+    }
+    CollectingSink::write_line(line);
+  }
+
+ private:
+  std::mutex gate_mu_;
+  std::condition_variable gate_cv_;
+  std::string held_id_;
+  bool open_ = true;
+};
+
+// Admits a `full` request for `source` with id `id_json` and waits until
+// the single worker has taken it off the queue; `sink` holds that worker
+// until release().
+void admit_held(AnalysisServer& server, const std::shared_ptr<GatedSink>& sink,
+                const std::string& id_json, const std::string& source) {
+  sink->hold(id_json);
+  server.admit_line(request_line(id_json, source), sink);
+  for (int i = 0; i < 2000 && server.queued() > 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(server.queued(), 0u) << "worker never picked up the request";
+}
+
 TEST(Server, FullQueueShedsWithOverloaded) {
   ServerOptions opts;
   opts.workers = 1;
   opts.queue_depth = 1;
   AnalysisServer server(opts);
-  auto sink = std::make_shared<CollectingSink>();
+  auto sink = std::make_shared<GatedSink>();
 
   // Stage the scenario deterministically: the single worker must hold the
-  // heavy request BEFORE the next two lines arrive, so wait for it to
-  // leave the queue (compute takes milliseconds; the admits below take
-  // microseconds, so the worker is still busy for them).
-  server.admit_line(request_line("\"heavy\"", kMatmultSource), sink);
-  for (int i = 0; i < 2000 && server.queued() > 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_EQ(server.queued(), 0u) << "worker never picked up the request";
+  // heavy request while the next two lines arrive.
+  ASSERT_NO_FATAL_FAILURE(admit_held(server, sink, "\"heavy\"", kMatmultSource));
   // Distinct kinds of the same source: different cache keys, so the third
   // line cannot coalesce onto the second -- it must hit the full queue.
   server.admit_line(request_line("\"queued\"", kFirSource), sink);  // fills depth 1
   server.admit_line(request_line("\"shed\"", kFirSource, "analyze"), sink);  // queue full
+  sink->release();
   server.drain();
 
   auto lines = sink->lines();
@@ -418,19 +464,17 @@ std::vector<std::string> await_lines(CollectingSink& sink, size_t n) {
   return sink.lines();
 }
 
-// Admits `lines` while the single worker is busy on `heavy` and the one
-// queue slot holds `filler`: any of them answered other than `overloaded`
-// did not go through the queue.
+// Admits `lines` while the single worker is held on a `full` request for
+// `heavy_source` (id `heavy_id`) and the one queue slot holds `filler`:
+// any of them answered other than `overloaded` did not go through the
+// queue.  The worker stays held until the caller calls sink->release().
 void admit_behind_full_queue(AnalysisServer& server,
-                             const std::shared_ptr<CollectingSink>& sink,
-                             const std::string& heavy,
+                             const std::shared_ptr<GatedSink>& sink,
+                             const std::string& heavy_id,
+                             const std::string& heavy_source,
                              const std::string& filler,
                              const std::vector<std::string>& lines) {
-  server.admit_line(heavy, sink);
-  for (int i = 0; i < 2000 && server.queued() > 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_EQ(server.queued(), 0u) << "worker never picked up the request";
+  ASSERT_NO_FATAL_FAILURE(admit_held(server, sink, heavy_id, heavy_source));
   server.admit_line(filler, sink);
   ASSERT_EQ(server.queued(), 1u);
   for (const std::string& line : lines) server.admit_line(line, sink);
@@ -451,13 +495,14 @@ TEST(Server, ResidentHitIsNeverShedOrTimedOut) {
   opts.workers = 1;
   opts.queue_depth = 1;
   AnalysisServer server(opts);
-  auto sink = std::make_shared<CollectingSink>();
+  auto sink = std::make_shared<GatedSink>();
 
   // Cold: the line is not resident, so behind a full queue it is shed.
   ASSERT_NO_FATAL_FAILURE(admit_behind_full_queue(
-      server, sink, request_line("\"heavy\"", kMatmultSource),
+      server, sink, "\"heavy\"", kMatmultSource,
       request_line("\"filler\"", kFirSource, "lint"),
       {request_line("\"cold\"", kFirSource, "analyze")}));
+  sink->release();
   auto lines = await_lines(*sink, 3);
   ASSERT_EQ(lines.size(), 3u);
   auto cold = response_for(lines, "\"cold\"");
@@ -473,7 +518,7 @@ TEST(Server, ResidentHitIsNeverShedOrTimedOut) {
   // before admit_line returns, ahead of the earlier heavy request -- and
   // a 1 ms deadline cannot expire on it.
   ASSERT_NO_FATAL_FAILURE(admit_behind_full_queue(
-      server, sink, request_line("\"heavy2\"", heavy2),
+      server, sink, "\"heavy2\"", heavy2,
       request_line("\"filler2\"", kMatmultSource, "lint"),
       {request_line("\"hit\"", kFirSource, "analyze"),
        request_line("\"hit_deadline\"", kFirSource, "analyze", 1.0)}));
@@ -486,6 +531,7 @@ TEST(Server, ResidentHitIsNeverShedOrTimedOut) {
     ASSERT_NE(payload, nullptr);
     EXPECT_EQ(payload->raw, expected) << id;
   }
+  sink->release();
   server.drain();
 
   EXPECT_EQ(sink->lines().size(), 8u);
@@ -500,20 +546,17 @@ TEST(Server, CoalescesIdenticalConcurrentColdRequests) {
   ServerOptions opts;
   opts.workers = 1;
   AnalysisServer server(opts);
-  auto sink = std::make_shared<CollectingSink>();
+  auto sink = std::make_shared<GatedSink>();
 
-  // Occupy the single worker with a heavy unrelated request so the five
-  // identical lines below are all admitted while their leader is still
-  // queued -- the flight stays open for every one of them.
-  server.admit_line(request_line("\"busy\"", kMatmultSource), sink);
-  for (int i = 0; i < 2000 && server.queued() > 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_EQ(server.queued(), 0u) << "worker never picked up the request";
+  // Hold the single worker on an unrelated request so the five identical
+  // lines below are all admitted while their leader is still queued --
+  // the flight stays open for every one of them.
+  ASSERT_NO_FATAL_FAILURE(admit_held(server, sink, "\"busy\"", kMatmultSource));
   constexpr int kIdentical = 5;
   for (int i = 0; i < kIdentical; ++i) {
     server.admit_line(request_line(std::to_string(i), kFirSource), sink);
   }
+  sink->release();
   server.drain();
 
   // Exactly two computations happened in this process: the busy request
