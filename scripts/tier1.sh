@@ -176,14 +176,17 @@ grep -q '"cache.shards": 4' "$BATCH_CACHE/serve_tcp_metrics.json" \
   || { echo "FAIL: bench_server --check load gate"; exit 1; }
 
 echo "== tier 1: ThreadSanitizer pass over the parallel suites =="
+# Plus runtime_test: the metric handles are atomics that the serve loop
+# thread and the workers update at once.
 cmake -B build-tsan -S . -DLMRE_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" \
   --target parallel_search_test property_parallel_test cache_stress_test \
-  server_test
+  server_test runtime_test
 ./build-tsan/tests/parallel_search_test
 ./build-tsan/tests/property_parallel_test
 ./build-tsan/tests/cache_stress_test
 ./build-tsan/tests/server_test
+./build-tsan/tests/runtime_test
 
 echo "== tier 1: ASan+UBSan pass over the input-handling suites =="
 # Plus the optimizer / report / session suites: the shared-dependence

@@ -147,22 +147,23 @@ bool ResultCache::expired_locked(const Shard&, const Stored& stored) const {
 void ResultCache::erase_locked(
     Shard& shard,
     std::unordered_map<std::uint64_t, LruList::iterator>::iterator it) {
-  shard.bytes -= it->second->second.entry.payload.size();
+  shard.bytes -= it->second->second.entry->payload.size();
   shard.lru.erase(it->second);
   shard.index.erase(it);
 }
 
-std::optional<CachedEntry> ResultCache::get_resident(std::uint64_t key) {
+std::shared_ptr<const CachedEntry> ResultCache::get_resident(
+    std::uint64_t key) {
   Shard& shard = shard_for(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(key);
-  if (it == shard.index.end()) return std::nullopt;
+  if (it == shard.index.end()) return nullptr;
   if (expired_locked(shard, it->second->second)) {
     // Past the TTL: drop the resident copy; get() goes on to the disk
     // probe / miss path.
     erase_locked(shard, it);
     shard.expired += 1;
-    return std::nullopt;
+    return nullptr;
   }
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   shard.hits += 1;
@@ -170,14 +171,16 @@ std::optional<CachedEntry> ResultCache::get_resident(std::uint64_t key) {
 }
 
 std::optional<CachedEntry> ResultCache::get(std::uint64_t key) {
-  if (std::optional<CachedEntry> entry = get_resident(key)) return entry;
+  if (std::shared_ptr<const CachedEntry> entry = get_resident(key)) {
+    return *entry;
+  }
   Shard& shard = shard_for(key);
   if (!config_.disk_dir.empty()) {
     // Disk probe outside the lock: file IO must not serialize the pool.
     if (std::optional<CachedEntry> entry = disk_load(key, shard)) {
       std::lock_guard<std::mutex> lock(shard.mu);
       if (shard.index.find(key) == shard.index.end()) {
-        insert_locked(shard, key, *entry);
+        insert_locked(shard, key, std::make_shared<const CachedEntry>(*entry));
       }
       shard.hits += 1;
       shard.disk_hits += 1;
@@ -190,8 +193,8 @@ std::optional<CachedEntry> ResultCache::get(std::uint64_t key) {
 }
 
 void ResultCache::insert_locked(Shard& shard, std::uint64_t key,
-                                CachedEntry entry) {
-  const size_t entry_bytes = entry.payload.size();
+                                std::shared_ptr<const CachedEntry> entry) {
+  const size_t entry_bytes = entry->payload.size();
   if (shard.byte_budget != 0 && entry_bytes > shard.byte_budget) {
     // Admission policy: an entry that alone exceeds the shard's whole
     // byte slice would evict everything and still not fit durably.
@@ -204,7 +207,7 @@ void ResultCache::insert_locked(Shard& shard, std::uint64_t key,
   shard.bytes += entry_bytes;
   while (shard.lru.size() > shard.capacity ||
          (shard.byte_budget != 0 && shard.bytes > shard.byte_budget)) {
-    shard.bytes -= shard.lru.back().second.entry.payload.size();
+    shard.bytes -= shard.lru.back().second.entry->payload.size();
     shard.index.erase(shard.lru.back().first);
     shard.lru.pop_back();
     shard.evictions += 1;
@@ -212,6 +215,7 @@ void ResultCache::insert_locked(Shard& shard, std::uint64_t key,
 }
 
 void ResultCache::put(std::uint64_t key, CachedEntry entry) {
+  auto stored = std::make_shared<const CachedEntry>(std::move(entry));
   Shard& shard = shard_for(key);
   {
     std::lock_guard<std::mutex> lock(shard.mu);
@@ -221,9 +225,9 @@ void ResultCache::put(std::uint64_t key, CachedEntry entry) {
       // clock); re-run the policy through a clean re-insert.
       erase_locked(shard, it);
     }
-    insert_locked(shard, key, entry);
+    insert_locked(shard, key, stored);
   }
-  if (!config_.disk_dir.empty()) disk_store(key, entry);
+  if (!config_.disk_dir.empty()) disk_store(key, *stored);
 }
 
 Int ResultCache::hits() const {

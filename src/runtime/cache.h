@@ -95,12 +95,13 @@ class ResultCache {
   /// memory).  Updates hit/miss counters.
   std::optional<CachedEntry> get(std::uint64_t key);
 
-  /// Memory-only lookup: the resident, unexpired entry for `key`, or
-  /// nullopt.  Counts a hit (and drops an entry past its TTL, counting it
-  /// expired) but never counts a miss and never touches the disk layer --
-  /// a caller that gets nullopt is expected to follow up with get(), which
-  /// records the one miss.  Cheap enough for the serve admission path.
-  std::optional<CachedEntry> get_resident(std::uint64_t key);
+  /// Memory-only lookup: the resident, unexpired entry for `key`, shared
+  /// rather than copied (it stays valid after an eviction), or null.
+  /// Counts a hit (and drops an entry past its TTL, counting it expired)
+  /// but never counts a miss and never touches the disk layer -- a caller
+  /// that gets null is expected to follow up with get(), which records
+  /// the one miss.  Cheap enough for the serve admission path.
+  std::shared_ptr<const CachedEntry> get_resident(std::uint64_t key);
 
   /// Inserts (or refreshes) the entry, evicting the shard's LRU tail past
   /// its entry or byte limits, and writes through to disk when enabled.
@@ -130,7 +131,7 @@ class ResultCache {
 
  private:
   struct Stored {
-    CachedEntry entry;
+    std::shared_ptr<const CachedEntry> entry;  ///< immutable once stored
     std::chrono::steady_clock::time_point inserted;
   };
   using LruList = std::list<std::pair<std::uint64_t, Stored>>;
@@ -157,7 +158,8 @@ class ResultCache {
   std::optional<CachedEntry> disk_load(std::uint64_t key, Shard& shard) const;
   void disk_store(std::uint64_t key, const CachedEntry& entry);
   /// Inserts under the shard lock, applying admission and eviction policy.
-  void insert_locked(Shard& shard, std::uint64_t key, CachedEntry entry);
+  void insert_locked(Shard& shard, std::uint64_t key,
+                     std::shared_ptr<const CachedEntry> entry);
   void erase_locked(Shard& shard,
                     std::unordered_map<std::uint64_t,
                                        LruList::iterator>::iterator it);

@@ -16,8 +16,15 @@
 // wall-clock sums over concurrent scopes (so a parallel batch's
 // "stage.*_ms" can exceed elapsed time -- that is CPU-style accounting,
 // documented in DESIGN.md).
+//
+// Hot paths (the serve admission hit) hold handles instead of names:
+// counter_handle / latency_handle resolve a name once to its slot, and
+// every later update is an atomic add on that slot -- no lookup, no lock,
+// no std::string.  Slots live as long as the registry; the name-keyed
+// calls (count, observe_latency) are thin lookups over the same slots.
 
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <map>
@@ -30,7 +37,42 @@
 namespace lmre {
 
 class Metrics {
+  struct CounterSlot;
+  struct HistogramSlot;
+
  public:
+  /// A counter name resolved to its slot.  add() is one overflow-checked
+  /// atomic add (OverflowError leaves the value unchanged).
+  class Counter {
+   public:
+    void add(Int delta = 1) const;
+
+   private:
+    friend class Metrics;
+    explicit Counter(CounterSlot* slot) : slot_(slot) {}
+    CounterSlot* slot_;
+  };
+
+  /// A latency histogram name resolved to its slot; observe() is
+  /// observe_latency without the lookup.
+  class Latency {
+   public:
+    void observe(double ms) const;
+
+   private:
+    friend class Metrics;
+    explicit Latency(HistogramSlot* slot) : slot_(slot) {}
+    HistogramSlot* slot_;
+  };
+
+  /// The named counter's slot (created at 0).  A counter appears in
+  /// to_json only once something was added to it, as with count().
+  Counter counter_handle(const std::string& name);
+
+  /// The named latency histogram's slot (created empty; listed in
+  /// to_json after its first observation).
+  Latency latency_handle(const std::string& name);
+
   /// Adds `delta` to the named counter (created at 0).
   void count(const std::string& name, Int delta = 1);
 
@@ -110,22 +152,32 @@ class Metrics {
     double total_ms = 0.0;
     Int count = 0;
   };
+  struct CounterSlot {
+    std::atomic<Int> value{0};
+    std::atomic<bool> live{false};  ///< added to at least once
+  };
+  using Buckets = std::array<Int, kLatencyBucketBoundsMs.size() + 1>;
   /// buckets[i] counts observations <= kLatencyBucketBoundsMs[i]; the last
-  /// slot is the overflow bucket.
-  struct HistogramStat {
-    std::array<Int, kLatencyBucketBoundsMs.size() + 1> buckets{};
-    Int count = 0;
-    double total_ms = 0.0;
-    double max_ms = 0.0;
+  /// slot is the overflow bucket.  The observation count is the bucket
+  /// sum, so a snapshot's count and quantiles always agree.
+  struct HistogramSlot {
+    std::array<std::atomic<Int>, kLatencyBucketBoundsMs.size() + 1> buckets{};
+    std::atomic<double> total_ms{0.0};
+    std::atomic<double> max_ms{0.0};
+
+    Buckets load(Int* count) const;
   };
 
-  static double quantile_locked(const HistogramStat& h, double q);
+  static double quantile(const Buckets& buckets, Int count, double max_ms,
+                         double q);
 
+  // Slots are created under mu_ and never move or die before the
+  // registry (std::map nodes are stable); updates go through the atomics.
   mutable std::mutex mu_;
-  std::map<std::string, Int> counters_;
+  std::map<std::string, CounterSlot> counters_;
   std::map<std::string, double> gauges_;
   std::map<std::string, TimerStat> timers_;
-  std::map<std::string, HistogramStat> histograms_;
+  std::map<std::string, HistogramSlot> histograms_;
 };
 
 }  // namespace lmre

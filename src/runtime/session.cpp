@@ -1,7 +1,6 @@
 #include "runtime/session.h"
 
 #include <bit>
-#include <cctype>
 
 #include "diag/diagnostic.h"
 #include "exact/trace_engine.h"
@@ -183,42 +182,60 @@ AnalysisSession::AnalysisSession(SessionOptions opts,
                                  std::shared_ptr<ResultCache> cache,
                                  std::shared_ptr<Metrics> metrics)
     : opts_(std::move(opts)),
-      cache_(std::move(cache)),
-      metrics_(std::move(metrics)) {
-  if (!cache_) {
-    cache_ = std::make_shared<ResultCache>(opts_.cache_config());
-  }
-  if (!metrics_) metrics_ = std::make_shared<Metrics>();
+      cache_(cache ? std::move(cache)
+                   : std::make_shared<ResultCache>(opts_.cache_config())),
+      metrics_(metrics ? std::move(metrics) : std::make_shared<Metrics>()),
+      runs_total_(metrics_->counter_handle("runs.total")),
+      runs_cached_(metrics_->counter_handle("runs.cached")) {}
+
+namespace {
+
+bool is_space(char c) {
+  // std::isspace in the "C" locale (lmre never sets another).
+  return c == ' ' || (c >= '\t' && c <= '\r');
 }
 
-std::string AnalysisSession::canonicalize(const std::string& source) {
-  std::string out;
-  out.reserve(source.size());
-  bool in_comment = false;
+// FNV-1a over the canonical form of `source` -- `#` comments stripped,
+// whitespace runs collapsed to one space, none leading or trailing --
+// continuing from `h`.  Byte for byte the hash of the canonical string,
+// which is never built.
+std::uint64_t fnv1a_canonical(std::string_view source, std::uint64_t h) {
+  constexpr std::uint64_t kPrime = 0x100000001b3ULL;
+  bool started = false;
   bool pending_space = false;
-  for (char c : source) {
-    if (c == '\n') in_comment = false;
-    if (in_comment) continue;
+  for (size_t i = 0; i < source.size(); ++i) {
+    const char c = source[i];
     if (c == '#') {
-      in_comment = true;
-      continue;
-    }
-    if (std::isspace(static_cast<unsigned char>(c))) {
+      // The comment runs to its newline, which is whitespace.
+      const size_t nl = source.find('\n', i);
+      if (nl == std::string_view::npos) break;
+      i = nl;
       pending_space = true;
       continue;
     }
-    if (pending_space && !out.empty()) out += ' ';
+    if (is_space(c)) {
+      pending_space = true;
+      continue;
+    }
+    if (pending_space && started) {
+      h ^= static_cast<unsigned char>(' ');
+      h *= kPrime;
+    }
     pending_space = false;
-    out += c;
+    started = true;
+    h ^= static_cast<unsigned char>(c);
+    h *= kPrime;
   }
-  return out;
+  return h;
 }
+
+}  // namespace
 
 std::uint64_t AnalysisSession::request_key(const AnalysisRequest& req) const {
   // threads is deliberately absent: results are bit-identical across
   // thread counts, so a warm hit is valid at any --threads value.
   std::uint64_t h = fnv1a(kHashSalt);
-  h = fnv1a(canonicalize(req.source), h);
+  h = fnv1a_canonical(req.source, h);
   h = fnv1a("|kind=", h);
   h = fnv1a(to_string(req.kind()), h);
   // Per-kind options: every result-affecting field, nothing else.
@@ -308,32 +325,27 @@ std::string AnalysisSession::compute_payload(const AnalysisRequest& req,
   }
 }
 
-AnalysisResult AnalysisSession::cached_result(std::uint64_t key,
-                                              CachedEntry hit) {
-  metrics_->count("runs.cached");
-  AnalysisResult res;
-  res.key = key;
-  res.status = static_cast<ExitCode>(hit.status);
-  res.cache_hit = true;
-  res.payload = std::move(hit.payload);
-  return res;
-}
-
-std::optional<AnalysisResult> AnalysisSession::recall_resident(
+std::shared_ptr<const CachedEntry> AnalysisSession::recall_resident(
     std::uint64_t key) {
-  std::optional<CachedEntry> hit = cache_->get_resident(key);
-  if (!hit) return std::nullopt;
-  metrics_->count("runs.total");
-  return cached_result(key, std::move(*hit));
+  std::shared_ptr<const CachedEntry> hit = cache_->get_resident(key);
+  if (hit) {
+    runs_total_.add();
+    runs_cached_.add();
+  }
+  return hit;
 }
 
 AnalysisResult AnalysisSession::run_with_threads(const AnalysisRequest& req,
                                                  int threads) {
   AnalysisResult res;
   res.key = request_key(req);
-  metrics_->count("runs.total");
+  runs_total_.add();
   if (std::optional<CachedEntry> hit = cache_->get(res.key)) {
-    return cached_result(res.key, std::move(*hit));
+    runs_cached_.add();
+    res.status = static_cast<ExitCode>(hit->status);
+    res.cache_hit = true;
+    res.payload = std::move(hit->payload);
+    return res;
   }
   metrics_->count("runs.computed");
   Metrics::ScopedTimer t = metrics_->time("stage.total");

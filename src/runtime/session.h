@@ -236,20 +236,20 @@ class AnalysisSession {
   /// serially inside the fan-out (no nested pools).
   std::vector<AnalysisResult> run_batch(const std::vector<AnalysisRequest>& requests);
 
-  /// Memory-only recall by content hash (request_key): a resident result
-  /// is counted as one cached run, exactly as run() counts it; otherwise
-  /// nullopt, with nothing counted, so a follow-up run() records the one
-  /// cache miss.  Never reads the disk layer.  Thread-safe -- the serve
-  /// admission path answers warm requests with it.
-  std::optional<AnalysisResult> recall_resident(std::uint64_t key);
+  /// Memory-only recall by content hash (request_key): the resident
+  /// entry itself (shared, not copied), counted as one cached run exactly
+  /// as run() counts it; otherwise null, with nothing counted, so a
+  /// follow-up run() records the one cache miss.  Never reads the disk
+  /// layer.  Thread-safe -- the serve admission path answers warm
+  /// requests with it.
+  std::shared_ptr<const CachedEntry> recall_resident(std::uint64_t key);
 
   /// The content hash `run` would use for this request (exposed so tests
-  /// can assert invalidation rules).
+  /// can assert invalidation rules).  The source enters in canonical
+  /// form -- `#` comments stripped, whitespace runs collapsed to one
+  /// space, none leading or trailing -- so formatting-only edits do not
+  /// invalidate.
   std::uint64_t request_key(const AnalysisRequest& req) const;
-
-  /// Canonical form hashed by request_key: comments stripped, whitespace
-  /// runs collapsed -- formatting-only edits do not invalidate.
-  static std::string canonicalize(const std::string& source);
 
   Metrics& metrics() { return *metrics_; }
   const SessionOptions& options() const { return opts_; }
@@ -267,13 +267,14 @@ class AnalysisSession {
 
  private:
   AnalysisResult run_with_threads(const AnalysisRequest& req, int threads);
-  AnalysisResult cached_result(std::uint64_t key, CachedEntry hit);
   std::string compute_payload(const AnalysisRequest& req, int threads,
                               ExitCode* status);
 
   SessionOptions opts_;
   std::shared_ptr<ResultCache> cache_;
   std::shared_ptr<Metrics> metrics_;
+  Metrics::Counter runs_total_;   ///< every run or recall
+  Metrics::Counter runs_cached_;  ///< the ones a cache entry answered
 };
 
 /// Folds the cache counters and shard-policy aggregates into `metrics` as

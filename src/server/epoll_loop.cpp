@@ -16,6 +16,9 @@ namespace {
 /// it is a leak; the connection is dropped.
 constexpr size_t kMaxLineBytes = 16u << 20;
 
+/// recv calls one connection gets per step (16 KiB each).
+constexpr int kReadsPerStep = 64;
+
 void set_nonblocking(int fd) {
   int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
@@ -92,8 +95,8 @@ bool EventLoop::flushed() const {
 }
 
 void EventLoop::step(int timeout_ms) {
-  std::vector<pollfd> fds;
-  fds.reserve(conns_.size() + 2);
+  std::vector<pollfd>& fds = fds_;  // reused: no allocation per step
+  fds.clear();
   fds.push_back({wake_pipe_[0], POLLIN, 0});
   size_t listen_slot = 0;
   if (listen_fd_ >= 0) {
@@ -151,15 +154,23 @@ void EventLoop::accept_ready() {
 
 void EventLoop::read_ready(Conn& conn) {
   char chunk[16384];
-  for (;;) {
+  tl_dispatching = this;  // step() flushes this conn right after
+  // Bounded per step, so one client streaming without pause cannot keep
+  // the loop from flushing its responses or serving anyone else.
+  for (int reads = 0; reads < kReadsPerStep && !conn.dead;) {
     ssize_t n = ::recv(conn.fd, chunk, sizeof chunk, 0);
     if (n > 0) {
+      ++reads;
       bytes_in_ += static_cast<std::uint64_t>(n);
       conn.in.append(chunk, static_cast<size_t>(n));
-      if (conn.in.size() > kMaxLineBytes) {
-        conn.dead = true;
-        return;
-      }
+      frame(conn);
+      // Only the unterminated tail counts against the cap: a client that
+      // pipelines many short lines is never over it.
+      if (conn.in.size() > kMaxLineBytes) conn.dead = true;
+      // A short read drained the socket buffer: skip the recv that would
+      // only say EAGAIN (poll is level-triggered; later bytes, or EOF,
+      // show up in the next step).
+      if (static_cast<size_t>(n) < sizeof chunk) break;
       continue;
     }
     if (n == 0) {
@@ -169,19 +180,20 @@ void EventLoop::read_ready(Conn& conn) {
     if (errno == EAGAIN || errno == EWOULDBLOCK) break;
     if (errno == EINTR) continue;
     conn.dead = true;
-    return;
   }
+  tl_dispatching = nullptr;
+}
+
+void EventLoop::frame(Conn& conn) {
   // Resume the newline search where the last read left off: a long line
   // arriving in small pieces is scanned once, not once per piece.
   size_t start = 0;
-  tl_dispatching = this;  // step() flushes this conn right after
   for (size_t nl = conn.in.find('\n', conn.scanned); nl != std::string::npos;
        nl = conn.in.find('\n', start)) {
-    std::string line = conn.in.substr(start, nl - start);
+    line_.assign(conn.in, start, nl - start);  // reuses line_'s capacity
     start = nl + 1;
-    if (!line.empty() && admit_lines_ && on_line_) on_line_(line, conn.sink);
+    if (!line_.empty() && admit_lines_ && on_line_) on_line_(line_, conn.sink);
   }
-  tl_dispatching = nullptr;
   conn.in.erase(0, start);
   conn.scanned = conn.in.size();
 }

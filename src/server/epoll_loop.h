@@ -21,12 +21,18 @@
 // errno on its own send -- neither can block a worker or shutdown, and
 // the other connections' buffered responses are untouched.
 //
+// Lines are framed after every read, so the 16 MiB line cap applies to
+// the unterminated tail only, and one connection gets a bounded number of
+// reads per step.
+//
 // Connection lifetime: a connection is reaped when the client is gone
 // (read error / reset / a line over the 16 MiB cap), or when it has
 // half-closed (EOF), its output has fully drained, AND no in-flight job
 // still holds the sink (the sink's use_count is the in-flight reference
 // count).  Reaping closes the fd and marks the sink closed so a late
 // write_line from a finishing worker degrades to a silent drop.
+
+#include <poll.h>
 
 #include <cstdint>
 #include <functional>
@@ -119,6 +125,8 @@ class EventLoop {
 
   void accept_ready();
   void read_ready(Conn& conn);
+  /// Dispatches every complete line buffered in conn.in.
+  void frame(Conn& conn);
   void flush(Conn& conn);
   void reap();
   void close_conn(Conn& conn);
@@ -127,6 +135,8 @@ class EventLoop {
   int wake_pipe_[2] = {-1, -1};
   LineHandler on_line_;
   std::vector<std::unique_ptr<Conn>> conns_;
+  std::vector<pollfd> fds_;  ///< step()'s poll set, rebuilt in place
+  std::string line_;         ///< the line being dispatched, reused
   bool admit_lines_ = true;
   std::uint64_t conns_opened_ = 0;
   std::uint64_t conns_closed_ = 0;

@@ -36,11 +36,14 @@ class StreamSink : public ResponseSink {
 
 AnalysisServer::AnalysisServer(ServerOptions opts)
     : opts_(std::move(opts)),
+      cache_(std::make_shared<ResultCache>(opts_.session.cache_config())),
+      metrics_(std::make_shared<Metrics>()),
+      requests_(metrics_->counter_handle("serve.requests")),
+      completed_(metrics_->counter_handle("serve.completed")),
+      latency_(metrics_->latency_handle("serve.latency_ms")),
       queue_(opts_.queue_depth == 0 ? 1 : opts_.queue_depth) {
   if (opts_.workers < 1) opts_.workers = 1;
   if (opts_.queue_depth == 0) opts_.queue_depth = 1;
-  cache_ = std::make_shared<ResultCache>(opts_.session.cache_config());
-  metrics_ = std::make_shared<Metrics>();
   metrics_->gauge("serve.workers", static_cast<double>(opts_.workers));
   metrics_->gauge("serve.queue_depth", static_cast<double>(opts_.queue_depth));
   metrics_->gauge("serve.coalesce", opts_.coalesce ? 1.0 : 0.0);
@@ -79,12 +82,21 @@ void AnalysisServer::respond_result(const Job& job,
                              "deadline expired during analysis"));
     return;
   }
-  std::chrono::duration<double, std::milli> latency = now - job.admitted;
-  metrics_->observe_latency("serve.latency_ms", latency.count());
-  metrics_->count("serve.completed");
   if (coalesced) metrics_->count("serve.coalesced");
-  respond(job, serve_response(job.request.id_json,
-                              serve_status(result.status), result.payload));
+  deliver(job.sink.get(), job.request.id_json, job.admitted, result.status,
+          result.payload);
+}
+
+void AnalysisServer::deliver(ResponseSink* sink, const std::string& id_json,
+                             std::chrono::steady_clock::time_point admitted,
+                             ExitCode status, const std::string& payload) {
+  std::chrono::duration<double, std::milli> latency =
+      std::chrono::steady_clock::now() - admitted;
+  latency_.observe(latency.count());
+  completed_.add();
+  if (sink) {
+    sink->write_line(serve_response(id_json, serve_status(status), payload));
+  }
 }
 
 void AnalysisServer::worker_loop(AnalysisSession& session) {
@@ -139,9 +151,8 @@ void AnalysisServer::worker_loop(AnalysisSession& session) {
 
 void AnalysisServer::admit_line(const std::string& line,
                                 const std::shared_ptr<ResponseSink>& sink) {
-  metrics_->count("serve.requests");
+  requests_.add();
   Job job;
-  job.sink = sink;
   std::string error;
   if (!parse_request(line, &job.request, &error)) {
     metrics_->count("serve.bad_request");
@@ -157,13 +168,17 @@ void AnalysisServer::admit_line(const std::string& line,
   AnalysisSession& session = *sessions_.front();
   job.key = session.request_key(job.request.analysis);
   // A resident result is answered here, on the transport thread: no
-  // flight, no queue slot, no worker, and no deadline to miss.  A miss
-  // counts nothing yet -- the worker's run() records the one lookup and
-  // is the only place the disk layer is read.
-  if (std::optional<AnalysisResult> hit = session.recall_resident(job.key)) {
-    respond_result(job, *hit, false);
+  // flight, no queue slot, no worker, and no deadline to miss -- and its
+  // payload is copied once, into the response line.  A miss counts
+  // nothing yet -- the worker's run() records the one lookup and is the
+  // only place the disk layer is read.
+  if (std::shared_ptr<const CachedEntry> hit =
+          session.recall_resident(job.key)) {
+    deliver(sink.get(), job.request.id_json, job.admitted,
+            static_cast<ExitCode>(hit->status), hit->payload);
     return;
   }
+  job.sink = sink;
   if (job.request.deadline_ms > 0) {
     job.has_deadline = true;
     job.deadline =

@@ -171,11 +171,20 @@ class AnalysisServer {
   /// for one member of a result group (`coalesced` marks waiters).
   void respond_result(const Job& job, const AnalysisResult& result,
                       bool coalesced);
+  /// Records one delivered result (latency since `admitted`, completion)
+  /// and writes its response line to `sink`.
+  void deliver(ResponseSink* sink, const std::string& id_json,
+               std::chrono::steady_clock::time_point admitted,
+               ExitCode status, const std::string& payload);
   void write_metrics_file();
 
   ServerOptions opts_;
   std::shared_ptr<ResultCache> cache_;
   std::shared_ptr<Metrics> metrics_;
+  // The admission hit path's metrics, resolved once.
+  Metrics::Counter requests_;   ///< serve.requests
+  Metrics::Counter completed_;  ///< serve.completed
+  Metrics::Latency latency_;    ///< serve.latency_ms
   std::vector<std::unique_ptr<AnalysisSession>> sessions_;
   BoundedQueue<Job> queue_;
   SingleFlight<Job> flights_;

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <utility>
 
 #include "support/json.h"
 
@@ -16,34 +17,43 @@ const WireValue* WireValue::find(std::string_view key) const {
   return nullptr;
 }
 
+WireValue* WireValue::find(std::string_view key) {
+  return const_cast<WireValue*>(std::as_const(*this).find(key));
+}
+
 namespace {
 
 constexpr int kMaxDepth = 64;
 
-// Recursive-descent reader over the input; every parsed value remembers
-// the exact byte range it was decoded from (WireValue::raw).
+// Recursive-descent reader over the input, decoding every value in place
+// (into its parent's member or element slot).  With `keep_raw` every
+// parsed value remembers the exact byte range it was decoded from
+// (WireValue::raw); without it only a top-level object's "id" member does
+// -- the one slice a request echoes -- so parse_request copies no other
+// request bytes twice.
 class Reader {
  public:
-  Reader(std::string_view input, std::string* error)
-      : input_(input), error_(error) {}
+  Reader(std::string_view input, std::string* error, bool keep_raw)
+      : input_(input), error_(error), keep_raw_(keep_raw) {}
 
   std::optional<WireValue> parse() {
+    std::optional<WireValue> v(std::in_place);
     skip_ws();
-    std::optional<WireValue> v = parse_value(0);
-    if (!v) return std::nullopt;
+    if (!parse_value(0, keep_raw_, *v)) return std::nullopt;
     skip_ws();
     if (pos_ != input_.size()) {
-      return fail("trailing bytes after JSON value");
+      fail("trailing bytes after JSON value");
+      return std::nullopt;
     }
     return v;
   }
 
  private:
-  std::optional<WireValue> fail(const std::string& message) {
+  bool fail(const std::string& message) {
     if (error_ && error_->empty()) {
       *error_ = message + " at byte " + std::to_string(pos_);
     }
-    return std::nullopt;
+    return false;
   }
 
   void skip_ws() {
@@ -68,52 +78,52 @@ class Reader {
     return true;
   }
 
-  std::optional<WireValue> parse_value(int depth) {
+  bool parse_value(int depth, bool keep_raw, WireValue& v) {
     if (depth > kMaxDepth) return fail("nesting too deep");
     if (pos_ >= input_.size()) return fail("unexpected end of input");
     size_t start = pos_;
-    std::optional<WireValue> v;
+    bool ok = false;
     switch (input_[pos_]) {
       case '{':
-        v = parse_object(depth);
+        ok = parse_object(depth, v);
         break;
       case '[':
-        v = parse_array(depth);
+        ok = parse_array(depth, v);
         break;
       case '"':
-        v = parse_string_value();
+        v.kind = WireValue::Kind::kString;
+        ok = parse_string_body(&v.text);
         break;
       case 't':
       case 'f':
-        v = parse_bool();
+        ok = parse_bool(v);
         break;
       case 'n':
         if (!literal("null")) return fail("invalid literal");
-        v = WireValue{};
+        ok = true;
         break;
       default:
-        v = parse_number();
+        ok = parse_number(v);
         break;
     }
-    if (v) v->raw = std::string(input_.substr(start, pos_ - start));
-    return v;
+    if (ok && keep_raw) v.raw = std::string(input_.substr(start, pos_ - start));
+    return ok;
   }
 
-  std::optional<WireValue> parse_bool() {
-    WireValue v;
+  bool parse_bool(WireValue& v) {
     v.kind = WireValue::Kind::kBool;
     if (literal("true")) {
       v.boolean = true;
-      return v;
+      return true;
     }
     if (literal("false")) {
       v.boolean = false;
-      return v;
+      return true;
     }
     return fail("invalid literal");
   }
 
-  std::optional<WireValue> parse_number() {
+  bool parse_number(WireValue& v) {
     size_t start = pos_;
     if (pos_ < input_.size() && input_[pos_] == '-') ++pos_;
     size_t digits = pos_;
@@ -143,15 +153,20 @@ class Reader {
       }
       if (pos_ == exp) return fail("invalid number");
     }
-    WireValue v;
     v.kind = WireValue::Kind::kNumber;
-    std::string text(input_.substr(start, pos_ - start));
-    v.number = std::strtod(text.c_str(), nullptr);
+    const char* first = input_.data() + start;
+    const char* last = input_.data() + pos_;
+    // from_chars rounds exactly as strtod does; strtod still decides what
+    // it alone defines -- overflow to inf, underflow to 0 or a denormal.
+    auto [end, ec] = std::from_chars(first, last, v.number);
+    if (ec != std::errc() || end != last) {
+      v.number = std::strtod(std::string(first, last).c_str(), nullptr);
+    }
     if (!std::isfinite(v.number)) return fail("number out of range");
-    return v;
+    return true;
   }
 
-  bool append_utf8(unsigned code, std::string* out) {
+  void append_utf8(unsigned code, std::string* out) {
     if (code <= 0x7f) {
       out->push_back(static_cast<char>(code));
     } else if (code <= 0x7ff) {
@@ -167,7 +182,6 @@ class Reader {
       out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3f)));
       out->push_back(static_cast<char>(0x80 | (code & 0x3f)));
     }
-    return true;
   }
 
   bool parse_hex4(unsigned* out) {
@@ -191,119 +205,115 @@ class Reader {
     return true;
   }
 
-  std::optional<std::string> parse_string_body() {
-    if (!consume('"')) {
-      fail("expected string");
-      return std::nullopt;
+  // Bytes from pos_ to the closing quote: an upper bound on the decoded
+  // length, since no escape decodes longer than it is written.  0 when
+  // the string is unterminated (the decoder reports that).
+  size_t quoted_extent() const {
+    for (size_t q = input_.find('"', pos_); q != std::string_view::npos;
+         q = input_.find('"', q + 1)) {
+      size_t backslashes = 0;
+      while (q - backslashes > pos_ && input_[q - backslashes - 1] == '\\') {
+        ++backslashes;
+      }
+      if (backslashes % 2 == 0) return q - pos_;
     }
-    std::string out;
+    return 0;
+  }
+
+  // Decodes one string literal into *out (which it replaces).
+  bool parse_string_body(std::string* out) {
+    if (!consume('"')) return fail("expected string");
+    out->clear();
+    out->reserve(quoted_extent());
     while (true) {
-      if (pos_ >= input_.size()) {
-        fail("unterminated string");
-        return std::nullopt;
+      // Append the run up to the next quote, backslash or control byte
+      // in one go.
+      size_t run = pos_;
+      while (run < input_.size()) {
+        const unsigned char b = static_cast<unsigned char>(input_[run]);
+        if (b == '"' || b == '\\' || b < 0x20) break;
+        ++run;
       }
+      out->append(input_.data() + pos_, run - pos_);
+      pos_ = run;
+      if (pos_ >= input_.size()) return fail("unterminated string");
       char c = input_[pos_++];
-      if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) {
-        fail("unescaped control character in string");
-        return std::nullopt;
-      }
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= input_.size()) {
-        fail("unterminated escape");
-        return std::nullopt;
-      }
+      if (c == '"') return true;
+      if (c != '\\') return fail("unescaped control character in string");
+      if (pos_ >= input_.size()) return fail("unterminated escape");
       char e = input_[pos_++];
       switch (e) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
+        case '"': out->push_back('"'); break;
+        case '\\': out->push_back('\\'); break;
+        case '/': out->push_back('/'); break;
+        case 'b': out->push_back('\b'); break;
+        case 'f': out->push_back('\f'); break;
+        case 'n': out->push_back('\n'); break;
+        case 'r': out->push_back('\r'); break;
+        case 't': out->push_back('\t'); break;
         case 'u': {
           unsigned code = 0;
-          if (!parse_hex4(&code)) {
-            fail("invalid \\u escape");
-            return std::nullopt;
-          }
+          if (!parse_hex4(&code)) return fail("invalid \\u escape");
           if (code >= 0xd800 && code <= 0xdbff) {
             // High surrogate: a low surrogate escape must follow.
-            if (!literal("\\u")) {
-              fail("unpaired surrogate");
-              return std::nullopt;
-            }
+            if (!literal("\\u")) return fail("unpaired surrogate");
             unsigned low = 0;
             if (!parse_hex4(&low) || low < 0xdc00 || low > 0xdfff) {
-              fail("unpaired surrogate");
-              return std::nullopt;
+              return fail("unpaired surrogate");
             }
             code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
           } else if (code >= 0xdc00 && code <= 0xdfff) {
-            fail("unpaired surrogate");
-            return std::nullopt;
+            return fail("unpaired surrogate");
           }
-          append_utf8(code, &out);
+          append_utf8(code, out);
           break;
         }
         default:
-          fail("invalid escape");
-          return std::nullopt;
+          return fail("invalid escape");
       }
     }
   }
 
-  std::optional<WireValue> parse_string_value() {
-    std::optional<std::string> body = parse_string_body();
-    if (!body) return std::nullopt;
-    WireValue v;
-    v.kind = WireValue::Kind::kString;
-    v.text = std::move(*body);
-    return v;
-  }
-
-  std::optional<WireValue> parse_object(int depth) {
+  bool parse_object(int depth, WireValue& v) {
     consume('{');
-    WireValue v;
     v.kind = WireValue::Kind::kObject;
     skip_ws();
-    if (consume('}')) return v;
+    if (consume('}')) return true;
     while (true) {
       skip_ws();
-      std::optional<std::string> key = parse_string_body();
-      if (!key) return std::nullopt;
+      std::string key;
+      if (!parse_string_body(&key)) return false;
       skip_ws();
       if (!consume(':')) return fail("expected ':' in object");
       skip_ws();
-      std::optional<WireValue> member = parse_value(depth + 1);
-      if (!member) return std::nullopt;
-      v.members.emplace_back(std::move(*key), std::move(*member));
+      // A request's id is echoed verbatim, so its slice is kept even
+      // when no other is.
+      const bool keep_raw = keep_raw_ || (depth == 0 && key == "id");
+      if (v.members.empty()) v.members.reserve(8);  // a request's key count
+      v.members.emplace_back(std::move(key), WireValue{});
+      if (!parse_value(depth + 1, keep_raw, v.members.back().second)) {
+        return false;
+      }
       skip_ws();
       if (consume(',')) continue;
-      if (consume('}')) return v;
+      if (consume('}')) return true;
       return fail("expected ',' or '}' in object");
     }
   }
 
-  std::optional<WireValue> parse_array(int depth) {
+  bool parse_array(int depth, WireValue& v) {
     consume('[');
-    WireValue v;
     v.kind = WireValue::Kind::kArray;
     skip_ws();
-    if (consume(']')) return v;
+    if (consume(']')) return true;
     while (true) {
       skip_ws();
-      std::optional<WireValue> element = parse_value(depth + 1);
-      if (!element) return std::nullopt;
-      v.elements.push_back(std::move(*element));
+      if (!parse_value(depth + 1, keep_raw_, v.elements.emplace_back())) {
+        return false;
+      }
       skip_ws();
       if (consume(',')) continue;
-      if (consume(']')) return v;
+      if (consume(']')) return true;
       return fail("expected ',' or ']' in array");
     }
   }
@@ -311,17 +321,23 @@ class Reader {
   std::string_view input_;
   size_t pos_ = 0;
   std::string* error_;
+  bool keep_raw_;
 };
+
+std::optional<WireValue> parse_json(std::string_view input,
+                                    std::string* error, bool keep_raw) {
+  if (error) error->clear();
+  Reader reader(input, error, keep_raw);
+  std::optional<WireValue> v = reader.parse();
+  if (!v && error && error->empty()) *error = "malformed JSON";
+  return v;
+}
 
 }  // namespace
 
 std::optional<WireValue> parse_wire_json(std::string_view input,
                                          std::string* error) {
-  if (error) error->clear();
-  Reader reader(input, error);
-  std::optional<WireValue> v = reader.parse();
-  if (!v && error && error->empty()) *error = "malformed JSON";
-  return v;
+  return parse_json(input, error, /*keep_raw=*/true);
 }
 
 const char* to_string(ServeStatus s) {
@@ -372,17 +388,15 @@ bool read_bool(const WireValue& obj, std::string_view key, bool* out,
 
 }  // namespace
 
-bool parse_request(const std::string& line, ServerRequest* req,
-                   std::string* error) {
+bool request_from_wire(WireValue& root, ServerRequest* req,
+                       std::string* error) {
   *req = ServerRequest{};
-  std::optional<WireValue> root = parse_wire_json(line, error);
-  if (!root) return false;
-  if (root->kind != WireValue::Kind::kObject) {
+  if (root.kind != WireValue::Kind::kObject) {
     if (error) *error = "request must be a JSON object";
     return false;
   }
   // Recover the id first so even schema errors can be correlated.
-  if (const WireValue* id = root->find("id")) {
+  if (const WireValue* id = root.find("id")) {
     switch (id->kind) {
       case WireValue::Kind::kString:
       case WireValue::Kind::kNumber:
@@ -394,7 +408,7 @@ bool parse_request(const std::string& line, ServerRequest* req,
         return false;
     }
   }
-  if (const WireValue* version = root->find("schema_version")) {
+  if (const WireValue* version = root.find("schema_version")) {
     // Absent = v1 (the key predates versioned requests).  Anything in the
     // supported window parses; the future is an explicit refusal, not a
     // silent misread.
@@ -410,13 +424,13 @@ bool parse_request(const std::string& line, ServerRequest* req,
       return false;
     }
   }
-  const WireValue* source = root->find("source");
+  WireValue* source = root.find("source");
   if (!source || source->kind != WireValue::Kind::kString) {
     if (error) *error = "missing string field \"source\"";
     return false;
   }
-  req->analysis.source = source->text;
-  if (const WireValue* kind = root->find("kind")) {
+  req->analysis.source = std::move(source->text);
+  if (const WireValue* kind = root.find("kind")) {
     std::optional<AnalysisRequest::Kind> parsed =
         kind->kind == WireValue::Kind::kString
             ? kind_from_string(kind->text)
@@ -430,8 +444,8 @@ bool parse_request(const std::string& line, ServerRequest* req,
   // v1 compatibility: the plan spec used to be a top-level key.  It only
   // ever applied to verify; options.plan (v2) wins when both are present.
   std::string plan;
-  if (!read_string(*root, "plan", &plan, error)) return false;
-  if (const WireValue* options = root->find("options")) {
+  if (!read_string(root, "plan", &plan, error)) return false;
+  if (const WireValue* options = root.find("options")) {
     if (options->kind != WireValue::Kind::kObject) {
       if (error) *error = "\"options\" must be an object";
       return false;
@@ -499,29 +513,67 @@ bool parse_request(const std::string& line, ServerRequest* req,
   return true;
 }
 
+bool parse_request(const std::string& line, ServerRequest* req,
+                   std::string* error) {
+  std::optional<WireValue> root = parse_json(line, error, /*keep_raw=*/false);
+  if (!root) {
+    *req = ServerRequest{};
+    return false;
+  }
+  return request_from_wire(*root, req, error);
+}
+
 namespace {
 
+// The text json_envelope("serve", {id, status, status_name, <body_key>})
+// .dump(0) produces, spliced directly: the keys are fixed and sorted
+// ("error" < "id" < "result" < "status" < "status_name"), so only the
+// id, the body and the status vary.
 std::string serve_line(const std::string& id_json, ServeStatus status,
-                       const std::string& body_key,
-                       Json body_value) {
-  Json result = Json::object();
-  result.set("id", Json::raw(id_json));
-  result.set("status", static_cast<int>(status));
-  result.set("status_name", to_string(status));
-  result.set(body_key, std::move(body_value));
-  return json_envelope("serve", std::move(result)).dump(0);
+                       std::string_view body_key, std::string_view body_json) {
+  static const std::string kTail =
+      "\"},\"schema_version\":" + std::to_string(kJsonSchemaVersion) +
+      ",\"tool\":\"lmre\"}";
+  const bool body_first = body_key < "id";
+  const char* name = to_string(status);
+  std::string out;
+  out.reserve(96 + id_json.size() + body_json.size());
+  out += "{\"command\":\"serve\",\"result\":{";
+  auto append_body = [&] {
+    out += '"';
+    out += body_key;
+    out += "\":";
+    out += body_json;
+  };
+  if (body_first) {
+    append_body();
+    out += ',';
+  }
+  out += "\"id\":";
+  out += id_json;
+  if (!body_first) {
+    out += ',';
+    append_body();
+  }
+  out += ",\"status\":";
+  out += std::to_string(static_cast<int>(status));
+  out += ",\"status_name\":\"";
+  out += name;
+  out += kTail;
+  return out;
 }
 
 }  // namespace
 
 std::string serve_response(const std::string& id_json, ServeStatus status,
                            const std::string& payload_json) {
-  return serve_line(id_json, status, "result", Json::raw(payload_json));
+  return serve_line(id_json, status, "result", payload_json);
 }
 
 std::string serve_error(const std::string& id_json, ServeStatus status,
                         const std::string& message) {
-  return serve_line(id_json, status, "error", Json::string(message));
+  return serve_line(id_json, status, "error",
+                    "\"" + Json::escape(message) + "\"");
 }
 
 }  // namespace lmre

@@ -57,6 +57,7 @@ struct WireValue {
 
   /// First member with `key` (objects only); nullptr when absent.
   const WireValue* find(std::string_view key) const;
+  WireValue* find(std::string_view key);
 };
 
 /// Parses one complete JSON value (surrounding whitespace allowed,
@@ -99,8 +100,16 @@ struct ServerRequest {
 /// message in *error; *req keeps any id that was readable so the error
 /// response can still correlate.  Unknown option keys are ignored
 /// (forward compatibility); unknown kinds and non-string sources are not.
+/// The line is decoded once: the reader keeps no raw slice but the id's,
+/// and the decoded source moves into *req.
 bool parse_request(const std::string& line, ServerRequest* req,
                    std::string* error);
+
+/// The validation half of parse_request, over a parsed document (from
+/// parse_wire_json, or parse_request's lean parse): maps `root` onto *req,
+/// moving the source text out of `root`.  Same contract as parse_request.
+bool request_from_wire(WireValue& root, ServerRequest* req,
+                       std::string* error);
 
 /// A computed-result response line (no trailing newline): the envelope
 /// around {id, status, status_name, result} with `payload_json` spliced

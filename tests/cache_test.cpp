@@ -245,10 +245,10 @@ TEST(ResultCachePolicy, ResidentLookupCountsHitsOnlyAndNeverReadsDisk) {
   std::filesystem::remove_all(dir);
   write_cache_file(dir, 5, "lmre-cache v1 status=0\n{\"x\":5}");
   ResultCache c(4, dir);
-  // On disk but not resident: a silent nullopt -- no miss, no disk read,
+  // On disk but not resident: a silent null -- no miss, no disk read,
   // no promotion.
-  EXPECT_FALSE(c.get_resident(5).has_value());
-  EXPECT_FALSE(c.get_resident(6).has_value());
+  EXPECT_EQ(c.get_resident(5), nullptr);
+  EXPECT_EQ(c.get_resident(6), nullptr);
   EXPECT_EQ(c.misses(), 0);
   EXPECT_EQ(c.hits(), 0);
   EXPECT_EQ(c.disk_hits(), 0);
@@ -258,7 +258,7 @@ TEST(ResultCachePolicy, ResidentLookupCountsHitsOnlyAndNeverReadsDisk) {
   ASSERT_TRUE(c.get(5).has_value());
   EXPECT_EQ(c.disk_hits(), 1);
   auto entry = c.get_resident(5);
-  ASSERT_TRUE(entry.has_value());
+  ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->payload, "{\"x\":5}");
   EXPECT_EQ(c.hits(), 2);
   EXPECT_EQ(c.disk_hits(), 1);
@@ -271,11 +271,11 @@ TEST(ResultCachePolicy, ResidentLookupHonoursTtl) {
   cfg.ttl_seconds = 0.05;
   ResultCache c(cfg);
   c.put(7, {0, "fresh"});
-  ASSERT_TRUE(c.get_resident(7).has_value());
+  ASSERT_NE(c.get_resident(7), nullptr);
   std::this_thread::sleep_for(std::chrono::milliseconds(120));
   // Past the TTL: dropped and counted expired, but not a miss -- the
   // follow-up get() records the one miss without a second expiry.
-  EXPECT_FALSE(c.get_resident(7).has_value());
+  EXPECT_EQ(c.get_resident(7), nullptr);
   EXPECT_EQ(c.expired(), 1);
   EXPECT_EQ(c.misses(), 0);
   EXPECT_EQ(c.size(), 0u);

@@ -7,16 +7,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "runtime/cache.h"
 #include "runtime/metrics.h"
 #include "runtime/session.h"
+#include "support/error.h"
 
 namespace lmre {
 namespace {
@@ -87,6 +91,78 @@ TEST(Metrics, LatencyOverflowBucketReportsMax) {
   m.observe_latency("h", 123456.0);
   EXPECT_DOUBLE_EQ(m.latency_quantile("h", 0.99), 123456.0);
   EXPECT_EQ(m.latency_count("h"), 2);
+}
+
+// ---- metric handles --------------------------------------------------------
+
+TEST(MetricsHandles, CounterHandleSharesTheNamedSlot) {
+  Metrics m;
+  Metrics::Counter h = m.counter_handle("x");
+  h.add();
+  m.count("x", 2);
+  h.add(4);
+  EXPECT_EQ(m.counter("x"), 7);
+  EXPECT_EQ(m.to_json().dump(), "{\"counters\":{\"x\":7},\"gauges\":{},"
+                                "\"histograms_ms\":{},\"timers_ms\":{}}");
+}
+
+TEST(MetricsHandles, UnusedHandlesLeaveTheSnapshotUnchanged) {
+  // Resolving a handle creates nothing a snapshot shows; adding zero
+  // through a handle shows the counter, exactly as count(name, 0) does.
+  Metrics with, without;
+  with.counter_handle("never");
+  with.latency_handle("never_ms");
+  with.counter_handle("zero").add(0);
+  without.count("zero", 0);
+  EXPECT_EQ(with.to_json().dump(), without.to_json().dump());
+  EXPECT_NE(with.to_json().dump().find("\"zero\":0"), std::string::npos);
+  EXPECT_EQ(with.counter("never"), 0);
+  EXPECT_EQ(with.latency_count("never_ms"), 0);
+}
+
+TEST(MetricsHandles, OverflowThrowsAndLeavesTheValue) {
+  Metrics m;
+  Metrics::Counter h = m.counter_handle("big");
+  h.add(std::numeric_limits<Int>::max());
+  EXPECT_THROW(h.add(1), OverflowError);
+  EXPECT_THROW(m.count("big"), OverflowError);
+  EXPECT_EQ(m.counter("big"), std::numeric_limits<Int>::max());
+}
+
+TEST(MetricsHandles, LatencyHandleMatchesObserveByName) {
+  Metrics by_handle, by_name;
+  Metrics::Latency h = by_handle.latency_handle("serve.latency_ms");
+  for (double ms : {0.01, 0.3, 7.0, 7.0, 99999.0}) {
+    h.observe(ms);
+    by_name.observe_latency("serve.latency_ms", ms);
+  }
+  EXPECT_EQ(by_handle.to_json().dump(), by_name.to_json().dump());
+  EXPECT_EQ(by_handle.latency_count("serve.latency_ms"), 5);
+  EXPECT_DOUBLE_EQ(by_handle.latency_quantile("serve.latency_ms", 1.0), 99999.0);
+}
+
+TEST(MetricsHandles, ConcurrentUpdatesAreExact) {
+  // The serve loop thread and the workers update one registry through
+  // handles and names at once (ThreadSanitizer runs this suite).
+  Metrics m;
+  Metrics::Counter hits = m.counter_handle("runs.cached");
+  Metrics::Latency latency = m.latency_handle("serve.latency_ms");
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 5000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kRounds; ++i) {
+        hits.add();
+        m.count("runs.cached");
+        latency.observe(0.01 * (i % 7) + t);
+        if (i % 500 == 0) m.to_json();  // snapshots race the updates
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(m.counter("runs.cached"), 2 * kThreads * kRounds);
+  EXPECT_EQ(m.latency_count("serve.latency_ms"), kThreads * kRounds);
 }
 
 // ---- fnv / cache -----------------------------------------------------------
@@ -323,7 +399,7 @@ TEST(Session, FreshSessionWarmsFromDiskCache) {
   EXPECT_EQ(warm.metrics().counter("runs.computed"), 0);
 }
 
-// ---- batch over the shipped corpus ----------------------------------------
+// ---- pinned cache keys -----------------------------------------------------
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path);
@@ -342,6 +418,118 @@ std::string loops_dir() {
   }
   return "";
 }
+
+
+// --cache-dir names its files by request_key, so a key that drifts
+// silently cold-starts every disk cache.  These values come from the
+// implementation that built the canonical string before hashing it; a
+// change to them is a cache-format change (bump kHashSalt on purpose,
+// never by accident).
+const char* kKeyedSource =
+    "# fir\narray y[16];\narray x[24];\narray h[8];\nfor i = 1 to 16\n"
+    "  for k = 1 to 8\n    {\n      y[i] = y[i] + x[i + k] + h[k];\n    }\n";
+
+TEST(RequestKey, PinnedValueForEveryKindAndKeyedOption) {
+  using Kind = AnalysisRequest::Kind;
+  using R = AnalysisRequest;
+  AnalysisSession plain;
+  auto key = [&](R::Options options) {
+    return plain.request_key({kKeyedSource, "a.loop", std::move(options)});
+  };
+  EXPECT_EQ(key(R::Lint{}), 0xf24906f71b131e1eULL);
+  EXPECT_EQ(key(R::Analyze{}), 0xa261d821f2687dd5ULL);
+  EXPECT_EQ(key(R::Optimize{"miss-ratio:64"}), 0xffaf776d64cf75dcULL);
+  EXPECT_EQ(key(R::Full{}), 0xab11616185d4043eULL);
+  EXPECT_EQ(key(R::Symbolic{}), 0xdac7677d7e829891ULL);
+  EXPECT_EQ(key(R::Verify{"0 1; 1 0"}), 0x52f886b22c92de35ULL);
+  EXPECT_EQ(key(R::Codegen{"auto", true, "gcc"}), 0x3cbe881090775790ULL);
+  EXPECT_EQ(key(R::Mrc{"auto", 0.25, {16, 64}}), 0x11d24fb6de1160ffULL);
+
+  // The session's keyed run options: strict and verify_limit.
+  SessionOptions opts;
+  opts.run.strict = true;
+  opts.run.verify_limit = 1000;
+  AnalysisSession strict(opts);
+  EXPECT_EQ(strict.request_key({kKeyedSource, "a.loop", Kind::kAnalyze}),
+            0x487d434c2396f670ULL);
+}
+
+// The canonical form request_key hashes, built as a string: `#` comments
+// stripped, whitespace runs collapsed to one space, none leading or
+// trailing.  request_key streams these bytes into FNV-1a instead.
+std::string canonicalize(const std::string& source) {
+  std::string out;
+  bool in_comment = false;
+  bool pending_space = false;
+  for (char c : source) {
+    if (c == '\n') in_comment = false;
+    if (in_comment) continue;
+    if (c == '#') {
+      in_comment = true;
+      continue;
+    }
+    if (std::isspace(static_cast<unsigned char>(c))) {
+      pending_space = true;
+      continue;
+    }
+    if (pending_space && !out.empty()) out += ' ';
+    pending_space = false;
+    out += c;
+  }
+  return out;
+}
+
+// The whole key recipe over the reference canonical string, for a kind
+// without options under default run options.
+std::uint64_t reference_key(const std::string& source, const char* kind) {
+  std::uint64_t h = fnv1a("lmre-result-v4");
+  h = fnv1a(canonicalize(source), h);
+  h = fnv1a("|kind=", h);
+  h = fnv1a(kind, h);
+  h = fnv1a("|verify=", h);
+  h = fnv1a(std::to_string(RunOptions{}.verify_limit), h);
+  return fnv1a("|lax", h);
+}
+
+TEST(RequestKey, StreamingKeyEqualsTheCanonicalStringReference) {
+  std::vector<std::string> sources = {
+      "",
+      "   \t\r\n  ",
+      "# only a comment",
+      "# comment\n",
+      "\tfor i = 1 to 4\r\n\t  use A[i];\r\n",
+      "  leading and trailing blanks  \n\n",
+      "a#x\nb",
+      "a # after code\n  b # again\nc #",
+      "a#b#c\n#\n#\r\nd",
+      "x\v\fy\r\rz",
+      "no newline at the end",
+      "\n\n\n",
+      "#\n",
+      "tabs\tin\t\tthe middle",
+      "utf8 \xc3\xa9 bytes\x80\xff stay",
+  };
+  const std::string dir = loops_dir();
+  if (!dir.empty()) {
+    for (const auto& e : std::filesystem::directory_iterator(dir)) {
+      if (e.path().extension() == ".loop") {
+        sources.push_back(read_file(e.path().string()));
+      }
+    }
+  } else {
+    ADD_FAILURE() << "examples/loops not found from test cwd";
+  }
+  AnalysisSession session;
+  for (const std::string& src : sources) {
+    SCOPED_TRACE(src);
+    EXPECT_EQ(session.request_key({src, "a.loop", AnalysisRequest::Kind::kLint}),
+              reference_key(src, "lint"));
+    EXPECT_EQ(session.request_key({src, "a.loop", AnalysisRequest::Kind::kFull}),
+              reference_key(src, "full"));
+  }
+}
+
+// ---- batch over the shipped corpus ----------------------------------------
 
 std::vector<AnalysisRequest> corpus_requests(const std::string& dir) {
   std::vector<std::string> files;

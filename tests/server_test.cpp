@@ -18,6 +18,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -138,6 +139,332 @@ TEST(WireStatus, NamesAndExitCodeMapping) {
   EXPECT_EQ(serve_status(ExitCode::kSuccess), ServeStatus::kSuccess);
   EXPECT_EQ(serve_status(ExitCode::kDiagnostics), ServeStatus::kDiagnostics);
   EXPECT_EQ(static_cast<int>(ServeStatus::kOverflow), to_int(ExitCode::kOverflow));
+}
+
+// ---- spliced envelope ------------------------------------------------------
+
+// The reference for serve_response / serve_error: the envelope built as a
+// Json tree and dumped, which the spliced lines must equal byte for byte.
+std::string tree_line(const std::string& id_json, ServeStatus status,
+                      const std::string& body_key, Json body) {
+  Json result = Json::object();
+  result.set("id", Json::raw(id_json));
+  result.set("status", static_cast<int>(status));
+  result.set("status_name", to_string(status));
+  result.set(body_key, std::move(body));
+  return json_envelope("serve", std::move(result)).dump(0);
+}
+
+std::string read_text(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+// The source tree, seen from the test binary's cwd (<build>/tests).
+std::string source_root() {
+  for (const char* base : {"", "../", "../../", "../../../"}) {
+    if (std::filesystem::exists(std::string(base) + "tests/golden/batch_loops.json")) {
+      return base;
+    }
+  }
+  return "?";
+}
+
+TEST(WireEnvelope, SplicedLinesMatchTheTreeBuiltEnvelope) {
+  const std::string root = source_root();
+  ASSERT_NE(root, "?") << "source tree not found from test cwd";
+  // A real payload: the first file's result in the batch golden.
+  std::string error;
+  auto golden = parse_wire_json(read_text(root + "tests/golden/batch_loops.json"), &error);
+  ASSERT_TRUE(golden.has_value()) << error;
+  const WireValue* files = golden->find("result")->find("files");
+  ASSERT_TRUE(files && !files->elements.empty());
+  const std::string golden_payload = files->elements[0].find("result")->raw;
+  ASSERT_GT(golden_payload.size(), 100u);
+
+  const std::string ids[] = {R"("a\"b\\ é\n")", "-1.5e-3", "null", "42",
+                             R"("")"};
+  const std::string payloads[] = {"{}", golden_payload};
+  const std::string messages[] = {"request queue full", "",
+                                  "quote \" backslash \\ tab \t bell \x07 é"};
+  for (int s = 0; s <= static_cast<int>(ServeStatus::kBadRequest); ++s) {
+    const ServeStatus status = static_cast<ServeStatus>(s);
+    for (const std::string& id : ids) {
+      SCOPED_TRACE(std::string(to_string(status)) + " id " + id);
+      for (const std::string& payload : payloads) {
+        EXPECT_EQ(serve_response(id, status, payload),
+                  tree_line(id, status, "result", Json::raw(payload)));
+      }
+      for (const std::string& message : messages) {
+        EXPECT_EQ(serve_error(id, status, message),
+                  tree_line(id, status, "error", Json::string(message)));
+      }
+    }
+  }
+}
+
+// ---- lean request parse ----------------------------------------------------
+
+// Every field parse_request fills, as one comparable string.
+std::string describe(const ServerRequest& r) {
+  std::ostringstream os;
+  os << std::hexfloat << "id=" << r.id_json
+     << " kind=" << to_string(r.analysis.kind()) << " deadline=" << r.deadline_ms
+     << " plan=" << r.analysis.plan_spec() << " file=" << r.analysis.file
+     << " source=" << r.analysis.source;
+  if (const auto* c = r.analysis.codegen()) os << " run=" << c->run << " cc=" << c->cc;
+  if (const auto* o = r.analysis.optimize()) os << " objective=" << o->objective;
+  if (const auto* m = r.analysis.mrc()) {
+    os << " rate=" << m->sample_rate << " caps=";
+    for (Int c : m->capacities) os << c << ',';
+  }
+  return os.str();
+}
+
+// parse_request (the lean parse: no raw slice but the id's, the source
+// moved out) against the full raw-everywhere tree of parse_wire_json
+// through the same validation.
+void expect_lean_parse_matches_full_tree(const std::string& line) {
+  SCOPED_TRACE(line.substr(0, 120));
+  ServerRequest lean;
+  std::string lean_error;
+  const bool lean_ok = parse_request(line, &lean, &lean_error);
+
+  ServerRequest full;
+  std::string full_error;
+  std::optional<WireValue> tree = parse_wire_json(line, &full_error);
+  const bool full_ok = tree && request_from_wire(*tree, &full, &full_error);
+
+  EXPECT_EQ(lean_ok, full_ok);
+  EXPECT_EQ(lean_error, full_error);
+  EXPECT_EQ(describe(lean), describe(full));
+  // So a bad_request line is the same bytes either way.
+  EXPECT_EQ(serve_error(lean.id_json, ServeStatus::kBadRequest, lean_error),
+            serve_error(full.id_json, ServeStatus::kBadRequest, full_error));
+}
+
+TEST(WireLeanParse, MatchesTheFullTreeOverThePerfbenchTemplates) {
+  const std::string root = source_root();
+  ASSERT_NE(root, "?") << "source tree not found from test cwd";
+  // The seed-1 perfbench request lines: every warm_hits template and the
+  // first cold_mix ones (all eight kinds, with and without options).
+  std::istringstream in(read_text(root + "tests/wire/perfbench_seed1.ndjson"));
+  std::string line;
+  int lines = 0;
+  while (std::getline(in, line)) {
+    expect_lean_parse_matches_full_tree(line);
+    ServerRequest req;
+    std::string error;
+    EXPECT_TRUE(parse_request(line, &req, &error)) << error;
+    ++lines;
+  }
+  EXPECT_EQ(lines, 192);
+}
+
+// Every malformed line this suite feeds the server, plus one per schema
+// rule, with the (id, error) the request parser has always given them:
+// bad_request responses are byte-stable.
+struct Malformed {
+  std::string line;
+  const char* id_json;
+  const char* error;
+};
+
+std::vector<Malformed> malformed_lines() {
+  return {
+      {"", "null", "unexpected end of input at byte 0"},
+      {"{", "null", "expected string at byte 1"},
+      {"{} trailing", "null", "trailing bytes after JSON value at byte 3"},
+      {R"({"a" 1})", "null", "expected ':' in object at byte 5"},
+      {R"("\x")", "null", "invalid escape at byte 3"},
+      {R"("\ud800")", "null", "unpaired surrogate at byte 7"},
+      {"nul", "null", "invalid literal at byte 0"},
+      {std::string(100, '[') + std::string(100, ']'), "null",
+       "nesting too deep at byte 65"},
+      {"[1,2]", "null", "request must be a JSON object"},
+      {R"({"kind": "full"})", "null", R"(missing string field "source")"},
+      {R"({"source": 5})", "null", R"(missing string field "source")"},
+      {R"({"source": "x", "kind": "bogus"})", "null",
+       R"("kind" must be one of lint|analyze|optimize|full|symbolic|verify|codegen|mrc)"},
+      {R"({"source": "x", "options": []})", "null", R"("options" must be an object)"},
+      {R"({"source": "x", "options": {"deadline_ms": -1}})", "null",
+       R"("deadline_ms" must be a non-negative number)"},
+      {R"({"id": {"k": 1}, "source": "x"})", "null",
+       R"("id" must be a string, number, or null)"},
+      {R"({"id": 9, "kind": "bogus", "source": "x"})", "9",
+       R"("kind" must be one of lint|analyze|optimize|full|symbolic|verify|codegen|mrc)"},
+      {"this is not json", "null", "invalid literal at byte 0"},
+      {"not json", "null", "invalid literal at byte 0"},
+      {R"({"id": 3, "schema_version": 3, "source": "x"})", "3",
+       R"("schema_version" must be an integer in [1, 2])"},
+      {R"({"id": 4, "schema_version": 1.5, "source": "x"})", "4",
+       R"("schema_version" must be an integer in [1, 2])"},
+      {R"({"id": 5, "source": "x", "plan": 7})", "5", R"("plan" must be a string)"},
+      {R"({"id": 6, "kind": "codegen", "source": "x", "options": {"run": 1}})", "6",
+       R"("run" must be a boolean)"},
+      {R"({"id": 7, "kind": "codegen", "source": "x", "options": {"cc": false}})", "7",
+       R"("cc" must be a string)"},
+      {R"({"id": 8, "kind": "optimize", "source": "x", "options": {"objective": []}})",
+       "8", R"("objective" must be a string)"},
+      {R"({"id": 10, "kind": "mrc", "source": "x", "options": {"sample_rate": 0}})",
+       "10", R"("sample_rate" must be a number in (0, 1])"},
+      {R"({"id": 11, "kind": "mrc", "source": "x", "options": {"capacities": {}}})",
+       "11", R"("capacities" must be an array of integers)"},
+      {R"({"id": 12, "kind": "mrc", "source": "x", "options": {"capacities": [1, 2.5]}})",
+       "12", R"("capacities" entries must be non-negative integers)"},
+      {R"({"id": "unterminated, "source": "x"})", "null",
+       "expected ',' or '}' in object at byte 23"},
+      {"{\"id\": 13, \"source\": \"tab\there\"}", "null",
+       "unescaped control character in string at byte 26"},
+      {R"({"id": 14, "source": "x\u12"})", "null", "invalid \\u escape at byte 25"},
+      {R"({"id": 15, "source": "x\udc00"})", "null", "unpaired surrogate at byte 29"},
+      {R"({"id": 16, "source": "x")", "null", "expected ',' or '}' in object at byte 24"},
+      {R"({"id": 1e999, "source": "x"})", "null", "number out of range at byte 12"},
+      {R"({"id": -, "source": "x"})", "null", "invalid number at byte 8"},
+      {R"({"id": 17, "source": "x\)", "null", "unterminated escape at byte 24"},
+      {R"({"id": 18, "source": "x", "options": {"deadline_ms": "soon"}})", "18",
+       R"("deadline_ms" must be a non-negative number)"},
+  };
+}
+
+TEST(WireLeanParse, MatchesTheFullTreeOnEveryMalformedLine) {
+  for (const Malformed& m : malformed_lines()) {
+    expect_lean_parse_matches_full_tree(m.line);
+    ServerRequest req;
+    std::string error;
+    EXPECT_FALSE(parse_request(m.line, &req, &error)) << m.line;
+    EXPECT_EQ(req.id_json, m.id_json) << m.line;
+    EXPECT_EQ(error, m.error) << m.line;
+  }
+  // Well-formed edge cases decode the same way in both modes too.
+  for (const char* line : {
+           R"({"id": 1e-400, "source": "x"})",
+           R"({"id": -0, "source": "x", "options": {"deadline_ms": 2.5e1}})",
+           R"({"id": "s", "plan": "1 0; 0 1", "kind": "verify", "source": "x"})",
+           R"({"id": "s", "kind": "verify", "plan": "a", "source": "x",
+               "options": {"plan": "b", "deadline_ms": 0}})",
+           R"({"id": 2, "kind": "mrc", "source": "x", "options":
+               {"sample_rate": 0.125, "capacities": [0, 3, 1E2], "plan": "auto"}})",
+           R"({"id": 3, "kind": "codegen", "source": "x", "options":
+               {"run": true, "cc": "cc", "plan": "auto", "extra": [{}]}})",
+           R"({"id": 4, "kind": "optimize", "source": "x",
+               "options": {"objective": "miss-ratio:64"}})",
+           R"( {"source" : "x" , "id" : null , "schema_version" : 1} )",
+       }) {
+    expect_lean_parse_matches_full_tree(line);
+  }
+}
+
+// The string decoder as first written: one push_back per byte.  The bulk
+// decoder (runs appended whole) must produce the same bytes.
+std::optional<std::string> per_character_decode(std::string_view literal) {
+  std::string out;
+  size_t pos = 1;  // past the opening quote
+  auto hex4 = [&](unsigned* code) {
+    if (pos + 4 > literal.size()) return false;
+    *code = 0;
+    for (int i = 0; i < 4; ++i) {
+      const char c = literal[pos + i];
+      *code <<= 4;
+      if (c >= '0' && c <= '9') *code |= static_cast<unsigned>(c - '0');
+      else if (c >= 'a' && c <= 'f') *code |= static_cast<unsigned>(c - 'a' + 10);
+      else if (c >= 'A' && c <= 'F') *code |= static_cast<unsigned>(c - 'A' + 10);
+      else return false;
+    }
+    pos += 4;
+    return true;
+  };
+  while (pos < literal.size()) {
+    const char c = literal[pos++];
+    if (c == '"') return out;
+    if (static_cast<unsigned char>(c) < 0x20) return std::nullopt;
+    if (c != '\\') {
+      out.push_back(c);
+      continue;
+    }
+    if (pos >= literal.size()) return std::nullopt;
+    const char e = literal[pos++];
+    switch (e) {
+      case '"': out.push_back('"'); break;
+      case '\\': out.push_back('\\'); break;
+      case '/': out.push_back('/'); break;
+      case 'b': out.push_back('\b'); break;
+      case 'f': out.push_back('\f'); break;
+      case 'n': out.push_back('\n'); break;
+      case 'r': out.push_back('\r'); break;
+      case 't': out.push_back('\t'); break;
+      case 'u': {
+        unsigned code = 0;
+        if (!hex4(&code)) return std::nullopt;
+        if (code >= 0xd800 && code <= 0xdbff) {
+          unsigned low = 0;
+          if (literal.substr(pos, 2) != "\\u") return std::nullopt;
+          pos += 2;
+          if (!hex4(&low) || low < 0xdc00 || low > 0xdfff) return std::nullopt;
+          code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+        } else if (code >= 0xdc00 && code <= 0xdfff) {
+          return std::nullopt;
+        }
+        if (code <= 0x7f) {
+          out.push_back(static_cast<char>(code));
+        } else if (code <= 0x7ff) {
+          out.push_back(static_cast<char>(0xc0 | (code >> 6)));
+          out.push_back(static_cast<char>(0x80 | (code & 0x3f)));
+        } else if (code <= 0xffff) {
+          out.push_back(static_cast<char>(0xe0 | (code >> 12)));
+          out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3f)));
+          out.push_back(static_cast<char>(0x80 | (code & 0x3f)));
+        } else {
+          out.push_back(static_cast<char>(0xf0 | (code >> 18)));
+          out.push_back(static_cast<char>(0x80 | ((code >> 12) & 0x3f)));
+          out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3f)));
+          out.push_back(static_cast<char>(0x80 | (code & 0x3f)));
+        }
+        break;
+      }
+      default:
+        return std::nullopt;
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(WireLeanParse, BulkDecoderMatchesThePerCharacterOne) {
+  const std::string every_escape =
+      R"(for i = 1 to 4 # \"quoted\" a\\b c\/d \b\f\n\r\t caf\u00e9 \ud83d\ude00)"
+      R"(\n  use A[i];\n)";
+  const std::string literals[] = {
+      "\"" + every_escape + "\"",
+      R"("")",
+      R"("\n")",
+      R"("\\\\\"\"")",
+      R"("run of plain bytes longer than any word, then one escape\t")",
+      R"("\u0041\u00E9\u20ac\uD83D\uDE00tail")",
+      "\"raw utf-8 \xc3\xa9 and \xf0\x9f\x98\x80 bytes pass through\"",
+      R"("ends in an escaped quote \"")",
+      R"("x\u0000y")",
+  };
+  for (const std::string& literal : literals) {
+    SCOPED_TRACE(literal);
+    std::optional<std::string> expected = per_character_decode(literal);
+    ASSERT_TRUE(expected.has_value());
+    std::string error;
+    auto value = parse_wire_json(literal, &error);
+    ASSERT_TRUE(value.has_value()) << error;
+    EXPECT_EQ(value->text, *expected);
+  }
+  // Through parse_request as a request's source.
+  ServerRequest req;
+  std::string error;
+  ASSERT_TRUE(parse_request(R"({"id": 1, "source": ")" + every_escape + "\"}",
+                            &req, &error))
+      << error;
+  EXPECT_EQ(req.analysis.source, *per_character_decode("\"" + every_escape + "\""));
+  EXPECT_EQ(req.analysis.source,
+            "for i = 1 to 4 # \"quoted\" a\\b c/d \b\f\n\r\t caf\xc3\xa9 "
+            "\xf0\x9f\x98\x80\n  use A[i];\n");
 }
 
 // ---- bounded queue ---------------------------------------------------------
@@ -1172,6 +1499,59 @@ TEST_P(SocketTransport, FramesLinesSplitAcrossWritesAndSharingOne) {
               direct.run({line.source, "x.loop", line.session_kind}).payload)
         << line.id;
   }
+}
+
+TEST_P(SocketTransport, PipelinedShortLinesPastTheCapAreAllAnswered) {
+  ASSERT_NO_FATAL_FAILURE(start(ServerOptions{}, "pipelined"));
+  // ~4 KiB lines, well under the 16 MiB line cap, over 17 MiB in all.
+  // Every one is the same lint request (the comment padding canonicalizes
+  // away), so after the first computation they are all admission hits.
+  const std::string padding = "# " + std::string(4000, 'p') + "\n";
+  constexpr int kLines = 4400;
+  int fd = connect();
+  ASSERT_GE(fd, 0);
+  set_timeouts(fd, 60);
+
+  // One thread writes without pause, in 1 MiB batches, while this one
+  // reads the replies.
+  std::thread writer([&] {
+    std::string batch;
+    for (int i = 0; i < kLines; ++i) {
+      batch += request_line(std::to_string(i), padding + kFirSource, "lint");
+      batch += '\n';
+      if (batch.size() >= (1u << 20) || i + 1 == kLines) {
+        size_t sent = 0;
+        while (sent < batch.size()) {
+          ssize_t n = ::send(fd, batch.data() + sent, batch.size() - sent,
+                             MSG_NOSIGNAL);
+          if (n <= 0) return;  // dropped: the reader sees it as missing lines
+          sent += static_cast<size_t>(n);
+        }
+        batch.clear();
+      }
+    }
+    ::shutdown(fd, SHUT_WR);
+  });
+  std::string text = read_all(fd);
+  writer.join();
+  ::close(fd);
+
+  std::vector<bool> answered(kLines, false);
+  int responses = 0;
+  for (const std::string& line : lines_of(text)) {
+    std::string error;
+    auto doc = parse_wire_json(line, &error);
+    ASSERT_TRUE(doc.has_value()) << error;
+    const WireValue* result = doc->find("result");
+    ASSERT_NE(result, nullptr);
+    EXPECT_EQ(result->find("status")->number, 0) << line.substr(0, 200);
+    const int id = static_cast<int>(result->find("id")->number);
+    ASSERT_TRUE(id >= 0 && id < kLines);
+    EXPECT_FALSE(answered[static_cast<size_t>(id)]) << "id " << id << " twice";
+    answered[static_cast<size_t>(id)] = true;
+    ++responses;
+  }
+  EXPECT_EQ(responses, kLines) << "a pipelining client was dropped";
 }
 
 INSTANTIATE_TEST_SUITE_P(
