@@ -7,7 +7,6 @@
 //   * live = minimum memory holding every value still needed.
 // Both sit far below the declared sizes, which is the paper's point.
 
-#include <chrono>
 #include <iostream>
 
 #include "codes/examples.h"
@@ -50,32 +49,5 @@ int main() {
             << "\n=> estimating memory from value liveness alone (as [20] does)\n"
                "   misses that loop transformations can change it: the paper's\n"
                "   contribution is exactly that optimization step.\n";
-
-  // Slab-parallel oracle timing: the chunked simulate splits the outer loop
-  // into per-worker slabs and merges the per-slab traces; every statistic
-  // must equal the serial run (the merge is exact, not approximate).
-  std::cout << "\n=== serial vs slab-parallel exact oracle (example 8, 300x300) ===\n\n";
-  LoopNest big = codes::example_8(300, 300);
-  TraceStats serial_stats{};
-  TextTable w;
-  w.header({"threads", "wall time", "MWS", "distinct", "identical"});
-  for (int threads : {1, 2, 4, 0}) {
-    auto start = std::chrono::steady_clock::now();
-    TraceStats s = simulate(big, threads);
-    auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                  std::chrono::steady_clock::now() - start)
-                  .count();
-    if (threads == 1) serial_stats = s;
-    bool same = s.mws_total == serial_stats.mws_total &&
-                s.distinct_total == serial_stats.distinct_total &&
-                s.reuse_total == serial_stats.reuse_total &&
-                s.iterations == serial_stats.iterations;
-    w.row({threads == 0 ? "all" : std::to_string(threads),
-           std::to_string(us) + " us", with_commas(s.mws_total),
-           with_commas(s.distinct_total), same ? "yes" : "NO"});
-  }
-  std::cout << w.render()
-            << "(single-core hosts see pool overhead instead of speedup;\n"
-               " the identical column is the point being demonstrated)\n";
   return 0;
 }

@@ -1,13 +1,12 @@
 // Oracle engine bench: retained hash-map reference engine vs the dense
-// linearized-address engine on the 13-kernel suite (figure2 + extra), at
-// 1/4/8 worker threads, plus the minimize_mws_2d-style verify loop (k
-// candidate transforms re-scored through one reused TraceArena).  Prints
-// per-kernel speedup tables and writes BENCH_oracle.json (enveloped) into
+// linearized-address engine on the 13-kernel suite (figure2 + extra), plus
+// the minimize_mws_2d-style verify loop (k candidate transforms re-scored
+// through one reused TraceArena).  Prints per-kernel speedup tables and writes BENCH_oracle.json (enveloped) into
 // the current directory.
 //
 // With --check the bench turns into a perf gate: it exits nonzero if the
-// dense engine is ever slower than 2x the reference on any kernel/thread
-// combination (or on the verify loop).  scripts/tier1.sh runs that gate.
+// dense engine is ever slower than 2x the reference on any kernel (or on
+// the verify loop).  scripts/tier1.sh runs that gate.
 
 #include <algorithm>
 #include <chrono>
@@ -109,58 +108,50 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--check") == 0) check = true;
   }
 
-  const std::vector<int> thread_counts = {1, 4, 8};
   auto kernels = suite();
   bool ok = true;
   Json kernel_rows = Json::array();
 
   std::cout << "=== exact oracle: reference hash-map vs dense-address engine ===\n";
-  for (int threads : thread_counts) {
-    TextTable t;
-    t.header({"kernel", "iters", "ref (ms)", "dense (ms)", "speedup"});
-    double ref_total = 0.0;
-    double new_total = 0.0;
-    for (auto& [name, nest] : kernels) {
-      TraceStats ref_stats, new_stats;
-      double ref_ms = best_of([&] { ref_stats = reference::simulate(nest, threads); });
-      double new_ms = best_of([&] {
-        TraceArena arena;  // fresh per rep: cold-run cost, no warm reuse
-        new_stats = simulate(nest, threads, arena);
-      });
-      if (!same(ref_stats, new_stats)) {
-        std::cout << "MISMATCH on " << name << " at threads=" << threads << '\n';
-        ok = false;
-      }
-      ref_total += ref_ms;
-      new_total += new_ms;
-      double speedup = new_ms > 0.0 ? ref_ms / new_ms : 0.0;
-      if (check && new_ms > kCheckSlowdown * ref_ms) {
-        std::cout << "CHECK FAIL: " << name << " threads=" << threads
-                  << " dense " << fmt_ms(new_ms) << "ms > " << kCheckSlowdown
-                  << "x ref " << fmt_ms(ref_ms) << "ms\n";
-        ok = false;
-      }
-      t.row({name, std::to_string(nest.iteration_count()), fmt_ms(ref_ms),
-             fmt_ms(new_ms), fmt_x(speedup)});
-      kernel_rows.push(Json::object()
-                           .set("kernel", name)
-                           .set("threads", Int{threads})
-                           .set("iterations", nest.iteration_count())
-                           .set("ref_ms", ref_ms)
-                           .set("dense_ms", new_ms)
-                           .set("speedup", speedup));
+  TextTable t;
+  t.header({"kernel", "iters", "ref (ms)", "dense (ms)", "speedup"});
+  double ref_total = 0.0;
+  double new_total = 0.0;
+  for (auto& [name, nest] : kernels) {
+    TraceStats ref_stats, new_stats;
+    double ref_ms = best_of([&] { ref_stats = reference::simulate(nest); });
+    double new_ms = best_of([&] { new_stats = simulate(nest); });  // fresh arena
+    if (!same(ref_stats, new_stats)) {
+      std::cout << "MISMATCH on " << name << '\n';
+      ok = false;
     }
-    t.row({"TOTAL", "", fmt_ms(ref_total), fmt_ms(new_total),
-           fmt_x(new_total > 0.0 ? ref_total / new_total : 0.0)});
-    std::cout << "-- threads=" << threads << " --\n" << t.render();
+    ref_total += ref_ms;
+    new_total += new_ms;
+    double speedup = new_ms > 0.0 ? ref_ms / new_ms : 0.0;
+    if (check && new_ms > kCheckSlowdown * ref_ms) {
+      std::cout << "CHECK FAIL: " << name << " dense " << fmt_ms(new_ms)
+                << "ms > " << kCheckSlowdown << "x ref " << fmt_ms(ref_ms)
+                << "ms\n";
+      ok = false;
+    }
+    t.row({name, std::to_string(nest.iteration_count()), fmt_ms(ref_ms),
+           fmt_ms(new_ms), fmt_x(speedup)});
     kernel_rows.push(Json::object()
-                         .set("kernel", "TOTAL")
-                         .set("threads", Int{threads})
-                         .set("ref_ms", ref_total)
-                         .set("dense_ms", new_total)
-                         .set("speedup",
-                              new_total > 0.0 ? ref_total / new_total : 0.0));
+                         .set("kernel", name)
+                         .set("iterations", nest.iteration_count())
+                         .set("ref_ms", ref_ms)
+                         .set("dense_ms", new_ms)
+                         .set("speedup", speedup));
   }
+  t.row({"TOTAL", "", fmt_ms(ref_total), fmt_ms(new_total),
+         fmt_x(new_total > 0.0 ? ref_total / new_total : 0.0)});
+  std::cout << t.render();
+  kernel_rows.push(Json::object()
+                       .set("kernel", "TOTAL")
+                       .set("ref_ms", ref_total)
+                       .set("dense_ms", new_total)
+                       .set("speedup",
+                            new_total > 0.0 ? ref_total / new_total : 0.0));
 
   // Verify-loop bench: the largest depth-2 kernel stands in for the
   // minimize_mws_2d verify workload -- every candidate transform simulated

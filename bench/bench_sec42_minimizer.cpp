@@ -78,37 +78,22 @@ int main() {
               << "  rows examined    : " << res->candidates << '\n';
   }
 
-  // Serial vs parallel search on an enlarged configuration: widen the
-  // coefficient grid so the scoring loop dominates, then sweep the worker
-  // count.  The result columns must agree for every thread count -- the
-  // parallel reduction is ordered (DESIGN.md, "Determinism contract") --
-  // so the table doubles as a determinism check.
-  std::cout << "\n=== serial vs parallel row search (coeff_bound = 96) ===\n\n";
+  // The search on an enlarged configuration: widen the coefficient grid so
+  // the scoring loop dominates the run time.
+  std::cout << "\n=== row search at coeff_bound = 96 ===\n\n";
   MinimizerOptions large;
   large.coeff_bound = 96;
-  std::optional<MinimizerResult> reference;
-  TextTable timing;
-  timing.header({"threads", "wall time", "first row", "estimate", "rows", "identical"});
-  for (int threads : {1, 2, 4, 0}) {
-    MinimizerOptions opts = large;
-    opts.threads = threads;
-    auto start = std::chrono::steady_clock::now();
-    auto run = minimize_mws_2d(nest, opts);
-    auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                  std::chrono::steady_clock::now() - start)
-                  .count();
-    if (!run) continue;
-    if (!reference) reference = run;
-    bool same = run->transform == reference->transform &&
-                run->predicted_mws == reference->predicted_mws &&
-                run->candidates == reference->candidates;
-    timing.row({threads == 0 ? "all" : std::to_string(threads),
-                std::to_string(us) + " us", run->transform.row(0).str(),
-                run->predicted_mws.str(), std::to_string(run->candidates),
-                same ? "yes" : "NO"});
+  auto start = std::chrono::steady_clock::now();
+  auto run = minimize_mws_2d(nest, large);
+  auto us = std::chrono::duration_cast<std::chrono::microseconds>(
+                std::chrono::steady_clock::now() - start)
+                .count();
+  if (run) {
+    TextTable timing;
+    timing.header({"wall time", "first row", "estimate", "rows"});
+    timing.row({std::to_string(us) + " us", run->transform.row(0).str(),
+                run->predicted_mws.str(), std::to_string(run->candidates)});
+    std::cout << timing.render();
   }
-  std::cout << timing.render()
-            << "(speedup scales with available cores; on a single-core host\n"
-               " the parallel rows mostly measure the pool's overhead)\n";
   return 0;
 }

@@ -6,7 +6,7 @@
 # drain), a serve-load smoke (CLI TCP round trip byte-identical to the
 # Unix transport + the bench_server --check load-harness gate), then two
 # sanitizer passes --
-# ThreadSanitizer over the parallel-search + shared-cache/server suites
+# ThreadSanitizer over the batch fan-out + shared-cache/server suites
 # and ASan+UBSan over the parser / lint / CLI / server suites (the layers
 # that chew on untrusted input) and the optimizer / report / session suites
 # -- plus a symbolic-smoke stage (closed forms
@@ -176,14 +176,13 @@ grep -q '"cache.shards": 4' "$BATCH_CACHE/serve_tcp_metrics.json" \
   || { echo "FAIL: bench_server --check load gate"; exit 1; }
 
 echo "== tier 1: ThreadSanitizer pass over the parallel suites =="
-# Plus runtime_test: the metric handles are atomics that the serve loop
-# thread and the workers update at once.
+# parallel_map_test: the batch fan-out primitive, plus the search and the
+# oracle run as concurrent requests.  Plus runtime_test: the metric handles
+# are atomics that the serve loop thread and the workers update at once.
 cmake -B build-tsan -S . -DLMRE_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" \
-  --target parallel_search_test property_parallel_test cache_stress_test \
-  server_test runtime_test
-./build-tsan/tests/parallel_search_test
-./build-tsan/tests/property_parallel_test
+  --target parallel_map_test cache_stress_test server_test runtime_test
+./build-tsan/tests/parallel_map_test
 ./build-tsan/tests/cache_stress_test
 ./build-tsan/tests/server_test
 ./build-tsan/tests/runtime_test
@@ -229,7 +228,7 @@ echo "== tier 1: symbolic-smoke (ASan differential subset + golden check) =="
 # The symbolic closed forms must stay oracle-exact under ASan+UBSan: run
 # the paper-kernel + clamping-edge differential subset (the full 300-nest
 # sweep stays in the plain ctest pass, where the `symbolic` ctest label
-# covers it at 1 and N threads), then re-pin the golden envelopes for the
+# covers it serially and as concurrent requests), then re-pin the golden envelopes for the
 # paper's Example 6 (decline) and Example 10 (Sections 3.2 / 4.3).
 cmake --build build-asan -j "$JOBS" --target property_symbolic_test \
   golden_symbolic_test symbolic_reject_test

@@ -83,7 +83,7 @@ MemoryReport analyze_memory(const LoopNest& nest, bool with_oracle) {
 MemoryReport analyze_memory(const LoopNest& nest, const RunOptions& run) {
   std::optional<TraceStats> exact;
   if (nest.iteration_count() <= run.verify_limit) {
-    exact = simulate(nest, run.threads);
+    exact = simulate(nest);
   }
   return report_from(nest, exact);
 }

@@ -43,8 +43,7 @@ struct MemoryReport {
 MemoryReport analyze_memory(const LoopNest& nest, bool with_oracle = true);
 
 /// analyze_memory under the shared pipeline options: the oracle runs only
-/// when the nest's iteration count is within run.verify_limit, on
-/// run.threads workers (results independent of the thread count).
+/// when the nest's iteration count is within run.verify_limit.
 MemoryReport analyze_memory(const LoopNest& nest, const RunOptions& run);
 
 /// Fills the report's exact columns from an oracle run over the same nest

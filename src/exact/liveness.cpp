@@ -103,7 +103,7 @@ struct LivenessSweep {
   void flush() {
     for (size_t si = 0; si < plan.stores.size(); ++si) {
       const ArrayId array = plan.stores[si].array;
-      const TraceArena::StoreBuf& s = arena.store(0, si);
+      const TraceArena::StoreBuf& s = arena.store(si);
       if (s.dense) {
         for (size_t a = 0; a < static_cast<size_t>(s.volume); ++a) {
           if (s.tag[a] != 0) add_interval(array, s.first[a], s.last[a]);
@@ -151,16 +151,16 @@ LivenessStats min_memory_liveness(const LoopNest& nest, const IntMat* transform,
     t_inv = transform->inverse_unimodular();
   }
   auto plan = AddressPlan::build(nest, t_inv ? &*t_inv : nullptr,
-                                 /*liveness_order=*/true, 1);
+                                 /*liveness_order=*/true);
   if (!plan) {
     ++arena.stats().fallback_runs;
     return reference::min_memory_liveness(nest, transform);
   }
-  arena.prepare(*plan, 1, /*with_state=*/true);
+  arena.prepare(*plan, /*with_state=*/true);
   std::vector<TraceArena::StoreBuf*> bufs(plan->refs.size());
   std::vector<ArrayId> arrays(plan->refs.size());
   for (size_t r = 0; r < plan->refs.size(); ++r) {
-    bufs[r] = &arena.store(0, plan->refs[r].store);
+    bufs[r] = &arena.store(plan->refs[r].store);
     arrays[r] = plan->stores[plan->refs[r].store].array;
   }
   Int iterations = plan->iterations;
@@ -171,9 +171,9 @@ LivenessStats min_memory_liveness(const LoopNest& nest, const IntMat* transform,
   if (t_inv) {
     drive_transformed(*plan, nest, *t_inv, touch);
   } else {
-    drive_box(*plan, nest.bounds(), /*ordinal0=*/0, touch);
+    drive_box(*plan, nest.bounds(), touch);
   }
-  arena.finish_run(*plan, 1);
+  arena.finish_run(*plan);
   return sweep.finish();
 }
 

@@ -9,7 +9,6 @@
 #include "exact/trace_engine.h"
 #include "polyhedra/scanner.h"
 #include "support/error.h"
-#include "support/parallel_for.h"
 
 namespace lmre {
 
@@ -42,47 +41,20 @@ void visit_iterations(const LoopNest& nest, const IntMat* t,
   });
 }
 
-void visit_iterations_chunked(const LoopNest& nest, int threads,
-                              const std::function<void(size_t, Int, const IntVec&)>& body) {
-  const size_t n = nest.depth();
-  if (n == 0) return;
-  const IntBox& box = nest.bounds();
-  const Int outer_trips = box.range(0).trip_count();
-  if (outer_trips <= 0) return;
-  Int inner_volume = 1;
-  for (size_t k = 1; k < n; ++k) {
-    inner_volume = checked_mul(inner_volume, box.range(k).trip_count());
-  }
-  parallel_chunks(outer_trips, threads, /*grain=*/1,
-                  [&](size_t slab, Int begin, Int end) {
-    // The slab is the sub-box with the outer index restricted to
-    // [lo + begin, lo + end - 1]; its first iteration has global ordinal
-    // begin * inner_volume because every earlier outer value contributes a
-    // full inner subspace.
-    std::vector<Range> ranges = box.ranges();
-    ranges[0] = Range{box.range(0).lo + begin, box.range(0).lo + end - 1};
-    IntBox sub(std::move(ranges));
-    Int ordinal = checked_mul(begin, inner_volume);
-    scan(sub.to_constraints(), [&](const IntVec& iter) {
-      body(slab, ordinal++, iter);
-    });
-  });
-}
-
 namespace {
 
-// Per-ref pointers into one slab's store set, hoisted out of the touch
+// Per-ref pointers into the arena's store set, hoisted out of the touch
 // callback so the innermost loop is one add + one store update per access.
 std::vector<TraceArena::StoreBuf*> ref_bufs(const AddressPlan& plan,
-                                            TraceArena& arena, size_t slab) {
+                                            TraceArena& arena) {
   std::vector<TraceArena::StoreBuf*> bufs(plan.refs.size());
   for (size_t r = 0; r < plan.refs.size(); ++r) {
-    bufs[r] = &arena.store(slab, plan.refs[r].store);
+    bufs[r] = &arena.store(plan.refs[r].store);
   }
   return bufs;
 }
 
-// Derives TraceStats from slab 0 of a finished first/last run.  The math
+// Derives TraceStats from a finished first/last run.  The math
 // mirrors the reference engine's stats_from_trace exactly: same map keys,
 // same delta-sweep horizons, same counter arithmetic.
 TraceStats stats_from_stores(const AddressPlan& plan, TraceArena& arena,
@@ -100,7 +72,7 @@ TraceStats stats_from_stores(const AddressPlan& plan, TraceArena& arena,
   std::vector<Int> d;
   for (size_t si = 0; si < plan.stores.size(); ++si) {
     const ArrayId array = plan.stores[si].array;
-    const TraceArena::StoreBuf& b = arena.store(0, si);
+    const TraceArena::StoreBuf& b = arena.store(si);
     if (b.touched > 0) {
       s.distinct[array] = b.touched;
       s.distinct_total = checked_add(s.distinct_total, b.touched);
@@ -141,7 +113,7 @@ LifetimeReport lifetimes_from_stores(const AddressPlan& plan,
                                      TraceArena& arena) {
   LifetimeReport rep;
   for (size_t si = 0; si < plan.stores.size(); ++si) {
-    const TraceArena::StoreBuf& b = arena.store(0, si);
+    const TraceArena::StoreBuf& b = arena.store(si);
     if (b.touched == 0) continue;
     LifetimeStats& per = rep.per_array[plan.stores[si].array];
     trace_detail::for_each_touched(b, [&](Int first, Int last) {
@@ -159,28 +131,27 @@ LifetimeReport lifetimes_from_stores(const AddressPlan& plan,
   return rep;
 }
 
-// Serial original-order first/last run into slab 0.
-void run_serial(const LoopNest& nest, const AddressPlan& plan,
-                TraceArena& arena) {
-  arena.prepare(plan, 1, /*with_state=*/false);
-  auto bufs = ref_bufs(plan, arena, 0);
-  drive_box(plan, nest.bounds(), /*ordinal0=*/0,
-            [&](size_t r, Int ordinal, Int addr) {
+// Original-order first/last run.
+void run_original(const LoopNest& nest, const AddressPlan& plan,
+                  TraceArena& arena) {
+  arena.prepare(plan, /*with_state=*/false);
+  auto bufs = ref_bufs(plan, arena);
+  drive_box(plan, nest.bounds(), [&](size_t r, Int ordinal, Int addr) {
     trace_detail::touch_first_last(*bufs[r], addr, ordinal);
   });
-  arena.finish_run(plan, 1);
+  arena.finish_run(plan);
 }
 
-// Transformed-order first/last run into slab 0; returns iterations visited.
+// Transformed-order first/last run; returns iterations visited.
 Int run_transformed(const LoopNest& nest, const AddressPlan& plan,
                     const IntMat& t_inv, TraceArena& arena) {
-  arena.prepare(plan, 1, /*with_state=*/false);
-  auto bufs = ref_bufs(plan, arena, 0);
+  arena.prepare(plan, /*with_state=*/false);
+  auto bufs = ref_bufs(plan, arena);
   Int iters = drive_transformed(plan, nest, t_inv,
                                 [&](size_t r, Int ordinal, Int addr) {
     trace_detail::touch_first_last(*bufs[r], addr, ordinal);
   });
-  arena.finish_run(plan, 1);
+  arena.finish_run(plan);
   return iters;
 }
 
@@ -191,54 +162,14 @@ TraceStats simulate(const LoopNest& nest) {
   return simulate(nest, 1, arena);
 }
 
-TraceStats simulate(const LoopNest& nest, int threads, TraceArena& arena) {
-  const int workers = resolve_threads(threads);
-  const bool parallel = workers > 1 && nest.depth() > 0 &&
-                        nest.bounds().range(0).trip_count() >= 2;
-  const int slabs = parallel ? workers : 1;
-  auto plan = AddressPlan::build(nest, nullptr, /*liveness_order=*/false, slabs);
+TraceStats simulate(const LoopNest& nest, int /*unused*/, TraceArena& arena) {
+  auto plan = AddressPlan::build(nest, nullptr, /*liveness_order=*/false);
   if (!plan) {
     ++arena.stats().fallback_runs;
-    return parallel ? reference::simulate(nest, threads)
-                    : reference::simulate(nest);
+    return reference::simulate(nest);
   }
-  if (!parallel) {
-    run_serial(nest, *plan, arena);
-    return stats_from_stores(*plan, arena, plan->iterations);
-  }
-  // Outer-loop slabs with global ordinals (the visit_iterations_chunked
-  // contract): each slab drives its sub-box into its own store set; dense
-  // first/last merge as elementwise min/max afterwards.
-  arena.prepare(*plan, static_cast<size_t>(slabs), /*with_state=*/false);
-  const IntBox& box = nest.bounds();
-  const size_t n = nest.depth();
-  Int inner_volume = 1;
-  for (size_t k = 1; k < n; ++k) {
-    inner_volume = checked_mul(inner_volume, box.range(k).trip_count());
-  }
-  parallel_chunks(box.range(0).trip_count(), threads, /*grain=*/1,
-                  [&](size_t slab, Int begin, Int end) {
-    std::vector<Range> ranges = box.ranges();
-    ranges[0] = Range{box.range(0).lo + begin, box.range(0).lo + end - 1};
-    IntBox sub(std::move(ranges));
-    auto bufs = ref_bufs(*plan, arena, slab);
-    drive_box(*plan, sub, checked_mul(begin, inner_volume),
-              [&](size_t r, Int ordinal, Int addr) {
-      trace_detail::touch_first_last(*bufs[r], addr, ordinal);
-    });
-  });
-  arena.merge_slabs(*plan, static_cast<size_t>(slabs));
-  arena.finish_run(*plan, static_cast<size_t>(slabs));
+  run_original(nest, *plan, arena);
   return stats_from_stores(*plan, arena, plan->iterations);
-}
-
-TraceStats simulate(const LoopNest& nest, int threads) {
-  TraceArena arena;
-  return simulate(nest, threads, arena);
-}
-
-TraceStats simulate(const LoopNest& nest, const RunOptions& run) {
-  return simulate(nest, run.threads);
 }
 
 TraceStats simulate_transformed(const LoopNest& nest, const IntMat& t,
@@ -247,7 +178,7 @@ TraceStats simulate_transformed(const LoopNest& nest, const IntMat& t,
           "simulate_transformed: transform shape mismatch");
   require(t.is_unimodular(), "simulate_transformed: transform not unimodular");
   IntMat t_inv = t.inverse_unimodular();
-  auto plan = AddressPlan::build(nest, &t_inv, /*liveness_order=*/false, 1);
+  auto plan = AddressPlan::build(nest, &t_inv, /*liveness_order=*/false);
   if (!plan) {
     ++arena.stats().fallback_runs;
     return reference::simulate_transformed(nest, t);
@@ -263,11 +194,11 @@ TraceStats simulate_transformed(const LoopNest& nest, const IntMat& t) {
 
 TraceStats simulate_order(const LoopNest& nest,
                           const std::vector<IntVec>& order) {
-  auto plan = AddressPlan::build(nest, nullptr, /*liveness_order=*/false, 1);
+  auto plan = AddressPlan::build(nest, nullptr, /*liveness_order=*/false);
   if (!plan) return reference::simulate_order(nest, order);
   TraceArena arena;
-  arena.prepare(*plan, 1, /*with_state=*/false);
-  auto bufs = ref_bufs(*plan, arena, 0);
+  arena.prepare(*plan, /*with_state=*/false);
+  auto bufs = ref_bufs(*plan, arena);
   Int ordinal = 0;
   for (const IntVec& iter : order) {
     require(nest.bounds().contains(iter),
@@ -278,17 +209,17 @@ TraceStats simulate_order(const LoopNest& nest,
     }
     ++ordinal;
   }
-  arena.finish_run(*plan, 1);
+  arena.finish_run(*plan);
   return stats_from_stores(*plan, arena, ordinal);
 }
 
 LifetimeReport lifetime_report(const LoopNest& nest, TraceArena& arena) {
-  auto plan = AddressPlan::build(nest, nullptr, /*liveness_order=*/false, 1);
+  auto plan = AddressPlan::build(nest, nullptr, /*liveness_order=*/false);
   if (!plan) {
     ++arena.stats().fallback_runs;
     return reference::lifetime_report(nest);
   }
-  run_serial(nest, *plan, arena);
+  run_original(nest, *plan, arena);
   return lifetimes_from_stores(*plan, arena);
 }
 
@@ -304,7 +235,7 @@ LifetimeReport lifetime_report_transformed(const LoopNest& nest,
           "simulate_transformed: transform shape mismatch");
   require(t.is_unimodular(), "simulate_transformed: transform not unimodular");
   IntMat t_inv = t.inverse_unimodular();
-  auto plan = AddressPlan::build(nest, &t_inv, /*liveness_order=*/false, 1);
+  auto plan = AddressPlan::build(nest, &t_inv, /*liveness_order=*/false);
   if (!plan) {
     ++arena.stats().fallback_runs;
     return reference::lifetime_report_transformed(nest, t);
@@ -325,7 +256,7 @@ std::vector<Int> window_series(const LoopNest& nest, const IntMat& t,
           "simulate_transformed: transform shape mismatch");
   require(t.is_unimodular(), "simulate_transformed: transform not unimodular");
   IntMat t_inv = t.inverse_unimodular();
-  auto plan = AddressPlan::build(nest, &t_inv, /*liveness_order=*/false, 1);
+  auto plan = AddressPlan::build(nest, &t_inv, /*liveness_order=*/false);
   if (!plan) {
     ++arena.stats().fallback_runs;
     return reference::window_series(nest, t);
@@ -333,7 +264,7 @@ std::vector<Int> window_series(const LoopNest& nest, const IntMat& t,
   Int iters = run_transformed(nest, *plan, t_inv, arena);
   std::vector<Int> delta(static_cast<size_t>(iters) + 1, 0);
   for (size_t si = 0; si < plan->stores.size(); ++si) {
-    trace_detail::for_each_touched(arena.store(0, si), [&](Int first, Int last) {
+    trace_detail::for_each_touched(arena.store(si), [&](Int first, Int last) {
       if (first == last) return;
       delta[static_cast<size_t>(first)] += 1;
       delta[static_cast<size_t>(last)] -= 1;

@@ -8,7 +8,6 @@
 
 #include "polyhedra/scanner.h"
 #include "support/error.h"
-#include "support/parallel_for.h"
 
 namespace lmre {
 
@@ -67,29 +66,6 @@ struct Trace {
     visit_iterations(nest, t, [&](Int ordinal, const IntVec& iter) {
       touch_iteration(nest, ordinal, iter);
     });
-  }
-
-  /// Folds another trace (a later slab of the same execution) into this one.
-  /// first/last merge as min/max, so the merge is order-independent; the
-  /// distinct counters are recomputed by the caller once all slabs are in.
-  void absorb(Trace&& o) {
-    iterations = std::max(iterations, o.iterations);
-    total_accesses = checked_add(total_accesses, o.total_accesses);
-    for (auto& [key, fl] : o.touch) {
-      auto [it, inserted] = touch.try_emplace(key, fl);
-      if (!inserted) {
-        it->second.first = std::min(it->second.first, fl.first);
-        it->second.last = std::max(it->second.last, fl.last);
-      }
-    }
-  }
-
-  void recount_distinct() {
-    distinct.clear();
-    for (const auto& [key, fl] : touch) {
-      (void)fl;
-      ++distinct[key.array];
-    }
   }
 };
 
@@ -173,26 +149,6 @@ TraceStats simulate(const LoopNest& nest) {
   Trace trace;
   trace.run(nest, nullptr);
   return stats_from_trace(nest, trace);
-}
-
-TraceStats simulate(const LoopNest& nest, int threads) {
-  const int workers = resolve_threads(threads);
-  if (workers <= 1 || nest.depth() == 0 ||
-      nest.bounds().range(0).trip_count() < 2) {
-    return reference::simulate(nest);  // qualified: ADL also sees lmre::simulate
-  }
-  // One trace per possible slab; visit_iterations_chunked guarantees slab
-  // indices below the resolved worker count and gives each slab global
-  // ordinals, so merging in any order reproduces the serial trace.
-  std::vector<Trace> slabs(static_cast<size_t>(workers));
-  visit_iterations_chunked(nest, threads,
-                           [&](size_t slab, Int ordinal, const IntVec& iter) {
-    slabs[slab].touch_iteration(nest, ordinal, iter);
-  });
-  Trace merged = std::move(slabs[0]);
-  for (size_t s = 1; s < slabs.size(); ++s) merged.absorb(std::move(slabs[s]));
-  merged.recount_distinct();
-  return stats_from_trace(nest, merged);
 }
 
 TraceStats simulate_transformed(const LoopNest& nest, const IntMat& t) {

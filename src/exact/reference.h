@@ -22,10 +22,6 @@ namespace reference {
 /// Hash-map simulate in original lexicographic order.
 TraceStats simulate(const LoopNest& nest);
 
-/// Hash-map parallel simulate over outer-loop slabs (bit-identical to the
-/// serial result for every thread count).
-TraceStats simulate(const LoopNest& nest, int threads);
-
 /// Hash-map simulate under a unimodular transformation.
 TraceStats simulate_transformed(const LoopNest& nest, const IntMat& t);
 

@@ -96,9 +96,9 @@ void dense_visit(const LoopNest& nest, const AddressPlan& plan,
                  const std::function<void(size_t, Int)>& visit) {
   const size_t nrefs = plan.refs.size();
   if (nrefs == 0 || plan.iterations == 0) return;
-  arena.prepare(plan, 1, /*with_state=*/false);
+  arena.prepare(plan, /*with_state=*/false);
   std::vector<TraceArena::StoreBuf*> bufs(nrefs);
-  for (size_t r = 0; r < nrefs; ++r) bufs[r] = &arena.store(0, plan.refs[r].store);
+  for (size_t r = 0; r < nrefs; ++r) bufs[r] = &arena.store(plan.refs[r].store);
 
   // Per-store salts decorrelate the sample across arrays whose boxes share
   // address ranges; references to ONE array share a salt so the sampling
@@ -138,9 +138,9 @@ void dense_visit(const LoopNest& nest, const AddressPlan& plan,
   if (t_inv != nullptr) {
     drive_transformed(plan, nest, *t_inv, touch);
   } else {
-    drive_box(plan, nest.bounds(), 0, touch);
+    drive_box(plan, nest.bounds(), touch);
   }
-  arena.finish_run(plan, 1);
+  arena.finish_run(plan);
 }
 
 struct Key {
@@ -218,7 +218,7 @@ void visit_stack_distances(const LoopNest& nest, const DistanceVisitOptions& opt
     t_inv = opts.transform->inverse_unimodular();
   }
   std::optional<AddressPlan> plan = AddressPlan::build(
-      nest, t_inv ? &*t_inv : nullptr, /*liveness_order=*/false, /*slabs=*/1);
+      nest, t_inv ? &*t_inv : nullptr, /*liveness_order=*/false);
   if (!plan) {
     ++arena.stats().fallback_runs;
     reference_visit(nest, opts, visit);

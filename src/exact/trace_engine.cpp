@@ -15,7 +15,7 @@ constexpr Int kAddrBound = Int{1} << 61;
 // Dense-path policy: a store is dense when its box has at least a few
 // thousand elements of headroom, is no larger than kDenseAccessFactor x the
 // accesses that will be traced into it (so the reset cost stays
-// proportional to the work), and the per-slab copies fit the flat budget.
+// proportional to the work), and it fits the flat budget.
 constexpr Int kDenseMinElems = 4096;
 constexpr Int kDenseAccessFactor = 8;
 constexpr Int kDenseCapElems = Int{1} << 23;
@@ -47,24 +47,9 @@ size_t next_pow2(size_t n) {
 
 }  // namespace
 
-void OracleStats::absorb(const OracleStats& o) {
-  runs += o.runs;
-  fallback_runs += o.fallback_runs;
-  dense_stores += o.dense_stores;
-  sparse_stores += o.sparse_stores;
-  elements += o.elements;
-  accesses += o.accesses;
-  sparse_probes += o.sparse_probes;
-  sparse_ops += o.sparse_ops;
-  table_occupancy_peak = std::max(table_occupancy_peak, o.table_occupancy_peak);
-  arena_bytes = std::max(arena_bytes, o.arena_bytes);
-  arena_high_water_bytes =
-      std::max(arena_high_water_bytes, o.arena_high_water_bytes);
-}
-
 std::optional<AddressPlan> AddressPlan::build(const LoopNest& nest,
                                               const IntMat* t_inv,
-                                              bool liveness_order, int slabs) {
+                                              bool liveness_order) {
   const IntBox& box = nest.bounds();
   const size_t n = nest.depth();
   AddressPlan plan;
@@ -125,8 +110,7 @@ std::optional<AddressPlan> AddressPlan::build(const LoopNest& nest,
       const Int budget =
           std::max(kDenseMinElems,
                    checked_mul(kDenseAccessFactor, st.accesses));
-      const Int slab_cap = kDenseCapElems / std::max(1, slabs);
-      st.dense = st.volume <= std::min(budget, slab_cap);
+      st.dense = st.volume <= std::min(budget, kDenseCapElems);
     }
 
     // Pass 2: per-ref affine address coefficients in scan coordinates.
@@ -203,99 +187,57 @@ void grow_table(TraceArena::StoreBuf& s) {
 
 }  // namespace trace_detail
 
-void TraceArena::prepare(const AddressPlan& plan, size_t slabs,
-                         bool with_state) {
-  if (slabs_.size() < slabs) slabs_.resize(slabs);
-  for (size_t slab = 0; slab < slabs; ++slab) {
-    auto& set = slabs_[slab];
-    if (set.size() < plan.stores.size()) set.resize(plan.stores.size());
-    for (size_t si = 0; si < plan.stores.size(); ++si) {
-      const AddressPlan::Store& ps = plan.stores[si];
-      StoreBuf& s = set[si];
-      s.dense = ps.dense;
-      s.volume = ps.volume;
-      s.with_state = with_state;
-      s.touched = 0;
-      s.probes = 0;
-      s.probe_ops = 0;
-      if (ps.dense) {
-        s.first.assign(static_cast<size_t>(ps.volume), kUntouchedFirst);
-        s.last.assign(static_cast<size_t>(ps.volume), kUntouchedLast);
-        if (with_state) s.tag.assign(static_cast<size_t>(ps.volume), 0);
-        s.keys.clear();
-        s.kfirst.clear();
-        s.klast.clear();
-        s.ktag.clear();
-        s.mask = 0;
-      } else {
-        // Start at twice the expected occupancy (capped by the box) so the
-        // common case never rehashes; the table still grows on demand.
-        const Int expect = std::min(ps.volume, ps.accesses);
-        const size_t cap = next_pow2(static_cast<size_t>(
-            std::min<Int>(std::max<Int>(Int{64}, expect * 2), kDenseCapElems)));
-        s.keys.assign(cap, 0);
-        s.kfirst.resize(cap);
-        s.klast.resize(cap);
-        if (with_state) {
-          s.ktag.assign(cap, 0);
-        } else {
-          s.ktag.clear();
-        }
-        s.mask = cap - 1;
-        s.first.clear();
-        s.last.clear();
-        s.tag.clear();
-      }
-    }
-  }
-}
-
-void TraceArena::merge_slabs(const AddressPlan& plan, size_t slabs) {
+void TraceArena::prepare(const AddressPlan& plan, bool with_state) {
+  if (stores_.size() < plan.stores.size()) stores_.resize(plan.stores.size());
   for (size_t si = 0; si < plan.stores.size(); ++si) {
-    StoreBuf& dst = slabs_[0][si];
-    for (size_t slab = 1; slab < slabs; ++slab) {
-      StoreBuf& src = slabs_[slab][si];
-      if (dst.dense) {
-        // Sentinels make the merge branch-free elementwise min/max.
-        const size_t vol = static_cast<size_t>(dst.volume);
-        for (size_t a = 0; a < vol; ++a) {
-          dst.first[a] = std::min(dst.first[a], src.first[a]);
-        }
-        for (size_t a = 0; a < vol; ++a) {
-          dst.last[a] = std::max(dst.last[a], src.last[a]);
-        }
+    const AddressPlan::Store& ps = plan.stores[si];
+    StoreBuf& s = stores_[si];
+    s.dense = ps.dense;
+    s.volume = ps.volume;
+    s.with_state = with_state;
+    s.touched = 0;
+    s.probes = 0;
+    s.probe_ops = 0;
+    if (ps.dense) {
+      s.first.assign(static_cast<size_t>(ps.volume), kUntouchedFirst);
+      s.last.assign(static_cast<size_t>(ps.volume), kUntouchedLast);
+      if (with_state) s.tag.assign(static_cast<size_t>(ps.volume), 0);
+      s.keys.clear();
+      s.kfirst.clear();
+      s.klast.clear();
+      s.ktag.clear();
+      s.mask = 0;
+    } else {
+      // Start at twice the expected occupancy (capped by the box) so the
+      // common case never rehashes; the table still grows on demand.
+      const Int expect = std::min(ps.volume, ps.accesses);
+      const size_t cap = next_pow2(static_cast<size_t>(
+          std::min<Int>(std::max<Int>(Int{64}, expect * 2), kDenseCapElems)));
+      s.keys.assign(cap, 0);
+      s.kfirst.resize(cap);
+      s.klast.resize(cap);
+      if (with_state) {
+        s.ktag.assign(cap, 0);
       } else {
-        for (size_t i = 0; i < src.keys.size(); ++i) {
-          if (src.keys[i] == 0) continue;
-          const Int addr = static_cast<Int>(src.keys[i] - 1);
-          bool inserted = false;
-          const size_t slot = trace_detail::upsert_slot(dst, addr, &inserted);
-          dst.kfirst[slot] = std::min(dst.kfirst[slot], src.kfirst[i]);
-          dst.klast[slot] = std::max(dst.klast[slot], src.klast[i]);
-        }
+        s.ktag.clear();
       }
-    }
-    if (dst.dense && slabs > 1) {
-      Int touched = 0;
-      for (size_t a = 0; a < static_cast<size_t>(dst.volume); ++a) {
-        if (dst.last[a] >= 0) ++touched;
-      }
-      dst.touched = touched;
+      s.mask = cap - 1;
+      s.first.clear();
+      s.last.clear();
+      s.tag.clear();
     }
   }
 }
 
-void TraceArena::finish_run(const AddressPlan& plan, size_t slabs) {
+void TraceArena::finish_run(const AddressPlan& plan) {
   ++stats_.runs;
   Int bytes = 0;
-  for (const auto& set : slabs_) {
-    for (const StoreBuf& s : set) {
-      bytes += static_cast<Int>(s.first.capacity() + s.last.capacity() +
-                                s.kfirst.capacity() + s.klast.capacity()) *
-               static_cast<Int>(sizeof(Int));
-      bytes += static_cast<Int>(s.keys.capacity() * sizeof(std::uint64_t));
-      bytes += static_cast<Int>(s.tag.capacity() + s.ktag.capacity());
-    }
+  for (const StoreBuf& s : stores_) {
+    bytes += static_cast<Int>(s.first.capacity() + s.last.capacity() +
+                              s.kfirst.capacity() + s.klast.capacity()) *
+             static_cast<Int>(sizeof(Int));
+    bytes += static_cast<Int>(s.keys.capacity() * sizeof(std::uint64_t));
+    bytes += static_cast<Int>(s.tag.capacity() + s.ktag.capacity());
   }
   stats_.arena_bytes = bytes;
   stats_.arena_high_water_bytes = std::max(stats_.arena_high_water_bytes, bytes);
@@ -305,18 +247,16 @@ void TraceArena::finish_run(const AddressPlan& plan, size_t slabs) {
     } else {
       ++stats_.sparse_stores;
     }
-    stats_.elements += slabs_[0][si].touched;
+    const StoreBuf& s = stores_[si];
+    stats_.elements += s.touched;
     stats_.accesses += plan.stores[si].accesses;
-    for (size_t slab = 0; slab < slabs; ++slab) {
-      const StoreBuf& s = slabs_[slab][si];
-      stats_.sparse_probes += s.probes;
-      stats_.sparse_ops += s.probe_ops;
-      if (!s.dense && !s.keys.empty()) {
-        stats_.table_occupancy_peak =
-            std::max(stats_.table_occupancy_peak,
-                     static_cast<double>(s.touched) /
-                         static_cast<double>(s.keys.size()));
-      }
+    stats_.sparse_probes += s.probes;
+    stats_.sparse_ops += s.probe_ops;
+    if (!s.dense && !s.keys.empty()) {
+      stats_.table_occupancy_peak =
+          std::max(stats_.table_occupancy_peak,
+                   static_cast<double>(s.touched) /
+                       static_cast<double>(s.keys.size()));
     }
   }
 }

@@ -48,9 +48,6 @@ struct OracleStats {
   double table_occupancy_peak = 0.0;  ///< max touched/capacity over tables
   Int arena_bytes = 0;             ///< current allocated store footprint
   Int arena_high_water_bytes = 0;  ///< peak footprint over the arena's life
-
-  /// Folds another arena's counters into this one (peaks merge as max).
-  void absorb(const OracleStats& o);
 };
 
 /// Linearization plan for one (nest, execution order) pair: per-array
@@ -82,19 +79,16 @@ struct AddressPlan {
   /// for original order): address coefficients are composed through it so
   /// stepping happens directly in u-space.  `liveness_order` lists each
   /// statement's reads before its writes (the value-liveness access order);
-  /// otherwise refs appear in statement order.  `slabs` scales the dense
-  /// budget down so a parallel run's per-slab copies stay bounded.
+  /// otherwise refs appear in statement order.
   /// Returns nullopt when any address-space product overflows the engine's
   /// bounds -- callers then use the reference engine.
   static std::optional<AddressPlan> build(const LoopNest& nest,
                                           const IntMat* t_inv,
-                                          bool liveness_order, int slabs);
+                                          bool liveness_order);
 };
 
 /// Reusable flat storage for trace runs plus cumulative OracleStats.  Not
-/// thread-safe; parallel runs give each slab its own store set inside one
-/// arena and merge at the end (dense first/last merge as vectorizable
-/// min/max).
+/// thread-safe: one arena serves one run at a time.
 class TraceArena {
  public:
   OracleStats& stats() { return stats_; }
@@ -107,7 +101,7 @@ class TraceArena {
     Int volume = 0;
     // Dense SoA: first/last-touch ordinals (liveness reuses them as
     // birth/last-read).  first inits to kUntouchedFirst and last to
-    // kUntouchedLast so slab merges are plain elementwise min/max.
+    // kUntouchedLast; last < 0 marks an untouched element.
     std::vector<Int> first, last;
     std::vector<unsigned char> tag;  ///< liveness machine state (dense)
     // Sparse: open-addressing linear-probe table, key = address + 1
@@ -125,24 +119,19 @@ class TraceArena {
   static constexpr Int kUntouchedFirst = INT64_MAX;
   static constexpr Int kUntouchedLast = -1;
 
-  /// Resets (and, when needed, grows) `slabs` store sets for the plan,
-  /// reusing previously allocated buffers.  `with_state` additionally
-  /// prepares the liveness tag storage.
-  void prepare(const AddressPlan& plan, size_t slabs, bool with_state);
+  /// Resets (and, when needed, grows) the store set for the plan, reusing
+  /// previously allocated buffers.  `with_state` additionally prepares the
+  /// liveness tag storage.
+  void prepare(const AddressPlan& plan, bool with_state);
 
-  StoreBuf& store(size_t slab, size_t idx) { return slabs_[slab][idx]; }
-
-  /// Merges slabs 1..slabs-1 into slab 0: dense first/last as elementwise
-  /// min/max, sparse by re-upserting every occupied slot.  Recounts slab
-  /// 0's touched totals.  first/last runs only (liveness is serial).
-  void merge_slabs(const AddressPlan& plan, size_t slabs);
+  StoreBuf& store(size_t idx) { return stores_[idx]; }
 
   /// Folds the finished run's instrumentation (elements, probe counts,
   /// store kinds, occupancy, footprint high-water) into stats().
-  void finish_run(const AddressPlan& plan, size_t slabs);
+  void finish_run(const AddressPlan& plan);
 
  private:
-  std::vector<std::vector<StoreBuf>> slabs_;
+  std::vector<StoreBuf> stores_;
   OracleStats stats_;
 };
 
@@ -236,15 +225,13 @@ inline Int plan_address(const AddressPlan::Ref& r, const IntVec& point) {
 
 }  // namespace trace_detail
 
-/// Drives the original-order scan of a rectangular (sub-)box with
+/// Drives the original-order scan of a rectangular box with
 /// incremental affine stepping: per innermost row, each reference's base
 /// address is evaluated once and then advanced by its innermost coefficient
 /// per iteration.  `touch(ref_index, ordinal, addr)` runs per access;
-/// ordinals start at `ordinal0` (the caller supplies the slab's global
-/// base).
+/// ordinals start at 0.
 template <class TouchFn>
-void drive_box(const AddressPlan& plan, const IntBox& box, Int ordinal0,
-               TouchFn&& touch) {
+void drive_box(const AddressPlan& plan, const IntBox& box, TouchFn&& touch) {
   const size_t n = box.dims();
   if (n == 0) return;
   for (size_t k = 0; k < n; ++k) {
@@ -257,7 +244,7 @@ void drive_box(const AddressPlan& plan, const IntBox& box, Int ordinal0,
   std::vector<Int> addr(nrefs);
   std::vector<Int> step(nrefs);
   for (size_t r = 0; r < nrefs; ++r) step[r] = plan.refs[r].coef[n - 1];
-  Int ordinal = ordinal0;
+  Int ordinal = 0;
   while (true) {
     for (size_t r = 0; r < nrefs; ++r) {
       addr[r] = trace_detail::plan_address(plan.refs[r], point);

@@ -68,7 +68,7 @@ AnalyzeOutcome run_analyze(const Program& program, const RunOptions& run,
     }
     if (nest.iteration_count() <= run.verify_limit) {
       Metrics::ScopedTimer t = metrics.time("stage.mws");
-      attach_exact(*out.report, nest, simulate(nest, run.threads, arena));
+      attach_exact(*out.report, nest, simulate(nest, /*unused=*/1, arena));
     }
     return out;
   }
@@ -198,7 +198,7 @@ OptimizeOutcome run_optimize(const Program& program, const std::string& objectiv
   } catch (const Error&) {
   }
   if (nest.iteration_count() <= run.verify_limit) {
-    o.mws_before = simulate(nest, run.threads, arena).mws_total;
+    o.mws_before = simulate(nest, /*unused=*/1, arena).mws_total;
   }
   if (transformed_scan_volume(nest, plan.transform) <= run.verify_limit) {
     o.mws_after = simulate_transformed(nest, plan.transform, arena).mws_total;

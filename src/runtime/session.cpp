@@ -232,8 +232,8 @@ std::uint64_t fnv1a_canonical(std::string_view source, std::uint64_t h) {
 }  // namespace
 
 std::uint64_t AnalysisSession::request_key(const AnalysisRequest& req) const {
-  // threads is deliberately absent: results are bit-identical across
-  // thread counts, so a warm hit is valid at any --threads value.
+  // threads is deliberately absent: it is the batch fan-out width, which
+  // never changes a result, so a warm hit is valid at any --threads value.
   std::uint64_t h = fnv1a(kHashSalt);
   h = fnv1a_canonical(req.source, h);
   h = fnv1a("|kind=", h);
@@ -272,7 +272,7 @@ std::uint64_t AnalysisSession::request_key(const AnalysisRequest& req) const {
 }
 
 std::string AnalysisSession::compute_payload(const AnalysisRequest& req,
-                                             int threads, ExitCode* status) {
+                                             ExitCode* status) {
   *status = ExitCode::kSuccess;
   Json result = Json::object();
   result.set("kind", to_string(req.kind()));
@@ -300,9 +300,7 @@ std::string AnalysisSession::compute_payload(const AnalysisRequest& req,
       *status = ExitCode::kDiagnostics;
       return result.dump();
     }
-    RunOptions stage = opts_.run;
-    stage.threads = threads;
-    *status = add_kind_payload(req, program, stage, arena, *metrics_, result);
+    *status = add_kind_payload(req, program, opts_.run, arena, *metrics_, result);
     return result.dump();
   } catch (const Refusal& e) {
     *status = e.status();
@@ -335,8 +333,7 @@ std::shared_ptr<const CachedEntry> AnalysisSession::recall_resident(
   return hit;
 }
 
-AnalysisResult AnalysisSession::run_with_threads(const AnalysisRequest& req,
-                                                 int threads) {
+AnalysisResult AnalysisSession::run(const AnalysisRequest& req) {
   AnalysisResult res;
   res.key = request_key(req);
   runs_total_.add();
@@ -350,14 +347,10 @@ AnalysisResult AnalysisSession::run_with_threads(const AnalysisRequest& req,
   metrics_->count("runs.computed");
   Metrics::ScopedTimer t = metrics_->time("stage.total");
   ExitCode status = ExitCode::kSuccess;
-  res.payload = compute_payload(req, threads, &status);
+  res.payload = compute_payload(req, &status);
   res.status = status;
   cache_->put(res.key, CachedEntry{to_int(status), res.payload});
   return res;
-}
-
-AnalysisResult AnalysisSession::run(const AnalysisRequest& req) {
-  return run_with_threads(req, opts_.run.threads);
 }
 
 std::vector<AnalysisResult> AnalysisSession::run_batch(
@@ -365,12 +358,11 @@ std::vector<AnalysisResult> AnalysisSession::run_batch(
   metrics_->count("batch.calls");
   metrics_->count("batch.files", static_cast<Int>(requests.size()));
   Metrics::ScopedTimer t = metrics_->time("stage.batch");
-  // The fan-out owns the thread budget; each request runs its stages
-  // serially (threads=1) to avoid nested pools.  Results are positional,
-  // so output order never depends on scheduling.
+  // The fan-out owns the thread budget; each request runs on one thread.
+  // Results are positional, so output order never depends on scheduling.
   return parallel_map<AnalysisResult>(
       static_cast<Int>(requests.size()), opts_.run.threads,
-      [&](Int i) { return run_with_threads(requests[static_cast<size_t>(i)], 1); });
+      [&](Int i) { return run(requests[static_cast<size_t>(i)]); });
 }
 
 void export_cache_gauges(Metrics& metrics, const ResultCache& cache) {

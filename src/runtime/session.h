@@ -11,9 +11,10 @@
 // request kind, and every result-affecting option, so a warm re-run of a
 // corpus -- same session, or a fresh process pointed at the same
 // --cache-dir -- skips everything after hashing.  `threads` is explicitly
-// NOT part of the key: every stage is bit-identical across thread counts
-// (DESIGN.md, "Determinism contract"), which is what makes cached and
-// fresh results interchangeable at any --threads value.
+// NOT part of the key: it only sets run_batch's fan-out width and every
+// request runs on one thread (DESIGN.md, "Determinism contract"), which is
+// what makes cached and fresh results interchangeable at any --threads
+// value.
 //
 // The payload is file-name independent (diagnostics carry line/column but
 // no file), so identical sources under different names share one cache
@@ -199,7 +200,7 @@ struct AnalysisResult {
 };
 
 struct SessionOptions {
-  RunOptions run;              ///< threads / verify_limit / strict
+  RunOptions run;              ///< batch width / verify_limit / strict
   size_t cache_capacity = 256; ///< in-memory LRU entries (across shards)
   std::string cache_dir;       ///< on-disk store; "" = memory only
   size_t cache_shards = 1;     ///< independently-locked cache shards
@@ -232,8 +233,8 @@ class AnalysisSession {
 
   /// Fans a corpus out over options().run.threads workers
   /// (support/parallel_for); results[i] always corresponds to
-  /// requests[i], independent of scheduling.  Per-request analysis runs
-  /// serially inside the fan-out (no nested pools).
+  /// requests[i], independent of scheduling.  Each request runs on one
+  /// thread.
   std::vector<AnalysisResult> run_batch(const std::vector<AnalysisRequest>& requests);
 
   /// Memory-only recall by content hash (request_key): the resident
@@ -266,9 +267,7 @@ class AnalysisSession {
   Json metrics_json();
 
  private:
-  AnalysisResult run_with_threads(const AnalysisRequest& req, int threads);
-  std::string compute_payload(const AnalysisRequest& req, int threads,
-                              ExitCode* status);
+  std::string compute_payload(const AnalysisRequest& req, ExitCode* status);
 
   SessionOptions opts_;
   std::shared_ptr<ResultCache> cache_;

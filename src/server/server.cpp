@@ -50,14 +50,10 @@ AnalysisServer::AnalysisServer(ServerOptions opts)
   sessions_.reserve(static_cast<size_t>(opts_.workers));
   workers_.reserve(static_cast<size_t>(opts_.workers));
   for (int i = 0; i < opts_.workers; ++i) {
-    // Workers always analyze with threads=1: one request never fans out
-    // inside the pool (concurrency comes from the pool itself), and
-    // threads is not part of the cache key, so single-threaded results
-    // are bit-identical to any batch run.
-    SessionOptions wopts = opts_.session;
-    wopts.run.threads = 1;
+    // Concurrency comes from the pool itself; each request runs on its
+    // worker's thread, exactly as one `lmre batch` request does.
     sessions_.push_back(
-        std::make_unique<AnalysisSession>(wopts, cache_, metrics_));
+        std::make_unique<AnalysisSession>(opts_.session, cache_, metrics_));
   }
   for (int i = 0; i < opts_.workers; ++i) {
     workers_.emplace_back([this, i] { worker_loop(*sessions_[static_cast<size_t>(i)]); });

@@ -51,8 +51,8 @@
 //
 // The determinism contract extends to the wire: a serve response's result
 // payload is byte-identical to what `lmre batch` embeds for the same
-// source and kind (workers run with threads=1, and the payload is spliced
-// verbatim -- never re-encoded).
+// source and kind (each request runs on one thread either way, and the
+// payload is spliced verbatim -- never re-encoded).
 
 #include <atomic>
 #include <chrono>

@@ -2,29 +2,25 @@
 
 // Shared run options for the analysis pipeline.
 //
-// Historically every stage grew its own knobs: minimize_mws_2d and
-// optimize_locality took `MinimizerOptions::threads` plus a
-// `verify_iteration_limit`, the exact oracle took a bare `threads` int, and
-// the CLI re-plumbed each one separately.  RunOptions is the one struct a
-// caller fills once and hands to every stage (directly, or via the
-// per-stage overloads in transform/minimizer.h, exact/oracle.h and
-// analysis/report.h); runtime/session.h threads it through the whole
+// RunOptions is the one struct a caller fills once and hands to every
+// stage (directly, or via the per-stage overloads in transform/minimizer.h
+// and analysis/report.h); runtime/session.h threads it through the whole
 // parse -> lint -> estimate -> MWS -> optimize pipeline.
 //
 // None of these fields may change a stage's *result* except by disabling
-// work outright (verify_limit) or tightening acceptance (strict):
-// `threads` is bit-identity-preserving everywhere (DESIGN.md,
-// "Determinism contract"), which is why the result cache excludes it from
-// its content hash.
+// work outright (verify_limit) or tightening acceptance (strict).  Every
+// request runs on one thread; `threads` only sets how many requests a
+// batch runs at once, which is why the result cache excludes it from its
+// content hash.
 
 #include "support/checked.h"
 
 namespace lmre {
 
 struct RunOptions {
-  /// Worker threads for every parallel stage: 0 = hardware concurrency,
-  /// 1 = the serial legacy path, n = at most n workers.  Never affects
-  /// results, only wall-clock time.
+  /// Batch fan-out width: how many requests AnalysisSession::run_batch
+  /// runs at once (0 = hardware concurrency).  Each request itself runs on
+  /// one thread, so this never affects results, only wall-clock time.
   int threads = 1;
 
   /// Iteration budget for exact (enumerating) analyses: the oracle runs

@@ -1,10 +1,5 @@
 #include "support/parallel_for.h"
 
-#include <algorithm>
-#include <exception>
-
-#include "support/error.h"
-
 namespace lmre {
 
 int resolve_threads(int requested) {
@@ -13,90 +8,6 @@ int resolve_threads(int requested) {
     return hw == 0 ? 1 : static_cast<int>(hw);
   }
   return std::max(requested, 1);
-}
-
-ThreadPool::ThreadPool(int threads) {
-  int n = std::max(threads, 1);
-  workers_.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  cv_task_.notify_all();
-  for (auto& w : workers_) w.join();
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    queue_.push(std::move(task));
-  }
-  cv_task_.notify_one();
-}
-
-void ThreadPool::wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_done_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-}
-
-void ThreadPool::worker_loop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_task_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ set and nothing left to drain
-      task = std::move(queue_.front());
-      queue_.pop();
-      ++active_;
-    }
-    task();
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      --active_;
-    }
-    cv_done_.notify_all();
-  }
-}
-
-void parallel_chunks(Int n, int threads, Int grain, const ChunkFn& fn) {
-  if (n <= 0) return;
-  require(grain >= 1, "parallel_chunks: grain must be >= 1");
-  const int workers = resolve_threads(threads);
-  // How many chunks the range supports at the requested grain.
-  const Int max_chunks = std::max<Int>(n / std::max<Int>(grain, 1), 1);
-  const int chunks = static_cast<int>(std::min<Int>(workers, max_chunks));
-  if (chunks <= 1) {
-    fn(0, 0, n);  // serial path: caller's thread, no pool
-    return;
-  }
-
-  // Contiguous partition of [0, n): chunk c owns [c*n/chunks, (c+1)*n/chunks).
-  std::vector<std::exception_ptr> errors(static_cast<size_t>(chunks));
-  ThreadPool pool(chunks);
-  for (int c = 0; c < chunks; ++c) {
-    const Int begin = n * c / chunks;
-    const Int end = n * (c + 1) / chunks;
-    pool.submit([&fn, &errors, c, begin, end] {
-      try {
-        fn(static_cast<size_t>(c), begin, end);
-      } catch (...) {
-        errors[static_cast<size_t>(c)] = std::current_exception();
-      }
-    });
-  }
-  pool.wait();
-  // Deterministic propagation: the lowest-indexed failure wins, mirroring
-  // where the serial scan would have thrown first.
-  for (const auto& err : errors) {
-    if (err) std::rethrow_exception(err);
-  }
 }
 
 }  // namespace lmre

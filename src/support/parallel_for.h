@@ -1,24 +1,19 @@
 #pragma once
 
-// Bounded threading layer with deterministic ordered reduction.
+// The batch fan-out: an ordered parallel map over independent requests.
 //
-// Every parallel sweep in lmre (candidate-row scoring, oracle re-scoring,
-// slab-chunked simulation) is built on parallel_chunks(): the index range
-// [0, n) is split into contiguous chunks, each chunk runs on a pool worker,
-// and callers reduce per-chunk results *in chunk order*.  Because a chunk is
-// a contiguous slice of the serial iteration order, a left-to-right merge of
-// chunk-local results reproduces the serial scan bit for bit -- see the
+// Every request runs on one thread; the only parallelism in lmre is across
+// requests (`lmre batch` here, and the `lmre serve` worker pool).  Results
+// are positional, so output order never depends on scheduling -- see the
 // "Determinism contract" section of DESIGN.md.
 //
 // threads semantics everywhere in lmre:
 //   0  -> std::thread::hardware_concurrency()
-//   1  -> serial legacy path (no pool, no chunking; byte-identical code path)
-//   n  -> at most n workers
+//   1  -> serial: everything runs inline on the caller's thread
+//   n  -> at most n threads
 
-#include <condition_variable>
-#include <functional>
-#include <mutex>
-#include <queue>
+#include <algorithm>
+#include <exception>
 #include <thread>
 #include <vector>
 
@@ -30,58 +25,49 @@ namespace lmre {
 /// (at least 1), anything else is clamped to >= 1.
 int resolve_threads(int requested);
 
-/// A bounded pool of worker threads draining a FIFO task queue.
-/// Tasks must not throw (parallel_chunks wraps user callbacks and captures
-/// exceptions); wait() blocks until the queue is empty and all workers idle.
-class ThreadPool {
- public:
-  explicit ThreadPool(int threads);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  void submit(std::function<void()> task);
-  void wait();
-  int size() const { return static_cast<int>(workers_.size()); }
-
- private:
-  void worker_loop();
-
-  std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> queue_;
-  std::mutex mu_;
-  std::condition_variable cv_task_;  ///< signalled when work arrives / on stop
-  std::condition_variable cv_done_;  ///< signalled when a task finishes
-  size_t active_ = 0;
-  bool stop_ = false;
-};
-
-/// Chunk callback: receives the chunk index and the half-open index range
-/// [begin, end) it owns.  Chunk 0 owns the lowest indices; chunks partition
-/// [0, n) in order, so per-chunk results merged by ascending chunk index
-/// reduce exactly like the serial left-to-right scan.
-using ChunkFn = std::function<void(size_t chunk, Int begin, Int end)>;
-
-/// Runs `fn` over [0, n) split into contiguous chunks on at most
-/// resolve_threads(threads) workers.  Chunks hold at least `grain` indices;
-/// when the range is too small to split (or threads resolves to 1) the
-/// single chunk runs inline on the caller's thread -- the serial path.
-/// The first exception thrown by the lowest-indexed failing chunk is
-/// rethrown on the caller's thread after all chunks finish.
-void parallel_chunks(Int n, int threads, Int grain, const ChunkFn& fn);
-
-/// Ordered map: results[i] = fn(i) for i in [0, n), computed on the pool.
-/// The output order is by index, independent of scheduling; `fn` must be
-/// safe to call concurrently on distinct indices.
+/// Ordered map: results[i] = fn(i) for i in [0, n).  Spawns at most
+/// resolve_threads(threads) threads, each owning a contiguous slice of the
+/// indices, and joins them before returning; with one thread the map runs
+/// inline on the caller's thread.  `fn` must be safe to call concurrently
+/// on distinct indices.  When calls throw, the exception of the lowest
+/// failing index is rethrown -- where a serial loop would have stopped.
 template <class T, class Fn>
 std::vector<T> parallel_map(Int n, int threads, const Fn& fn) {
-  std::vector<T> results(static_cast<size_t>(n));
-  parallel_chunks(n, threads, /*grain=*/1, [&](size_t, Int begin, Int end) {
-    for (Int i = begin; i < end; ++i) {
-      results[static_cast<size_t>(i)] = fn(i);
+  std::vector<T> results(static_cast<size_t>(std::max<Int>(n, 0)));
+  const Int workers = std::min<Int>(resolve_threads(threads), n);
+  auto run_slice = [&](Int begin, Int end) {
+    for (Int i = begin; i < end; ++i) results[static_cast<size_t>(i)] = fn(i);
+  };
+  if (workers <= 1) {
+    run_slice(0, n);
+    return results;
+  }
+  // Slice w owns [w*n/workers, (w+1)*n/workers) and stops at its first
+  // failure, so the lowest failing slice holds the lowest failing index.
+  std::vector<std::exception_ptr> errors(static_cast<size_t>(workers));
+  std::vector<std::thread> pool;
+  pool.reserve(static_cast<size_t>(workers));
+  auto join_all = [&] {
+    for (std::thread& t : pool) t.join();
+  };
+  try {
+    for (Int w = 0; w < workers; ++w) {
+      pool.emplace_back([&, w] {
+        try {
+          run_slice(n * w / workers, n * (w + 1) / workers);
+        } catch (...) {
+          errors[static_cast<size_t>(w)] = std::current_exception();
+        }
+      });
     }
-  });
+  } catch (...) {
+    join_all();  // a thread failed to start: finish the started ones first
+    throw;
+  }
+  join_all();
+  for (const std::exception_ptr& err : errors) {
+    if (err) std::rethrow_exception(err);
+  }
   return results;
 }
 

@@ -1,8 +1,6 @@
 #include "transform/minimizer.h"
 
 #include <algorithm>
-#include <atomic>
-#include <limits>
 
 #include "analysis/distinct.h"
 #include "analysis/window.h"
@@ -12,7 +10,6 @@
 #include "linalg/completion.h"
 #include "linalg/diophantine.h"
 #include "support/error.h"
-#include "support/parallel_for.h"
 #include "transform/unimodular.h"
 
 namespace lmre {
@@ -92,51 +89,19 @@ Rational row_objective(const std::vector<RowTarget>& targets, const IntBox& box,
   return total;
 }
 
-// A chunk-local incumbent: the first strictly-best completing row the chunk
-// saw, in serial enumeration order.
-struct LocalBest {
-  bool valid = false;
-  Rational score;
-  Int w = 0;
-  IntMat t;
-};
-
-// Lock-free shared pruning bound: the ceiling of the best completed primary
-// objective seen by any worker.  Rows strictly above the bound can never win
-// (the winner is minimal); ties and near-ties survive, and the ordered merge
-// of chunk-local incumbents resolves them to the serial winner.
-class IncumbentBound {
- public:
-  Int load() const { return v_.load(std::memory_order_relaxed); }
-  void lower_to(Int key) {
-    Int cur = v_.load(std::memory_order_relaxed);
-    while (key < cur &&
-           !v_.compare_exchange_weak(cur, key, std::memory_order_relaxed)) {
-    }
-  }
-
- private:
-  std::atomic<Int> v_{std::numeric_limits<Int>::max()};
-};
-
 // Branch-and-bound over rows ordered by w = |a2 a - a1 b|.  Rows with equal
 // w lie on a line parallel to the kernel direction (a1, a2); enumerate w
 // ascending and prune when w alone (a lower bound on (span+1) * w) reaches
-// the best complete objective.  Within a (w, sign) shell segment the t-sweep
-// is scored on the worker pool; chunk-local incumbents merge in chunk order,
-// so the result is bit-identical to the serial sweep for any thread count.
+// the best complete objective.
 std::optional<MinimizerResult> branch_and_bound(const IntVec& alpha,
                                                 const std::vector<IntVec>& deps,
                                                 const IntBox& box,
                                                 const MinimizerOptions& opts) {
   const Int a1 = alpha[0], a2 = alpha[1];
   const Int range = opts.coeff_bound * (checked_abs(a1) + checked_abs(a2) + 1);
-  const int workers = resolve_threads(opts.threads);
-  const Int span = 2 * opts.coeff_bound + 1;
 
   std::optional<MinimizerResult> best;
   Int examined = 0;
-  IncumbentBound bound;
   for (Int w = 0; w <= range; ++w) {
     if (best && Rational(w) >= best->predicted_mws) break;  // prune: obj >= w
     for (Int sign : {1, -1}) {
@@ -144,39 +109,19 @@ std::optional<MinimizerResult> branch_and_bound(const IntVec& alpha,
       // a2*a - a1*b == sign*w; solutions move along the kernel (a1, a2).
       auto sol = solve_linear2(a2, -a1, sign * w);
       if (!sol) continue;
-      std::vector<LocalBest> chunk_best(static_cast<size_t>(workers));
-      std::vector<Int> chunk_examined(static_cast<size_t>(workers), 0);
-      parallel_chunks(span, opts.threads, /*grain=*/64,
-                      [&](size_t chunk, Int begin, Int end) {
-        LocalBest local;
-        Int counted = 0;
-        for (Int idx = begin; idx < end; ++idx) {
-          Int t = idx - opts.coeff_bound;
-          Int a = sol->first + t * a1;
-          Int b = sol->second + t * a2;
-          if (a == 0 && b == 0) continue;
-          if (checked_abs(a) > range || checked_abs(b) > range) continue;
-          if (gcd(a, b) != 1) continue;
-          if (!row_feasible(a, b, deps)) continue;
-          ++counted;
-          Rational score = mws2_estimate(alpha, box, a, b);
-          if (best && score >= best->predicted_mws) continue;
-          if (score > Rational(bound.load())) continue;
-          if (local.valid && score >= local.score) continue;
-          auto complete = complete_second_row(a, b, deps);
-          if (!complete) continue;
-          local = LocalBest{true, score, 0, *complete};
-          bound.lower_to(score.ceil());
-        }
-        chunk_best[chunk] = std::move(local);
-        chunk_examined[chunk] = counted;
-      });
-      for (size_t c = 0; c < chunk_best.size(); ++c) {
-        examined = checked_add(examined, chunk_examined[c]);
-        const LocalBest& l = chunk_best[c];
-        if (!l.valid) continue;
-        if (best && l.score >= best->predicted_mws) continue;
-        best = MinimizerResult{l.t, l.score, examined};
+      for (Int t = -opts.coeff_bound; t <= opts.coeff_bound; ++t) {
+        Int a = sol->first + t * a1;
+        Int b = sol->second + t * a2;
+        if (a == 0 && b == 0) continue;
+        if (checked_abs(a) > range || checked_abs(b) > range) continue;
+        if (gcd(a, b) != 1) continue;
+        if (!row_feasible(a, b, deps)) continue;
+        ++examined;
+        Rational score = mws2_estimate(alpha, box, a, b);
+        if (best && score >= best->predicted_mws) continue;
+        auto complete = complete_second_row(a, b, deps);
+        if (!complete) continue;
+        best = MinimizerResult{*complete, score, 0};
       }
     }
   }
@@ -212,35 +157,22 @@ std::optional<MinimizerResult> minimize_mws_2d(const LoopNest& nest,
     Int w;  // sum of |a2 a - a1 b| over targets (greedy objective)
   };
   const bool greedy = opts.strategy == MinimizerOptions::Strategy::kGreedyW;
-  // Strict "strictly better than the incumbent" predicate of the serial
-  // scan; both strategies are lexicographic strict weak orders, so the
-  // serial winner is the first minimal row in enumeration order.
+  // Strictly better than the incumbent: both strategies are lexicographic
+  // strict weak orders, so the winner is the first minimal row in
+  // enumeration order (a-major, both ascending).
   auto better = [&](const Candidate& x, const Candidate& inc) {
     if (greedy) return x.w < inc.w || (x.w == inc.w && x.score < inc.score);
     return x.score < inc.score || (x.score == inc.score && x.w < inc.w);
   };
 
-  // The (a, b) grid flattened in the serial enumeration order (a-major,
-  // both ascending) and split into contiguous chunks: each chunk keeps its
-  // first minimal completing row, the merge scans chunks left to right.
-  const Int side = 2 * opts.coeff_bound + 1;
-  const Int total = checked_mul(side, side);
-  const int workers = resolve_threads(opts.threads);
-  std::vector<std::optional<Candidate>> chunk_best(static_cast<size_t>(workers));
-  std::vector<Int> chunk_examined(static_cast<size_t>(workers), 0);
-  IncumbentBound bound;  // ceil(best score) (exhaustive) or best w (greedy)
-
-  parallel_chunks(total, opts.threads, /*grain=*/64,
-                  [&](size_t chunk, Int begin, Int end) {
-    std::optional<Candidate> local;
-    Int counted = 0;
-    for (Int idx = begin; idx < end; ++idx) {
-      Int a = idx / side - opts.coeff_bound;
-      Int b = idx % side - opts.coeff_bound;
+  Int examined = 0;
+  std::optional<Candidate> best;
+  for (Int a = -opts.coeff_bound; a <= opts.coeff_bound; ++a) {
+    for (Int b = -opts.coeff_bound; b <= opts.coeff_bound; ++b) {
       if (a == 0 && b == 0) continue;
       if (gcd(a, b) != 1) continue;  // rows of a unimodular matrix are primitive
       if (!row_feasible(a, b, deps)) continue;
-      ++counted;
+      ++examined;
       Rational score = row_objective(targets, box, a, b);
       Int w = 0;
       for (const auto& t : targets) {
@@ -248,26 +180,10 @@ std::optional<MinimizerResult> minimize_mws_2d(const LoopNest& nest,
                                                    checked_mul(t.alpha[0], b))));
       }
       Candidate cand{a, b, score, w};
-      // Shared bound: rows strictly above the best completed primary key
-      // anywhere can never be the global winner (ties survive and are
-      // resolved by the ordered merge).
-      if (greedy ? w > bound.load() : score > Rational(bound.load())) continue;
-      if (local && !better(cand, *local)) continue;
+      if (best && !better(cand, *best)) continue;
       // Only accept rows that actually complete to a tileable matrix.
       if (!complete_second_row(a, b, deps)) continue;
-      local = cand;
-      bound.lower_to(greedy ? w : score.ceil());
-    }
-    chunk_best[chunk] = local;
-    chunk_examined[chunk] = counted;
-  });
-
-  Int examined = 0;
-  std::optional<Candidate> best;
-  for (size_t c = 0; c < chunk_best.size(); ++c) {
-    examined = checked_add(examined, chunk_examined[c]);
-    if (chunk_best[c] && (!best || better(*chunk_best[c], *best))) {
-      best = chunk_best[c];
+      best = cand;
     }
   }
   if (!best) return std::nullopt;
@@ -475,31 +391,15 @@ OptimizeResult optimize_locality(const LoopNest& nest,
       }
       unique.push_back(c);
     }
-    // Re-scoring fans out across the pool in candidate order; every chunk
-    // reuses one TraceArena across its candidates (chunk 0 gets the
-    // caller's, so serial verify loops touch a single allocation
-    // footprint), and the selection below is the serial scan.
-    const int workers = resolve_threads(opts.threads);
-    std::vector<TraceArena> extra(workers > 1 ? static_cast<size_t>(workers - 1)
-                                              : 0);
-    std::vector<Int> exact(unique.size(), 0);
-    parallel_chunks(static_cast<Int>(unique.size()), opts.threads, /*grain=*/1,
-                    [&](size_t chunk, Int begin, Int end) {
-      TraceArena& chunk_arena = chunk == 0 ? arena : extra[chunk - 1];
-      for (Int i = begin; i < end; ++i) {
-        exact[static_cast<size_t>(i)] =
-            simulate_transformed(nest, unique[static_cast<size_t>(i)]->t,
-                                 chunk_arena)
-                .mws_total;
-      }
-    });
-    for (const TraceArena& e : extra) arena.stats().absorb(e.stats());
+    // Every candidate reuses the caller's arena, so a verify loop touches
+    // a single allocation footprint.
     const CandidatePlan* best = nullptr;
     Int best_exact = 0;
-    for (size_t i = 0; i < unique.size(); ++i) {
-      if (!best || exact[i] < best_exact) {
-        best = unique[i];
-        best_exact = exact[i];
+    for (const CandidatePlan* c : unique) {
+      const Int exact = simulate_transformed(nest, c->t, arena).mws_total;
+      if (!best || exact < best_exact) {
+        best = c;
+        best_exact = exact;
       }
     }
     ensure(best != nullptr, "exact verification examined no candidate");
@@ -512,7 +412,6 @@ OptimizeResult optimize_locality(const LoopNest& nest,
 
 MinimizerOptions minimizer_options(const RunOptions& run) {
   MinimizerOptions opts;
-  opts.threads = run.threads;
   opts.verify_iteration_limit = run.verify_limit;
   return opts;
 }

@@ -56,13 +56,6 @@ struct MinimizerOptions {
   /// transformed_scan_volume) are skipped individually.
   Int verify_top_k = 8;
   Int verify_iteration_limit = 2'000'000;
-
-  /// Worker threads for candidate-row scoring and oracle re-scoring:
-  /// 0 = hardware concurrency, 1 = the serial legacy path (default).
-  /// Every thread count produces bit-identical results -- the reduction is
-  /// ordered and ties break by serial enumeration position (DESIGN.md,
-  /// "Determinism contract").
-  int threads = 1;
 };
 
 struct MinimizerResult {
@@ -139,16 +132,14 @@ OptimizeResult optimize_locality(const LoopNest& nest, const MinimizerOptions& o
 
 /// optimize_locality reusing the caller's TraceArena for the exact
 /// verification loop: the k candidate simulations share (and grow) one
-/// allocation footprint instead of rebuilding per candidate.  With several
-/// worker threads each extra chunk gets a thread-local arena whose
-/// instrumentation is folded back into `arena` -- results are bit-identical
-/// to the arena-free overload for every thread count.
+/// allocation footprint instead of rebuilding per candidate.  Results are
+/// identical to the arena-free overload.
 OptimizeResult optimize_locality(const LoopNest& nest,
                                  const MinimizerOptions& opts,
                                  TraceArena& arena);
 
-/// Maps the shared pipeline options onto this stage's knobs: threads and
-/// verify_iteration_limit come from `run`, everything else keeps its
+/// Maps the shared pipeline options onto this stage's knobs:
+/// verify_iteration_limit comes from `run`, everything else keeps its
 /// default.  The RunOptions overloads below are the preferred entry points
 /// for callers driving the whole pipeline (runtime/session.h).
 MinimizerOptions minimizer_options(const RunOptions& run);

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "ir/parser.h"
 #include "runtime/session.h"
@@ -235,6 +236,34 @@ std::string write_temp(const std::string& name, const std::string& content) {
   return path;
 }
 
+// An unrecognized flag exits kUsage naming the flag and the verb -- before
+// it is mistaken for the input path, and wherever it appears.
+void expect_flag_refused(const std::vector<std::string>& args,
+                         const std::string& flag) {
+  std::ostringstream out, err;
+  EXPECT_EQ(run_cli(args, out, err), ExitCode::kUsage) << flag;
+  EXPECT_NE(err.str().find("lmre " + args[0] + ": unknown flag '" + flag + "'"),
+            std::string::npos)
+      << err.str();
+  EXPECT_EQ(err.str().find("cannot open"), std::string::npos) << err.str();
+  EXPECT_TRUE(out.str().empty()) << out.str();
+}
+
+TEST(CliDispatcher, ThreadsIsBatchOnly) {
+  std::string path = write_temp("threads_optimize.loop", kExample8);
+  expect_flag_refused({"optimize", "--threads=2", path}, "--threads=2");
+}
+
+TEST(CliDispatcher, FlagOfAnotherVerbIsRefused) {
+  std::string path = write_temp("strict_analyze.loop", kExample8);
+  expect_flag_refused({"analyze", "--strict", path}, "--strict");
+}
+
+TEST(CliDispatcher, TrailingUnknownFlagIsRefused) {
+  std::string path = write_temp("bogus_optimize.loop", kExample8);
+  expect_flag_refused({"optimize", path, "--bogus"}, "--bogus");
+}
+
 TEST(CliDispatcher, ParseErrorFormatsFileLineColumn) {
   std::string path = write_temp("truncated.loop", "for i = 1 to\n");
   std::ostringstream out, err;
@@ -332,7 +361,7 @@ TEST(CliAnalyzeJson, EnvelopeWrapsResult) {
 
 TEST(CliOptimizeJson, EnvelopeWrapsResult) {
   std::ostringstream out;
-  EXPECT_EQ(cmd_optimize(kExample8, out, 1, "<input>", {}, /*json=*/true),
+  EXPECT_EQ(cmd_optimize(kExample8, out, "<input>", {}, /*json=*/true),
             ExitCode::kSuccess);
   std::string s = out.str();
   EXPECT_NE(s.find("\"schema_version\": 2"), std::string::npos);
@@ -366,7 +395,7 @@ TEST(CliVerifyLimit, MrcTextRefusesLikeTheSession) {
 
 TEST(CliVerifyLimit, OptimizeJsonMatchesTheSessionPayload) {
   std::ostringstream out;
-  EXPECT_EQ(cmd_optimize(kPastVerifyLimit, out, 1, "<input>", {}, /*json=*/true),
+  EXPECT_EQ(cmd_optimize(kPastVerifyLimit, out, "<input>", {}, /*json=*/true),
             ExitCode::kSuccess);
   const std::string s = out.str();
   EXPECT_EQ(s.find("\"mws_before\""), std::string::npos);
@@ -463,6 +492,34 @@ TEST(CliBatch, JsonColdAndWarmRunsAreByteIdentical) {
   EXPECT_NE(ms.str().find("\"command\": \"batch-metrics\""), std::string::npos);
   EXPECT_NE(ms.str().find("\"cache.hit_rate\": 1"), std::string::npos);
   EXPECT_NE(ms.str().find("\"runs.cached\": 2"), std::string::npos);
+}
+
+TEST(CliBatch, ThreadsMustBeAWholeInteger) {
+  std::string path = write_temp("threads_batch.loop", kExample8);
+  std::ostringstream out, err;
+  EXPECT_EQ(run_cli({"batch", "--threads=4x", path}, out, err),
+            ExitCode::kUsage);
+  EXPECT_NE(err.str().find("bad --threads value: --threads=4x"),
+            std::string::npos)
+      << err.str();
+}
+
+TEST(CliBatch, OutputIsIdenticalAtEveryThreadCount) {
+  // Fresh runs (no cache) at two fan-out widths: each file is analyzed on
+  // one thread either way, and the document is in sorted input order.
+  std::string dir = ::testing::TempDir() + "batch_threads";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::ofstream(dir + "/a.loop") << kExample8;
+  std::ofstream(dir + "/b.loop") << "for i = 1 to 4\n  A[i] = A[i-1];\n";
+  std::ofstream(dir + "/c.loop") << kOutOfBounds;
+  std::ofstream(dir + "/d.loop") << "for i = 1 to 6\n  for j = 1 to 6\n"
+                                    "    B[i + j] = B[i + j - 1];\n";
+  std::ostringstream serial, wide, err;
+  run_cli({"batch", "--json", "--threads=1", dir}, serial, err);
+  run_cli({"batch", "--json", "--threads=4", dir}, wide, err);
+  EXPECT_NE(serial.str().find("\"command\": \"batch\""), std::string::npos);
+  EXPECT_EQ(serial.str(), wide.str());
 }
 
 TEST(CliVersion, TextReportsSchemaAndBuild) {

@@ -108,7 +108,7 @@ TEST(CliJson, OptimizeEmitsTransform) {
       for j = 1 to 10
         X[2*i + 5*j + 1] = X[2*i + 5*j + 5];
   )",
-                                    out, 1, "<input>", {}, /*json=*/true);
+                                    out, "<input>", {}, /*json=*/true);
   EXPECT_EQ(rc, ExitCode::kSuccess);
   std::string s = out.str();
   EXPECT_NE(s.find("\"method\": \"row-minimizer\""), std::string::npos);

@@ -12,6 +12,7 @@
 #include "codes/kernels.h"
 #include "dependence/dependence.h"
 #include "exact/oracle.h"
+#include "support/parallel_for.h"
 #include "symbolic/derive.h"
 #include "transform/minimizer.h"
 #include "transform/unimodular.h"
@@ -157,37 +158,44 @@ TEST(Paper, Sec43_Example10_ReuseLevelOneToThree) {
 
 TEST(Paper, Sec32_Example6_BoundsParallelPath) {
   // The published Example 6 numbers (UB 191 / LB 179 / actual within
-  // bounds) must pin the slab-parallel oracle exactly like the serial one.
+  // bounds) must pin the oracle when several requests run it at once, as
+  // the batch fan-out and the serve workers do.
   NonUniformBounds b = nonuniform_bounds(codes::example_6(), 0);
   EXPECT_EQ(b.upper, 191);
   EXPECT_EQ(b.lower_paper, 179);
   Int serial = simulate(codes::example_6()).distinct_total;
-  for (int threads : {2, 4}) {
-    Int parallel = simulate(codes::example_6(), threads).distinct_total;
-    EXPECT_EQ(parallel, serial) << "threads=" << threads;
+  std::vector<Int> concurrent = parallel_map<Int>(4, 4, [](Int) {
+    return simulate(codes::example_6()).distinct_total;
+  });
+  for (Int parallel : concurrent) {
+    EXPECT_EQ(parallel, serial);
     EXPECT_GE(parallel, b.lower_paper);
     EXPECT_LE(parallel, b.upper);
   }
 }
 
 TEST(Paper, Sec43_Example10_Window540ParallelPath) {
-  // Example 10's MWS (540) through the chunked simulation, and the Section
-  // 4.2 search numbers (row (2,3), estimate 22) through the parallel
-  // minimizer -- the published values pin both code paths.
+  // Example 10's MWS (540) and the Section 4.2 search numbers (row (2,3),
+  // estimate 22) computed side by side on concurrent threads -- the
+  // published values pin both, whatever else runs at the same time.
   LoopNest ex10 = codes::example_5();
-  for (int threads : {2, 4}) {
-    EXPECT_EQ(simulate(ex10, threads).mws_total, 540) << "threads=" << threads;
-  }
-  MinimizerOptions par;
-  par.threads = 4;
-  auto res = minimize_mws_2d(codes::example_8(), par);
-  ASSERT_TRUE(res.has_value());
-  EXPECT_EQ(res->transform.row(0), (IntVec{2, 3}));
-  EXPECT_EQ(res->predicted_mws, Rational(22));
-  auto serial = minimize_mws_2d(codes::example_8());
+  LoopNest ex8 = codes::example_8();
+  auto serial = minimize_mws_2d(ex8);
   ASSERT_TRUE(serial.has_value());
-  EXPECT_EQ(res->candidates, serial->candidates);
-  EXPECT_EQ(res->transform, serial->transform);
+  std::vector<std::optional<MinimizerResult>> searches =
+      parallel_map<std::optional<MinimizerResult>>(4, 4, [&](Int) {
+        return minimize_mws_2d(ex8);
+      });
+  std::vector<Int> windows = parallel_map<Int>(
+      4, 4, [&](Int) { return simulate(ex10).mws_total; });
+  for (Int w : windows) EXPECT_EQ(w, 540);
+  for (const auto& res : searches) {
+    ASSERT_TRUE(res.has_value());
+    EXPECT_EQ(res->transform.row(0), (IntVec{2, 3}));
+    EXPECT_EQ(res->predicted_mws, Rational(22));
+    EXPECT_EQ(res->candidates, serial->candidates);
+    EXPECT_EQ(res->transform, serial->transform);
+  }
 }
 
 TEST(Paper, Sec5_Figure2_MatmultRow) {

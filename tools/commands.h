@@ -37,15 +37,14 @@ ExitCode cmd_analyze(const std::string& source, std::ostream& out,
 /// `lmre optimize [--json] [--objective=SPEC] <dsl>`: transformation
 /// search, certification, transformed loop, before/after windows (exact
 /// within the default verify_limit).  Lint-gated like cmd_analyze.
-/// `threads` follows the RunOptions convention (0 = hardware concurrency,
-/// 1 = serial); results are identical either way.  `objective` selects the
+/// `objective` selects the
 /// search metric: ""/"mws" = the paper's window objective,
 /// "miss-ratio:<capacity>" re-scores the top candidates by exact miss
 /// ratio at that LRU capacity (src/mrc).  The --json document always names
 /// the chosen objective ("objective", "objective_value"); miss-ratio runs
 /// add "objective_capacity" and the before/after miss ratios.
 ExitCode cmd_optimize(const std::string& source, std::ostream& out,
-                      int threads = 1, const std::string& file = "<input>",
+                      const std::string& file = "<input>",
                       const std::string& objective = {}, bool json = false);
 
 /// Options for `lmre lint`, parsed by run_cli.
@@ -89,7 +88,6 @@ struct VerifyCliOptions {
   /// ('|'-separated unimodular steps, optional trailing "tile:4,4").
   /// Empty (or bare --plan) = audit the plan `lmre optimize` emits.
   std::string plan;
-  int threads = 1;  ///< audit-mode optimizer workers
 };
 
 /// `lmre verify [--json] [--plan[=SPEC]] <file|->`: runs the
@@ -112,7 +110,6 @@ struct CodegenCliOptions {
   std::string plan;
   std::string cc;         ///< --cc=PATH: C compiler override ("" = cc)
   std::string emit_file;  ///< --emit=FILE: write the C unit here
-  int threads = 1;        ///< auto-plan optimizer workers
 };
 
 /// `lmre codegen [--json] [--plan[=SPEC]] [--run] [--cc=PATH]
@@ -138,7 +135,6 @@ struct MrcCliOptions {
   std::string plan;
   double sample_rate = 1.0;     ///< --sample-rate=R in (0, 1]; 1 = exact
   std::vector<Int> capacities;  ///< --capacities=LIST; empty = auto sweep
-  int threads = 1;              ///< auto-plan optimizer workers
 };
 
 /// `lmre mrc [--json] [--plan[=SPEC]] [--sample-rate=R] [--capacities=LIST]
@@ -153,12 +149,12 @@ ExitCode cmd_mrc(const std::string& source, const MrcCliOptions& opts,
                  std::ostream& out, const std::string& file = "<input>");
 
 /// `lmre figure2`: the paper's main table.
-ExitCode cmd_figure2(std::ostream& out, int threads = 1);
+ExitCode cmd_figure2(std::ostream& out);
 
 /// Options for `lmre batch`, parsed by run_cli.
 struct BatchCliOptions {
   bool json = false;         ///< enveloped JSON instead of the text table
-  int threads = 1;           ///< corpus fan-out workers (0 = all cores)
+  int threads = 1;           ///< requests run at once (0 = all cores)
   std::string cache_dir;     ///< --cache-dir=D: persistent result cache
   std::string metrics_file;  ///< --metrics=F: write the metrics snapshot here
 };
