@@ -52,6 +52,11 @@ echo "wrote tests/golden/verify_example6.json"
 "$LMRE" verify --json --plan="-1 0; 0 1" examples/loops/example8.loop \
   > tests/golden/verify_example8_witness.json || true
 echo "wrote tests/golden/verify_example8_witness.json"
+# The 2^62-element reference box (tests/golden/wide_box.loop): audit mode
+# over the exact engine's widest addressable nests.
+"$LMRE" verify --json tests/golden/wide_box.loop \
+  > tests/golden/verify_wide_box.json
+echo "wrote tests/golden/verify_wide_box.json"
 
 # Codegen documents (src/codegen): identity-order lowering of the paper's
 # Examples 6, 8 and 10 -- window accounting, buffer plans, and the full
@@ -88,10 +93,13 @@ echo "wrote tests/golden/mrc_example10.json"
 "$LMRE" mrc --json --plan --capacities=1,64,128,540,687,1024 \
   tests/golden/example10.loop > tests/golden/mrc_example10_plan.json
 echo "wrote tests/golden/mrc_example10_plan.json"
+"$LMRE" mrc --json tests/golden/wide_box.loop > tests/golden/mrc_wide_box.json
+echo "wrote tests/golden/mrc_wide_box.json"
 
 # CLI documents (golden_cli_test): the analyze and optimize verbs, text and
-# --json, plus the miss-ratio objective, on the paper's Examples 10 and 6.
-for EX in example10 example6; do
+# --json, plus the miss-ratio objective, on the paper's Examples 10 and 6
+# and on the 2^62-element reference box.
+for EX in example10 example6 wide_box; do
   "$LMRE" analyze "tests/golden/$EX.loop" > "tests/golden/cli_analyze_$EX.txt"
   "$LMRE" analyze --json "tests/golden/$EX.loop" \
     > "tests/golden/cli_analyze_$EX.json"

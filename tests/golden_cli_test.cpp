@@ -10,6 +10,8 @@
 // Example 10 is the Section 4.3 embedding (window 540 -> 1); Example 6 has
 // non-uniform references, so the text documents carry the LMRE-W005 lint
 // warning with its file name (normalized to the repo-relative path here).
+// wide_box is the widest nest the exact engine addresses: a 2^62-element
+// reference box, traced modulo 2^64.
 // Regenerate with scripts/regen_golden.sh after an intentional change.
 
 #include <gtest/gtest.h>
@@ -96,7 +98,7 @@ TEST_P(GoldenCli, OptimizeMissRatioJson) {
 }
 
 INSTANTIATE_TEST_SUITE_P(PaperExamples, GoldenCli,
-                         ::testing::Values("example10", "example6"));
+                         ::testing::Values("example10", "example6", "wide_box"));
 
 }  // namespace
 }  // namespace lmre::tools

@@ -15,7 +15,8 @@
 //                            window policy only 540 (knee >= MWS, always);
 //   mrc_example10_plan.json  Example 10 under the optimizer's plan: the
 //                            reuse collapses to distance 1 and capacity
-//                            540 is far past the knee, on the cold floor.
+//                            540 is far past the knee, on the cold floor;
+//   mrc_wide_box.json        a 2^62-element reference box, identity order.
 //
 // The payload comes from an AnalysisSession, so these goldens also pin
 // what `lmre batch` and `lmre serve` embed for "mrc" requests.
@@ -89,6 +90,12 @@ TEST(GoldenMrc, Example10KneeVsPaperWindow) {
 TEST(GoldenMrc, Example10OptimizerPlan) {
   check_golden({"--plan", "--capacities=1,64,128,540,687,1024"},
                "tests/golden/example10.loop", "mrc_example10_plan.json");
+}
+
+// The 2^62-element reference box: the exhaustive distances come from the
+// trace engine's sparse table, addressed modulo 2^64.
+TEST(GoldenMrc, WideBoxIdentity) {
+  check_golden({}, "tests/golden/wide_box.loop", "mrc_wide_box.json");
 }
 
 }  // namespace

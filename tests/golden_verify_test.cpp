@@ -9,7 +9,9 @@
 //                                 (LMRE-W020), certified but untileable;
 //   verify_example8_witness.json  a hand-built i-reversal of Example 8 --
 //                                 refuted with concrete iteration-pair
-//                                 witnesses (LMRE-E019, exit kDiagnostics).
+//                                 witnesses (LMRE-E019, exit kDiagnostics);
+//   verify_wide_box.json          audit mode over a 2^62-element reference
+//                                 box (identity, certified).
 //
 // Regenerate with scripts/regen_golden.sh after an intentional schema
 // change.
@@ -87,6 +89,13 @@ TEST(GoldenVerify, Example10AuditCertifiesOptimizerPlan) {
 TEST(GoldenVerify, Example6InterchangeUsesDirectionGranularity) {
   check_golden({"--plan=0 1; 1 0"}, "tests/golden/example6.loop",
                "verify_example6.json", ExitCode::kSuccess);
+}
+
+// The 2^62-element reference box: the audit's exact window check runs on
+// the trace engine like every other nest.
+TEST(GoldenVerify, WideBoxAuditCertifiesIdentity) {
+  check_golden({}, "tests/golden/wide_box.loop", "verify_wide_box.json",
+               ExitCode::kSuccess);
 }
 
 TEST(GoldenVerify, Example8ReversalRefutedWithWitnesses) {
