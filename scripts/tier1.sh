@@ -245,13 +245,20 @@ cmake --build build-asan -j "$JOBS" --target property_symbolic_test \
 
 echo "== tier 1: oracle smoke (dense vs reference differential + perf gate) =="
 # The dense-address trace engine must stay bit-identical to the retained
-# hash-map reference under ASan+UBSan (the differential property suite), and
+# hash-map reference under ASan+UBSan (the differential property suite),
 # bench_oracle --check fails if the dense engine is ever slower than 2x the
-# reference on any bench kernel or on the minimizer's verify loop.
+# reference on any bench kernel or on the minimizer's verify loop, and the
+# lmre binary must carry no lmre::reference:: symbol.
 cmake --build build-asan -j "$JOBS" --target property_oracle_test
 ./build-asan/tests/property_oracle_test
 ./build/bench/bench_oracle --check \
   || { echo "FAIL: dense oracle engine regressed past the perf gate"; exit 1; }
+# One engine in production: no production object calls the hash-map
+# reference engine, so the lmre binary must not link any of it (it stays in
+# lmre_exact for the differential tests and the benches).
+if nm -C build/tools/lmre | grep -q 'lmre::reference::'; then
+  echo "FAIL: the lmre binary links the hash-map reference engine"; exit 1
+fi
 
 echo "== tier 1: codegen smoke (ASan emission + system-cc round trip) =="
 # The C backend under ASan+UBSan emits two paper kernels end to end --

@@ -2,6 +2,7 @@
 
 #include "analysis/nonuniform.h"
 #include "analysis/reuse.h"
+#include "ir/nest.h"
 #include "linalg/diophantine.h"
 #include "linalg/kernel.h"
 #include "support/error.h"

@@ -6,22 +6,6 @@
 
 namespace lmre {
 
-std::pair<Int, Int> subscript_range(const IntVec& coeffs, Int constant, const IntBox& box) {
-  require(coeffs.size() == box.dims(), "subscript_range: dimension mismatch");
-  Int lo = constant, hi = constant;
-  for (size_t k = 0; k < coeffs.size(); ++k) {
-    Int a = coeffs[k];
-    if (a >= 0) {
-      lo = checked_add(lo, checked_mul(a, box.range(k).lo));
-      hi = checked_add(hi, checked_mul(a, box.range(k).hi));
-    } else {
-      lo = checked_add(lo, checked_mul(a, box.range(k).hi));
-      hi = checked_add(hi, checked_mul(a, box.range(k).lo));
-    }
-  }
-  return {lo, hi};
-}
-
 namespace {
 
 // Frobenius-style count of values an affine form a1*i1 + ... + an*in cannot

@@ -37,8 +37,4 @@ struct NonUniformBounds {
 /// upper bound and zero lower bounds (outside the paper's scope).
 NonUniformBounds nonuniform_bounds(const LoopNest& nest, ArrayId array);
 
-/// Range [min, max] of one affine subscript expression over the box
-/// (interval arithmetic; exact for boxes).
-std::pair<Int, Int> subscript_range(const IntVec& coeffs, Int constant, const IntBox& box);
-
 }  // namespace lmre

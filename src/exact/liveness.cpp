@@ -4,7 +4,6 @@
 #include <map>
 #include <vector>
 
-#include "exact/reference.h"
 #include "exact/trace_engine.h"
 #include "support/error.h"
 
@@ -46,12 +45,12 @@ struct LivenessSweep {
 
   // One access to `addr` of store `s` (owned by `array`) at `ordinal`.
   void touch(TraceArena::StoreBuf& s, ArrayId array, bool is_write, Int ordinal,
-             Int addr) {
+             std::uint64_t addr) {
     Int* birth;
     Int* last_read;
     unsigned char* tag;
     if (s.dense) {
-      const size_t i = static_cast<size_t>(addr);
+      const size_t i = addr;
       birth = &s.first[i];
       last_read = &s.last[i];
       tag = &s.tag[i];
@@ -152,28 +151,24 @@ LivenessStats min_memory_liveness(const LoopNest& nest, const IntMat* transform,
   }
   auto plan = AddressPlan::build(nest, t_inv ? &*t_inv : nullptr,
                                  /*liveness_order=*/true);
-  if (!plan) {
-    ++arena.stats().fallback_runs;
-    return reference::min_memory_liveness(nest, transform);
+  arena.prepare(plan, /*with_state=*/true);
+  std::vector<TraceArena::StoreBuf*> bufs(plan.refs.size());
+  std::vector<ArrayId> arrays(plan.refs.size());
+  for (size_t r = 0; r < plan.refs.size(); ++r) {
+    bufs[r] = &arena.store(plan.refs[r].store);
+    arrays[r] = plan.stores[plan.refs[r].store].array;
   }
-  arena.prepare(*plan, /*with_state=*/true);
-  std::vector<TraceArena::StoreBuf*> bufs(plan->refs.size());
-  std::vector<ArrayId> arrays(plan->refs.size());
-  for (size_t r = 0; r < plan->refs.size(); ++r) {
-    bufs[r] = &arena.store(plan->refs[r].store);
-    arrays[r] = plan->stores[plan->refs[r].store].array;
-  }
-  Int iterations = plan->iterations;
-  LivenessSweep sweep(*plan, arena, iterations);
-  auto touch = [&](size_t r, Int ordinal, Int addr) {
-    sweep.touch(*bufs[r], arrays[r], plan->refs[r].is_write, ordinal, addr);
+  Int iterations = plan.iterations;
+  LivenessSweep sweep(plan, arena, iterations);
+  auto touch = [&](size_t r, Int ordinal, std::uint64_t addr) {
+    sweep.touch(*bufs[r], arrays[r], plan.refs[r].is_write, ordinal, addr);
   };
   if (t_inv) {
-    drive_transformed(*plan, nest, *t_inv, touch);
+    drive_transformed(plan, nest, *t_inv, touch);
   } else {
-    drive_box(*plan, nest.bounds(), touch);
+    drive_box(plan, nest.bounds(), touch);
   }
-  arena.finish_run(*plan);
+  arena.finish_run(plan);
   return sweep.finish();
 }
 

@@ -5,7 +5,6 @@
 #include <map>
 #include <vector>
 
-#include "exact/reference.h"
 #include "exact/trace_engine.h"
 #include "polyhedra/scanner.h"
 #include "support/error.h"
@@ -136,9 +135,10 @@ void run_original(const LoopNest& nest, const AddressPlan& plan,
                   TraceArena& arena) {
   arena.prepare(plan, /*with_state=*/false);
   auto bufs = ref_bufs(plan, arena);
-  drive_box(plan, nest.bounds(), [&](size_t r, Int ordinal, Int addr) {
+  auto touch = [&](size_t r, Int ordinal, std::uint64_t addr) {
     trace_detail::touch_first_last(*bufs[r], addr, ordinal);
-  });
+  };
+  drive_box(plan, nest.bounds(), touch);
   arena.finish_run(plan);
 }
 
@@ -147,10 +147,10 @@ Int run_transformed(const LoopNest& nest, const AddressPlan& plan,
                     const IntMat& t_inv, TraceArena& arena) {
   arena.prepare(plan, /*with_state=*/false);
   auto bufs = ref_bufs(plan, arena);
-  Int iters = drive_transformed(plan, nest, t_inv,
-                                [&](size_t r, Int ordinal, Int addr) {
+  auto touch = [&](size_t r, Int ordinal, std::uint64_t addr) {
     trace_detail::touch_first_last(*bufs[r], addr, ordinal);
-  });
+  };
+  Int iters = drive_transformed(plan, nest, t_inv, touch);
   arena.finish_run(plan);
   return iters;
 }
@@ -164,12 +164,8 @@ TraceStats simulate(const LoopNest& nest) {
 
 TraceStats simulate(const LoopNest& nest, int /*unused*/, TraceArena& arena) {
   auto plan = AddressPlan::build(nest, nullptr, /*liveness_order=*/false);
-  if (!plan) {
-    ++arena.stats().fallback_runs;
-    return reference::simulate(nest);
-  }
-  run_original(nest, *plan, arena);
-  return stats_from_stores(*plan, arena, plan->iterations);
+  run_original(nest, plan, arena);
+  return stats_from_stores(plan, arena, plan.iterations);
 }
 
 TraceStats simulate_transformed(const LoopNest& nest, const IntMat& t,
@@ -179,12 +175,8 @@ TraceStats simulate_transformed(const LoopNest& nest, const IntMat& t,
   require(t.is_unimodular(), "simulate_transformed: transform not unimodular");
   IntMat t_inv = t.inverse_unimodular();
   auto plan = AddressPlan::build(nest, &t_inv, /*liveness_order=*/false);
-  if (!plan) {
-    ++arena.stats().fallback_runs;
-    return reference::simulate_transformed(nest, t);
-  }
-  Int iters = run_transformed(nest, *plan, t_inv, arena);
-  return stats_from_stores(*plan, arena, iters);
+  Int iters = run_transformed(nest, plan, t_inv, arena);
+  return stats_from_stores(plan, arena, iters);
 }
 
 TraceStats simulate_transformed(const LoopNest& nest, const IntMat& t) {
@@ -195,32 +187,27 @@ TraceStats simulate_transformed(const LoopNest& nest, const IntMat& t) {
 TraceStats simulate_order(const LoopNest& nest,
                           const std::vector<IntVec>& order) {
   auto plan = AddressPlan::build(nest, nullptr, /*liveness_order=*/false);
-  if (!plan) return reference::simulate_order(nest, order);
   TraceArena arena;
-  arena.prepare(*plan, /*with_state=*/false);
-  auto bufs = ref_bufs(*plan, arena);
+  arena.prepare(plan, /*with_state=*/false);
+  auto bufs = ref_bufs(plan, arena);
   Int ordinal = 0;
   for (const IntVec& iter : order) {
     require(nest.bounds().contains(iter),
             "simulate_order: iteration outside the nest bounds");
-    for (size_t r = 0; r < plan->refs.size(); ++r) {
+    for (size_t r = 0; r < plan.refs.size(); ++r) {
       trace_detail::touch_first_last(
-          *bufs[r], trace_detail::plan_address(plan->refs[r], iter), ordinal);
+          *bufs[r], trace_detail::plan_address(plan.refs[r], iter), ordinal);
     }
     ++ordinal;
   }
-  arena.finish_run(*plan);
-  return stats_from_stores(*plan, arena, ordinal);
+  arena.finish_run(plan);
+  return stats_from_stores(plan, arena, ordinal);
 }
 
 LifetimeReport lifetime_report(const LoopNest& nest, TraceArena& arena) {
   auto plan = AddressPlan::build(nest, nullptr, /*liveness_order=*/false);
-  if (!plan) {
-    ++arena.stats().fallback_runs;
-    return reference::lifetime_report(nest);
-  }
-  run_original(nest, *plan, arena);
-  return lifetimes_from_stores(*plan, arena);
+  run_original(nest, plan, arena);
+  return lifetimes_from_stores(plan, arena);
 }
 
 LifetimeReport lifetime_report(const LoopNest& nest) {
@@ -236,12 +223,8 @@ LifetimeReport lifetime_report_transformed(const LoopNest& nest,
   require(t.is_unimodular(), "simulate_transformed: transform not unimodular");
   IntMat t_inv = t.inverse_unimodular();
   auto plan = AddressPlan::build(nest, &t_inv, /*liveness_order=*/false);
-  if (!plan) {
-    ++arena.stats().fallback_runs;
-    return reference::lifetime_report_transformed(nest, t);
-  }
-  run_transformed(nest, *plan, t_inv, arena);
-  return lifetimes_from_stores(*plan, arena);
+  run_transformed(nest, plan, t_inv, arena);
+  return lifetimes_from_stores(plan, arena);
 }
 
 LifetimeReport lifetime_report_transformed(const LoopNest& nest,
@@ -257,13 +240,9 @@ std::vector<Int> window_series(const LoopNest& nest, const IntMat& t,
   require(t.is_unimodular(), "simulate_transformed: transform not unimodular");
   IntMat t_inv = t.inverse_unimodular();
   auto plan = AddressPlan::build(nest, &t_inv, /*liveness_order=*/false);
-  if (!plan) {
-    ++arena.stats().fallback_runs;
-    return reference::window_series(nest, t);
-  }
-  Int iters = run_transformed(nest, *plan, t_inv, arena);
+  Int iters = run_transformed(nest, plan, t_inv, arena);
   std::vector<Int> delta(static_cast<size_t>(iters) + 1, 0);
-  for (size_t si = 0; si < plan->stores.size(); ++si) {
+  for (size_t si = 0; si < plan.stores.size(); ++si) {
     trace_detail::for_each_touched(arena.store(si), [&](Int first, Int last) {
       if (first == last) return;
       delta[static_cast<size_t>(first)] += 1;

@@ -7,9 +7,10 @@
 // an unordered_map, liveness reconstructed from full per-element access
 // histories.  It is the semantic ground truth the dense-address engine in
 // exact/trace_engine.h is differentially tested against
-// (property_oracle_test), and the fallback the public entry points take
-// when a nest cannot be linearized (address-space overflow).  Results are
-// identical to the dense engine by construction; only speed differs.
+// (property_oracle_test) and the ground truth of the benchmark's analyze
+// check.  No production path calls it: the dense engine runs every nest
+// lint admits.  Results are identical to the dense engine by construction;
+// only speed differs.
 
 #include <vector>
 

@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <functional>
 #include <list>
+#include <map>
 #include <optional>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "exact/oracle.h"
@@ -71,12 +72,12 @@ std::uint64_t sample_threshold(double rate) {
 /// previous one (kUntouchedLast == -1 on a first touch).  Mirrors
 /// trace_detail::touch_first_last but surfaces the old ordinal, which is
 /// what the Fenwick update needs.
-Int exchange_last(TraceArena::StoreBuf& s, Int addr, Int ordinal) {
+Int exchange_last(TraceArena::StoreBuf& s, std::uint64_t addr, Int ordinal) {
   if (s.dense) {
-    Int& last = s.last[static_cast<size_t>(addr)];
+    Int& last = s.last[addr];
     const Int prev = last;
     if (prev < 0) {
-      s.first[static_cast<size_t>(addr)] = ordinal;
+      s.first[addr] = ordinal;
       ++s.touched;
     }
     last = ordinal;
@@ -119,10 +120,8 @@ void dense_visit(const LoopNest& nest, const AddressPlan& plan,
   // Global access ordinal: iteration ordinal (execution order) * refs per
   // iteration + reference slot.  Unsampled accesses still consume ordinals;
   // gaps are harmless because only sampled ordinals ever set bits.
-  auto touch = [&](size_t r, Int ordinal, Int addr) {
-    if (!exhaustive &&
-        trace_detail::mix_addr(static_cast<std::uint64_t>(addr) ^ salt[r]) >=
-            threshold) {
+  auto touch = [&](size_t r, Int ordinal, std::uint64_t addr) {
+    if (!exhaustive && trace_detail::mix_addr(addr ^ salt[r]) >= threshold) {
       return;
     }
     const Int t = ordinal * static_cast<Int>(nrefs) + static_cast<Int>(r);
@@ -143,67 +142,6 @@ void dense_visit(const LoopNest& nest, const AddressPlan& plan,
   arena.finish_run(plan);
 }
 
-struct Key {
-  ArrayId array;
-  std::vector<Int> index;
-  bool operator==(const Key& o) const {
-    return array == o.array && index == o.index;
-  }
-};
-struct KeyHash {
-  size_t operator()(const Key& k) const {
-    size_t h = std::hash<size_t>()(k.array);
-    for (Int v : k.index) {
-      h ^= std::hash<Int>()(v) + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    }
-    return h;
-  }
-};
-
-/// Hash-map fallback for nests the engine cannot linearize: same Fenwick
-/// distance structure, element identity by (array, index-vector) key.
-/// Sampling hashes the key hash rather than a linear address, so SAMPLED
-/// results are not comparable across the two paths (exhaustive ones are).
-void reference_visit(const LoopNest& nest, const DistanceVisitOptions& opts,
-                     const std::function<void(size_t, Int)>& visit) {
-  size_t nrefs = 0;
-  for (const auto& stmt : nest.statements()) nrefs += stmt.refs.size();
-  if (nrefs == 0) return;
-  const bool exhaustive = opts.sample_rate >= 1.0;
-  const std::uint64_t threshold =
-      exhaustive ? 0 : sample_threshold(opts.sample_rate);
-  const Int accesses =
-      checked_mul(nest.iteration_count(), static_cast<Int>(nrefs));
-  OrdinalFenwick fen;
-  fen.reset(static_cast<size_t>(accesses));
-  std::unordered_map<Key, Int, KeyHash> last;  // element -> last ordinal
-  Int t = 0;
-  visit_iterations(nest, opts.transform, [&](Int, const IntVec& iter) {
-    size_t r = 0;
-    for (const auto& stmt : nest.statements()) {
-      for (const auto& ref : stmt.refs) {
-        const Int here = t++;
-        const size_t ref_index = r++;
-        Key key{ref.array, ref.index_at(iter).data()};
-        if (!exhaustive &&
-            trace_detail::mix_addr(KeyHash{}(key) ^ opts.seed) >= threshold) {
-          continue;
-        }
-        auto [it, inserted] = last.try_emplace(key, here);
-        if (inserted) {
-          visit(ref_index, 0);
-        } else {
-          const Int prev = it->second;
-          visit(ref_index, fen.prefix(here - 1) - fen.prefix(prev) + 1);
-          fen.add(prev, -1);
-          it->second = here;
-        }
-        fen.add(here, +1);
-      }
-    }
-  });
-}
-
 }  // namespace
 
 void visit_stack_distances(const LoopNest& nest, const DistanceVisitOptions& opts,
@@ -217,14 +155,9 @@ void visit_stack_distances(const LoopNest& nest, const DistanceVisitOptions& opt
             "visit_stack_distances: transform must be unimodular");
     t_inv = opts.transform->inverse_unimodular();
   }
-  std::optional<AddressPlan> plan = AddressPlan::build(
+  const AddressPlan plan = AddressPlan::build(
       nest, t_inv ? &*t_inv : nullptr, /*liveness_order=*/false);
-  if (!plan) {
-    ++arena.stats().fallback_runs;
-    reference_visit(nest, opts, visit);
-    return;
-  }
-  dense_visit(nest, *plan, t_inv ? &*t_inv : nullptr, opts, arena, visit);
+  dense_visit(nest, plan, t_inv ? &*t_inv : nullptr, opts, arena, visit);
 }
 
 StackDistanceProfile stack_distances(const LoopNest& nest,
@@ -254,15 +187,16 @@ StackDistanceProfile stack_distances_reference(const LoopNest& nest,
                                                const IntMat* transform) {
   // Classic stack algorithm: a list ordered most-recent-first; the distance
   // of a re-access is its 1-based position in the list.
-  std::list<Key> stack;
-  std::unordered_map<Key, std::list<Key>::iterator, KeyHash> where;
+  using Element = std::pair<ArrayId, std::vector<Int>>;
+  std::list<Element> stack;
+  std::map<Element, std::list<Element>::iterator> where;
 
   StackDistanceProfile profile;
   visit_iterations(nest, transform, [&](Int, const IntVec& iter) {
     for (const auto& stmt : nest.statements()) {
       for (const auto& ref : stmt.refs) {
         ++profile.total_accesses;
-        Key key{ref.array, ref.index_at(iter).data()};
+        Element key{ref.array, ref.index_at(iter).data()};
         auto it = where.find(key);
         if (it == where.end()) {
           ++profile.cold_accesses;

@@ -16,8 +16,9 @@
 // is set while the element last touched at ordinal t has not been touched
 // again, so the number of set bits between two accesses to one element is
 // exactly the number of distinct elements in between.  The pre-engine
-// MRU-list implementation (O(n) per access) is retained verbatim as
-// stack_distances_reference -- the differential ground truth.
+// MRU-list implementation (O(n) per access) is retained as
+// stack_distances_reference -- the differential ground truth the tests
+// hold the engine to; no production path calls it.
 
 #include <cstdint>
 #include <functional>
@@ -64,9 +65,9 @@ struct DistanceVisitOptions {
 /// in execution order.  `ref_index` indexes the nest's references in
 /// statement order (the order of LoopNest::all_refs()); `distance` is 0
 /// for a first touch (cold miss) and otherwise the 1-based LRU stack
-/// distance among sampled elements.  Uses the dense trace engine through
-/// `arena` and falls back to the hash-map path (counted in
-/// arena.stats().fallback_runs) when the nest cannot be linearized.
+/// distance among sampled elements.  Runs on the dense trace engine through
+/// `arena`; throws OverflowError when a reference box has 2^63 or more
+/// elements (the nests lint rejects with LMRE-E009).
 void visit_stack_distances(const LoopNest& nest, const DistanceVisitOptions& opts,
                            TraceArena& arena,
                            const std::function<void(size_t, Int)>& visit);

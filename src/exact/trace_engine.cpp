@@ -6,12 +6,6 @@ namespace lmre {
 
 namespace {
 
-// Address-space ceiling: volumes and per-level address coefficients are
-// kept below 2^61 so the drivers' one-add innermost stepping (which may
-// overshoot a row's last valid address by a single step) can never overflow
-// int64.  Nests beyond this take the reference engine.
-constexpr Int kAddrBound = Int{1} << 61;
-
 // Dense-path policy: a store is dense when its box has at least a few
 // thousand elements of headroom, is no larger than kDenseAccessFactor x the
 // accesses that will be traced into it (so the reset cost stays
@@ -19,25 +13,6 @@ constexpr Int kAddrBound = Int{1} << 61;
 constexpr Int kDenseMinElems = 4096;
 constexpr Int kDenseAccessFactor = 8;
 constexpr Int kDenseCapElems = Int{1} << 23;
-
-// Affine range of one subscript row over the iteration box (interval
-// arithmetic; exact for boxes).
-void subscript_range(const IntVec& row, Int offset, const IntBox& box,
-                     Int* lo, Int* hi) {
-  Int l = offset, h = offset;
-  for (size_t k = 0; k < box.dims(); ++k) {
-    const Int a = row[k];
-    if (a >= 0) {
-      l = checked_add(l, checked_mul(a, box.range(k).lo));
-      h = checked_add(h, checked_mul(a, box.range(k).hi));
-    } else {
-      l = checked_add(l, checked_mul(a, box.range(k).hi));
-      h = checked_add(h, checked_mul(a, box.range(k).lo));
-    }
-  }
-  *lo = l;
-  *hi = h;
-}
 
 size_t next_pow2(size_t n) {
   size_t p = 64;
@@ -47,9 +22,8 @@ size_t next_pow2(size_t n) {
 
 }  // namespace
 
-std::optional<AddressPlan> AddressPlan::build(const LoopNest& nest,
-                                              const IntMat* t_inv,
-                                              bool liveness_order) {
+AddressPlan AddressPlan::build(const LoopNest& nest, const IntMat* t_inv,
+                               bool liveness_order) {
   const IntBox& box = nest.bounds();
   const size_t n = nest.depth();
   AddressPlan plan;
@@ -57,104 +31,94 @@ std::optional<AddressPlan> AddressPlan::build(const LoopNest& nest,
   plan.iterations = n == 0 ? 0 : box.volume();
   const bool empty = plan.iterations == 0;
 
-  // One store per referenced array, in ArrayId order.
+  // One store per referenced array, in ArrayId order: its bounding box is
+  // the union of every subscript's affine range over the iteration box,
+  // and its checked volume is the plan's one bound (below 2^63, every
+  // in-box address is exact as a residue mod 2^64).
   std::vector<int> store_of(nest.arrays().size(), -1);
   for (ArrayId id = 0; id < nest.arrays().size(); ++id) {
-    if (nest.refs_to(id).empty()) continue;
+    const std::vector<ArrayRef> refs = nest.refs_to(id);
+    if (refs.empty()) continue;
     store_of[id] = static_cast<int>(plan.stores.size());
-    Store st;
+    Store& st = plan.stores.emplace_back();
     st.array = id;
-    plan.stores.push_back(std::move(st));
+    // Traced accesses only steer the dense/sparse choice and the table's
+    // first size, so they saturate instead of throwing.
+    if (__builtin_mul_overflow(static_cast<Int>(refs.size()), plan.iterations,
+                               &st.accesses)) {
+      st.accesses = INT64_MAX;
+    }
+    const size_t d = refs[0].access.rows();
+    st.lo.assign(d, 0);
+    st.stride.assign(d, 0);
+    try {
+      Int vol = 1;
+      for (size_t r = d; r-- > 0 && !empty;) {
+        Int lo = INT64_MAX, hi = INT64_MIN;
+        for (const ArrayRef& ref : refs) {
+          auto [l, h] = subscript_range(ref.access.row(r), ref.offset[r], box);
+          lo = std::min(lo, l);
+          hi = std::max(hi, h);
+        }
+        st.lo[r] = lo;
+        st.stride[r] = vol;  // row-major
+        vol = checked_mul(vol, checked_add(checked_sub(hi, lo), 1));
+      }
+      st.volume = empty ? 0 : vol;
+    } catch (const OverflowError&) {
+      throw OverflowError("reference box of '" + nest.array(id).name +
+                          "' overflows 64-bit arithmetic");
+    }
+    st.dense = st.volume <= kDenseCapElems &&
+               (st.volume <= kDenseMinElems ||
+                st.volume <= kDenseAccessFactor *
+                                 std::min(st.accesses, kDenseCapElems));
   }
 
-  try {
-    // Pass 1: per-array bounding boxes (union of every subscript's affine
-    // range over the iteration box) and traced-access counts.
-    for (const auto& stmt : nest.statements()) {
-      for (const auto& ref : stmt.refs) {
-        Store& st = plan.stores[static_cast<size_t>(store_of[ref.array])];
-        st.accesses = checked_add(st.accesses, plan.iterations);
-        const size_t d = ref.access.rows();
-        if (st.lo.empty()) {
-          st.lo.assign(d, 0);
-          st.stride.assign(d, 0);  // extents staged here until pass 1 ends
-        }
-        for (size_t r = 0; r < d; ++r) {
-          Int lo = 0, hi = 0;
-          if (!empty) subscript_range(ref.access.row(r), ref.offset[r], box, &lo, &hi);
-          if (st.accesses == plan.iterations) {  // first ref to this array
-            st.lo[r] = lo;
-            st.stride[r] = hi;  // staged: per-dim hi
-          } else {
-            st.lo[r] = std::min(st.lo[r], lo);
-            st.stride[r] = std::max(st.stride[r], hi);
-          }
-        }
-      }
-    }
-
-    // Finalize boxes: staged his become extents, then row-major strides.
-    for (Store& st : plan.stores) {
-      const size_t d = st.lo.size();
-      std::vector<Int> extent(d);
+  // Pass 2: per-ref affine address coefficients in scan coordinates,
+  // address(i) = sum_d stride[d] * (access[d] . i + offset[d] - lo[d]),
+  // composed through T^-1 when given, all modulo 2^64.
+  for (const auto& stmt : nest.statements()) {
+    auto add_ref = [&](const ArrayRef& ref) {
+      const Store& st = plan.stores[static_cast<size_t>(store_of[ref.array])];
+      Ref pr;
+      pr.store = static_cast<size_t>(store_of[ref.array]);
+      pr.is_write = ref.is_write();
+      const size_t d = ref.access.rows();
+      std::vector<std::uint64_t> coef(n, 0);
       for (size_t r = 0; r < d; ++r) {
-        extent[r] = checked_add(checked_sub(st.stride[r], st.lo[r]), 1);
-      }
-      Int vol = 1;
-      for (size_t r = d; r-- > 0;) {
-        st.stride[r] = vol;
-        vol = checked_mul(vol, extent[r]);
-      }
-      if (vol > kAddrBound) return std::nullopt;
-      st.volume = empty ? 0 : vol;
-      const Int budget =
-          std::max(kDenseMinElems,
-                   checked_mul(kDenseAccessFactor, st.accesses));
-      st.dense = st.volume <= std::min(budget, kDenseCapElems);
-    }
-
-    // Pass 2: per-ref affine address coefficients in scan coordinates.
-    for (const auto& stmt : nest.statements()) {
-      auto add_ref = [&](const ArrayRef& ref) {
-        const Store& st = plan.stores[static_cast<size_t>(store_of[ref.array])];
-        Ref pr;
-        pr.store = static_cast<size_t>(store_of[ref.array]);
-        pr.is_write = ref.is_write();
-        IntVec coef;
-        ref.linearize(st.lo, st.stride, &coef, &pr.c0);
-        if (t_inv != nullptr) {
-          // Compose through T^-1: address(u) = coef . (T^-1 u) + c0.
-          IntVec composed(n);
-          for (size_t k = 0; k < n; ++k) {
-            Int v = 0;
-            for (size_t j = 0; j < n; ++j) {
-              v = checked_add(v, checked_mul(coef[j], (*t_inv)(j, k)));
-            }
-            composed[k] = v;
-          }
-          coef = std::move(composed);
-        }
+        const auto stride = static_cast<std::uint64_t>(st.stride[r]);
         for (size_t k = 0; k < n; ++k) {
-          if (checked_abs(coef[k]) > kAddrBound) throw OverflowError("coef");
+          coef[k] += stride * static_cast<std::uint64_t>(ref.access(r, k));
         }
-        pr.coef.assign(coef.data().begin(), coef.data().end());
-        plan.refs.push_back(std::move(pr));
-      };
-      if (liveness_order) {
-        // Reads before writes within a statement: the value-liveness order
-        // ("A[i] = A[i] + ..." consumes the old value first).
-        for (const auto& ref : stmt.refs) {
-          if (!ref.is_write()) add_ref(ref);
-        }
-        for (const auto& ref : stmt.refs) {
-          if (ref.is_write()) add_ref(ref);
+        pr.c0 += stride * (static_cast<std::uint64_t>(ref.offset[r]) -
+                           static_cast<std::uint64_t>(st.lo[r]));
+      }
+      if (t_inv != nullptr) {
+        // address(u) = coef . (T^-1 u) + c0.
+        pr.coef.assign(n, 0);
+        for (size_t k = 0; k < n; ++k) {
+          for (size_t j = 0; j < n; ++j) {
+            pr.coef[k] += coef[j] * static_cast<std::uint64_t>((*t_inv)(j, k));
+          }
         }
       } else {
-        for (const auto& ref : stmt.refs) add_ref(ref);
+        pr.coef = std::move(coef);
       }
+      plan.refs.push_back(std::move(pr));
+    };
+    if (liveness_order) {
+      // Reads before writes within a statement: the value-liveness order
+      // ("A[i] = A[i] + ..." consumes the old value first).
+      for (const auto& ref : stmt.refs) {
+        if (!ref.is_write()) add_ref(ref);
+      }
+      for (const auto& ref : stmt.refs) {
+        if (ref.is_write()) add_ref(ref);
+      }
+    } else {
+      for (const auto& ref : stmt.refs) add_ref(ref);
     }
-  } catch (const OverflowError&) {
-    return std::nullopt;
   }
   return plan;
 }
@@ -210,7 +174,7 @@ void TraceArena::prepare(const AddressPlan& plan, bool with_state) {
     } else {
       // Start at twice the expected occupancy (capped by the box) so the
       // common case never rehashes; the table still grows on demand.
-      const Int expect = std::min(ps.volume, ps.accesses);
+      const Int expect = std::min({ps.volume, ps.accesses, kDenseCapElems});
       const size_t cap = next_pow2(static_cast<size_t>(
           std::min<Int>(std::max<Int>(Int{64}, expect * 2), kDenseCapElems)));
       s.keys.assign(cap, 0);

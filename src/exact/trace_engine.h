@@ -1,6 +1,6 @@
 #pragma once
 
-// Dense-address trace engine: the shared machinery under the exact oracle.
+// Dense-address trace engine: the exact oracle's one execution engine.
 //
 // Instead of hashing a heap-allocated (array, index-vector) key per access,
 // the engine precomputes, per array, a rectangular bounding box of every
@@ -15,15 +15,19 @@
 // small relative to the trace, a flat linear-probe table keyed by the u64
 // address when sparse.  See DESIGN.md section 10.
 //
+// Addresses are formed and stepped modulo 2^64.  The plan's one bound is
+// the checked box volume (below 2^63, else OverflowError -- lint reports
+// such nests as LMRE-E009 before any analysis runs): every executed
+// access's true address lies in [0, volume), so its residue is exact, and
+// only the discarded one-past-row overshoot can wrap.
+//
 // A TraceArena owns the flat storage and is reusable across runs: evaluating
 // k candidate transforms against one nest touches one allocation footprint
-// instead of rebuilding hash maps per candidate.  When a nest cannot be
-// linearized (address-space products overflow the engine's bounds), plan
-// construction fails and callers fall back to the retained hash-map engine
-// in exact/reference.h -- behaviour is identical either way.
+// instead of rebuilding hash maps per candidate.  The retained hash-map
+// engine (reference.{h,cpp} in this directory) is the differential ground
+// truth the tests hold this engine to; no production path calls it.
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "ir/nest.h"
@@ -37,8 +41,7 @@ namespace lmre {
 /// Cumulative engine instrumentation, owned by a TraceArena and exported
 /// through the runtime Metrics registry (`oracle.*` names) by the session.
 struct OracleStats {
-  Int runs = 0;            ///< dense-engine runs (simulate/liveness/... calls)
-  Int fallback_runs = 0;   ///< linearization failed; reference engine used
+  Int runs = 0;            ///< engine runs (simulate/liveness/... calls)
   Int dense_stores = 0;    ///< per-array stores that took the dense path
   Int sparse_stores = 0;   ///< per-array stores that took the probe table
   Int elements = 0;        ///< distinct elements touched across runs
@@ -66,8 +69,8 @@ struct AddressPlan {
   struct Ref {
     size_t store = 0;   ///< index into stores
     bool is_write = false;
-    std::vector<Int> coef;  ///< address coefficients over scan coordinates
-    Int c0 = 0;             ///< address constant term
+    std::vector<std::uint64_t> coef;  ///< address coefficients (mod 2^64)
+    std::uint64_t c0 = 0;             ///< address constant term (mod 2^64)
   };
 
   std::vector<Store> stores;  ///< one per referenced array, ArrayId ascending
@@ -80,11 +83,10 @@ struct AddressPlan {
   /// stepping happens directly in u-space.  `liveness_order` lists each
   /// statement's reads before its writes (the value-liveness access order);
   /// otherwise refs appear in statement order.
-  /// Returns nullopt when any address-space product overflows the engine's
-  /// bounds -- callers then use the reference engine.
-  static std::optional<AddressPlan> build(const LoopNest& nest,
-                                          const IntMat* t_inv,
-                                          bool liveness_order);
+  /// Throws OverflowError naming the array when its reference box has
+  /// 2^63 or more elements (or a subscript range leaves 64-bit arithmetic).
+  static AddressPlan build(const LoopNest& nest, const IntMat* t_inv,
+                           bool liveness_order);
 };
 
 /// Reusable flat storage for trace runs plus cumulative OracleStats.  Not
@@ -150,9 +152,10 @@ void grow_table(TraceArena::StoreBuf& s);
 
 /// Finds the slot for `addr`, inserting an empty entry (first/last
 /// untouched, tag 0) when absent.  Returns the slot index; sets *inserted.
-inline size_t upsert_slot(TraceArena::StoreBuf& s, Int addr, bool* inserted) {
-  const std::uint64_t key = static_cast<std::uint64_t>(addr) + 1;
-  std::uint64_t i = mix_addr(static_cast<std::uint64_t>(addr)) & s.mask;
+inline size_t upsert_slot(TraceArena::StoreBuf& s, std::uint64_t addr,
+                          bool* inserted) {
+  const std::uint64_t key = addr + 1;
+  std::uint64_t i = mix_addr(addr) & s.mask;
   Int probes = 1;
   while (s.keys[i] != 0 && s.keys[i] != key) {
     i = (i + 1) & s.mask;
@@ -173,7 +176,7 @@ inline size_t upsert_slot(TraceArena::StoreBuf& s, Int addr, bool* inserted) {
   if (s.touched * 10 > static_cast<Int>(s.mask + 1) * 7) {
     grow_table(s);
     // Re-locate after the rehash so the caller's slot index stays valid.
-    std::uint64_t j = mix_addr(static_cast<std::uint64_t>(addr)) & s.mask;
+    std::uint64_t j = mix_addr(addr) & s.mask;
     while (s.keys[j] != key) j = (j + 1) & s.mask;
     return static_cast<size_t>(j);
   }
@@ -181,14 +184,15 @@ inline size_t upsert_slot(TraceArena::StoreBuf& s, Int addr, bool* inserted) {
 }
 
 /// Records a first/last touch at `addr` with ordinal `ordinal`.
-inline void touch_first_last(TraceArena::StoreBuf& s, Int addr, Int ordinal) {
+inline void touch_first_last(TraceArena::StoreBuf& s, std::uint64_t addr,
+                             Int ordinal) {
   if (s.dense) {
-    if (s.last[static_cast<size_t>(addr)] < 0) {
-      s.first[static_cast<size_t>(addr)] = ordinal;
-      s.last[static_cast<size_t>(addr)] = ordinal;
+    if (s.last[addr] < 0) {
+      s.first[addr] = ordinal;
+      s.last[addr] = ordinal;
       ++s.touched;
     } else {
-      s.last[static_cast<size_t>(addr)] = ordinal;
+      s.last[addr] = ordinal;
     }
     return;
   }
@@ -213,14 +217,15 @@ void for_each_touched(const TraceArena::StoreBuf& s, Fn&& fn) {
 }
 
 /// Evaluates a plan ref's address at an arbitrary scan point (the
-/// non-incremental path: simulate_order and row bases).  128-bit
-/// accumulation; the result is a valid in-box address, so it fits Int.
-inline Int plan_address(const AddressPlan::Ref& r, const IntVec& point) {
-  __int128 a = r.c0;
+/// non-incremental path: simulate_order and row bases), modulo 2^64: at an
+/// executed point the true address is in [0, volume), so the residue is it.
+inline std::uint64_t plan_address(const AddressPlan::Ref& r,
+                                  const IntVec& point) {
+  std::uint64_t a = r.c0;
   for (size_t k = 0; k < r.coef.size(); ++k) {
-    a += static_cast<__int128>(r.coef[k]) * point[k];
+    a += r.coef[k] * static_cast<std::uint64_t>(point[k]);
   }
-  return static_cast<Int>(a);
+  return a;
 }
 
 }  // namespace trace_detail
@@ -241,8 +246,8 @@ void drive_box(const AddressPlan& plan, const IntBox& box, TouchFn&& touch) {
   const Int inner_trip = box.range(n - 1).trip_count();
   IntVec point(n);
   for (size_t k = 0; k < n; ++k) point[k] = box.range(k).lo;
-  std::vector<Int> addr(nrefs);
-  std::vector<Int> step(nrefs);
+  std::vector<std::uint64_t> addr(nrefs);
+  std::vector<std::uint64_t> step(nrefs);
   for (size_t r = 0; r < nrefs; ++r) step[r] = plan.refs[r].coef[n - 1];
   Int ordinal = 0;
   while (true) {
@@ -252,7 +257,7 @@ void drive_box(const AddressPlan& plan, const IntBox& box, TouchFn&& touch) {
     for (Int j = 0; j < inner_trip; ++j) {
       for (size_t r = 0; r < nrefs; ++r) {
         touch(r, ordinal, addr[r]);
-        addr[r] += step[r];  // one overshoot per row; bounded by the plan
+        addr[r] += step[r];  // one overshoot per row (may wrap; discarded)
       }
       ++ordinal;
     }
@@ -289,8 +294,8 @@ Int drive_transformed(const AddressPlan& plan, const LoopNest& nest,
     sys.add_range(expr, box.range(k).lo, box.range(k).hi);
   }
   const size_t nrefs = plan.refs.size();
-  std::vector<Int> addr(nrefs);
-  std::vector<Int> step(nrefs);
+  std::vector<std::uint64_t> addr(nrefs);
+  std::vector<std::uint64_t> step(nrefs);
   for (size_t r = 0; r < nrefs; ++r) step[r] = plan.refs[r].coef[n - 1];
   Int ordinal = 0;
   scan_rows(sys, [&](const IntVec& u, Int lo, Int hi) {

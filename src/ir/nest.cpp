@@ -40,6 +40,22 @@ void ArrayRef::linearize(const std::vector<Int>& lo,
   *c0 = base;
 }
 
+std::pair<Int, Int> subscript_range(const IntVec& coeffs, Int constant, const IntBox& box) {
+  require(coeffs.size() == box.dims(), "subscript_range: dimension mismatch");
+  Int lo = constant, hi = constant;
+  for (size_t k = 0; k < coeffs.size(); ++k) {
+    Int a = coeffs[k];
+    if (a >= 0) {
+      lo = checked_add(lo, checked_mul(a, box.range(k).lo));
+      hi = checked_add(hi, checked_mul(a, box.range(k).hi));
+    } else {
+      lo = checked_add(lo, checked_mul(a, box.range(k).hi));
+      hi = checked_add(hi, checked_mul(a, box.range(k).lo));
+    }
+  }
+  return {lo, hi};
+}
+
 bool ArrayRef::uniformly_generated_with(const ArrayRef& o) const {
   return array == o.array && access == o.access;
 }

@@ -7,6 +7,7 @@
 // A_D * I + b into declared arrays.
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "linalg/mat.h"
@@ -56,6 +57,10 @@ struct ArrayRef {
   /// and same access matrix (offsets may differ) -- Section 2.3.
   bool uniformly_generated_with(const ArrayRef& o) const;
 };
+
+/// Range [min, max] of one affine subscript expression coeffs . I + constant
+/// over the box (interval arithmetic; exact for boxes).  Overflow-checked.
+std::pair<Int, Int> subscript_range(const IntVec& coeffs, Int constant, const IntBox& box);
 
 /// A statement is an ordered list of references (writes first by
 /// convention, matching "lhs = rhs" source order).

@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
-#include "analysis/nonuniform.h"
+#include "exact/trace_engine.h"
+#include "ir/nest.h"
 #include "linalg/kernel.h"
 #include "polyhedra/affine.h"
 #include "support/checked.h"
@@ -216,8 +217,11 @@ void check_kernel_dimension(const CheckContext& ctx, DiagnosticEngine& out) {
 }
 
 // LMRE-W008 / LMRE-E009: pre-flight the iteration-volume product with
-// checked_mul so exact analyses warn (or fail with a diagnosis) up front
-// instead of throwing OverflowError mid-run.
+// checked_mul, and the trace engine's per-array reference boxes with the
+// engine's own plan construction, so exact analyses warn (or fail with a
+// diagnosis) up front instead of throwing OverflowError mid-run.  The
+// original-order plan suffices: an execution order changes the address
+// coefficients, never the boxes.
 void check_iteration_volume(const CheckContext& ctx, DiagnosticEngine& out) {
   const LoopNest& nest = ctx.nest;
   Int volume = 1;
@@ -241,6 +245,17 @@ void check_iteration_volume(const CheckContext& ctx, DiagnosticEngine& out) {
         << with_commas(ctx.opts.volume_warn_threshold)
         << "; the oracle walks every iteration, expect long analyze times";
     out.warning("LMRE-W008", msg.str(), loop_span(ctx, 0));
+  }
+  if (!overflow) {
+    try {
+      (void)AddressPlan::build(nest, nullptr, /*liveness_order=*/false);
+    } catch (const OverflowError& e) {
+      out.error("LMRE-E009",
+                std::string(e.what()) +
+                    "; exact analyses (simulate, mrc, series) would throw"
+                    " OverflowError",
+                loop_span(ctx, 0));
+    }
   }
   // Declared sizes feed default_memory(); pre-flight them too.
   for (const auto& arr : nest.arrays()) {

@@ -35,7 +35,8 @@ const std::vector<LintCheckInfo>& lint_checks() {
       {"LMRE-W008", "iteration-volume",
        "iteration count within the exact-analysis threshold"},
       {"LMRE-E009", "iteration-overflow",
-       "trip-count and declared-size products must fit 64-bit arithmetic"},
+       "trip-count, declared-size and reference-box products must fit"
+       " 64-bit arithmetic"},
       {"LMRE-W010", "unused-array", "declared arrays should be referenced"},
       {"LMRE-N011", "write-only-array",
        "array written but never read anywhere in the program"},

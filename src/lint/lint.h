@@ -31,7 +31,8 @@
 //                                 paper omits; lmre's documented extension
 //   LMRE-W008 iteration-volume    iteration count exceeds the exact-
 //                                 analysis threshold (simulation is slow)
-//   LMRE-E009 iteration-overflow  product of trip counts overflows Int64;
+//   LMRE-E009 iteration-overflow  product of trip counts, a declared size
+//                                 or a reference box overflows Int64;
 //                                 exact analyses would throw OverflowError
 //   LMRE-W010 unused-array        declared but never referenced
 //   LMRE-N011 write-only-array    written but never read anywhere in the

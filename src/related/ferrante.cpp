@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "analysis/nonuniform.h"
+#include "ir/nest.h"
 #include "support/error.h"
 
 namespace lmre {

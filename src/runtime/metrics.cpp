@@ -85,10 +85,11 @@ double Metrics::quantile(const Buckets& buckets, Int count, double max_ms,
   for (size_t b = 0; b < kLatencyBucketBoundsMs.size(); ++b) {
     const double hi = kLatencyBucketBoundsMs[b];
     if (cum + buckets[b] >= rank) {
-      // Linear interpolation inside the owning bucket.
+      // Linear interpolation inside the owning bucket, clamped to the
+      // observed maximum: no quantile exceeds the largest observation.
       const double frac =
           static_cast<double>(rank - cum) / static_cast<double>(buckets[b]);
-      return lo + (hi - lo) * frac;
+      return std::clamp(lo + (hi - lo) * frac, 0.0, max_ms);
     }
     cum += buckets[b];
     lo = hi;

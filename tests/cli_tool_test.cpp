@@ -133,6 +133,32 @@ TEST(CliSeries, EmitsCsv) {
   EXPECT_EQ(std::count(s.begin(), s.end(), '\n'), 5);
 }
 
+TEST(CliSeries, LintErrorsAbortWithDiagnostics) {
+  // The reference ranges of A span more than 2^63 elements together (the
+  // read sits 2^62 past the write): lint's LMRE-E009 stops series before
+  // the trace engine would throw.
+  std::ostringstream out;
+  EXPECT_EQ(cmd_series(R"(
+    array A[10][10];
+    for i = 1 to 10
+      for j = 1 to 10
+        A[i][j] = A[i + 4611686018427387904][j + 4611686018427387904];
+  )",
+                       out),
+            ExitCode::kDiagnostics);
+  EXPECT_NE(out.str().find("[LMRE-E009]"), std::string::npos) << out.str();
+  EXPECT_EQ(out.str().find("iteration,window"), std::string::npos) << out.str();
+}
+
+TEST(CliFigure2, JsonIsRefused) {
+  std::ostringstream out, err;
+  EXPECT_EQ(run_cli({"figure2", "--json"}, out, err), ExitCode::kUsage);
+  EXPECT_NE(err.str().find("lmre figure2: --json is not supported"),
+            std::string::npos)
+      << err.str();
+  EXPECT_TRUE(out.str().empty()) << out.str();
+}
+
 TEST(CliFigure2, Runs) {
   std::ostringstream out;
   EXPECT_EQ(cmd_figure2(out), ExitCode::kSuccess);
@@ -501,6 +527,69 @@ TEST(CliBatch, ThreadsMustBeAWholeInteger) {
             ExitCode::kUsage);
   EXPECT_NE(err.str().find("bad --threads value: --threads=4x"),
             std::string::npos)
+      << err.str();
+}
+
+// A numeric flag value with trailing junk exits kUsage naming the value,
+// before any server starts or request is sent.
+void expect_bad_value(const std::vector<std::string>& args,
+                      const std::string& flag, const std::string& arg) {
+  std::ostringstream out, err;
+  EXPECT_EQ(run_cli(args, out, err), ExitCode::kUsage) << arg;
+  EXPECT_NE(err.str().find("bad " + flag + " value: " + arg), std::string::npos)
+      << err.str();
+  EXPECT_TRUE(out.str().empty()) << out.str();
+}
+
+TEST(CliNumericFlags, WorkersRejectsJunk) {
+  expect_bad_value({"serve", "--stdio", "--workers=2x"}, "--workers",
+                   "--workers=2x");
+}
+
+TEST(CliNumericFlags, QueueDepthRejectsJunk) {
+  expect_bad_value({"serve", "--stdio", "--queue-depth=8q"}, "--queue-depth",
+                   "--queue-depth=8q");
+}
+
+TEST(CliNumericFlags, CacheShardsRejectsJunk) {
+  expect_bad_value({"serve", "--stdio", "--cache-shards=4.5"}, "--cache-shards",
+                   "--cache-shards=4.5");
+}
+
+TEST(CliNumericFlags, CacheTtlRejectsJunk) {
+  expect_bad_value({"serve", "--stdio", "--cache-ttl=10s"}, "--cache-ttl",
+                   "--cache-ttl=10s");
+}
+
+TEST(CliNumericFlags, CacheBytesRejectsJunk) {
+  expect_bad_value({"serve", "--stdio", "--cache-bytes=1MB"}, "--cache-bytes",
+                   "--cache-bytes=1MB");
+}
+
+TEST(CliNumericFlags, MrcSampleRateRejectsJunk) {
+  std::string path = write_temp("sample_rate_mrc.loop", kExample8);
+  expect_bad_value({"mrc", "--sample-rate=0.5x", path}, "--sample-rate",
+                   "--sample-rate=0.5x");
+}
+
+TEST(CliNumericFlags, RequestSampleRateRejectsJunk) {
+  std::string path = write_temp("sample_rate_request.loop", kExample8);
+  expect_bad_value({"request", "--tcp=127.0.0.1:1", "--sample-rate=0.5x", path},
+                   "--sample-rate", "--sample-rate=0.5x");
+}
+
+TEST(CliNumericFlags, DeadlineRejectsJunk) {
+  std::string path = write_temp("deadline_request.loop", kExample8);
+  expect_bad_value({"request", "--tcp=127.0.0.1:1", "--deadline=50ms", path},
+                   "--deadline", "--deadline=50ms");
+}
+
+TEST(CliNumericFlags, WholeValuesStillParse) {
+  // The whole-value parser keeps accepting what the verbs documented.
+  std::string path = write_temp("sample_rate_ok.loop", kExample8);
+  std::ostringstream out, err;
+  EXPECT_EQ(run_cli({"mrc", "--sample-rate=0.5", path}, out, err),
+            ExitCode::kSuccess)
       << err.str();
 }
 

@@ -234,6 +234,24 @@ TEST(LintIterationVolume, TripCountProductOverflowIsError) {
   EXPECT_FALSE(res.clean());
 }
 
+TEST(LintIterationVolume, ReferenceBoxOverflowIsError) {
+  // Each reference fits its 10 x 10 extent (only the shifted read draws
+  // LMRE-W002), but together the two span a box past 2^63 elements: the
+  // trace engine cannot address it, so lint rejects the nest up front.
+  LintResult res = lint_source(R"(
+    array A[10][10];
+    for i = 1 to 10
+      for j = 1 to 10
+        A[i][j] = A[i + 4611686018427387904][j + 4611686018427387904];
+  )");
+  const Diagnostic* d = find_id(res, "LMRE-E009");
+  ASSERT_NE(d, nullptr);
+  EXPECT_EQ(d->severity, Severity::kError);
+  EXPECT_NE(d->message.find("reference box of 'A'"), std::string::npos)
+      << d->message;
+  EXPECT_FALSE(res.clean());
+}
+
 TEST(LintIterationVolume, SingleLoopTripCountOverflowIsError) {
   // One loop alone spans more values than Int64 holds, so its trip count
   // overflows before any product is taken.  The constant subscript keeps

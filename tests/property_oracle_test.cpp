@@ -2,7 +2,8 @@
 // nests, the paper kernels, and the shipped .loop corpus, every public
 // oracle entry point must reproduce the retained reference (hash-map)
 // implementation field for field -- TraceStats, LivenessStats, lifetime
-// reports, and window series; original and transformed order; dense, sparse, and overflow-fallback storage paths.
+// reports, and window series; original and transformed order; dense and
+// sparse storage paths, up to a 2^62-element reference box.
 // ~200 random nests per run (100 seeds x 2 depths), fixed seeds so failures
 // reproduce.
 
@@ -19,9 +20,11 @@
 #include "exact/liveness.h"
 #include "exact/oracle.h"
 #include "exact/reference.h"
+#include "exact/stack_distance.h"
 #include "exact/trace_engine.h"
 #include "ir/builder.h"
 #include "ir/parser.h"
+#include "lint/lint.h"
 
 namespace lmre {
 namespace {
@@ -167,14 +170,58 @@ TEST(OracleEngineStorage, SparseTableMatchesReference) {
   TraceArena arena;
   expect_trace_eq(simulate(nest, 1, arena), reference::simulate(nest), "sparse");
   EXPECT_GT(arena.stats().sparse_stores, 0);
-  EXPECT_EQ(arena.stats().fallback_runs, 0);
   expect_engine_matches_reference(nest, "sparse all entry points");
 }
 
-// Coefficients big enough that the element-box volume overflows the
-// engine's address bound: plan construction must fail and every entry point
-// must fall back to the reference engine transparently.
-TEST(OracleEngineStorage, OverflowFallsBackToReference) {
+// A 2^62-element reference box (tests/golden/wide_box.loop): strides of
+// 2^31 - 1 over a 2 x 2 space.  Past the old 2^61 address ceiling, it runs
+// on the engine -- addressed modulo 2^64, stored in the sparse table --
+// and every entry point equals the reference engine.
+TEST(OracleEngineStorage, WideBoxMatchesReference) {
+  constexpr Int kStride = (Int{1} << 31) - 1;
+  NestBuilder b;
+  b.loop("i", 1, 2).loop("j", 1, 2);
+  ArrayId a = b.array("A", {Int{1} << 31, Int{1} << 31});
+  b.statement()
+      .write(a, IntMat{{kStride, 0}, {0, kStride}}, IntVec{0, 0})
+      .read(a, IntMat{{kStride, 0}, {0, 0}}, IntVec{0, kStride});
+  LoopNest nest = b.build();
+  ASSERT_EQ(AddressPlan::build(nest, nullptr, false).stores[0].volume,
+            Int{1} << 62);
+
+  TraceArena arena;
+  expect_trace_eq(simulate(nest, 1, arena), reference::simulate(nest), "wide");
+  expect_liveness_eq(min_memory_liveness(nest, nullptr, arena),
+                     reference::min_memory_liveness(nest), "wide liveness");
+  expect_lifetimes_eq(lifetime_report(nest, arena),
+                      reference::lifetime_report(nest), "wide lifetimes");
+  for (const IntMat& t : transforms_for(nest.depth())) {
+    const std::string tag = "wide t=" + t.str();
+    expect_trace_eq(simulate_transformed(nest, t, arena),
+                    reference::simulate_transformed(nest, t), tag);
+    EXPECT_EQ(window_series(nest, t, arena), reference::window_series(nest, t))
+        << tag;
+    expect_liveness_eq(min_memory_liveness(nest, &t, arena),
+                       reference::min_memory_liveness(nest, &t),
+                       tag + " liveness");
+    expect_lifetimes_eq(lifetime_report_transformed(nest, t, arena),
+                        reference::lifetime_report_transformed(nest, t),
+                        tag + " lifetimes");
+    const StackDistanceProfile got = stack_distances(nest, &t, arena);
+    const StackDistanceProfile want = stack_distances_reference(nest, &t);
+    EXPECT_EQ(got.histogram, want.histogram) << tag;
+    EXPECT_EQ(got.cold_accesses, want.cold_accesses) << tag;
+    EXPECT_EQ(got.total_accesses, want.total_accesses) << tag;
+  }
+  EXPECT_GT(arena.stats().runs, 0);
+  EXPECT_GT(arena.stats().sparse_stores, 0);
+  EXPECT_EQ(arena.stats().dense_stores, 0);
+}
+
+// A reference box of 2^63 or more elements (here about 2^73: 2^35 strides
+// over a 2^40 x 2^40 array) has no exact 64-bit address: every entry point
+// throws OverflowError, and lint rejects the nest up front with LMRE-E009.
+TEST(OracleEngineStorage, OverflowThrowsAndLintRejects) {
   constexpr Int kHuge = Int{1} << 35;
   NestBuilder b;
   b.loop("i", 1, 4).loop("j", 1, 4);
@@ -183,15 +230,26 @@ TEST(OracleEngineStorage, OverflowFallsBackToReference) {
       .write(a, IntMat{{kHuge, 0}, {0, kHuge}}, IntVec{0, 0})
       .read(a, IntMat{{kHuge, 0}, {0, kHuge}}, IntVec{0, 1});
   LoopNest nest = b.build();
+  const IntMat t{{0, 1}, {1, 0}};
 
   TraceArena arena;
-  expect_trace_eq(simulate(nest, 1, arena), reference::simulate(nest),
-                  "overflow fallback");
-  EXPECT_GT(arena.stats().fallback_runs, 0);
+  EXPECT_THROW(simulate(nest, 1, arena), OverflowError);
+  EXPECT_THROW(simulate_transformed(nest, t, arena), OverflowError);
+  EXPECT_THROW(simulate_order(nest, {IntVec{1, 1}}), OverflowError);
+  EXPECT_THROW(min_memory_liveness(nest, nullptr, arena), OverflowError);
+  EXPECT_THROW(min_memory_liveness(nest, &t, arena), OverflowError);
+  EXPECT_THROW(lifetime_report(nest, arena), OverflowError);
+  EXPECT_THROW(lifetime_report_transformed(nest, t, arena), OverflowError);
+  EXPECT_THROW(window_series(nest, t, arena), OverflowError);
+  EXPECT_THROW(stack_distances(nest, nullptr, arena), OverflowError);
   EXPECT_EQ(arena.stats().runs, 0);
-  expect_liveness_eq(min_memory_liveness(nest),
-                     reference::min_memory_liveness(nest),
-                     "overflow fallback liveness");
+
+  LintResult lint = lint_nest(nest);
+  EXPECT_TRUE(std::any_of(
+      lint.diagnostics.begin(), lint.diagnostics.end(), [](const Diagnostic& d) {
+        return d.id == "LMRE-E009" &&
+               d.message.find("reference box of 'A'") != std::string::npos;
+      }));
 }
 
 // One arena reused across different nests, transforms, and entry points

@@ -93,6 +93,15 @@ TEST(Metrics, LatencyOverflowBucketReportsMax) {
   EXPECT_EQ(m.latency_count("h"), 2);
 }
 
+TEST(Metrics, LatencyQuantileNeverExceedsMax) {
+  // One 1200 ms observation owns the whole (1000, 2500] bucket; the
+  // in-bucket interpolation would put p99 at the 2500 bound.
+  Metrics m;
+  m.observe_latency("h", 1200.0);
+  EXPECT_DOUBLE_EQ(m.latency_quantile("h", 0.50), 1200.0);
+  EXPECT_DOUBLE_EQ(m.latency_quantile("h", 0.99), 1200.0);
+}
+
 // ---- metric handles --------------------------------------------------------
 
 TEST(MetricsHandles, CounterHandleSharesTheNamedSlot) {

@@ -265,14 +265,21 @@ ExitCode cmd_distances(const std::string& source, std::ostream& out) {
   return ExitCode::kSuccess;
 }
 
-ExitCode cmd_series(const std::string& source, std::ostream& out) {
-  Program parsed = parse_program(source);
-  const Program* program = &parsed;
-  if (program->phase_count() > 1) {
+ExitCode cmd_series(const std::string& source, std::ostream& out,
+                    const std::string& file) {
+  ProgramSourceMap smap;
+  Program program = parse_program(source, &smap);
+  // Errors block like every analysis verb; warnings stay out of the CSV.
+  std::ostringstream gate;
+  if (auto rc = lint_gate(program, smap, file, /*json=*/false, "series", gate)) {
+    out << gate.str();
+    return *rc;
+  }
+  if (program.phase_count() > 1) {
     out << "series works on single-nest sources\n";
     return ExitCode::kFailure;
   }
-  const LoopNest& nest = program->phase_nest(0);
+  const LoopNest& nest = program.phase_nest(0);
   std::vector<Int> series = window_series(nest, IntMat::identity(nest.depth()));
   out << "iteration,window\n";
   for (size_t t = 0; t < series.size(); ++t) {
@@ -1082,14 +1089,25 @@ std::optional<IntMat> parse_plan_matrix(const std::string& text) {
   return m;
 }
 
-// Parses a flag value that must be one whole int ("4", "-1"); nullopt on
-// trailing junk ("4x"), an empty value or overflow.  (std::stoi would
-// accept "4x" as 4.)
-std::optional<int> parse_whole_int(const std::string& text) {
-  int v = 0;
+// Parses a flag value that must be one whole number of type T ("4", "-1",
+// "0.5"); nullopt on trailing junk ("4x"), an empty value or overflow.
+// (std::stoi / std::stod would accept "4x" as 4.)
+template <class T>
+std::optional<T> parse_whole(const std::string& text) {
+  T v{};
   const char* end = text.data() + text.size();
   auto [ptr, ec] = std::from_chars(text.data(), end, v);
   if (ec != std::errc() || ptr != end) return std::nullopt;
+  return v;
+}
+
+// Parses the value after a "--flag=" prefix, or reports "bad <flag> value"
+// on `err` and returns nullopt.
+template <class T>
+std::optional<T> flag_value(const std::string& arg, std::ostream& err) {
+  const size_t eq = arg.find('=');
+  std::optional<T> v = parse_whole<T>(arg.substr(eq + 1));
+  if (!v) err << "bad " << arg.substr(0, eq) << " value: " << arg << '\n';
   return v;
 }
 
@@ -1140,11 +1158,8 @@ ExitCode run_cli(const std::vector<std::string>& args, std::ostream& out,
       json = true;
       it = rest.erase(it);
     } else if (cmd == "batch" && it->rfind("--threads=", 0) == 0) {
-      std::optional<int> threads = parse_whole_int(it->substr(10));
-      if (!threads) {
-        err << "bad --threads value: " << *it << '\n';
-        return ExitCode::kUsage;
-      }
+      std::optional<int> threads = flag_value<int>(*it, err);
+      if (!threads) return ExitCode::kUsage;
       if (*threads < 0) {
         err << "--threads must be >= 0\n";
         return ExitCode::kUsage;
@@ -1187,12 +1202,9 @@ ExitCode run_cli(const std::vector<std::string>& args, std::ostream& out,
       serve_opts.stdio = true;
       it = rest.erase(it);
     } else if (cmd == "serve" && it->rfind("--workers=", 0) == 0) {
-      try {
-        serve_opts.workers = std::stoi(it->substr(10));
-      } catch (const std::exception&) {
-        err << "bad --workers value: " << *it << '\n';
-        return ExitCode::kUsage;
-      }
+      std::optional<int> workers = flag_value<int>(*it, err);
+      if (!workers) return ExitCode::kUsage;
+      serve_opts.workers = *workers;
       if (serve_opts.workers < 1) {
         err << "--workers must be >= 1\n";
         return ExitCode::kUsage;
@@ -1201,19 +1213,16 @@ ExitCode run_cli(const std::vector<std::string>& args, std::ostream& out,
     } else if (cmd == "serve" && (it->rfind("--queue=", 0) == 0 ||
                                   it->rfind("--queue-depth=", 0) == 0)) {
       // --queue= is the original spelling; --queue-depth= the documented one.
-      size_t eq = it->find('=');
-      int depth = 0;
-      try {
-        depth = std::stoi(it->substr(eq + 1));
-      } catch (const std::exception&) {
+      std::optional<int> depth = parse_whole<int>(it->substr(it->find('=') + 1));
+      if (!depth) {
         err << "bad --queue-depth value: " << *it << '\n';
         return ExitCode::kUsage;
       }
-      if (depth < 1) {
+      if (*depth < 1) {
         err << "--queue-depth must be >= 1\n";
         return ExitCode::kUsage;
       }
-      serve_opts.queue_depth = static_cast<size_t>(depth);
+      serve_opts.queue_depth = static_cast<size_t>(*depth);
       it = rest.erase(it);
     } else if (cmd == "serve" && it->rfind("--tcp=", 0) == 0) {
       serve_opts.tcp = it->substr(6);
@@ -1224,44 +1233,31 @@ ExitCode run_cli(const std::vector<std::string>& args, std::ostream& out,
       }
       it = rest.erase(it);
     } else if (cmd == "serve" && it->rfind("--cache-shards=", 0) == 0) {
-      int shards = 0;
-      try {
-        shards = std::stoi(it->substr(15));
-      } catch (const std::exception&) {
-        err << "bad --cache-shards value: " << *it << '\n';
-        return ExitCode::kUsage;
-      }
-      if (shards < 1) {
+      std::optional<int> shards = flag_value<int>(*it, err);
+      if (!shards) return ExitCode::kUsage;
+      if (*shards < 1) {
         err << "--cache-shards must be >= 1\n";
         return ExitCode::kUsage;
       }
-      serve_opts.cache_shards = static_cast<size_t>(shards);
+      serve_opts.cache_shards = static_cast<size_t>(*shards);
       it = rest.erase(it);
     } else if (cmd == "serve" && it->rfind("--cache-ttl=", 0) == 0) {
-      try {
-        serve_opts.cache_ttl = std::stod(it->substr(12));
-      } catch (const std::exception&) {
-        err << "bad --cache-ttl value: " << *it << '\n';
-        return ExitCode::kUsage;
-      }
+      std::optional<double> ttl = flag_value<double>(*it, err);
+      if (!ttl) return ExitCode::kUsage;
+      serve_opts.cache_ttl = *ttl;
       if (serve_opts.cache_ttl < 0) {
         err << "--cache-ttl must be >= 0 seconds\n";
         return ExitCode::kUsage;
       }
       it = rest.erase(it);
     } else if (cmd == "serve" && it->rfind("--cache-bytes=", 0) == 0) {
-      long long bytes = 0;
-      try {
-        bytes = std::stoll(it->substr(14));
-      } catch (const std::exception&) {
-        err << "bad --cache-bytes value: " << *it << '\n';
-        return ExitCode::kUsage;
-      }
-      if (bytes < 0) {
+      std::optional<long long> bytes = flag_value<long long>(*it, err);
+      if (!bytes) return ExitCode::kUsage;
+      if (*bytes < 0) {
         err << "--cache-bytes must be >= 0\n";
         return ExitCode::kUsage;
       }
-      serve_opts.cache_bytes = static_cast<size_t>(bytes);
+      serve_opts.cache_bytes = static_cast<size_t>(*bytes);
       it = rest.erase(it);
     } else if (cmd == "serve" && *it == "--no-coalesce") {
       serve_opts.coalesce = false;
@@ -1327,12 +1323,9 @@ ExitCode run_cli(const std::vector<std::string>& args, std::ostream& out,
       }
       it = rest.erase(it);
     } else if (cmd == "mrc" && it->rfind("--sample-rate=", 0) == 0) {
-      try {
-        mrc_opts.sample_rate = std::stod(it->substr(14));
-      } catch (const std::exception&) {
-        err << "bad --sample-rate value: " << *it << '\n';
-        return ExitCode::kUsage;
-      }
+      std::optional<double> rate = flag_value<double>(*it, err);
+      if (!rate) return ExitCode::kUsage;
+      mrc_opts.sample_rate = *rate;
       if (!(mrc_opts.sample_rate > 0.0) || mrc_opts.sample_rate > 1.0) {
         err << "--sample-rate must be in (0, 1]\n";
         return ExitCode::kUsage;
@@ -1351,12 +1344,9 @@ ExitCode run_cli(const std::vector<std::string>& args, std::ostream& out,
       request_opts.objective = it->substr(12);
       it = rest.erase(it);
     } else if (cmd == "request" && it->rfind("--sample-rate=", 0) == 0) {
-      try {
-        request_opts.sample_rate = std::stod(it->substr(14));
-      } catch (const std::exception&) {
-        err << "bad --sample-rate value: " << *it << '\n';
-        return ExitCode::kUsage;
-      }
+      std::optional<double> rate = flag_value<double>(*it, err);
+      if (!rate) return ExitCode::kUsage;
+      request_opts.sample_rate = *rate;
       if (!(request_opts.sample_rate > 0.0) || request_opts.sample_rate > 1.0) {
         err << "--sample-rate must be in (0, 1]\n";
         return ExitCode::kUsage;
@@ -1385,12 +1375,9 @@ ExitCode run_cli(const std::vector<std::string>& args, std::ostream& out,
       }
       it = rest.erase(it);
     } else if (cmd == "request" && it->rfind("--deadline=", 0) == 0) {
-      try {
-        request_opts.deadline_ms = std::stod(it->substr(11));
-      } catch (const std::exception&) {
-        err << "bad --deadline value: " << *it << '\n';
-        return ExitCode::kUsage;
-      }
+      std::optional<double> deadline = flag_value<double>(*it, err);
+      if (!deadline) return ExitCode::kUsage;
+      request_opts.deadline_ms = *deadline;
       if (request_opts.deadline_ms < 0) {
         err << "--deadline must be >= 0\n";
         return ExitCode::kUsage;
@@ -1440,7 +1427,13 @@ ExitCode run_cli(const std::vector<std::string>& args, std::ostream& out,
     const std::string file = path == "-" ? "<stdin>" : path;
     return cmd_request(*source, file, request_opts, out, err);
   }
-  if (cmd == "figure2") return cmd_figure2(out);
+  if (cmd == "figure2") {
+    if (json) {
+      err << "lmre figure2: --json is not supported (the table is text only)\n";
+      return ExitCode::kUsage;
+    }
+    return cmd_figure2(out);
+  }
   if (cmd == "batch") {
     if (rest.empty()) {
       err << usage();
@@ -1480,7 +1473,7 @@ ExitCode run_cli(const std::vector<std::string>& args, std::ostream& out,
         return cmd_mrc(*source, mrc_opts, out, file);
       }
       if (cmd == "distances") return cmd_distances(*source, out);
-      return cmd_series(*source, out);
+      return cmd_series(*source, out, file);
     } catch (const ParseError& e) {
       err << file << ':' << e.line() << ':' << e.column() << ": error: "
           << e.message() << '\n';

@@ -66,8 +66,10 @@ ExitCode cmd_lint(const std::string& source, const LintCliOptions& opts,
 ExitCode cmd_distances(const std::string& source, std::ostream& out);
 
 /// `lmre series <dsl>`: CSV of the window-size time series (ordinal,
-/// live-element count) in original order -- for plotting.
-ExitCode cmd_series(const std::string& source, std::ostream& out);
+/// live-element count) in original order -- for plotting.  Lint errors
+/// abort with kDiagnostics (the text report); warnings are not printed.
+ExitCode cmd_series(const std::string& source, std::ostream& out,
+                    const std::string& file = "<input>");
 
 /// `lmre analyze --symbolic [--json] <dsl>`: closed-form analysis
 /// (src/symbolic) -- per-array distinct/reuse/window formulas in the
@@ -148,7 +150,8 @@ struct MrcCliOptions {
 ExitCode cmd_mrc(const std::string& source, const MrcCliOptions& opts,
                  std::ostream& out, const std::string& file = "<input>");
 
-/// `lmre figure2`: the paper's main table.
+/// `lmre figure2`: the paper's main table (text only; run_cli refuses
+/// --json with kUsage).
 ExitCode cmd_figure2(std::ostream& out);
 
 /// Options for `lmre batch`, parsed by run_cli.
