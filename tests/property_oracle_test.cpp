@@ -189,29 +189,14 @@ TEST(OracleEngineStorage, WideBoxMatchesReference) {
   ASSERT_EQ(AddressPlan::build(nest, nullptr, false).stores[0].volume,
             Int{1} << 62);
 
+  expect_engine_matches_reference(nest, "wide box");
   TraceArena arena;
-  expect_trace_eq(simulate(nest, 1, arena), reference::simulate(nest), "wide");
-  expect_liveness_eq(min_memory_liveness(nest, nullptr, arena),
-                     reference::min_memory_liveness(nest), "wide liveness");
-  expect_lifetimes_eq(lifetime_report(nest, arena),
-                      reference::lifetime_report(nest), "wide lifetimes");
   for (const IntMat& t : transforms_for(nest.depth())) {
-    const std::string tag = "wide t=" + t.str();
-    expect_trace_eq(simulate_transformed(nest, t, arena),
-                    reference::simulate_transformed(nest, t), tag);
-    EXPECT_EQ(window_series(nest, t, arena), reference::window_series(nest, t))
-        << tag;
-    expect_liveness_eq(min_memory_liveness(nest, &t, arena),
-                       reference::min_memory_liveness(nest, &t),
-                       tag + " liveness");
-    expect_lifetimes_eq(lifetime_report_transformed(nest, t, arena),
-                        reference::lifetime_report_transformed(nest, t),
-                        tag + " lifetimes");
     const StackDistanceProfile got = stack_distances(nest, &t, arena);
     const StackDistanceProfile want = stack_distances_reference(nest, &t);
-    EXPECT_EQ(got.histogram, want.histogram) << tag;
-    EXPECT_EQ(got.cold_accesses, want.cold_accesses) << tag;
-    EXPECT_EQ(got.total_accesses, want.total_accesses) << tag;
+    EXPECT_EQ(got.histogram, want.histogram) << t.str();
+    EXPECT_EQ(got.cold_accesses, want.cold_accesses) << t.str();
+    EXPECT_EQ(got.total_accesses, want.total_accesses) << t.str();
   }
   EXPECT_GT(arena.stats().runs, 0);
   EXPECT_GT(arena.stats().sparse_stores, 0);

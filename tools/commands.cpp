@@ -1089,25 +1089,21 @@ std::optional<IntMat> parse_plan_matrix(const std::string& text) {
   return m;
 }
 
-// Parses a flag value that must be one whole number of type T ("4", "-1",
-// "0.5"); nullopt on trailing junk ("4x"), an empty value or overflow.
-// (std::stoi / std::stod would accept "4x" as 4.)
-template <class T>
-std::optional<T> parse_whole(const std::string& text) {
-  T v{};
-  const char* end = text.data() + text.size();
-  auto [ptr, ec] = std::from_chars(text.data(), end, v);
-  if (ec != std::errc() || ptr != end) return std::nullopt;
-  return v;
-}
-
-// Parses the value after a "--flag=" prefix, or reports "bad <flag> value"
-// on `err` and returns nullopt.
+// Parses the value after a "--flag=" prefix as one whole number of type T
+// ("4", "-1", "0.5"); on trailing junk ("4x"), an empty value or overflow
+// reports "bad <flag> value" on `err` and returns nullopt.  (std::stoi /
+// std::stod would accept "4x" as 4.)
 template <class T>
 std::optional<T> flag_value(const std::string& arg, std::ostream& err) {
   const size_t eq = arg.find('=');
-  std::optional<T> v = parse_whole<T>(arg.substr(eq + 1));
-  if (!v) err << "bad " << arg.substr(0, eq) << " value: " << arg << '\n';
+  const char* begin = arg.data() + eq + 1;
+  const char* end = arg.data() + arg.size();
+  T v{};
+  auto [ptr, ec] = std::from_chars(begin, end, v);
+  if (ec != std::errc() || ptr != end) {
+    err << "bad " << arg.substr(0, eq) << " value: " << arg << '\n';
+    return std::nullopt;
+  }
   return v;
 }
 
@@ -1213,11 +1209,8 @@ ExitCode run_cli(const std::vector<std::string>& args, std::ostream& out,
     } else if (cmd == "serve" && (it->rfind("--queue=", 0) == 0 ||
                                   it->rfind("--queue-depth=", 0) == 0)) {
       // --queue= is the original spelling; --queue-depth= the documented one.
-      std::optional<int> depth = parse_whole<int>(it->substr(it->find('=') + 1));
-      if (!depth) {
-        err << "bad --queue-depth value: " << *it << '\n';
-        return ExitCode::kUsage;
-      }
+      std::optional<int> depth = flag_value<int>(*it, err);
+      if (!depth) return ExitCode::kUsage;
       if (*depth < 1) {
         err << "--queue-depth must be >= 1\n";
         return ExitCode::kUsage;
