@@ -1,6 +1,6 @@
 // Analyze a loop nest written in the textual DSL.
 //
-//   analyze_file --file path/to/nest.loop [--optimize]
+//   analyze_file --file=path/to/nest.loop [--optimize]
 //   echo "for i = 1 to 10 { use A[2*i]; }" | analyze_file
 //
 // Grammar: see src/ir/parser.h.  Prints the dependence set, the memory
@@ -23,20 +23,22 @@
 using namespace lmre;
 
 int main(int argc, char** argv) {
-  Cli cli;
-  cli.flag_string("file", "-", "DSL file to analyze ('-' reads stdin)");
-  cli.flag_bool("optimize", "also search for a window-minimizing transformation");
-  if (!cli.parse(argc, argv)) return 0;
+  std::string file = "-";
+  bool optimize = false;
+  Cli cli("analyze_file");
+  cli.flag("file", &file, "DSL file to analyze ('-' reads stdin)");
+  cli.flag("optimize", &optimize, "also search for a window-minimizing transformation");
+  if (auto rc = cli.parse_main(argc, argv)) return *rc;
 
   std::string source;
-  if (cli.get_string("file") == "-") {
+  if (file == "-") {
     std::ostringstream ss;
     ss << std::cin.rdbuf();
     source = ss.str();
   } else {
-    std::ifstream in(cli.get_string("file"));
+    std::ifstream in(file);
     if (!in) {
-      std::cerr << "cannot open " << cli.get_string("file") << '\n';
+      std::cerr << "cannot open " << file << '\n';
       return 1;
     }
     std::ostringstream ss;
@@ -86,7 +88,7 @@ int main(int argc, char** argv) {
 
   std::cout << "\n== Memory report ==\n" << render(analyze_memory(nest));
 
-  if (cli.get_bool("optimize")) {
+  if (optimize) {
     OptimizeResult opt = optimize_locality(nest);
     std::cout << "\n== Optimizer ==\nmethod: " << opt.method << "\nT = "
               << opt.transform.str() << '\n';

@@ -7,7 +7,7 @@
 // your choice via flags) and prints the trade-off table the analysis makes
 // possible without running the real workload once.
 //
-// Usage: design_space [--n1 25] [--n2 10] [--capacity 32]
+// Usage: design_space [--n1=25] [--n2=10] [--capacity=32]
 
 #include <iostream>
 
@@ -28,14 +28,14 @@
 using namespace lmre;
 
 int main(int argc, char** argv) {
-  Cli cli;
-  cli.flag_int("n1", 25, "outer bound");
-  cli.flag_int("n2", 10, "inner bound");
-  cli.flag_int("capacity", 32, "candidate on-chip capacity (elements)");
-  if (!cli.parse(argc, argv)) return 0;
+  Int n1 = 25, n2 = 10, cap = 32;
+  Cli cli("design_space");
+  cli.flag("n1", &n1, "outer bound");
+  cli.flag("n2", &n2, "inner bound");
+  cli.flag("capacity", &cap, "candidate on-chip capacity (elements)");
+  if (auto rc = cli.parse_main(argc, argv)) return *rc;
 
-  LoopNest nest = codes::example_8(cli.get_int("n1"), cli.get_int("n2"));
-  Int cap = cli.get_int("capacity");
+  LoopNest nest = codes::example_8(n1, n2);
   auto layouts = default_layouts(nest);
   MemoryModel model;
 
@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "Design space for X[2i+5j+1] = X[2i+5j+5], "
-            << cli.get_int("n1") << "x" << cli.get_int("n2") << ", capacity "
+            << n1 << "x" << n2 << ", capacity "
             << cap << " elements:\n\n";
   TextTable t;
   t.header({"order", "window", "knee", "misses@cap", "hit rate", "energy/access",

@@ -8,7 +8,7 @@
 // execution is printed for both (the reference window is "a dynamic entity,
 // whose shape and size change with execution" -- Section 2.3).
 //
-// Usage: filter_scheduling [--frames 40] [--bands 12] [--taps 5]
+// Usage: filter_scheduling [--frames=40] [--bands=12] [--taps=5]
 
 #include <algorithm>
 #include <iostream>
@@ -44,13 +44,12 @@ void print_profile(const std::vector<Int>& series, Int peak) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Cli cli;
-  cli.flag_int("frames", 40, "number of frames");
-  cli.flag_int("bands", 12, "critical bands per frame");
-  cli.flag_int("taps", 5, "filter taps");
-  if (!cli.parse(argc, argv)) return 0;
-  Int frames = cli.get_int("frames"), bands = cli.get_int("bands"),
-      taps = cli.get_int("taps");
+  Int frames = 40, bands = 12, taps = 5;
+  Cli cli("filter_scheduling");
+  cli.flag("frames", &frames, "number of frames");
+  cli.flag("bands", &bands, "critical bands per frame");
+  cli.flag("taps", &taps, "filter taps");
+  if (auto rc = cli.parse_main(argc, argv)) return *rc;
 
   std::vector<std::pair<std::string, LoopNest>> schedules;
   schedules.emplace_back("frame-major (i, j, k)",

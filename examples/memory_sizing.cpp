@@ -6,7 +6,7 @@
 // filtering pipeline by analyzing each kernel's maximum window size, and
 // prints the savings over declared-size provisioning.
 //
-// Usage: memory_sizing [--block 16] [--search 8] [--frames 100]
+// Usage: memory_sizing [--block=16] [--search=8] [--frames=100]
 
 #include <iostream>
 
@@ -20,21 +20,17 @@
 using namespace lmre;
 
 int main(int argc, char** argv) {
-  Cli cli;
-  cli.flag_int("block", 16, "motion estimation block size");
-  cli.flag_int("search", 8, "full-search displacement radius");
-  cli.flag_int("frames", 100, "RASTA frame count");
-  if (!cli.parse(argc, argv)) return 0;
+  Int block = 16, search = 8, frames = 100;
+  Cli cli("memory_sizing");
+  cli.flag("block", &block, "motion estimation block size");
+  cli.flag("search", &search, "full-search displacement radius");
+  cli.flag("frames", &frames, "RASTA frame count");
+  if (auto rc = cli.parse_main(argc, argv)) return *rc;
 
   std::vector<std::pair<std::string, LoopNest>> pipeline;
-  pipeline.emplace_back("full_search ME",
-                        codes::kernel_full_search(cli.get_int("block"),
-                                                  cli.get_int("search")));
-  pipeline.emplace_back("3step_log ME",
-                        codes::kernel_three_step_log(cli.get_int("block"),
-                                                     cli.get_int("search")));
-  pipeline.emplace_back("rasta filter",
-                        codes::kernel_rasta_flt(cli.get_int("frames")));
+  pipeline.emplace_back("full_search ME", codes::kernel_full_search(block, search));
+  pipeline.emplace_back("3step_log ME", codes::kernel_three_step_log(block, search));
+  pipeline.emplace_back("rasta filter", codes::kernel_rasta_flt(frames));
   pipeline.emplace_back("2point stencil", codes::kernel_two_point(64));
 
   std::cout << "Scratchpad sizing for the pipeline (one kernel at a time):\n\n";

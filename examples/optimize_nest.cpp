@@ -3,7 +3,7 @@
 // from command-line flags, then run the full pipeline: dependences,
 // window estimate, transformation search, and before/after verification.
 //
-// Usage: optimize_nest [--a1 2] [--a2 5] [--c1 1] [--c2 5] [--n1 25] [--n2 10]
+// Usage: optimize_nest [--a1=2] [--a2=5] [--c1=1] [--c2=5] [--n1=25] [--n2=10]
 
 #include <iostream>
 
@@ -20,30 +20,29 @@
 using namespace lmre;
 
 int main(int argc, char** argv) {
-  Cli cli;
-  cli.flag_int("a1", 2, "subscript coefficient of i");
-  cli.flag_int("a2", 5, "subscript coefficient of j");
-  cli.flag_int("c1", 1, "write offset");
-  cli.flag_int("c2", 5, "read offset");
-  cli.flag_int("n1", 25, "outer bound");
-  cli.flag_int("n2", 10, "inner bound");
-  cli.flag_int("bound", 8, "coefficient search bound for the minimizer");
-  if (!cli.parse(argc, argv)) return 0;
+  Int a1 = 2, a2 = 5, c1 = 1, c2 = 5, n1 = 25, n2 = 10, bound = 8;
+  Cli cli("optimize_nest");
+  cli.flag("a1", &a1, "subscript coefficient of i");
+  cli.flag("a2", &a2, "subscript coefficient of j");
+  cli.flag("c1", &c1, "write offset");
+  cli.flag("c2", &c2, "read offset");
+  cli.flag("n1", &n1, "outer bound");
+  cli.flag("n2", &n2, "inner bound");
+  cli.flag("bound", &bound, "coefficient search bound for the minimizer");
+  if (auto rc = cli.parse_main(argc, argv)) return *rc;
 
-  Int a1 = cli.get_int("a1"), a2 = cli.get_int("a2");
-  Int n1 = cli.get_int("n1"), n2 = cli.get_int("n2");
   require(a1 != 0 || a2 != 0, "subscript must reference at least one index");
 
   NestBuilder b;
   b.loop("i", 1, n1).loop("j", 1, n2);
   Int reach = checked_abs(a1) * n1 + checked_abs(a2) * n2 +
-              std::max(cli.get_int("c1"), cli.get_int("c2")) + 2;
+              std::max(c1, c2) + 2;
   ArrayId x = b.array("X", {2 * reach + 1});
   // Shift offsets so all subscripts stay in range even for negative coeffs.
   Int base = reach;
   b.statement()
-      .write(x, IntMat{{a1, a2}}, IntVec{cli.get_int("c1") + base})
-      .read(x, IntMat{{a1, a2}}, IntVec{cli.get_int("c2") + base});
+      .write(x, IntMat{{a1, a2}}, IntVec{c1 + base})
+      .read(x, IntMat{{a1, a2}}, IntVec{c2 + base});
   LoopNest nest = b.build();
 
   std::cout << "== Input ==\n" << print_nest(nest) << '\n';
@@ -60,7 +59,7 @@ int main(int argc, char** argv) {
             << "\nwindow exact: " << before << '\n';
 
   MinimizerOptions opts;
-  opts.coeff_bound = cli.get_int("bound");
+  opts.coeff_bound = bound;
   auto res = minimize_mws_2d(nest, opts);
   if (!res) {
     std::cout << "\nno legal tileable transformation found within the bound.\n";

@@ -5,7 +5,7 @@
 // must SURVIVE between phases; the Program model measures the combined
 // window and the live set crossing each boundary.
 //
-// Usage: pipeline_sizing [--block 12] [--shift 4]
+// Usage: pipeline_sizing [--block=12] [--shift=4]
 
 #include <iostream>
 
@@ -64,11 +64,11 @@ LoopNest phase_filter(Int shift) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Cli cli;
-  cli.flag_int("block", 12, "frame edge length");
-  cli.flag_int("shift", 4, "motion search radius");
-  if (!cli.parse(argc, argv)) return 0;
-  Int n = cli.get_int("block"), shift = cli.get_int("shift");
+  Int n = 12, shift = 4;
+  Cli cli("pipeline_sizing");
+  cli.flag("block", &n, "frame edge length");
+  cli.flag("shift", &shift, "motion search radius");
+  if (auto rc = cli.parse_main(argc, argv)) return *rc;
 
   Program pipeline;
   pipeline.add_phase("diff", phase_diff(n));

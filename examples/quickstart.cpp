@@ -1,7 +1,7 @@
 // Quickstart: build a nest, estimate its memory needs, verify with the
 // exact oracle, and let the optimizer shrink the window.
 //
-// Usage: quickstart [--n1 25] [--n2 10]
+// Usage: quickstart [--n1=25] [--n2=10]
 
 #include <iostream>
 
@@ -17,13 +17,14 @@
 using namespace lmre;
 
 int main(int argc, char** argv) {
-  Cli cli;
-  cli.flag_int("n1", 25, "outer loop bound");
-  cli.flag_int("n2", 10, "inner loop bound");
-  if (!cli.parse(argc, argv)) return 0;
+  Int n1 = 25, n2 = 10;
+  Cli cli("quickstart");
+  cli.flag("n1", &n1, "outer loop bound");
+  cli.flag("n2", &n2, "inner loop bound");
+  if (auto rc = cli.parse_main(argc, argv)) return *rc;
 
   // The paper's Example 8: X[2i+5j+1] = X[2i+5j+5].
-  LoopNest nest = codes::example_8(cli.get_int("n1"), cli.get_int("n2"));
+  LoopNest nest = codes::example_8(n1, n2);
   std::cout << "== Input nest ==\n" << print_nest(nest) << '\n';
 
   // 1. Dependences.

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Tier-1 gate: the standard build + full ctest run, a static-analysis
 # stage (clang-tidy when available + -Werror strict rebuild with a verify
-# smoke), a batch smoke, a serve smoke (socket round trips byte-identical
-# to batch, overload shedding, single-flight coalescing, graceful SIGTERM
-# drain), a serve-load smoke (CLI TCP round trip byte-identical to the
-# Unix transport + the bench_server --check load-harness gate), then two
-# sanitizer passes --
+# smoke), a batch smoke, a cli-smoke (every verb's --json document or
+# refusal, the example binaries' defaults and junk-flag refusal), a serve
+# smoke (socket round trips byte-identical to batch, overload shedding,
+# single-flight coalescing, graceful SIGTERM drain), a serve-load smoke
+# (CLI TCP round trip byte-identical to the Unix transport + the
+# bench_server --check load-harness gate), then two sanitizer passes --
 # ThreadSanitizer over the batch fan-out + shared-cache/server suites
 # and ASan+UBSan over the parser / lint / CLI / server suites (the layers
 # that chew on untrusted input) and the optimizer / report / session suites
@@ -72,6 +73,38 @@ grep -q '"schema_version"' BENCH_runtime.json \
   || { echo "FAIL: BENCH_runtime.json lacks the versioned envelope"; exit 1; }
 grep -q '"cache.hit_rate": 1' BENCH_runtime.json \
   || { echo "FAIL: warm batch did not hit the cache for every file"; exit 1; }
+
+echo "== tier 1: cli-smoke (--json documents, refusals, example binaries) =="
+# Every verb with a JSON form emits a document python3 parses; every verb
+# without one refuses --json with exit 2.  Each example binary runs with
+# its defaults and refuses a junk value for its first flag.
+for VERB in version batch analyze optimize lint verify codegen mrc; do
+  INPUT=examples/loops/fir.loop
+  [ "$VERB" = version ] && INPUT=
+  # shellcheck disable=SC2086  # version takes no input file
+  ./build/tools/lmre "$VERB" --json $INPUT > "$BATCH_CACHE/cli_$VERB.json" \
+    || { echo "FAIL: lmre $VERB --json exited nonzero"; exit 1; }
+  python3 -m json.tool "$BATCH_CACHE/cli_$VERB.json" >/dev/null \
+    || { echo "FAIL: lmre $VERB --json is not a JSON document"; exit 1; }
+done
+for VERB in distances series request serve figure2; do
+  RC=0
+  ./build/tools/lmre "$VERB" --json examples/loops/fir.loop </dev/null \
+    >/dev/null 2>&1 || RC=$?
+  [ "$RC" -eq 2 ] \
+    || { echo "FAIL: lmre $VERB --json exited $RC, not 2"; exit 1; }
+done
+for EXAMPLE in quickstart:n1 memory_sizing:block optimize_nest:a1 \
+    filter_scheduling:frames analyze_file:file pipeline_sizing:block \
+    design_space:n1; do
+  BIN="./build/examples/${EXAMPLE%%:*}"
+  FLAG="--${EXAMPLE#*:}=4x"
+  "$BIN" < examples/loops/fir.loop >/dev/null \
+    || { echo "FAIL: $BIN exited nonzero with its defaults"; exit 1; }
+  if "$BIN" "$FLAG" < examples/loops/fir.loop >/dev/null 2>&1; then
+    echo "FAIL: $BIN accepted $FLAG"; exit 1
+  fi
+done
 
 echo "== tier 1: serve smoke (socket round trips, overload, graceful stop) =="
 # Start a server, prove a cold and a warm request return byte-identical

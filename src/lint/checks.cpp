@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <tuple>
 
 #include "exact/trace_engine.h"
 #include "ir/nest.h"
@@ -103,10 +104,15 @@ void check_subscript_bounds(const CheckContext& ctx, DiagnosticEngine& out) {
   for (size_t i = 0; i < refs.size(); ++i) {
     const Array& arr = nest.array(refs[i].array);
     for (size_t d = 0; d < refs[i].access.rows(); ++d) {
-      auto [lo, hi] = subscript_range(refs[i].access.row(d), refs[i].offset[d],
-                                      nest.bounds());
+      Int lo = 0, hi = 0, span = 0;
+      try {
+        std::tie(lo, hi) = subscript_range(refs[i].access.row(d), refs[i].offset[d],
+                                           nest.bounds());
+        span = checked_add(checked_sub(hi, lo), 1);
+      } catch (const OverflowError&) {
+        continue;  // the range leaves Int64: LMRE-E009 reports the array
+      }
       const Int extent = arr.extents[d];
-      const Int span = checked_add(checked_sub(hi, lo), 1);
       const bool fits0 = lo >= 0 && hi <= extent - 1;
       const bool fits1 = lo >= 1 && hi <= extent;
       if (fits0 || fits1) continue;

@@ -1,94 +1,107 @@
 #include "support/cli.h"
 
-#include <cstdlib>
+#include <algorithm>
 #include <iostream>
-#include <sstream>
 
 #include "support/error.h"
 #include "support/text.h"
 
 namespace lmre {
 
-void Cli::flag_int(const std::string& name, Int default_value, const std::string& help) {
-  require(!flags_.count(name), "duplicate flag --" + name);
-  flags_[name] = Flag{Kind::kInt, std::to_string(default_value), help};
-  order_.push_back(name);
+void Cli::flag(std::string name, Takes takes, Setter set, std::string help,
+               std::string shown_default) {
+  require(std::none_of(flags_.begin(), flags_.end(),
+                       [&](const Flag& f) { return f.name == name; }),
+          "duplicate flag --" + name);
+  flags_.push_back(Flag{std::move(name), takes, std::move(set), std::move(help),
+                        std::move(shown_default)});
 }
 
-void Cli::flag_bool(const std::string& name, const std::string& help) {
-  require(!flags_.count(name), "duplicate flag --" + name);
-  flags_[name] = Flag{Kind::kBool, "0", help};
-  order_.push_back(name);
+void Cli::flag(const std::string& name, bool* target, std::string help) {
+  flag(name, Takes::kNone,
+       [target](const Value&) {
+         *target = true;
+         return std::string();
+       },
+       std::move(help));
 }
 
-void Cli::flag_string(const std::string& name, const std::string& default_value,
-                      const std::string& help) {
-  require(!flags_.count(name), "duplicate flag --" + name);
-  flags_[name] = Flag{Kind::kString, default_value, help};
-  order_.push_back(name);
+void Cli::flag(const std::string& name, std::string* target, std::string help) {
+  flag(name, Takes::kValue,
+       [target](const Value& v) {
+         *target = *v;
+         return std::string();
+       },
+       std::move(help), *target);
 }
 
-bool Cli::parse(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
+void Cli::flag(const std::string& name, Int* target, std::string help) {
+  number<Int>(name, target, nullptr, {}, std::move(help));
+}
+
+Cli::Parsed Cli::parse(const std::vector<std::string>& args) const {
+  Parsed p;
+  for (const std::string& arg : args) {
+    if (arg == "-" || arg.rfind('-', 0) != 0) {
+      p.positional.push_back(arg);
+      continue;
+    }
+    const size_t eq = arg.find('=');
+    const bool has_value = eq != std::string::npos;
+    auto it = std::find_if(flags_.begin(), flags_.end(), [&](const Flag& f) {
+      return arg.compare(0, eq, "--" + f.name) == 0;
+    });
+    if (it == flags_.end() ||
+        it->takes == (has_value ? Takes::kNone : Takes::kValue)) {
+      p.error = program_ + ": unknown flag '" + arg + "'";
+      p.unknown = arg;
+      return p;
+    }
+    Value value;
+    if (has_value) value = arg.substr(eq + 1);
+    p.error = it->set(value);
+    if (!p.error.empty()) return p;
+  }
+  return p;
+}
+
+std::optional<int> Cli::parse_main(int argc, char** argv) const {
+  std::vector<std::string> args(argv + 1, argv + argc);
+  for (const std::string& arg : args) {
     if (arg == "--help" || arg == "-h") {
-      std::cout << usage(argv[0]);
-      return false;
-    }
-    require(arg.rfind("--", 0) == 0, "unexpected argument: " + arg);
-    arg = arg.substr(2);
-    std::string value;
-    bool has_value = false;
-    if (auto eq = arg.find('='); eq != std::string::npos) {
-      value = arg.substr(eq + 1);
-      arg = arg.substr(0, eq);
-      has_value = true;
-    }
-    auto it = flags_.find(arg);
-    require(it != flags_.end(), "unknown flag --" + arg);
-    if (it->second.kind == Kind::kBool) {
-      it->second.value = has_value ? value : "1";
-    } else {
-      if (!has_value) {
-        require(i + 1 < argc, "flag --" + arg + " needs a value");
-        value = argv[++i];
-      }
-      it->second.value = value;
+      std::cout << usage();
+      return 0;
     }
   }
-  return true;
-}
-
-const Cli::Flag& Cli::find(const std::string& name, Kind kind) const {
-  auto it = flags_.find(name);
-  require(it != flags_.end(), "undeclared flag --" + name);
-  require(it->second.kind == kind, "flag --" + name + " accessed with wrong type");
-  return it->second;
-}
-
-Int Cli::get_int(const std::string& name) const {
-  const Flag& f = find(name, Kind::kInt);
-  return static_cast<Int>(std::strtoll(f.value.c_str(), nullptr, 10));
-}
-
-bool Cli::get_bool(const std::string& name) const {
-  return find(name, Kind::kBool).value == "1";
-}
-
-const std::string& Cli::get_string(const std::string& name) const {
-  return find(name, Kind::kString).value;
-}
-
-std::string Cli::usage(const std::string& program) const {
-  std::ostringstream os;
-  os << "usage: " << program << " [flags]\n";
-  for (const auto& name : order_) {
-    const Flag& f = flags_.at(name);
-    os << "  " << pad_right("--" + name, 20) << f.help;
-    if (f.kind != Kind::kBool) os << " (default: " << f.value << ")";
-    os << '\n';
+  Parsed p = parse(args);
+  if (p.error.empty() && !p.positional.empty()) {
+    p.error = program_ + ": unexpected argument '" + p.positional[0] + "'";
   }
-  return os.str();
+  if (p.error.empty()) return std::nullopt;
+  std::cerr << p.error << '\n';
+  return 2;
+}
+
+std::vector<std::string> Cli::spellings() const {
+  static const char* const kSuffix[] = {"", "=", "[=]"};  // by Takes
+  std::vector<std::string> out;
+  for (const Flag& f : flags_) {
+    out.push_back("--" + f.name + kSuffix[static_cast<int>(f.takes)]);
+  }
+  return out;
+}
+
+std::string Cli::usage() const {
+  std::string u = "usage: " + program_ + " [flags]\n";
+  const std::vector<std::string> names = spellings();
+  for (size_t i = 0; i < flags_.size(); ++i) {
+    u += "  " + pad_right(names[i], 20) + flags_[i].help;
+    if (!flags_[i].shown_default.empty()) {
+      u += " (default: " + flags_[i].shown_default + ")";
+    }
+    u += '\n';
+  }
+  return u;
 }
 
 }  // namespace lmre

@@ -727,5 +727,218 @@ TEST(CliRequest, TcpRejectsBadAddressAndExtraPositional) {
       ExitCode::kUsage);
 }
 
+// --json on a verb without a JSON form exits kUsage before it runs.
+void expect_json_refused(const std::vector<std::string>& args) {
+  std::ostringstream out, err;
+  EXPECT_EQ(run_cli(args, out, err), ExitCode::kUsage) << args[0];
+  EXPECT_EQ(err.str(), "lmre " + args[0] + ": --json is not supported\n");
+  EXPECT_TRUE(out.str().empty()) << out.str();
+}
+
+TEST(CliJson, DistancesRefusesJson) {
+  expect_json_refused(
+      {"distances", write_temp("json_distances.loop", kExample8), "--json"});
+}
+
+TEST(CliJson, SeriesRefusesJson) {
+  expect_json_refused({"series", write_temp("json_series.loop", kExample8), "--json"});
+}
+
+TEST(CliJson, RequestRefusesJson) {
+  expect_json_refused({"request", "--json", "--tcp=127.0.0.1:1",
+                       write_temp("json_request.loop", kExample8)});
+}
+
+TEST(CliJson, ServeRefusesJson) {
+  expect_json_refused({"serve", "--stdio", "--json"});
+}
+
+TEST(CliLint, SubscriptOverflowIsOneE009) {
+  std::ostringstream out;
+  LintCliOptions opts;
+  EXPECT_EQ(cmd_lint("array A[10];\nfor i = 1 to 10\n  use A[i + 9223372036854775800];\n",
+                     opts, out),
+            ExitCode::kDiagnostics);
+  EXPECT_NE(out.str().find("[LMRE-E009]"), std::string::npos) << out.str();
+  EXPECT_EQ(out.str().find("LMRE-E000"), std::string::npos) << out.str();
+  EXPECT_NE(out.str().find("1 error"), std::string::npos) << out.str();
+}
+
+// Every flag of every verb: a value it accepts and the junk it refuses,
+// each with its message.  Keyed by the spelling verb_flags() reports.
+struct FlagCase {
+  const char* verb;
+  const char* flag;
+  const char* valid;
+  std::vector<std::pair<const char*, const char*>> junk;  // argument, message
+};
+
+const std::vector<FlagCase>& flag_cases() {
+  static const std::vector<FlagCase> cases = {
+      {"analyze", "--json", "--json",
+       {{"--json=1", "lmre analyze: unknown flag '--json=1'"}}},
+      {"analyze", "--symbolic", "--symbolic", {}},
+      {"optimize", "--json", "--json", {}},
+      {"optimize", "--objective=", "--objective=miss-ratio:64",
+       {{"--objective=bogus",
+         "bad --objective spec 'bogus' (want mws or miss-ratio:<capacity>)"},
+        {"--objective", "lmre optimize: unknown flag '--objective'"}}},
+      {"lint", "--json", "--json", {}},
+      {"lint", "--strict", "--strict", {}},
+      {"lint", "--plan[=]", "--plan=0 1; 1 0", {{"--plan=x", "bad --plan matrix: x"}}},
+      {"verify", "--json", "--json", {}},
+      {"verify", "--plan[=]", "--plan=0 1; 1 0",
+       {{"--plan=banana", "bad --plan spec: malformed matrix row 'banana'"}}},
+      {"codegen", "--json", "--json", {}},
+      {"codegen", "--plan[=]", "--plan=auto",
+       {{"--plan=banana", "bad --plan spec: malformed matrix row 'banana'"}}},
+      {"codegen", "--run", "--run", {}},
+      {"codegen", "--cc=", "--cc=cc", {}},
+      {"codegen", "--emit=", "--emit=out.c", {{"--emit=", "--emit needs a file name"}}},
+      {"mrc", "--json", "--json", {}},
+      {"mrc", "--plan[=]", "--plan",
+       {{"--plan=banana", "bad --plan spec: malformed matrix row 'banana'"}}},
+      {"mrc", "--sample-rate=", "--sample-rate=0.5",
+       {{"--sample-rate=0.5x", "bad --sample-rate value: --sample-rate=0.5x"},
+        {"--sample-rate=2", "--sample-rate must be in (0, 1]"}}},
+      {"mrc", "--capacities=", "--capacities=1,64",
+       {{"--capacities=x",
+         "bad --capacities list: x (want comma-separated non-negative integers)"}}},
+      {"batch", "--json", "--json", {}},
+      {"batch", "--threads=", "--threads=2",
+       {{"--threads=4x", "bad --threads value: --threads=4x"},
+        {"--threads=-1", "--threads must be >= 0"}}},
+      {"batch", "--cache-dir=", "--cache-dir=cache",
+       {{"--cache-dir=", "--cache-dir needs a directory"}}},
+      {"batch", "--metrics=", "--metrics=m.json",
+       {{"--metrics=", "--metrics needs a file name"}}},
+      {"serve", "--stdio", "--stdio",
+       {{"--stdio=1", "lmre serve: unknown flag '--stdio=1'"}}},
+      {"serve", "--tcp=", "--tcp=127.0.0.1:0",
+       {{"--tcp=nowhere", "bad --tcp value: expected HOST:PORT, got 'nowhere'"}}},
+      {"serve", "--workers=", "--workers=2",
+       {{"--workers=2x", "bad --workers value: --workers=2x"},
+        {"--workers=0", "--workers must be >= 1"}}},
+      {"serve", "--queue=", "--queue=4",
+       {{"--queue=x", "bad --queue value: --queue=x"},
+        {"--queue=0", "--queue-depth must be >= 1"}}},
+      {"serve", "--queue-depth=", "--queue-depth=4",
+       {{"--queue-depth=8q", "bad --queue-depth value: --queue-depth=8q"},
+        {"--queue-depth=0", "--queue-depth must be >= 1"}}},
+      {"serve", "--cache-shards=", "--cache-shards=2",
+       {{"--cache-shards=4.5", "bad --cache-shards value: --cache-shards=4.5"},
+        {"--cache-shards=0", "--cache-shards must be >= 1"}}},
+      {"serve", "--cache-ttl=", "--cache-ttl=1.5",
+       {{"--cache-ttl=soon", "bad --cache-ttl value: --cache-ttl=soon"},
+        {"--cache-ttl=-1", "--cache-ttl must be >= 0 seconds"}}},
+      {"serve", "--cache-bytes=", "--cache-bytes=100",
+       {{"--cache-bytes=1MB", "bad --cache-bytes value: --cache-bytes=1MB"},
+        {"--cache-bytes=-5", "--cache-bytes must be >= 0"}}},
+      {"serve", "--no-coalesce", "--no-coalesce", {}},
+      {"serve", "--cache-dir=", "--cache-dir=cache",
+       {{"--cache-dir=", "--cache-dir needs a directory"}}},
+      {"serve", "--metrics=", "--metrics=m.json",
+       {{"--metrics=", "--metrics needs a file name"}}},
+      {"request", "--tcp=", "--tcp=127.0.0.1:1",
+       {{"--tcp=nowhere", "bad --tcp value: expected HOST:PORT, got 'nowhere'"}}},
+      {"request", "--kind=", "--kind=analyze", {}},
+      {"request", "--plan=", "--plan=0 1; 1 0",
+       {{"--plan", "lmre request: unknown flag '--plan'"}}},
+      {"request", "--objective=", "--objective=mws", {}},
+      {"request", "--sample-rate=", "--sample-rate=0.5",
+       {{"--sample-rate=0", "--sample-rate must be in (0, 1]"}}},
+      {"request", "--capacities=", "--capacities=1,2",
+       {{"--capacities=",
+         "bad --capacities list:  (want comma-separated non-negative integers)"}}},
+      {"request", "--deadline=", "--deadline=50",
+       {{"--deadline=50ms", "bad --deadline value: --deadline=50ms"},
+        {"--deadline=-1", "--deadline must be >= 0"}}},
+      {"request", "--id=", "--id=abc", {}},
+      {"request", "--raw", "--raw", {}},
+      {"version", "--json", "--json", {}},
+  };
+  return cases;
+}
+
+// Positional arguments that stop `verb` right after its flags parsed, and
+// what it then prints: a flag it accepted never reaches the analysis.
+std::pair<std::vector<std::string>, std::string> probe(const std::string& verb) {
+  if (verb == "serve") return {{"a.sock", "b.sock"}, "exactly one transport"};
+  if (verb == "request") return {{}, "usage: lmre"};
+  if (verb == "version") return {{}, "schema_version"};
+  return {{"/nonexistent/nest.loop"}, "cannot open"};
+}
+
+std::string flag_name(const std::string& spelling) {
+  return spelling.substr(0, spelling.find_first_of("=["));
+}
+
+TEST(CliFlagTable, ListsEveryDeclaredFlag) {
+  for (const std::string& verb : verbs()) {
+    std::vector<std::string> listed;
+    for (const FlagCase& c : flag_cases()) {
+      if (c.verb == verb) listed.push_back(c.flag);
+    }
+    EXPECT_EQ(listed, verb_flags(verb)) << verb;
+  }
+}
+
+TEST(CliFlagTable, EachVerbTakesItsFlagsAndRefusesTheRest) {
+  for (const std::string& verb : verbs()) {
+    auto [positional, marker] = probe(verb);
+    auto run = [&, &positional = positional](const std::string& arg,
+                                             std::string* printed) {
+      std::vector<std::string> args = {verb, arg};
+      args.insert(args.end(), positional.begin(), positional.end());
+      std::ostringstream out, err;
+      ExitCode rc = run_cli(args, out, err);
+      *printed = out.str() + err.str();
+      return rc;
+    };
+    std::vector<std::string> own;
+    for (const std::string& spelling : verb_flags(verb)) {
+      own.push_back(flag_name(spelling));
+    }
+    for (const FlagCase& c : flag_cases()) {
+      std::string text;
+      if (c.verb != verb) {
+        // Another verb's flag, unless this verb takes one of that name.
+        if (std::count(own.begin(), own.end(), flag_name(c.flag))) continue;
+        EXPECT_EQ(run(c.valid, &text), ExitCode::kUsage) << verb << ' ' << c.valid;
+        const std::string refusal =
+            flag_name(c.flag) == "--json"
+                ? "lmre " + verb + ": --json is not supported"
+                : "lmre " + verb + ": unknown flag '" + c.valid + "'";
+        EXPECT_EQ(text.rfind(refusal, 0), 0u) << verb << ' ' << c.valid << " -> " << text;
+        continue;
+      }
+      run(c.valid, &text);
+      EXPECT_NE(text.find(marker), std::string::npos)
+          << verb << ' ' << c.valid << " -> " << text;
+      for (const auto& [arg, message] : c.junk) {
+        EXPECT_EQ(run(arg, &text), ExitCode::kUsage) << verb << ' ' << arg;
+        EXPECT_EQ(text, std::string(message) + '\n') << verb << ' ' << arg;
+      }
+    }
+  }
+}
+
+TEST(CliFlagTable, UsageNamesEveryFlag) {
+  // serve's legacy --queue= spelling is matched inside --queue-depth=.
+  const std::string text = usage();
+  for (const std::string& verb : verbs()) {
+    for (const std::string& spelling : verb_flags(verb)) {
+      EXPECT_NE(text.find(flag_name(spelling)), std::string::npos)
+          << verb << ' ' << spelling;
+    }
+  }
+}
+
+TEST(CliDispatcher, UnknownVerbPrintsUsageWhateverFollows) {
+  std::ostringstream out, err;
+  EXPECT_EQ(run_cli({"bogus", "--bogus", "--json"}, out, err), ExitCode::kUsage);
+  EXPECT_EQ(err.str(), usage());
+}
+
 }  // namespace
 }  // namespace lmre::tools

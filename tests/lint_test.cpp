@@ -252,6 +252,18 @@ TEST(LintIterationVolume, ReferenceBoxOverflowIsError) {
   EXPECT_FALSE(res.clean());
 }
 
+TEST(LintIterationVolume, SubscriptRangeOverflowIsOnlyE009) {
+  // The subscript's range leaves Int64.  The bounds check skips it instead
+  // of failing with LMRE-E000: LMRE-E009 already reports the array.
+  LintResult res = lint_source(
+      "array A[10];\nfor i = 1 to 10\n  use A[i + 9223372036854775800];\n");
+  ASSERT_EQ(res.diagnostics.size(), 1u);
+  EXPECT_EQ(res.diagnostics[0].id, "LMRE-E009");
+  EXPECT_EQ(res.diagnostics[0].severity, Severity::kError);
+  EXPECT_TRUE(res.has_errors());
+  EXPECT_FALSE(has_id(res, "LMRE-E000"));
+}
+
 TEST(LintIterationVolume, SingleLoopTripCountOverflowIsError) {
   // One loop alone spans more values than Int64 holds, so its trip count
   // overflows before any product is taken.  The constant subscript keeps

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "linalg/vec.h"
 #include "polyhedra/box.h"
@@ -205,40 +207,97 @@ TEST(Text, TableRejectsMismatchedRows) {
 }
 
 TEST(Cli, ParsesFlagsInAllForms) {
-  Cli cli;
-  cli.flag_int("n", 5, "count");
-  cli.flag_bool("verbose", "talk more");
-  cli.flag_string("name", "x", "label");
-  const char* argv[] = {"prog", "--n=7", "--verbose", "--name", "hello"};
-  ASSERT_TRUE(cli.parse(5, const_cast<char**>(argv)));
-  EXPECT_EQ(cli.get_int("n"), 7);
-  EXPECT_TRUE(cli.get_bool("verbose"));
-  EXPECT_EQ(cli.get_string("name"), "hello");
+  Int n = 5;
+  bool verbose = false;
+  std::string name = "x";
+  Cli cli("prog");
+  cli.flag("n", &n, "count");
+  cli.flag("verbose", &verbose, "talk more");
+  cli.flag("name", &name, "label");
+  Cli::Parsed p = cli.parse({"--n=7", "--verbose", "--name=hello"});
+  EXPECT_EQ(p.error, "");
+  EXPECT_TRUE(p.positional.empty());
+  EXPECT_EQ(n, 7);
+  EXPECT_TRUE(verbose);
+  EXPECT_EQ(name, "hello");
 }
 
 TEST(Cli, DefaultsApply) {
-  Cli cli;
-  cli.flag_int("n", 5, "count");
-  cli.flag_bool("verbose", "talk");
-  const char* argv[] = {"prog"};
-  ASSERT_TRUE(cli.parse(1, const_cast<char**>(argv)));
-  EXPECT_EQ(cli.get_int("n"), 5);
-  EXPECT_FALSE(cli.get_bool("verbose"));
+  Int n = 5;
+  bool verbose = false;
+  Cli cli("prog");
+  cli.flag("n", &n, "count");
+  cli.flag("verbose", &verbose, "talk");
+  EXPECT_EQ(cli.parse({}).error, "");
+  EXPECT_EQ(n, 5);
+  EXPECT_FALSE(verbose);
+  EXPECT_NE(cli.usage().find("(default: 5)"), std::string::npos) << cli.usage();
 }
 
-TEST(Cli, UnknownFlagThrows) {
-  Cli cli;
-  cli.flag_int("n", 5, "count");
-  const char* argv[] = {"prog", "--bogus=1"};
-  EXPECT_THROW(cli.parse(2, const_cast<char**>(argv)), InvalidArgument);
+TEST(Cli, UnknownFlagIsRefused) {
+  Int n = 5;
+  Cli cli("prog");
+  cli.flag("n", &n, "count");
+  // An undeclared name, and a declared one in a spelling it does not take.
+  for (const char* arg : {"--bogus=1", "--n", "-n", "--"}) {
+    Cli::Parsed p = cli.parse({arg});
+    EXPECT_EQ(p.error, std::string("prog: unknown flag '") + arg + "'");
+    EXPECT_EQ(p.unknown, arg);
+  }
+  bool quiet = false;
+  cli.flag("quiet", &quiet);
+  EXPECT_EQ(cli.parse({"--quiet=1"}).error, "prog: unknown flag '--quiet=1'");
+  EXPECT_FALSE(quiet);
 }
 
-TEST(Cli, WrongTypeAccessThrows) {
-  Cli cli;
-  cli.flag_int("n", 5, "count");
-  const char* argv[] = {"prog"};
-  ASSERT_TRUE(cli.parse(1, const_cast<char**>(argv)));
-  EXPECT_THROW(cli.get_bool("n"), InvalidArgument);
+TEST(Cli, NumbersParseWholeValuesOnly) {
+  Int n = 5;
+  Cli cli("prog");
+  cli.flag("n", &n);
+  for (const char* value : {"4x", "", " 4", "4.0", "99999999999999999999"}) {
+    Cli::Parsed p = cli.parse({std::string("--n=") + value});
+    EXPECT_EQ(p.error, std::string("bad --n value: --n=") + value);
+    EXPECT_EQ(p.unknown, "");
+  }
+  EXPECT_EQ(n, 5);
+  EXPECT_EQ(cli.parse({"--n=-12"}).error, "");
+  EXPECT_EQ(n, -12);
+}
+
+TEST(Cli, NumberRangeAndFirstErrorWins) {
+  int workers = 1;
+  Cli cli("prog");
+  cli.number<int>("workers", &workers, [](int v) { return v >= 1; },
+                  "--workers must be >= 1");
+  EXPECT_EQ(cli.parse({"--workers=0", "--workers=x"}).error, "--workers must be >= 1");
+  EXPECT_EQ(cli.parse({"--workers=3"}).error, "");
+  EXPECT_EQ(workers, 3);
+}
+
+TEST(Cli, OptionalValueFlag) {
+  std::string plan = "none";
+  Cli cli("prog");
+  cli.flag("plan", Cli::Takes::kOptional, [&plan](const std::optional<std::string>& v) {
+    plan = v ? *v : "auto";
+    return plan == "bad" ? std::string("bad --plan spec") : std::string();
+  });
+  EXPECT_EQ(cli.parse({"--plan"}).error, "");
+  EXPECT_EQ(plan, "auto");
+  EXPECT_EQ(cli.parse({"--plan=0 1; 1 0"}).error, "");
+  EXPECT_EQ(plan, "0 1; 1 0");
+  EXPECT_EQ(cli.parse({"--plan="}).error, "");
+  EXPECT_EQ(plan, "");
+  EXPECT_EQ(cli.parse({"--plan=bad"}).error, "bad --plan spec");
+}
+
+TEST(Cli, PositionalArgumentsKeepTheirOrder) {
+  bool json = false;
+  Cli cli("prog");
+  cli.flag("json", &json);
+  Cli::Parsed p = cli.parse({"a.loop", "--json", "-", "b"});
+  EXPECT_EQ(p.error, "");
+  EXPECT_EQ(p.positional, (std::vector<std::string>{"a.loop", "-", "b"}));
+  EXPECT_TRUE(json);
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <csignal>
@@ -35,6 +34,7 @@
 #include "server/server.h"
 #include "server/tcp.h"
 #include "server/wire.h"
+#include "support/cli.h"
 #include "support/json.h"
 #include "support/text.h"
 #include "symbolic/derive.h"
@@ -1089,24 +1089,6 @@ std::optional<IntMat> parse_plan_matrix(const std::string& text) {
   return m;
 }
 
-// Parses the value after a "--flag=" prefix as one whole number of type T
-// ("4", "-1", "0.5"); on trailing junk ("4x"), an empty value or overflow
-// reports "bad <flag> value" on `err` and returns nullopt.  (std::stoi /
-// std::stod would accept "4x" as 4.)
-template <class T>
-std::optional<T> flag_value(const std::string& arg, std::ostream& err) {
-  const size_t eq = arg.find('=');
-  const char* begin = arg.data() + eq + 1;
-  const char* end = arg.data() + arg.size();
-  T v{};
-  auto [ptr, ec] = std::from_chars(begin, end, v);
-  if (ec != std::errc() || ptr != end) {
-    err << "bad " << arg.substr(0, eq) << " value: " << arg << '\n';
-    return std::nullopt;
-  }
-  return v;
-}
-
 // Parses "--capacities=1,64,540" (comma-separated non-negative integers);
 // nullopt on malformed input or an empty list.
 std::optional<std::vector<Int>> parse_capacity_list(const std::string& text) {
@@ -1127,357 +1109,288 @@ std::optional<std::vector<Int>> parse_capacity_list(const std::string& text) {
   return caps;
 }
 
-}  // namespace
-
-ExitCode run_cli(const std::vector<std::string>& args, std::ostream& out,
-                 std::ostream& err) {
-  if (args.empty()) {
-    err << usage();
-    return ExitCode::kUsage;
-  }
-  const std::string& cmd = args[0];
-  // Shared flag extraction: --json and the per-command flags are
-  // recognized anywhere after the command name; any other flag is refused.
+// What the flags of any verb set; each verb binds only its own.
+struct CliArgs {
   bool json = false;
   bool symbolic = false;
   std::string objective;
-  LintCliOptions lint_opts;
-  VerifyCliOptions verify_opts;
-  CodegenCliOptions codegen_opts;
-  MrcCliOptions mrc_opts;
-  BatchCliOptions batch_opts;
-  ServeCliOptions serve_opts;
-  RequestCliOptions request_opts;
-  std::vector<std::string> rest(args.begin() + 1, args.end());
-  for (auto it = rest.begin(); it != rest.end();) {
-    if (*it == "--json") {
-      json = true;
-      it = rest.erase(it);
-    } else if (cmd == "batch" && it->rfind("--threads=", 0) == 0) {
-      std::optional<int> threads = flag_value<int>(*it, err);
-      if (!threads) return ExitCode::kUsage;
-      if (*threads < 0) {
-        err << "--threads must be >= 0\n";
-        return ExitCode::kUsage;
-      }
-      batch_opts.threads = *threads;
-      it = rest.erase(it);
-    } else if (cmd == "analyze" && *it == "--symbolic") {
-      symbolic = true;
-      it = rest.erase(it);
-    } else if (cmd == "lint" && *it == "--strict") {
-      lint_opts.strict = true;
-      it = rest.erase(it);
-    } else if (cmd == "lint" && *it == "--plan") {
-      lint_opts.audit_plan = true;
-      it = rest.erase(it);
-    } else if (cmd == "lint" && it->rfind("--plan=", 0) == 0) {
-      lint_opts.plan = parse_plan_matrix(it->substr(7));
-      if (!lint_opts.plan) {
-        err << "bad --plan matrix: " << it->substr(7) << '\n';
-        return ExitCode::kUsage;
-      }
-      it = rest.erase(it);
-    } else if ((cmd == "batch" || cmd == "serve") &&
-               it->rfind("--cache-dir=", 0) == 0) {
-      batch_opts.cache_dir = serve_opts.cache_dir = it->substr(12);
-      if (batch_opts.cache_dir.empty()) {
-        err << "--cache-dir needs a directory\n";
-        return ExitCode::kUsage;
-      }
-      it = rest.erase(it);
-    } else if ((cmd == "batch" || cmd == "serve") &&
-               it->rfind("--metrics=", 0) == 0) {
-      batch_opts.metrics_file = serve_opts.metrics_file = it->substr(10);
-      if (batch_opts.metrics_file.empty()) {
-        err << "--metrics needs a file name\n";
-        return ExitCode::kUsage;
-      }
-      it = rest.erase(it);
-    } else if (cmd == "serve" && *it == "--stdio") {
-      serve_opts.stdio = true;
-      it = rest.erase(it);
-    } else if (cmd == "serve" && it->rfind("--workers=", 0) == 0) {
-      std::optional<int> workers = flag_value<int>(*it, err);
-      if (!workers) return ExitCode::kUsage;
-      serve_opts.workers = *workers;
-      if (serve_opts.workers < 1) {
-        err << "--workers must be >= 1\n";
-        return ExitCode::kUsage;
-      }
-      it = rest.erase(it);
-    } else if (cmd == "serve" && (it->rfind("--queue=", 0) == 0 ||
-                                  it->rfind("--queue-depth=", 0) == 0)) {
-      // --queue= is the original spelling; --queue-depth= the documented one.
-      std::optional<int> depth = flag_value<int>(*it, err);
-      if (!depth) return ExitCode::kUsage;
-      if (*depth < 1) {
-        err << "--queue-depth must be >= 1\n";
-        return ExitCode::kUsage;
-      }
-      serve_opts.queue_depth = static_cast<size_t>(*depth);
-      it = rest.erase(it);
-    } else if (cmd == "serve" && it->rfind("--tcp=", 0) == 0) {
-      serve_opts.tcp = it->substr(6);
-      std::string perr;
-      if (!parse_host_port(serve_opts.tcp, &perr)) {
-        err << "bad --tcp value: " << perr << '\n';
-        return ExitCode::kUsage;
-      }
-      it = rest.erase(it);
-    } else if (cmd == "serve" && it->rfind("--cache-shards=", 0) == 0) {
-      std::optional<int> shards = flag_value<int>(*it, err);
-      if (!shards) return ExitCode::kUsage;
-      if (*shards < 1) {
-        err << "--cache-shards must be >= 1\n";
-        return ExitCode::kUsage;
-      }
-      serve_opts.cache_shards = static_cast<size_t>(*shards);
-      it = rest.erase(it);
-    } else if (cmd == "serve" && it->rfind("--cache-ttl=", 0) == 0) {
-      std::optional<double> ttl = flag_value<double>(*it, err);
-      if (!ttl) return ExitCode::kUsage;
-      serve_opts.cache_ttl = *ttl;
-      if (serve_opts.cache_ttl < 0) {
-        err << "--cache-ttl must be >= 0 seconds\n";
-        return ExitCode::kUsage;
-      }
-      it = rest.erase(it);
-    } else if (cmd == "serve" && it->rfind("--cache-bytes=", 0) == 0) {
-      std::optional<long long> bytes = flag_value<long long>(*it, err);
-      if (!bytes) return ExitCode::kUsage;
-      if (*bytes < 0) {
-        err << "--cache-bytes must be >= 0\n";
-        return ExitCode::kUsage;
-      }
-      serve_opts.cache_bytes = static_cast<size_t>(*bytes);
-      it = rest.erase(it);
-    } else if (cmd == "serve" && *it == "--no-coalesce") {
-      serve_opts.coalesce = false;
-      it = rest.erase(it);
-    } else if (cmd == "request" && it->rfind("--tcp=", 0) == 0) {
-      request_opts.tcp = it->substr(6);
-      std::string perr;
-      if (!parse_host_port(request_opts.tcp, &perr)) {
-        err << "bad --tcp value: " << perr << '\n';
-        return ExitCode::kUsage;
-      }
-      it = rest.erase(it);
-    } else if (cmd == "request" && it->rfind("--kind=", 0) == 0) {
-      request_opts.kind = it->substr(7);
-      it = rest.erase(it);
-    } else if (cmd == "request" && it->rfind("--plan=", 0) == 0) {
-      request_opts.plan = it->substr(7);
-      it = rest.erase(it);
-    } else if (cmd == "verify" && *it == "--plan") {
-      // Bare --plan is the default audit mode; accepted for symmetry with
-      // `lmre lint --plan`.
-      it = rest.erase(it);
-    } else if (cmd == "verify" && it->rfind("--plan=", 0) == 0) {
-      verify_opts.plan = it->substr(7);
-      std::string perr;
-      if (!parse_plan_spec(verify_opts.plan, &perr)) {
-        err << "bad --plan spec: " << perr << '\n';
-        return ExitCode::kUsage;
-      }
-      it = rest.erase(it);
-    } else if (cmd == "codegen" && *it == "--plan") {
-      // Bare --plan means "the optimizer's own plan" (certified-gated).
-      codegen_opts.plan = "auto";
-      it = rest.erase(it);
-    } else if (cmd == "codegen" && it->rfind("--plan=", 0) == 0) {
-      codegen_opts.plan = it->substr(7);
-      std::string perr;
-      if (codegen_opts.plan != "auto" &&
-          !parse_plan_spec(codegen_opts.plan, &perr)) {
-        err << "bad --plan spec: " << perr << '\n';
-        return ExitCode::kUsage;
-      }
-      it = rest.erase(it);
-    } else if (cmd == "optimize" && it->rfind("--objective=", 0) == 0) {
-      objective = it->substr(12);
-      if (!parse_objective_spec(objective)) {
-        err << "bad --objective spec '" << objective
-            << "' (want mws or miss-ratio:<capacity>)\n";
-        return ExitCode::kUsage;
-      }
-      it = rest.erase(it);
-    } else if (cmd == "mrc" && *it == "--plan") {
-      // Bare --plan means "the optimizer's own plan".
-      mrc_opts.plan = "auto";
-      it = rest.erase(it);
-    } else if (cmd == "mrc" && it->rfind("--plan=", 0) == 0) {
-      mrc_opts.plan = it->substr(7);
-      std::string perr;
-      if (mrc_opts.plan != "auto" &&
-          !parse_plan_spec(mrc_opts.plan, &perr)) {
-        err << "bad --plan spec: " << perr << '\n';
-        return ExitCode::kUsage;
-      }
-      it = rest.erase(it);
-    } else if (cmd == "mrc" && it->rfind("--sample-rate=", 0) == 0) {
-      std::optional<double> rate = flag_value<double>(*it, err);
-      if (!rate) return ExitCode::kUsage;
-      mrc_opts.sample_rate = *rate;
-      if (!(mrc_opts.sample_rate > 0.0) || mrc_opts.sample_rate > 1.0) {
-        err << "--sample-rate must be in (0, 1]\n";
-        return ExitCode::kUsage;
-      }
-      it = rest.erase(it);
-    } else if (cmd == "mrc" && it->rfind("--capacities=", 0) == 0) {
-      auto caps = parse_capacity_list(it->substr(13));
-      if (!caps) {
-        err << "bad --capacities list: " << it->substr(13)
-            << " (want comma-separated non-negative integers)\n";
-        return ExitCode::kUsage;
-      }
-      mrc_opts.capacities = std::move(*caps);
-      it = rest.erase(it);
-    } else if (cmd == "request" && it->rfind("--objective=", 0) == 0) {
-      request_opts.objective = it->substr(12);
-      it = rest.erase(it);
-    } else if (cmd == "request" && it->rfind("--sample-rate=", 0) == 0) {
-      std::optional<double> rate = flag_value<double>(*it, err);
-      if (!rate) return ExitCode::kUsage;
-      request_opts.sample_rate = *rate;
-      if (!(request_opts.sample_rate > 0.0) || request_opts.sample_rate > 1.0) {
-        err << "--sample-rate must be in (0, 1]\n";
-        return ExitCode::kUsage;
-      }
-      it = rest.erase(it);
-    } else if (cmd == "request" && it->rfind("--capacities=", 0) == 0) {
-      auto caps = parse_capacity_list(it->substr(13));
-      if (!caps) {
-        err << "bad --capacities list: " << it->substr(13)
-            << " (want comma-separated non-negative integers)\n";
-        return ExitCode::kUsage;
-      }
-      request_opts.capacities = std::move(*caps);
-      it = rest.erase(it);
-    } else if (cmd == "codegen" && *it == "--run") {
-      codegen_opts.run = true;
-      it = rest.erase(it);
-    } else if (cmd == "codegen" && it->rfind("--cc=", 0) == 0) {
-      codegen_opts.cc = it->substr(5);
-      it = rest.erase(it);
-    } else if (cmd == "codegen" && it->rfind("--emit=", 0) == 0) {
-      codegen_opts.emit_file = it->substr(7);
-      if (codegen_opts.emit_file.empty()) {
-        err << "--emit needs a file name\n";
-        return ExitCode::kUsage;
-      }
-      it = rest.erase(it);
-    } else if (cmd == "request" && it->rfind("--deadline=", 0) == 0) {
-      std::optional<double> deadline = flag_value<double>(*it, err);
-      if (!deadline) return ExitCode::kUsage;
-      request_opts.deadline_ms = *deadline;
-      if (request_opts.deadline_ms < 0) {
-        err << "--deadline must be >= 0\n";
-        return ExitCode::kUsage;
-      }
-      it = rest.erase(it);
-    } else if (cmd == "request" && it->rfind("--id=", 0) == 0) {
-      request_opts.id = it->substr(5);
-      it = rest.erase(it);
-    } else if (cmd == "request" && *it == "--raw") {
-      request_opts.raw = true;
-      it = rest.erase(it);
-    } else if (*it != "-" && it->rfind('-', 0) == 0) {
-      // A lone "-" is stdin; anything else dash-led is a flag no branch
-      // above took for this verb.
-      err << "lmre " << cmd << ": unknown flag '" << *it << "'\n";
-      return ExitCode::kUsage;
+  LintCliOptions lint;
+  VerifyCliOptions verify;
+  CodegenCliOptions codegen;
+  MrcCliOptions mrc;
+  BatchCliOptions batch;
+  ServeCliOptions serve;
+  RequestCliOptions request;
+};
+
+using Value = Cli::Value;
+
+// --plan[=SPEC] of verify, codegen and mrc: a verify-grammar spec, or
+// `bare` ("auto": the optimizer's plan), which a bare --plan also selects.
+// verify's bare --plan is its default audit and sets nothing.
+void plan_spec_flag(Cli& cli, std::string* plan, const char* bare) {
+  cli.flag("plan", Cli::Takes::kOptional, [plan, bare](const Value& v) -> std::string {
+    std::string perr;
+    if (!v) {
+      if (bare) *plan = bare;
+    } else if ((bare && *v == bare) || parse_plan_spec(*v, &perr)) {
+      *plan = *v;
     } else {
-      ++it;
+      return "bad --plan spec: " + perr;
     }
+    return "";
+  });
+}
+
+// --tcp=HOST:PORT of serve and request.
+void tcp_flag(Cli& cli, std::string* tcp) {
+  cli.flag("tcp", Cli::Takes::kValue, [tcp](const Value& v) -> std::string {
+    std::string perr;
+    if (!parse_host_port(*v, &perr)) return "bad --tcp value: " + perr;
+    *tcp = *v;
+    return "";
+  });
+}
+
+// --sample-rate=R and --capacities=LIST of mrc and request.
+void mrc_flags(Cli& cli, double* sample_rate, std::vector<Int>* capacities) {
+  cli.number<double>("sample-rate", sample_rate,
+                     [](double r) { return r > 0.0 && r <= 1.0; },
+                     "--sample-rate must be in (0, 1]");
+  cli.flag("capacities", Cli::Takes::kValue, [capacities](const Value& v) -> std::string {
+    auto caps = parse_capacity_list(*v);
+    if (caps) *capacities = std::move(*caps);
+    return caps ? "" : "bad --capacities list: " + *v +
+                           " (want comma-separated non-negative integers)";
+  });
+}
+
+// A file or directory flag that must not be empty.
+void path_flag(Cli& cli, const std::string& name, std::string* path,
+               const std::string& empty_error) {
+  cli.flag(name, Cli::Takes::kValue, [path, empty_error](const Value& v) {
+    *path = *v;
+    return v->empty() ? empty_error : std::string();
+  });
+}
+
+// --cache-dir=D and --metrics=FILE of batch and serve.
+void cache_flags(Cli& cli, std::string* cache_dir, std::string* metrics_file) {
+  path_flag(cli, "cache-dir", cache_dir, "--cache-dir needs a directory");
+  path_flag(cli, "metrics", metrics_file, "--metrics needs a file name");
+}
+
+// A verb run_cli dispatches: whether it has a --json form, and its other
+// flags.
+struct Verb {
+  const char* name;
+  bool json;
+  void (*declare)(Cli&, CliArgs&);
+};
+
+const Verb kVerbs[] = {
+    {"analyze", true, [](Cli& c, CliArgs& a) { c.flag("symbolic", &a.symbolic); }},
+    {"optimize", true,
+     [](Cli& c, CliArgs& a) {
+       c.flag("objective", Cli::Takes::kValue, [o = &a.objective](const Value& v) {
+         *o = *v;
+         return parse_objective_spec(*v) ? std::string()
+                                         : "bad --objective spec '" + *v +
+                                               "' (want mws or miss-ratio:<capacity>)";
+       });
+     }},
+    {"lint", true,
+     [](Cli& c, CliArgs& a) {
+       c.flag("strict", &a.lint.strict);
+       c.flag("plan", Cli::Takes::kOptional, [l = &a.lint](const Value& v) {
+         if (!v) {
+           l->audit_plan = true;
+           return std::string();
+         }
+         l->plan = parse_plan_matrix(*v);
+         return l->plan ? std::string() : "bad --plan matrix: " + *v;
+       });
+     }},
+    {"verify", true,
+     [](Cli& c, CliArgs& a) { plan_spec_flag(c, &a.verify.plan, nullptr); }},
+    {"codegen", true,
+     [](Cli& c, CliArgs& a) {
+       plan_spec_flag(c, &a.codegen.plan, "auto");
+       c.flag("run", &a.codegen.run);
+       c.flag("cc", &a.codegen.cc);
+       path_flag(c, "emit", &a.codegen.emit_file, "--emit needs a file name");
+     }},
+    {"mrc", true,
+     [](Cli& c, CliArgs& a) {
+       plan_spec_flag(c, &a.mrc.plan, "auto");
+       mrc_flags(c, &a.mrc.sample_rate, &a.mrc.capacities);
+     }},
+    {"batch", true,
+     [](Cli& c, CliArgs& a) {
+       c.number<int>("threads", &a.batch.threads, [](int n) { return n >= 0; },
+                     "--threads must be >= 0");
+       cache_flags(c, &a.batch.cache_dir, &a.batch.metrics_file);
+     }},
+    {"serve", false,
+     [](Cli& c, CliArgs& a) {
+       ServeCliOptions& s = a.serve;
+       c.flag("stdio", &s.stdio);
+       tcp_flag(c, &s.tcp);
+       c.number<int>("workers", &s.workers, [](int n) { return n >= 1; },
+                     "--workers must be >= 1");
+       // --queue= is the original spelling; --queue-depth= the documented one.
+       for (const char* name : {"queue", "queue-depth"}) {
+         c.number<int>(name, &s.queue_depth, [](int n) { return n >= 1; },
+                       "--queue-depth must be >= 1");
+       }
+       c.number<int>("cache-shards", &s.cache_shards, [](int n) { return n >= 1; },
+                     "--cache-shards must be >= 1");
+       c.number<double>("cache-ttl", &s.cache_ttl, [](double t) { return !(t < 0); },
+                        "--cache-ttl must be >= 0 seconds");
+       c.number<long long>("cache-bytes", &s.cache_bytes,
+                           [](long long n) { return n >= 0; },
+                           "--cache-bytes must be >= 0");
+       c.flag("no-coalesce", Cli::Takes::kNone, [&s](const Value&) {
+         s.coalesce = false;
+         return std::string();
+       });
+       cache_flags(c, &s.cache_dir, &s.metrics_file);
+     }},
+    {"request", false,
+     [](Cli& c, CliArgs& a) {
+       RequestCliOptions& r = a.request;
+       tcp_flag(c, &r.tcp);
+       c.flag("kind", &r.kind);
+       c.flag("plan", &r.plan);
+       c.flag("objective", &r.objective);
+       mrc_flags(c, &r.sample_rate, &r.capacities);
+       c.number<double>("deadline", &r.deadline_ms, [](double ms) { return !(ms < 0); },
+                        "--deadline must be >= 0");
+       c.flag("id", &r.id);
+       c.flag("raw", &r.raw);
+     }},
+    {"version", true, [](Cli&, CliArgs&) {}},
+    {"distances", false, [](Cli&, CliArgs&) {}},
+    {"series", false, [](Cli&, CliArgs&) {}},
+    {"figure2", false, [](Cli&, CliArgs&) {}},
+};
+
+const Verb* find_verb(const std::string& name) {
+  for (const Verb& v : kVerbs) {
+    if (name == v.name) return &v;
   }
-  lint_opts.json = json;
-  if (cmd == "version" || cmd == "--version") return cmd_version(json, out);
-  if (cmd == "serve") {
-    if (!rest.empty()) serve_opts.socket = rest[0];
-    const int transports = (serve_opts.socket.empty() ? 0 : 1) +
-                           (serve_opts.stdio ? 1 : 0) +
-                           (serve_opts.tcp.empty() ? 0 : 1);
+  return nullptr;
+}
+
+// The verb's flags, bound to `a`; `cmd` is the verb as typed.
+Cli verb_cli(const Verb& verb, const std::string& cmd, CliArgs& a) {
+  Cli cli("lmre " + cmd);
+  if (verb.json) cli.flag("json", &a.json);
+  verb.declare(cli, a);
+  return cli;
+}
+
+}  // namespace
+
+std::vector<std::string> verbs() {
+  std::vector<std::string> names;
+  for (const Verb& v : kVerbs) names.push_back(v.name);
+  return names;
+}
+
+std::vector<std::string> verb_flags(const std::string& verb) {
+  const Verb* v = find_verb(verb);
+  CliArgs unused;
+  return v ? verb_cli(*v, verb, unused).spellings() : std::vector<std::string>();
+}
+
+ExitCode run_cli(const std::vector<std::string>& args, std::ostream& out,
+                 std::ostream& err) {
+  const std::string cmd = args.empty() ? "" : args[0];
+  const Verb* verb = find_verb(cmd == "--version" ? "version" : cmd);
+  if (!verb) {
+    err << usage();
+    return ExitCode::kUsage;
+  }
+  // Flags are recognized anywhere after the verb; positional arguments
+  // keep their order.
+  CliArgs a;
+  Cli::Parsed parsed = verb_cli(*verb, cmd, a).parse({args.begin() + 1, args.end()});
+  if (parsed.unknown == "--json") {  // declared only where a JSON form exists
+    err << "lmre " << cmd << ": --json is not supported"
+        << (cmd == "figure2" ? " (the table is text only)" : "") << '\n';
+    return ExitCode::kUsage;
+  }
+  if (!parsed.error.empty()) {
+    err << parsed.error << '\n';
+    return ExitCode::kUsage;
+  }
+  std::vector<std::string>& rest = parsed.positional;
+  const std::string name = verb->name;
+  if (name == "version") return cmd_version(a.json, out);
+  if (name == "figure2") return cmd_figure2(out);
+  if (name == "serve") {
+    ServeCliOptions& s = a.serve;
+    if (!rest.empty()) s.socket = rest[0];
+    const int transports =
+        (s.socket.empty() ? 0 : 1) + (s.stdio ? 1 : 0) + (s.tcp.empty() ? 0 : 1);
     if (rest.size() > 1 || transports > 1) {
       err << "serve: give exactly one transport (a socket path, "
              "--tcp=HOST:PORT, or --stdio)\n";
       return ExitCode::kUsage;
     }
-    return cmd_serve(serve_opts, std::cin, out, err);
+    return cmd_serve(s, std::cin, out, err);
   }
-  if (cmd == "request") {
+  if (name == "request") {
     // Unix transport names the socket positionally; TCP takes --tcp= and
     // leaves only the request file.
-    const size_t want = request_opts.tcp.empty() ? 2 : 1;
+    RequestCliOptions& r = a.request;
+    const size_t want = r.tcp.empty() ? 2 : 1;
     if (rest.size() != want) {
       err << usage();
       return ExitCode::kUsage;
     }
-    if (request_opts.tcp.empty()) request_opts.socket = rest[0];
+    if (r.tcp.empty()) r.socket = rest[0];
     const std::string& path = rest[want - 1];
     auto source = read_source(path, err);
     if (!source) return ExitCode::kFailure;
     const std::string file = path == "-" ? "<stdin>" : path;
-    return cmd_request(*source, file, request_opts, out, err);
+    return cmd_request(*source, file, r, out, err);
   }
-  if (cmd == "figure2") {
-    if (json) {
-      err << "lmre figure2: --json is not supported (the table is text only)\n";
-      return ExitCode::kUsage;
-    }
-    return cmd_figure2(out);
+  if (rest.empty()) {
+    err << usage();
+    return ExitCode::kUsage;
   }
-  if (cmd == "batch") {
-    if (rest.empty()) {
-      err << usage();
-      return ExitCode::kUsage;
-    }
-    batch_opts.json = json;
-    return cmd_batch(rest, batch_opts, out, err);
+  if (name == "batch") {
+    a.batch.json = a.json;
+    return cmd_batch(rest, a.batch, out, err);
   }
-  if (cmd == "analyze" || cmd == "optimize" || cmd == "lint" ||
-      cmd == "verify" || cmd == "codegen" || cmd == "mrc" ||
-      cmd == "distances" || cmd == "series") {
-    if (rest.empty()) {
-      err << usage();
-      return ExitCode::kUsage;
+  // The verbs that analyze one file.
+  const std::string& path = rest[0];
+  auto source = read_source(path, err);
+  if (!source) return ExitCode::kFailure;
+  const std::string file = path == "-" ? "<stdin>" : path;
+  a.lint.json = a.verify.json = a.codegen.json = a.mrc.json = a.json;
+  try {
+    if (name == "analyze") {
+      return a.symbolic ? cmd_symbolic(*source, out, file, a.json)
+                        : cmd_analyze(*source, out, file, a.json);
     }
-    const std::string& path = rest[0];
-    auto source = read_source(path, err);
-    if (!source) return ExitCode::kFailure;
-    const std::string file = path == "-" ? "<stdin>" : path;
-    try {
-      if (cmd == "analyze" && symbolic) return cmd_symbolic(*source, out, file, json);
-      if (cmd == "analyze") return cmd_analyze(*source, out, file, json);
-      if (cmd == "optimize") {
-        return cmd_optimize(*source, out, file, objective, json);
-      }
-      if (cmd == "lint") return cmd_lint(*source, lint_opts, out, file);
-      if (cmd == "verify") {
-        verify_opts.json = json;
-        return cmd_verify(*source, verify_opts, out, file);
-      }
-      if (cmd == "codegen") {
-        codegen_opts.json = json;
-        return cmd_codegen(*source, codegen_opts, out, err, file);
-      }
-      if (cmd == "mrc") {
-        mrc_opts.json = json;
-        return cmd_mrc(*source, mrc_opts, out, file);
-      }
-      if (cmd == "distances") return cmd_distances(*source, out);
-      return cmd_series(*source, out, file);
-    } catch (const ParseError& e) {
-      err << file << ':' << e.line() << ':' << e.column() << ": error: "
-          << e.message() << '\n';
-      return ExitCode::kDiagnostics;
-    } catch (const OverflowError& e) {
-      err << file << ": error: " << e.what() << '\n';
-      return ExitCode::kOverflow;
-    }
+    if (name == "optimize") return cmd_optimize(*source, out, file, a.objective, a.json);
+    if (name == "lint") return cmd_lint(*source, a.lint, out, file);
+    if (name == "verify") return cmd_verify(*source, a.verify, out, file);
+    if (name == "codegen") return cmd_codegen(*source, a.codegen, out, err, file);
+    if (name == "mrc") return cmd_mrc(*source, a.mrc, out, file);
+    if (name == "distances") return cmd_distances(*source, out);
+    return cmd_series(*source, out, file);
+  } catch (const ParseError& e) {
+    err << file << ':' << e.line() << ':' << e.column() << ": error: "
+        << e.message() << '\n';
+    return ExitCode::kDiagnostics;
+  } catch (const OverflowError& e) {
+    err << file << ": error: " << e.what() << '\n';
+    return ExitCode::kOverflow;
   }
-  err << usage();
-  return ExitCode::kUsage;
 }
 
 }  // namespace lmre::tools

@@ -235,6 +235,14 @@ ExitCode cmd_version(bool json, std::ostream& out);
 /// Usage text for the dispatcher.
 std::string usage();
 
+/// The verbs run_cli dispatches (`--version` also runs `version`).
+std::vector<std::string> verbs();
+
+/// The flags `verb` declares, spelled "--name" (no value), "--name="
+/// (value required) or "--name[=]" (value optional); empty for an unknown
+/// verb.  Only the verbs with a JSON form declare --json.
+std::vector<std::string> verb_flags(const std::string& verb);
+
 /// Dispatcher used by main(): argv-style interface.
 ExitCode run_cli(const std::vector<std::string>& args, std::ostream& out,
                  std::ostream& err);
