@@ -6,11 +6,11 @@
 
 #include "analysis/distinct.h"
 #include "analysis/nonuniform.h"
-#include "analysis/symbolic.h"
 #include "codes/examples.h"
 #include "exact/oracle.h"
 #include "ir/printer.h"
 #include "support/text.h"
+#include "symbolic/expr.h"
 
 using namespace lmre;
 
@@ -45,13 +45,26 @@ int main() {
             << distinct_exact_inclusion_exclusion(codes::example_3(), 0)
             << ".\n\n";
 
+  // Reuse along distance d is prod_k (N_k - |d_k|); distinct is r box
+  // volumes minus the reuse.
+  using S = SymbolicExpr;
   std::cout << "symbolic forms (valid for ALL bounds, not just the instances):\n"
-            << "  ex2 reuse    = " << symbolic_reuse(IntVec{1, -2}).str() << '\n'
-            << "  ex2 distinct = "
-            << symbolic_distinct_full_dim(2, 2, {IntVec{1, -2}}).str() << '\n'
-            << "  ex4 distinct = " << symbolic_distinct_kernel(IntVec{5, -2}).str()
+            << "  ex2 reuse    = " << S::clamped_product({1, 2}).interior().str()
             << '\n'
-            << "  ex5 distinct = " << symbolic_distinct_kernel(IntVec{1, 3, -3}).str()
+            << "  ex2 distinct = "
+            << (S::clamped_product({0, 0}, 2) - S::clamped_product({1, 2}))
+                   .interior()
+                   .str()
+            << '\n'
+            << "  ex4 distinct = "
+            << (S::clamped_product({0, 0}) - S::clamped_product({5, 2}))
+                   .interior()
+                   .str()
+            << '\n'
+            << "  ex5 distinct = "
+            << (S::clamped_product({0, 0, 0}) - S::clamped_product({1, 3, 3}))
+                   .interior()
+                   .str()
             << "\n\n";
 
   std::cout << "=== E4: Section 3.2 -- non-uniformly generated references ===\n\n";

@@ -3,13 +3,13 @@
 
 #include <iostream>
 
-#include "analysis/symbolic.h"
 #include "analysis/window.h"
 #include "codes/examples.h"
 #include "exact/oracle.h"
 #include "ir/printer.h"
 #include "linalg/kernel.h"
 #include "support/text.h"
+#include "symbolic/derive.h"
 #include "transform/minimizer.h"
 #include "transform/transformed.h"
 
@@ -24,7 +24,7 @@ int main() {
   std::cout << "reuse (null-space) vector: " << v->str()
             << "   (paper: (1,3,-3); level " << v->level() << ")\n";
   std::cout << "symbolic window formula:   MWS(N1,N2,N3) = "
-            << symbolic_mws(*v).str()
+            << (symbolic_chain_window(*v, 3).interior() + 1).str()
             << "\n  (the paper's d1(N2-|d2|)(N3-|d3|) + |d2|(N3-|d3|) + 1, expanded)\n\n";
 
   TextTable t;

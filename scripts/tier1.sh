@@ -231,14 +231,22 @@ echo "== tier 1: ASan+UBSan pass over the input-handling suites =="
 # server_test: one socket loop frames untrusted bytes for both the TCP and
 # the Unix-domain transport.  Plus the dependence / Fourier-Motzkin /
 # lex-min differential suites: the echelon lex-min search and the in-place
-# elimination rows index their buffers by hand.
+# elimination rows index their buffers by hand.  Plus the trace-engine
+# suites (oracle, liveness, stack distances, programs and the program
+# differential): every exact trace steps u64 addresses through one driver.
+# A UBSan finding stops the stage (halt_on_error), and float-cast-overflow,
+# which GCC leaves out of "undefined", catches out-of-range double-to-integer
+# casts such as a wire deadline past the clock's range.
 # (check_alloc_test replaces operator new and stays out of this stage.)
-cmake -B build-asan -S . -DLMRE_SANITIZE=address,undefined >/dev/null
+export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
+cmake -B build-asan -S . -DLMRE_SANITIZE=address,undefined,float-cast-overflow >/dev/null
 cmake --build build-asan -j "$JOBS" \
   --target parser_test lint_test cli_tool_test minimizer_test report_test \
   runtime_test support_test vec_mat_test scanner_box_test golden_cli_test \
   golden_codegen_test golden_verify_test json_test server_test \
-  dependence_test fourier_motzkin_test property_lattice_test
+  dependence_test fourier_motzkin_test property_lattice_test \
+  oracle_test liveness_test stack_distance_test program_test \
+  program_differential_test
 ./build-asan/tests/parser_test
 ./build-asan/tests/lint_test
 ./build-asan/tests/cli_tool_test
@@ -256,6 +264,11 @@ cmake --build build-asan -j "$JOBS" \
 ./build-asan/tests/dependence_test
 ./build-asan/tests/fourier_motzkin_test
 ./build-asan/tests/property_lattice_test
+./build-asan/tests/oracle_test
+./build-asan/tests/liveness_test
+./build-asan/tests/stack_distance_test
+./build-asan/tests/program_test
+./build-asan/tests/program_differential_test
 
 echo "== tier 1: symbolic-smoke (ASan differential subset + golden check) =="
 # The symbolic closed forms must stay oracle-exact under ASan+UBSan: run

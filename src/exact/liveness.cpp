@@ -98,22 +98,15 @@ struct LivenessSweep {
     }
   }
 
-  // Emits every element's still-open segment.
+  // Emits every element's still-open segment (an element whose last
+  // access was a write at ordinal 0 has last_read -1: a dead value, which
+  // the sweep skips either way).
   void flush() {
     for (size_t si = 0; si < plan.stores.size(); ++si) {
       const ArrayId array = plan.stores[si].array;
-      const TraceArena::StoreBuf& s = arena.store(si);
-      if (s.dense) {
-        for (size_t a = 0; a < static_cast<size_t>(s.volume); ++a) {
-          if (s.tag[a] != 0) add_interval(array, s.first[a], s.last[a]);
-        }
-      } else {
-        for (size_t i = 0; i < s.keys.size(); ++i) {
-          if (s.keys[i] != 0 && s.ktag[i] != 0) {
-            add_interval(array, s.kfirst[i], s.klast[i]);
-          }
-        }
-      }
+      trace_detail::for_each_touched(arena.store(si), [&](Int birth, Int last_read) {
+        add_interval(array, birth, last_read);
+      });
     }
   }
 
@@ -140,35 +133,18 @@ struct LivenessSweep {
 
 LivenessStats min_memory_liveness(const LoopNest& nest, const IntMat* transform,
                                   TraceArena& arena) {
-  std::optional<IntMat> t_inv;
-  if (transform != nullptr) {
-    require(transform->rows() == nest.depth() &&
-                transform->cols() == nest.depth(),
-            "simulate_transformed: transform shape mismatch");
-    require(transform->is_unimodular(),
-            "simulate_transformed: transform not unimodular");
-    t_inv = transform->inverse_unimodular();
-  }
-  auto plan = AddressPlan::build(nest, t_inv ? &*t_inv : nullptr,
-                                 /*liveness_order=*/true);
-  arena.prepare(plan, /*with_state=*/true);
-  std::vector<TraceArena::StoreBuf*> bufs(plan.refs.size());
+  const TracePlan trace = plan_trace(nest, transform, /*liveness_order=*/true);
+  const AddressPlan& plan = trace.addr;
   std::vector<ArrayId> arrays(plan.refs.size());
   for (size_t r = 0; r < plan.refs.size(); ++r) {
-    bufs[r] = &arena.store(plan.refs[r].store);
     arrays[r] = plan.stores[plan.refs[r].store].array;
   }
-  Int iterations = plan.iterations;
-  LivenessSweep sweep(plan, arena, iterations);
-  auto touch = [&](size_t r, Int ordinal, std::uint64_t addr) {
-    sweep.touch(*bufs[r], arrays[r], plan.refs[r].is_write, ordinal, addr);
-  };
-  if (t_inv) {
-    drive_transformed(plan, nest, *t_inv, touch);
-  } else {
-    drive_box(plan, nest.bounds(), touch);
-  }
-  arena.finish_run(plan);
+  LivenessSweep sweep(plan, arena, plan.iterations);
+  run_trace(trace, arena, /*with_state=*/true,
+            [&](TraceArena::StoreBuf& s, size_t r, Int ordinal,
+                std::uint64_t addr) {
+              sweep.touch(s, arrays[r], plan.refs[r].is_write, ordinal, addr);
+            });
   return sweep.finish();
 }
 

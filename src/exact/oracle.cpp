@@ -14,27 +14,16 @@ namespace lmre {
 void visit_iterations(const LoopNest& nest, const IntMat* t,
                       const std::function<void(Int, const IntVec&)>& body) {
   Int ordinal = 0;
-  if (t == nullptr) {
+  const std::optional<IntMat> t_inv = scan_inverse(nest, t);
+  if (!t_inv) {
     scan(nest.bounds().to_constraints(), [&](const IntVec& iter) {
       body(ordinal++, iter);
     });
     return;
   }
-  require(t->rows() == nest.depth() && t->cols() == nest.depth(),
-          "simulate_transformed: transform shape mismatch");
-  require(t->is_unimodular(), "simulate_transformed: transform not unimodular");
-  IntMat t_inv = t->inverse_unimodular();
-  // u ranges over the image T * box; the constraints are the box bounds
-  // applied to i = T^-1 u.
   const IntBox& box = nest.bounds();
-  const size_t n = nest.depth();
-  ConstraintSystem sys(n);
-  for (size_t k = 0; k < n; ++k) {
-    AffineExpr expr(t_inv.row(k), 0);
-    sys.add_range(expr, box.range(k).lo, box.range(k).hi);
-  }
-  scan(sys, [&](const IntVec& u) {
-    IntVec iter = t_inv * u;
+  scan(box.image_constraints(*t_inv), [&](const IntVec& u) {
+    IntVec iter = *t_inv * u;
     ensure(box.contains(iter), "transformed scan left the iteration space");
     body(ordinal++, iter);
   });
@@ -42,15 +31,13 @@ void visit_iterations(const LoopNest& nest, const IntMat* t,
 
 namespace {
 
-// Per-ref pointers into the arena's store set, hoisted out of the touch
-// callback so the innermost loop is one add + one store update per access.
-std::vector<TraceArena::StoreBuf*> ref_bufs(const AddressPlan& plan,
-                                            TraceArena& arena) {
-  std::vector<TraceArena::StoreBuf*> bufs(plan.refs.size());
-  for (size_t r = 0; r < plan.refs.size(); ++r) {
-    bufs[r] = &arena.store(plan.refs[r].store);
-  }
-  return bufs;
+// The first/last-touch run of a planned trace; returns iterations visited.
+Int run_first_last(const TracePlan& trace, TraceArena& arena) {
+  return run_trace(trace, arena, /*with_state=*/false,
+                   [](TraceArena::StoreBuf& s, size_t, Int ordinal,
+                      std::uint64_t addr) {
+                     trace_detail::touch_first_last(s, addr, ordinal);
+                   });
 }
 
 // Derives TraceStats from a finished first/last run.  The math
@@ -108,8 +95,13 @@ TraceStats stats_from_stores(const AddressPlan& plan, TraceArena& arena,
   return s;
 }
 
-LifetimeReport lifetimes_from_stores(const AddressPlan& plan,
-                                     TraceArena& arena) {
+// Lifetimes from one first/last run in original (null) or transformed
+// order.
+LifetimeReport lifetimes(const LoopNest& nest, const IntMat* transform,
+                         TraceArena& arena) {
+  const TracePlan trace = plan_trace(nest, transform, /*liveness_order=*/false);
+  run_first_last(trace, arena);
+  const AddressPlan& plan = trace.addr;
   LifetimeReport rep;
   for (size_t si = 0; si < plan.stores.size(); ++si) {
     const TraceArena::StoreBuf& b = arena.store(si);
@@ -130,31 +122,6 @@ LifetimeReport lifetimes_from_stores(const AddressPlan& plan,
   return rep;
 }
 
-// Original-order first/last run.
-void run_original(const LoopNest& nest, const AddressPlan& plan,
-                  TraceArena& arena) {
-  arena.prepare(plan, /*with_state=*/false);
-  auto bufs = ref_bufs(plan, arena);
-  auto touch = [&](size_t r, Int ordinal, std::uint64_t addr) {
-    trace_detail::touch_first_last(*bufs[r], addr, ordinal);
-  };
-  drive_box(plan, nest.bounds(), touch);
-  arena.finish_run(plan);
-}
-
-// Transformed-order first/last run; returns iterations visited.
-Int run_transformed(const LoopNest& nest, const AddressPlan& plan,
-                    const IntMat& t_inv, TraceArena& arena) {
-  arena.prepare(plan, /*with_state=*/false);
-  auto bufs = ref_bufs(plan, arena);
-  auto touch = [&](size_t r, Int ordinal, std::uint64_t addr) {
-    trace_detail::touch_first_last(*bufs[r], addr, ordinal);
-  };
-  Int iters = drive_transformed(plan, nest, t_inv, touch);
-  arena.finish_run(plan);
-  return iters;
-}
-
 }  // namespace
 
 TraceStats simulate(const LoopNest& nest) {
@@ -163,20 +130,14 @@ TraceStats simulate(const LoopNest& nest) {
 }
 
 TraceStats simulate(const LoopNest& nest, int /*unused*/, TraceArena& arena) {
-  auto plan = AddressPlan::build(nest, nullptr, /*liveness_order=*/false);
-  run_original(nest, plan, arena);
-  return stats_from_stores(plan, arena, plan.iterations);
+  const TracePlan trace = plan_trace(nest, nullptr, /*liveness_order=*/false);
+  return stats_from_stores(trace.addr, arena, run_first_last(trace, arena));
 }
 
 TraceStats simulate_transformed(const LoopNest& nest, const IntMat& t,
                                 TraceArena& arena) {
-  require(t.rows() == nest.depth() && t.cols() == nest.depth(),
-          "simulate_transformed: transform shape mismatch");
-  require(t.is_unimodular(), "simulate_transformed: transform not unimodular");
-  IntMat t_inv = t.inverse_unimodular();
-  auto plan = AddressPlan::build(nest, &t_inv, /*liveness_order=*/false);
-  Int iters = run_transformed(nest, plan, t_inv, arena);
-  return stats_from_stores(plan, arena, iters);
+  const TracePlan trace = plan_trace(nest, &t, /*liveness_order=*/false);
+  return stats_from_stores(trace.addr, arena, run_first_last(trace, arena));
 }
 
 TraceStats simulate_transformed(const LoopNest& nest, const IntMat& t) {
@@ -189,14 +150,14 @@ TraceStats simulate_order(const LoopNest& nest,
   auto plan = AddressPlan::build(nest, nullptr, /*liveness_order=*/false);
   TraceArena arena;
   arena.prepare(plan, /*with_state=*/false);
-  auto bufs = ref_bufs(plan, arena);
   Int ordinal = 0;
   for (const IntVec& iter : order) {
     require(nest.bounds().contains(iter),
             "simulate_order: iteration outside the nest bounds");
-    for (size_t r = 0; r < plan.refs.size(); ++r) {
-      trace_detail::touch_first_last(
-          *bufs[r], trace_detail::plan_address(plan.refs[r], iter), ordinal);
+    for (const AddressPlan::Ref& r : plan.refs) {
+      trace_detail::touch_first_last(arena.store(r.store),
+                                     trace_detail::plan_address(r, iter),
+                                     ordinal);
     }
     ++ordinal;
   }
@@ -205,9 +166,7 @@ TraceStats simulate_order(const LoopNest& nest,
 }
 
 LifetimeReport lifetime_report(const LoopNest& nest, TraceArena& arena) {
-  auto plan = AddressPlan::build(nest, nullptr, /*liveness_order=*/false);
-  run_original(nest, plan, arena);
-  return lifetimes_from_stores(plan, arena);
+  return lifetimes(nest, nullptr, arena);
 }
 
 LifetimeReport lifetime_report(const LoopNest& nest) {
@@ -218,13 +177,7 @@ LifetimeReport lifetime_report(const LoopNest& nest) {
 LifetimeReport lifetime_report_transformed(const LoopNest& nest,
                                            const IntMat& t,
                                            TraceArena& arena) {
-  require(t.rows() == nest.depth() && t.cols() == nest.depth(),
-          "simulate_transformed: transform shape mismatch");
-  require(t.is_unimodular(), "simulate_transformed: transform not unimodular");
-  IntMat t_inv = t.inverse_unimodular();
-  auto plan = AddressPlan::build(nest, &t_inv, /*liveness_order=*/false);
-  run_transformed(nest, plan, t_inv, arena);
-  return lifetimes_from_stores(plan, arena);
+  return lifetimes(nest, &t, arena);
 }
 
 LifetimeReport lifetime_report_transformed(const LoopNest& nest,
@@ -235,14 +188,10 @@ LifetimeReport lifetime_report_transformed(const LoopNest& nest,
 
 std::vector<Int> window_series(const LoopNest& nest, const IntMat& t,
                                TraceArena& arena) {
-  require(t.rows() == nest.depth() && t.cols() == nest.depth(),
-          "simulate_transformed: transform shape mismatch");
-  require(t.is_unimodular(), "simulate_transformed: transform not unimodular");
-  IntMat t_inv = t.inverse_unimodular();
-  auto plan = AddressPlan::build(nest, &t_inv, /*liveness_order=*/false);
-  Int iters = run_transformed(nest, plan, t_inv, arena);
+  const TracePlan trace = plan_trace(nest, &t, /*liveness_order=*/false);
+  const Int iters = run_first_last(trace, arena);
   std::vector<Int> delta(static_cast<size_t>(iters) + 1, 0);
-  for (size_t si = 0; si < plan.stores.size(); ++si) {
+  for (size_t si = 0; si < trace.addr.stores.size(); ++si) {
     trace_detail::for_each_touched(arena.store(si), [&](Int first, Int last) {
       if (first == last) return;
       delta[static_cast<size_t>(first)] += 1;

@@ -4,7 +4,6 @@
 #include <functional>
 #include <list>
 #include <map>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -91,15 +90,18 @@ Int exchange_last(TraceArena::StoreBuf& s, std::uint64_t addr, Int ordinal) {
   return prev;
 }
 
-void dense_visit(const LoopNest& nest, const AddressPlan& plan,
-                 const IntMat* t_inv, const DistanceVisitOptions& opts,
-                 TraceArena& arena,
-                 const std::function<void(size_t, Int)>& visit) {
+}  // namespace
+
+void visit_stack_distances(const LoopNest& nest, const DistanceVisitOptions& opts,
+                           TraceArena& arena,
+                           const std::function<void(size_t, Int)>& visit) {
+  require(opts.sample_rate > 0.0 && opts.sample_rate <= 1.0,
+          "visit_stack_distances: sample rate must be in (0, 1]");
+  const TracePlan trace =
+      plan_trace(nest, opts.transform, /*liveness_order=*/false);
+  const AddressPlan& plan = trace.addr;
   const size_t nrefs = plan.refs.size();
   if (nrefs == 0 || plan.iterations == 0) return;
-  arena.prepare(plan, /*with_state=*/false);
-  std::vector<TraceArena::StoreBuf*> bufs(nrefs);
-  for (size_t r = 0; r < nrefs; ++r) bufs[r] = &arena.store(plan.refs[r].store);
 
   // Per-store salts decorrelate the sample across arrays whose boxes share
   // address ranges; references to ONE array share a salt so the sampling
@@ -120,44 +122,24 @@ void dense_visit(const LoopNest& nest, const AddressPlan& plan,
   // Global access ordinal: iteration ordinal (execution order) * refs per
   // iteration + reference slot.  Unsampled accesses still consume ordinals;
   // gaps are harmless because only sampled ordinals ever set bits.
-  auto touch = [&](size_t r, Int ordinal, std::uint64_t addr) {
-    if (!exhaustive && trace_detail::mix_addr(addr ^ salt[r]) >= threshold) {
-      return;
-    }
-    const Int t = ordinal * static_cast<Int>(nrefs) + static_cast<Int>(r);
-    const Int prev = exchange_last(*bufs[r], addr, t);
-    if (prev < 0) {
-      visit(r, 0);
-    } else {
-      visit(r, fen.prefix(t - 1) - fen.prefix(prev) + 1);
-      fen.add(prev, -1);
-    }
-    fen.add(t, +1);
-  };
-  if (t_inv != nullptr) {
-    drive_transformed(plan, nest, *t_inv, touch);
-  } else {
-    drive_box(plan, nest.bounds(), touch);
-  }
-  arena.finish_run(plan);
-}
-
-}  // namespace
-
-void visit_stack_distances(const LoopNest& nest, const DistanceVisitOptions& opts,
-                           TraceArena& arena,
-                           const std::function<void(size_t, Int)>& visit) {
-  require(opts.sample_rate > 0.0 && opts.sample_rate <= 1.0,
-          "visit_stack_distances: sample rate must be in (0, 1]");
-  std::optional<IntMat> t_inv;
-  if (opts.transform != nullptr) {
-    require(opts.transform->is_unimodular(),
-            "visit_stack_distances: transform must be unimodular");
-    t_inv = opts.transform->inverse_unimodular();
-  }
-  const AddressPlan plan = AddressPlan::build(
-      nest, t_inv ? &*t_inv : nullptr, /*liveness_order=*/false);
-  dense_visit(nest, plan, t_inv ? &*t_inv : nullptr, opts, arena, visit);
+  run_trace(trace, arena, /*with_state=*/false,
+            [&](TraceArena::StoreBuf& s, size_t r, Int ordinal,
+                std::uint64_t addr) {
+              if (!exhaustive &&
+                  trace_detail::mix_addr(addr ^ salt[r]) >= threshold) {
+                return;
+              }
+              const Int t =
+                  ordinal * static_cast<Int>(nrefs) + static_cast<Int>(r);
+              const Int prev = exchange_last(s, addr, t);
+              if (prev < 0) {
+                visit(r, 0);
+              } else {
+                visit(r, fen.prefix(t - 1) - fen.prefix(prev) + 1);
+                fen.add(prev, -1);
+              }
+              fen.add(t, +1);
+            });
 }
 
 StackDistanceProfile stack_distances(const LoopNest& nest,

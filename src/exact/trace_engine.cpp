@@ -1,6 +1,7 @@
 #include "exact/trace_engine.h"
 
 #include <algorithm>
+#include <string>
 
 namespace lmre {
 
@@ -22,67 +23,114 @@ size_t next_pow2(size_t n) {
 
 }  // namespace
 
-AddressPlan AddressPlan::build(const LoopNest& nest, const IntMat* t_inv,
-                               bool liveness_order) {
-  const IntBox& box = nest.bounds();
-  const size_t n = nest.depth();
-  AddressPlan plan;
-  plan.depth = n;
-  plan.iterations = n == 0 ? 0 : box.volume();
-  const bool empty = plan.iterations == 0;
-
-  // One store per referenced array, in ArrayId order: its bounding box is
-  // the union of every subscript's affine range over the iteration box,
-  // and its checked volume is the plan's one bound (below 2^63, every
-  // in-box address is exact as a residue mod 2^64).
-  std::vector<int> store_of(nest.arrays().size(), -1);
-  for (ArrayId id = 0; id < nest.arrays().size(); ++id) {
-    const std::vector<ArrayRef> refs = nest.refs_to(id);
-    if (refs.empty()) continue;
-    store_of[id] = static_cast<int>(plan.stores.size());
-    Store& st = plan.stores.emplace_back();
-    st.array = id;
-    // Traced accesses only steer the dense/sparse choice and the table's
-    // first size, so they saturate instead of throwing.
-    if (__builtin_mul_overflow(static_cast<Int>(refs.size()), plan.iterations,
-                               &st.accesses)) {
-      st.accesses = INT64_MAX;
-    }
-    const size_t d = refs[0].access.rows();
-    st.lo.assign(d, 0);
-    st.stride.assign(d, 0);
-    try {
-      Int vol = 1;
-      for (size_t r = d; r-- > 0 && !empty;) {
-        Int lo = INT64_MAX, hi = INT64_MIN;
-        for (const ArrayRef& ref : refs) {
-          auto [l, h] = subscript_range(ref.access.row(r), ref.offset[r], box);
-          lo = std::min(lo, l);
-          hi = std::max(hi, h);
-        }
-        st.lo[r] = lo;
-        st.stride[r] = vol;  // row-major
-        vol = checked_mul(vol, checked_add(checked_sub(hi, lo), 1));
+std::vector<AddressPlan::Store> shared_stores(
+    const std::vector<const LoopNest*>& nests,
+    std::vector<std::vector<size_t>>* store_of) {
+  // One store per referenced name: its bounding box is the union of every
+  // subscript's affine range over the iteration boxes, and its checked
+  // volume is the plan's one bound (below 2^63, every in-box address is
+  // exact as a residue mod 2^64).
+  std::vector<AddressPlan::Store> stores;
+  std::vector<const std::string*> names;
+  std::vector<std::vector<Range>> boxes;  // per store, per dimension
+  std::vector<bool> touched;              // per store: some nest iterates
+  store_of->assign(nests.size(), {});
+  for (size_t k = 0; k < nests.size(); ++k) {
+    const LoopNest& nest = *nests[k];
+    const IntBox& box = nest.bounds();
+    const Int iterations = nest.depth() == 0 ? 0 : box.volume();
+    (*store_of)[k].assign(nest.arrays().size(), SIZE_MAX);
+    for (ArrayId id = 0; id < nest.arrays().size(); ++id) {
+      const std::vector<ArrayRef> refs = nest.refs_to(id);
+      if (refs.empty()) continue;
+      const std::string& name = nest.array(id).name;
+      const size_t si =
+          std::find_if(names.begin(), names.end(),
+                       [&](const std::string* n) { return *n == name; }) -
+          names.begin();
+      const size_t d = refs[0].access.rows();
+      if (si == stores.size()) {
+        stores.emplace_back().array = id;
+        names.push_back(&name);
+        boxes.emplace_back(d, Range{INT64_MAX, INT64_MIN});
+        touched.push_back(false);
       }
-      st.volume = empty ? 0 : vol;
-    } catch (const OverflowError&) {
-      throw OverflowError("reference box of '" + nest.array(id).name +
-                          "' overflows 64-bit arithmetic");
+      (*store_of)[k][id] = si;
+      // Traced accesses only steer the dense/sparse choice and the table's
+      // first size, so they saturate instead of throwing.
+      Int& total = stores[si].accesses;
+      Int accesses = 0;
+      if (__builtin_mul_overflow(static_cast<Int>(refs.size()), iterations,
+                                 &accesses) ||
+          __builtin_add_overflow(total, accesses, &total)) {
+        total = INT64_MAX;
+      }
+      if (iterations == 0) continue;
+      touched[si] = true;
+      for (size_t r = 0; r < d; ++r) {
+        Range& b = boxes[si][r];
+        for (const ArrayRef& ref : refs) {
+          try {
+            auto [l, h] = subscript_range(ref.access.row(r), ref.offset[r], box);
+            b = Range{std::min(b.lo, l), std::max(b.hi, h)};
+          } catch (const OverflowError&) {
+            b = Range{INT64_MIN, INT64_MAX};  // its volume overflows below
+          }
+        }
+      }
+    }
+  }
+  for (size_t si = 0; si < stores.size(); ++si) {
+    AddressPlan::Store& st = stores[si];
+    const std::vector<Range>& b = boxes[si];
+    st.lo.assign(b.size(), 0);
+    st.stride.assign(b.size(), 0);
+    if (touched[si]) {
+      try {
+        Int vol = 1;
+        for (size_t r = b.size(); r-- > 0;) {
+          st.lo[r] = b[r].lo;
+          st.stride[r] = vol;  // row-major
+          vol = checked_mul(vol, b[r].trip_count());
+        }
+        st.volume = vol;
+      } catch (const OverflowError&) {
+        throw OverflowError("reference box of '" + *names[si] +
+                            "' overflows 64-bit arithmetic");
+      }
     }
     st.dense = st.volume <= kDenseCapElems &&
                (st.volume <= kDenseMinElems ||
                 st.volume <= kDenseAccessFactor *
                                  std::min(st.accesses, kDenseCapElems));
   }
+  return stores;
+}
 
-  // Pass 2: per-ref affine address coefficients in scan coordinates,
+AddressPlan AddressPlan::build(const LoopNest& nest, const IntMat* t_inv,
+                               bool liveness_order) {
+  std::vector<std::vector<size_t>> store_of;
+  std::vector<Store> stores = shared_stores({&nest}, &store_of);
+  return build(nest, t_inv, liveness_order, std::move(stores), store_of[0]);
+}
+
+AddressPlan AddressPlan::build(const LoopNest& nest, const IntMat* t_inv,
+                               bool liveness_order, std::vector<Store> stores,
+                               const std::vector<size_t>& store_of) {
+  const size_t n = nest.depth();
+  AddressPlan plan;
+  plan.depth = n;
+  plan.iterations = n == 0 ? 0 : nest.bounds().volume();
+  plan.stores = std::move(stores);
+
+  // Per-ref affine address coefficients in scan coordinates,
   // address(i) = sum_d stride[d] * (access[d] . i + offset[d] - lo[d]),
   // composed through T^-1 when given, all modulo 2^64.
   for (const auto& stmt : nest.statements()) {
     auto add_ref = [&](const ArrayRef& ref) {
-      const Store& st = plan.stores[static_cast<size_t>(store_of[ref.array])];
+      const Store& st = plan.stores[store_of[ref.array]];
       Ref pr;
-      pr.store = static_cast<size_t>(store_of[ref.array]);
+      pr.store = store_of[ref.array];
       pr.is_write = ref.is_write();
       const size_t d = ref.access.rows();
       std::vector<std::uint64_t> coef(n, 0);
@@ -120,6 +168,25 @@ AddressPlan AddressPlan::build(const LoopNest& nest, const IntMat* t_inv,
       for (const auto& ref : stmt.refs) add_ref(ref);
     }
   }
+  return plan;
+}
+
+std::optional<IntMat> scan_inverse(const LoopNest& nest,
+                                   const IntMat* transform) {
+  if (transform == nullptr) return std::nullopt;
+  require(transform->rows() == nest.depth() && transform->cols() == nest.depth(),
+          "exact trace: transform shape mismatch");
+  require(transform->is_unimodular(), "exact trace: transform not unimodular");
+  return transform->inverse_unimodular();
+}
+
+TracePlan plan_trace(const LoopNest& nest, const IntMat* transform,
+                     bool liveness_order) {
+  TracePlan plan;
+  plan.nest = &nest;
+  plan.t_inv = scan_inverse(nest, transform);
+  plan.addr = AddressPlan::build(nest, plan.t_inv ? &*plan.t_inv : nullptr,
+                                 liveness_order);
   return plan;
 }
 

@@ -21,6 +21,13 @@
 // access's true address lies in [0, volume), so its residue is exact, and
 // only the discarded one-past-row overshoot can wrap.
 //
+// Every exact trace takes the same two steps: plan_trace checks and inverts
+// the scan transform and builds the AddressPlan through the inverse, and
+// run_trace prepares the arena, drives each planned nest (drive_box in
+// original order, drive_transformed in transformed order) and finishes the
+// run.  A multi-phase program is one run over one plan per phase, the
+// plans sharing one store per array name (shared_stores).
+//
 // A TraceArena owns the flat storage and is reusable across runs: evaluating
 // k candidate transforms against one nest touches one allocation footprint
 // instead of rebuilding hash maps per candidate.  The retained hash-map
@@ -28,6 +35,7 @@
 // truth the tests hold this engine to; no production path calls it.
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "ir/nest.h"
@@ -87,7 +95,25 @@ struct AddressPlan {
   /// 2^63 or more elements (or a subscript range leaves 64-bit arithmetic).
   static AddressPlan build(const LoopNest& nest, const IntMat* t_inv,
                            bool liveness_order);
+
+  /// Builds the plan of one nest of a multi-nest trace over the given store
+  /// set (see shared_stores): refs address store store_of[id] for the
+  /// nest's array id.
+  static AddressPlan build(const LoopNest& nest, const IntMat* t_inv,
+                           bool liveness_order, std::vector<Store> stores,
+                           const std::vector<size_t>& store_of);
 };
+
+/// The one store set of nests traced as one run (the phases of a program):
+/// arrays are unified by name, in order of first reference; each name's box
+/// is the union of its reference boxes over every nest, and its traced
+/// accesses are the sum.  Sets (*store_of)[k][id] to the store of nest k's
+/// array id (unreferenced arrays get none).  Throws OverflowError naming
+/// the array when a box has 2^63 or more elements, or a subscript range
+/// leaves 64-bit arithmetic.
+std::vector<AddressPlan::Store> shared_stores(
+    const std::vector<const LoopNest*>& nests,
+    std::vector<std::vector<size_t>>* store_of);
 
 /// Reusable flat storage for trace runs plus cumulative OracleStats.  Not
 /// thread-safe: one arena serves one run at a time.
@@ -234,13 +260,15 @@ inline std::uint64_t plan_address(const AddressPlan::Ref& r,
 /// incremental affine stepping: per innermost row, each reference's base
 /// address is evaluated once and then advanced by its innermost coefficient
 /// per iteration.  `touch(ref_index, ordinal, addr)` runs per access;
-/// ordinals start at 0.
+/// ordinals start at `ordinal`.  Returns the ordinal after the last
+/// iteration.
 template <class TouchFn>
-void drive_box(const AddressPlan& plan, const IntBox& box, TouchFn&& touch) {
+Int drive_box(const AddressPlan& plan, const IntBox& box, Int ordinal,
+              TouchFn&& touch) {
   const size_t n = box.dims();
-  if (n == 0) return;
+  if (n == 0) return ordinal;
   for (size_t k = 0; k < n; ++k) {
-    if (box.range(k).trip_count() <= 0) return;
+    if (box.range(k).trip_count() <= 0) return ordinal;
   }
   const size_t nrefs = plan.refs.size();
   const Int inner_trip = box.range(n - 1).trip_count();
@@ -249,7 +277,6 @@ void drive_box(const AddressPlan& plan, const IntBox& box, TouchFn&& touch) {
   std::vector<std::uint64_t> addr(nrefs);
   std::vector<std::uint64_t> step(nrefs);
   for (size_t r = 0; r < nrefs; ++r) step[r] = plan.refs[r].coef[n - 1];
-  Int ordinal = 0;
   while (true) {
     for (size_t r = 0; r < nrefs; ++r) {
       addr[r] = trace_detail::plan_address(plan.refs[r], point);
@@ -261,14 +288,14 @@ void drive_box(const AddressPlan& plan, const IntBox& box, TouchFn&& touch) {
       }
       ++ordinal;
     }
-    if (n == 1) break;
+    if (n == 1) return ordinal;
     size_t k = n - 2;
     while (true) {
       if (point[k] < box.range(k).hi) {
         ++point[k];
         break;
       }
-      if (k == 0) return;
+      if (k == 0) return ordinal;
       point[k] = box.range(k).lo;
       --k;
     }
@@ -280,25 +307,19 @@ void drive_box(const AddressPlan& plan, const IntBox& box, TouchFn&& touch) {
 /// row's addresses step incrementally in u-space (the plan's coefficients
 /// are already composed through T^-1).  Row endpoints are mapped back
 /// through `t_inv` and checked against the box -- the box is convex, so
-/// endpoint containment covers the whole row.  Returns the number of
-/// iterations visited.
+/// endpoint containment covers the whole row.  Ordinals start at
+/// `ordinal`; returns the ordinal after the last iteration.
 template <class TouchFn>
 Int drive_transformed(const AddressPlan& plan, const LoopNest& nest,
-                      const IntMat& t_inv, TouchFn&& touch) {
+                      const IntMat& t_inv, Int ordinal, TouchFn&& touch) {
   const IntBox& box = nest.bounds();
   const size_t n = nest.depth();
-  if (n == 0) return 0;
-  ConstraintSystem sys(n);
-  for (size_t k = 0; k < n; ++k) {
-    AffineExpr expr(t_inv.row(k), 0);
-    sys.add_range(expr, box.range(k).lo, box.range(k).hi);
-  }
+  if (n == 0) return ordinal;
   const size_t nrefs = plan.refs.size();
   std::vector<std::uint64_t> addr(nrefs);
   std::vector<std::uint64_t> step(nrefs);
   for (size_t r = 0; r < nrefs; ++r) step[r] = plan.refs[r].coef[n - 1];
-  Int ordinal = 0;
-  scan_rows(sys, [&](const IntVec& u, Int lo, Int hi) {
+  scan_rows(box.image_constraints(t_inv), [&](const IntVec& u, Int lo, Int hi) {
     IntVec endpoint = u;  // u[n-1] == lo
     ensure(box.contains(t_inv * endpoint),
            "transformed scan left the iteration space");
@@ -317,6 +338,63 @@ Int drive_transformed(const AddressPlan& plan, const LoopNest& nest,
     }
   });
   return ordinal;
+}
+
+/// The inverse of a scan transform, after checking that it is square, as
+/// deep as the nest and unimodular; nullopt (original order) for null.
+std::optional<IntMat> scan_inverse(const LoopNest& nest, const IntMat* transform);
+
+/// One nest's exact trace, planned: the scan transform checked and
+/// inverted, and the address plan built through the inverse.
+struct TracePlan {
+  const LoopNest* nest = nullptr;
+  std::optional<IntMat> t_inv;  ///< T^-1; empty for original order
+  AddressPlan addr;
+};
+
+/// Plans one nest's trace in original (`transform == nullptr`) or
+/// transformed order; see AddressPlan::build for `liveness_order` and the
+/// OverflowError.  Every exact trace of a nest starts here.
+TracePlan plan_trace(const LoopNest& nest, const IntMat* transform,
+                     bool liveness_order);
+
+/// Runs planned traces, in order, as one execution into `arena`: prepares
+/// the stores (the plans share one store set -- one plan, or the phases of
+/// a program built over shared_stores), scans each plan's nest in its
+/// order with ordinals continuing from one nest to the next, and folds the
+/// run into the arena's stats.  touch(store, ref, ordinal, addr) runs per
+/// access, `ref` indexing the current plan's refs and `store` being its
+/// store buffer.  `with_state` prepares the liveness tags.  Returns the
+/// iterations visited.
+template <class TouchFn>
+Int run_trace(const TracePlan* plans, size_t count, TraceArena& arena,
+              bool with_state, TouchFn&& touch) {
+  require(count > 0, "run_trace: no plans");
+  arena.prepare(plans[0].addr, with_state);
+  std::vector<TraceArena::StoreBuf*> bufs;
+  Int ordinal = 0;
+  for (size_t p = 0; p < count; ++p) {
+    const TracePlan& plan = plans[p];
+    bufs.resize(plan.addr.refs.size());
+    for (size_t r = 0; r < bufs.size(); ++r) {
+      bufs[r] = &arena.store(plan.addr.refs[r].store);
+    }
+    auto access = [&](size_t r, Int at, std::uint64_t addr) {
+      touch(*bufs[r], r, at, addr);
+    };
+    ordinal = plan.t_inv
+                  ? drive_transformed(plan.addr, *plan.nest, *plan.t_inv,
+                                      ordinal, access)
+                  : drive_box(plan.addr, plan.nest->bounds(), ordinal, access);
+  }
+  arena.finish_run(plans[0].addr);
+  return ordinal;
+}
+
+template <class TouchFn>
+Int run_trace(const TracePlan& plan, TraceArena& arena, bool with_state,
+              TouchFn&& touch) {
+  return run_trace(&plan, 1, arena, with_state, touch);
 }
 
 }  // namespace lmre

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "exact/trace_engine.h"
 #include "lint/checks.h"
 #include "support/error.h"
 
@@ -143,6 +144,28 @@ LintResult lint_program(const Program& program, const ProgramSourceMap* map,
     std::string phase = program.phase_count() > 1 ? program.phase_name(k) : "";
     run_checks(program.phase_nest(k), phase_map, phase_opts, phase,
                &read_anywhere, engine);
+  }
+  // One array name is one trace store spanning its references in every
+  // phase: pre-flight those boxes as Program::simulate builds them, unless
+  // a phase already drew LMRE-E009.
+  const auto& found = engine.diagnostics();
+  if (program.phase_count() > 1 &&
+      std::none_of(found.begin(), found.end(),
+                   [](const Diagnostic& d) { return d.id == "LMRE-E009"; })) {
+    std::vector<const LoopNest*> nests;
+    for (size_t k = 0; k < program.phase_count(); ++k) {
+      nests.push_back(&program.phase_nest(k));
+    }
+    std::vector<std::vector<size_t>> store_of;
+    try {
+      (void)shared_stores(nests, &store_of);
+    } catch (const OverflowError& e) {
+      engine.set_phase("");
+      engine.error("LMRE-E009",
+                   std::string(e.what()) +
+                       " across the program's phases; exact analyses"
+                       " (simulate) would throw OverflowError");
+    }
   }
   return finish(engine, opts);
 }

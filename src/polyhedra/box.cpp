@@ -34,6 +34,14 @@ ConstraintSystem IntBox::to_constraints() const {
   return sys;
 }
 
+ConstraintSystem IntBox::image_constraints(const IntMat& t_inv) const {
+  ConstraintSystem sys(dims());
+  for (size_t i = 0; i < dims(); ++i) {
+    sys.add_range(AffineExpr(t_inv.row(i), 0), ranges_[i].lo, ranges_[i].hi);
+  }
+  return sys;
+}
+
 std::string IntBox::str() const {
   std::ostringstream os;
   for (size_t i = 0; i < ranges_.size(); ++i) {

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "linalg/mat.h"
 #include "polyhedra/constraint.h"
 #include "support/checked.h"
 #include "support/error.h"
@@ -48,6 +49,10 @@ class IntBox {
 
   /// The box as a constraint system (lo <= x_i <= hi for each i).
   ConstraintSystem to_constraints() const;
+
+  /// The image T * box as constraints over u: the box bounds applied to
+  /// i = T^-1 u.  `t_inv` is T^-1 (dims() x dims()).
+  ConstraintSystem image_constraints(const IntMat& t_inv) const;
 
   std::string str() const;
 

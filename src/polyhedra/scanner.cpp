@@ -2,66 +2,11 @@
 
 namespace lmre {
 
-namespace {
-
-void scan_level(const LoopBounds& bounds, size_t level, IntVec& point,
-                const PointVisitor& visit) {
-  if (level == bounds.depth()) {
-    visit(point);
-    return;
-  }
-  Int lo, hi;
-  if (!bounds.range(level, point, lo, hi)) return;
-  for (Int v = lo; v <= hi; ++v) {
-    point[level] = v;
-    scan_level(bounds, level + 1, point, visit);
-  }
-  point[level] = 0;
-}
-
-void scan_rows_level(const LoopBounds& bounds, size_t level, IntVec& point,
-                     const RowVisitor& visit) {
-  Int lo, hi;
-  if (!bounds.range(level, point, lo, hi)) return;
-  if (level + 1 == bounds.depth()) {
-    if (lo > hi) return;
-    point[level] = lo;
-    visit(point, lo, hi);
-    point[level] = 0;
-    return;
-  }
-  for (Int v = lo; v <= hi; ++v) {
-    point[level] = v;
-    scan_rows_level(bounds, level + 1, point, visit);
-  }
-  point[level] = 0;
-}
-
-}  // namespace
-
-void scan(const LoopBounds& bounds, const PointVisitor& visit) {
-  if (bounds.known_empty || bounds.depth() == 0) return;
-  IntVec point(bounds.depth());
-  scan_level(bounds, 0, point, visit);
-}
-
-void scan(const ConstraintSystem& system, const PointVisitor& visit) {
-  scan(extract_loop_bounds(system), visit);
-}
-
-void scan_rows(const LoopBounds& bounds, const RowVisitor& visit) {
-  if (bounds.known_empty || bounds.depth() == 0) return;
-  IntVec point(bounds.depth());
-  scan_rows_level(bounds, 0, point, visit);
-}
-
-void scan_rows(const ConstraintSystem& system, const RowVisitor& visit) {
-  scan_rows(extract_loop_bounds(system), visit);
-}
-
 Int count_points(const ConstraintSystem& system) {
   Int n = 0;
-  scan(system, [&n](const IntVec&) { ++n; });
+  scan_rows(system, [&n](const IntVec&, Int lo, Int hi) {
+    n = checked_add(n, checked_add(checked_sub(hi, lo), 1));
+  });
   return n;
 }
 

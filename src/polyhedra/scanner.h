@@ -6,7 +6,6 @@
 // every integer point of the (possibly transformed) iteration space in
 // lexicographic order.
 
-#include <functional>
 #include <optional>
 
 #include "polyhedra/constraint.h"
@@ -14,28 +13,69 @@
 
 namespace lmre {
 
-/// Visitor invoked once per integer point, in lexicographic order.
-using PointVisitor = std::function<void(const IntVec&)>;
+namespace scan_detail {
 
-/// Scans all integer points described by per-level bounds.
-void scan(const LoopBounds& bounds, const PointVisitor& visit);
+// Visits the non-empty innermost rows of levels >= `level` under the outer
+// prefix already in `point`, as visit(point, lo, hi) with point's innermost
+// level set to lo.  Levels at and below `level` read 0 on return.
+template <class RowFn>
+void rows(const LoopBounds& bounds, size_t level, IntVec& point, RowFn& visit) {
+  Int lo, hi;
+  if (!bounds.range(level, point, lo, hi)) return;
+  if (level + 1 == bounds.depth()) {
+    if (lo > hi) return;
+    point[level] = lo;
+    visit(point, lo, hi);
+    point[level] = 0;
+    return;
+  }
+  for (Int v = lo; v <= hi; ++v) {
+    point[level] = v;
+    rows(bounds, level + 1, point, visit);
+  }
+  point[level] = 0;
+}
 
-/// Convenience: extracts bounds from the system and scans.
-void scan(const ConstraintSystem& system, const PointVisitor& visit);
+}  // namespace scan_detail
 
-/// Row visitor: invoked once per non-empty innermost row.  `point` has the
-/// outer levels set to the row's prefix and the innermost level set to
-/// `lo`; the innermost variable ranges over [lo, hi] inclusive.  Rows
-/// arrive in the same lexicographic order scan() would visit their points,
-/// letting callers step innermost-affine quantities incrementally instead
-/// of re-evaluating them per point (the dense trace engine's hot path).
-using RowVisitor = std::function<void(const IntVec& point, Int lo, Int hi)>;
-
-/// Scans per-level bounds one innermost row at a time.
-void scan_rows(const LoopBounds& bounds, const RowVisitor& visit);
+/// Scans per-level bounds one innermost row at a time: visit(point, lo, hi)
+/// runs once per non-empty row, with the outer levels of `point` set to the
+/// row's prefix and the innermost level set to `lo`; the innermost variable
+/// ranges over [lo, hi] inclusive.  Rows arrive in the lexicographic order
+/// of their points, letting callers step innermost-affine quantities
+/// incrementally instead of re-evaluating them per point (the dense trace
+/// engine's hot path).
+template <class RowFn>
+void scan_rows(const LoopBounds& bounds, RowFn&& visit) {
+  if (bounds.known_empty || bounds.depth() == 0) return;
+  IntVec point(bounds.depth());
+  scan_detail::rows(bounds, 0, point, visit);
+}
 
 /// Convenience: extracts bounds from the system and scans rows.
-void scan_rows(const ConstraintSystem& system, const RowVisitor& visit);
+template <class RowFn>
+void scan_rows(const ConstraintSystem& system, RowFn&& visit) {
+  scan_rows(extract_loop_bounds(system), visit);
+}
+
+/// Scans all integer points described by per-level bounds, calling
+/// visit(point) once per point in lexicographic order.
+template <class PointFn>
+void scan(const LoopBounds& bounds, PointFn&& visit) {
+  const size_t inner = bounds.depth() - 1;  // unused when depth() == 0
+  scan_rows(bounds, [&](IntVec& point, Int lo, Int hi) {
+    for (Int v = lo; v <= hi; ++v) {
+      point[inner] = v;
+      visit(static_cast<const IntVec&>(point));
+    }
+  });
+}
+
+/// Convenience: extracts bounds from the system and scans.
+template <class PointFn>
+void scan(const ConstraintSystem& system, PointFn&& visit) {
+  scan(extract_loop_bounds(system), visit);
+}
 
 /// Number of integer points in the polyhedron (exact, by enumeration).
 Int count_points(const ConstraintSystem& system);

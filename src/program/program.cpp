@@ -1,55 +1,49 @@
 #include "program/program.h"
 
-#include <unordered_map>
+#include <algorithm>
+#include <string>
+#include <vector>
 
-#include "exact/oracle.h"
+#include "exact/trace_engine.h"
 #include "support/error.h"
 
 namespace lmre {
 
 ProgramStats Program::simulate() const {
+  TraceArena arena;
+  return simulate(arena);
+}
+
+ProgramStats Program::simulate(TraceArena& arena) const {
   require(!phases_.empty(), "Program::simulate: no phases");
-
-  struct Key {
-    std::string array;
-    std::vector<Int> index;
-    bool operator==(const Key& o) const {
-      return array == o.array && index == o.index;
-    }
-  };
-  struct KeyHash {
-    size_t operator()(const Key& k) const {
-      size_t h = std::hash<std::string>()(k.array);
-      for (Int v : k.index) {
-        h ^= std::hash<Int>()(v) + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-      }
-      return h;
-    }
-  };
-  std::unordered_map<Key, std::pair<Int, Int>, KeyHash> touch;
-
+  std::vector<const LoopNest*> nests;
+  for (const auto& phase : phases_) nests.push_back(&phase.nest);
+  std::vector<std::vector<size_t>> store_of;
+  const std::vector<AddressPlan::Store> stores = shared_stores(nests, &store_of);
+  std::vector<std::string> store_name(stores.size());
+  std::vector<TracePlan> plans(nests.size());
   ProgramStats stats;
   Int base = 0;
-  for (const auto& phase : phases_) {
-    stats.phase_start.push_back(base);
-    Int local = 0;
-    visit_iterations(phase.nest, nullptr, [&](Int ordinal, const IntVec& iter) {
-      local = ordinal + 1;
-      Int global_ordinal = base + ordinal;
-      for (const auto& stmt : phase.nest.statements()) {
-        for (const auto& ref : stmt.refs) {
-          Key key{phase.nest.array(ref.array).name, ref.index_at(iter).data()};
-          auto [it, inserted] =
-              touch.try_emplace(key, std::make_pair(global_ordinal, global_ordinal));
-          if (inserted) {
-            ++stats.distinct[key.array];
-          } else {
-            it->second.second = global_ordinal;
-          }
-        }
+  for (size_t k = 0; k < nests.size(); ++k) {
+    const LoopNest& nest = *nests[k];
+    for (ArrayId id = 0; id < nest.arrays().size(); ++id) {
+      if (store_of[k][id] < stores.size()) {
+        store_name[store_of[k][id]] = nest.array(id).name;
       }
-    });
-    base = checked_add(base, local);
+    }
+    plans[k].nest = &nest;
+    plans[k].addr = AddressPlan::build(nest, nullptr, /*liveness_order=*/false,
+                                       stores, store_of[k]);
+    stats.phase_start.push_back(base);
+    base = checked_add(base, plans[k].addr.iterations);
+  }
+  run_trace(plans.data(), plans.size(), arena, /*with_state=*/false,
+            [](TraceArena::StoreBuf& s, size_t, Int ordinal, std::uint64_t addr) {
+              trace_detail::touch_first_last(s, addr, ordinal);
+            });
+  for (size_t si = 0; si < stores.size(); ++si) {
+    const Int touched = arena.store(si).touched;
+    if (touched > 0) stats.distinct[store_name[si]] = touched;
   }
   stats.iterations = base;
   for (const auto& [name, count] : stats.distinct) {
@@ -67,11 +61,12 @@ ProgramStats Program::simulate() const {
   // and track per-phase peaks.
   const size_t horizon = static_cast<size_t>(stats.iterations) + 1;
   std::vector<Int> delta(horizon, 0);
-  for (const auto& [key, fl] : touch) {
-    (void)key;
-    if (fl.first == fl.second) continue;
-    delta[static_cast<size_t>(fl.first)] += 1;
-    delta[static_cast<size_t>(fl.second)] -= 1;
+  for (size_t si = 0; si < stores.size(); ++si) {
+    trace_detail::for_each_touched(arena.store(si), [&](Int first, Int last) {
+      if (first == last) return;
+      delta[static_cast<size_t>(first)] += 1;
+      delta[static_cast<size_t>(last)] -= 1;
+    });
   }
   stats.handoff.assign(phases_.size(), 0);
   stats.phase_mws.assign(phases_.size(), 0);

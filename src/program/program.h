@@ -17,6 +17,8 @@
 
 namespace lmre {
 
+class TraceArena;  // exact/trace_engine.h: reusable dense-engine storage
+
 struct ProgramStats {
   Int iterations = 0;   ///< total iterations over all phases
   Int mws_total = 0;    ///< peak combined window over the whole run
@@ -66,8 +68,14 @@ class Program {
   }
 
   /// Exact whole-program measurement: one continuous first/last-touch trace
-  /// across every phase in order.
+  /// across every phase in order, on the dense trace engine (each array
+  /// name is one store whose box spans its references in every phase).
+  /// Throws OverflowError when such a box has 2^63 or more elements (lint's
+  /// LMRE-E009 reports those programs).
   ProgramStats simulate() const;
+
+  /// simulate reusing the caller's TraceArena.
+  ProgramStats simulate(TraceArena& arena) const;
 
  private:
   struct Phase {

@@ -77,7 +77,7 @@ AnalyzeOutcome run_analyze(const Program& program, const RunOptions& run,
   }
   if (out.iterations <= run.verify_limit) {
     Metrics::ScopedTimer t = metrics.time("stage.mws");
-    out.program = program.simulate();
+    out.program = program.simulate(arena);
   }
   return out;
 }

@@ -176,11 +176,18 @@ void AnalysisServer::admit_line(const std::string& line,
   }
   job.sink = sink;
   if (job.request.deadline_ms > 0) {
-    job.has_deadline = true;
-    job.deadline =
-        job.admitted + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                           std::chrono::duration<double, std::milli>(
-                               job.request.deadline_ms));
+    // A deadline steady_clock cannot hold from admission is no deadline
+    // (casting a wait past its range to the clock's integer ticks is
+    // undefined).
+    using Clock = std::chrono::steady_clock;
+    const std::chrono::duration<double, Clock::period> wait =
+        std::chrono::duration<double, std::milli>(job.request.deadline_ms);
+    const Clock::duration headroom = Clock::time_point::max() - job.admitted;
+    if (wait.count() < static_cast<double>(headroom.count())) {
+      job.has_deadline = true;
+      job.deadline =
+          job.admitted + Clock::duration(static_cast<Clock::rep>(wait.count()));
+    }
   }
   if (opts_.coalesce && !flights_.lead_or_wait(job.key, &job)) {
     // A leader for this key is queued or computing; the job is parked in

@@ -9,9 +9,11 @@
 // first error, worded for the user.
 
 #include <charconv>
+#include <cmath>
 #include <functional>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "support/checked.h"
@@ -19,14 +21,17 @@
 namespace lmre {
 
 /// The whole of `text` as a T ("4", "-1", "0.5"); nullopt on an empty
-/// value, trailing junk ("4x") or overflow.  (strtoll and std::stoi would
-/// read "4x" as 4.)
+/// value, trailing junk ("4x"), overflow or a non-finite double ("inf",
+/// "nan").  (strtoll and std::stoi would read "4x" as 4.)
 template <class T>
 std::optional<T> parse_number(const std::string& text) {
   const char* end = text.data() + text.size();
   T v{};
   auto [ptr, ec] = std::from_chars(text.data(), end, v);
   if (ec != std::errc() || ptr != end) return std::nullopt;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(v)) return std::nullopt;
+  }
   return v;
 }
 

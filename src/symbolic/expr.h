@@ -22,9 +22,9 @@
 #include <string>
 #include <vector>
 
-#include "analysis/symbolic.h"
 #include "support/checked.h"
 #include "support/json.h"
+#include "symbolic/poly.h"
 
 namespace lmre {
 

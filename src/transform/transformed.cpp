@@ -1,9 +1,10 @@
 #include "transform/transformed.h"
 
-#include <functional>
+#include <algorithm>
 #include <sstream>
 
 #include "ir/printer.h"
+#include "polyhedra/scanner.h"
 #include "support/error.h"
 #include "support/text.h"
 
@@ -24,44 +25,17 @@ ArrayRef TransformedNest::transformed_ref(const ArrayRef& ref) const {
 }
 
 ConstraintSystem TransformedNest::space() const {
-  const IntBox& box = nest_.bounds();
-  const size_t n = nest_.depth();
-  ConstraintSystem sys(n);
-  for (size_t k = 0; k < n; ++k) {
-    AffineExpr expr(t_inv_.row(k), 0);
-    sys.add_range(expr, box.range(k).lo, box.range(k).hi);
-  }
-  return sys;
+  return nest_.bounds().image_constraints(t_inv_);
 }
 
 LoopBounds TransformedNest::bounds() const { return extract_loop_bounds(space()); }
 
 Int TransformedNest::maxspan_inner() const {
-  LoopBounds lb = bounds();
-  if (lb.known_empty) return 0;
-  const size_t n = lb.depth();
+  // The widest innermost row over every outer prefix.
   Int best = 0;
-  // Enumerate the outer n-1 levels; measure the innermost range width.
-  std::function<void(size_t, IntVec&)> walk = [&](size_t level, IntVec& point) {
-    Int lo, hi;
-    if (!lb.range(level, point, lo, hi)) return;
-    if (level + 1 == n) {
-      if (hi >= lo) best = std::max(best, checked_sub(hi, lo));
-      return;
-    }
-    for (Int v = lo; v <= hi; ++v) {
-      point[level] = v;
-      walk(level + 1, point);
-    }
-    point[level] = 0;
-  };
-  IntVec point(n);
-  if (n == 1) {
-    Int lo, hi;
-    if (lb.range(0, point, lo, hi) && hi >= lo) best = checked_sub(hi, lo);
-    return best;
-  }
-  walk(0, point);
+  scan_rows(bounds(), [&best](const IntVec&, Int lo, Int hi) {
+    best = std::max(best, checked_sub(hi, lo));
+  });
   return best;
 }
 

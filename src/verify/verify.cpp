@@ -67,6 +67,8 @@ bool parse_row(const std::string& text, std::vector<Int>* out) {
   return !out->empty();
 }
 
+}  // namespace
+
 std::optional<IntMat> parse_matrix_chunk(const std::string& chunk,
                                          std::string* error) {
   std::string body = trim(chunk);
@@ -90,6 +92,8 @@ std::optional<IntMat> parse_matrix_chunk(const std::string& chunk,
   }
   return IntMat::from_rows(rows);
 }
+
+namespace {
 
 // ---------------------------------------------------------------------------
 // Search spaces.  A search space describes candidate dependence instances of

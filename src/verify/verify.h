@@ -48,6 +48,13 @@ struct VerifyPlan {
   std::string str() const;
 };
 
+/// Parses one matrix of a plan spec: rows ';'-separated, entries
+/// space/comma-separated, optionally bracketed ("[0 1; 1 0]").  Returns
+/// nullopt on malformed input with a description in `error` (when
+/// non-null).
+std::optional<IntMat> parse_matrix_chunk(const std::string& chunk,
+                                         std::string* error = nullptr);
+
 /// Parses a plan spec: '|'-separated chunks, each either a matrix (rows
 /// ';'-separated, entries space/comma-separated, e.g. "0 1; 1 0") or a
 /// final "tile:4,4" chunk.  Returns nullopt on malformed input with a

@@ -307,6 +307,28 @@ TEST(CliDispatcher, LintVerbWithPlanFlag) {
   EXPECT_NE(out.str().find("[LMRE-E013]"), std::string::npos);
 }
 
+TEST(CliDispatcher, LintPlanSharesVerifysMatrixGrammar) {
+  std::string path = write_temp(
+      "skewed_grammar.loop",
+      "for i = 1 to 6\n  for j = 1 to 6\n    A[i][j] = A[i-1][j+1];\n");
+  {
+    // A trailing ';' is an empty row, as in verify's --plan.
+    std::ostringstream out, err;
+    EXPECT_EQ(run_cli({"lint", "--plan=0 1; 1 0;", path}, out, err),
+              ExitCode::kUsage);
+    EXPECT_NE(err.str().find("bad --plan matrix: 0 1; 1 0;"), std::string::npos)
+        << err.str();
+  }
+  {
+    // Brackets are accepted, as in verify's --plan.
+    std::ostringstream out, err;
+    EXPECT_EQ(run_cli({"lint", "--plan=[0 1; 1 0]", path}, out, err),
+              ExitCode::kDiagnostics)
+        << err.str();
+    EXPECT_NE(out.str().find("[LMRE-E013]"), std::string::npos);
+  }
+}
+
 TEST(CliDispatcher, LintJsonVerb) {
   std::string path = write_temp("oob.loop", kOutOfBounds);
   std::ostringstream out, err;
@@ -582,6 +604,22 @@ TEST(CliNumericFlags, DeadlineRejectsJunk) {
   std::string path = write_temp("deadline_request.loop", kExample8);
   expect_bad_value({"request", "--tcp=127.0.0.1:1", "--deadline=50ms", path},
                    "--deadline", "--deadline=50ms");
+}
+
+TEST(CliNumericFlags, NonFiniteDoublesAreRefused) {
+  // Each double flag refuses inf and nan with its "bad value" message (a
+  // range check such as `ms < 0` admits them).
+  std::string path = write_temp("nonfinite.loop", kExample8);
+  for (const std::string v : {"inf", "-inf", "nan", "infinity"}) {
+    expect_bad_value({"request", "--tcp=127.0.0.1:1", "--deadline=" + v, path},
+                     "--deadline", "--deadline=" + v);
+    expect_bad_value({"serve", "--stdio", "--cache-ttl=" + v}, "--cache-ttl",
+                     "--cache-ttl=" + v);
+    expect_bad_value({"mrc", "--sample-rate=" + v, path}, "--sample-rate",
+                     "--sample-rate=" + v);
+    expect_bad_value({"request", "--tcp=127.0.0.1:1", "--sample-rate=" + v, path},
+                     "--sample-rate", "--sample-rate=" + v);
+  }
 }
 
 TEST(CliNumericFlags, WholeValuesStillParse) {

@@ -15,6 +15,8 @@
 #include "ir/parser.h"
 #include "linalg/mat.h"
 #include "lint/lint.h"
+#include "program/program.h"
+#include "support/error.h"
 
 namespace lmre {
 namespace {
@@ -260,6 +262,31 @@ TEST(LintIterationVolume, SubscriptRangeOverflowIsOnlyE009) {
   ASSERT_EQ(res.diagnostics.size(), 1u);
   EXPECT_EQ(res.diagnostics[0].id, "LMRE-E009");
   EXPECT_EQ(res.diagnostics[0].severity, Severity::kError);
+  EXPECT_TRUE(res.has_errors());
+  EXPECT_FALSE(has_id(res, "LMRE-E000"));
+}
+
+TEST(LintIterationVolume, ProgramWideReferenceBoxOverflowIsE009) {
+  // Each phase's box of A has ten elements, but A is one trace store
+  // across the program, and the union of the two boxes has more than 2^63
+  // elements.  Lint must refuse the program the trace cannot run.
+  ProgramSourceMap pmap;
+  Program p = parse_program(R"(
+    array A[10];
+    phase low { for i = 1 to 10  use A[i - 9223372036854775000]; }
+    phase high { for i = 1 to 10  use A[i + 9223372036854775000]; }
+  )",
+                            &pmap);
+  for (size_t k = 0; k < p.phase_count(); ++k) {
+    LintResult phase = lint_nest(p.phase_nest(k));
+    EXPECT_FALSE(has_id(phase, "LMRE-E009")) << k;
+  }
+  EXPECT_THROW(p.simulate(), OverflowError);
+  LintResult res = lint_program(p, &pmap);
+  const Diagnostic* d = find_id(res, "LMRE-E009");
+  ASSERT_NE(d, nullptr);
+  EXPECT_EQ(d->severity, Severity::kError);
+  EXPECT_NE(d->message.find("reference box of 'A'"), std::string::npos) << d->message;
   EXPECT_TRUE(res.has_errors());
   EXPECT_FALSE(has_id(res, "LMRE-E000"));
 }

@@ -974,6 +974,31 @@ TEST(Server, ExpiredDeadlineReportsTimeout) {
   EXPECT_EQ(wire_status(*heavy), 0);
 }
 
+TEST(Server, DeadlinePastTheClockRangeMeansNone) {
+  ServerOptions opts;
+  opts.workers = 1;
+  AnalysisServer server(opts);
+  // 1e13 ms and 1e300 ms lie past what steady_clock can hold from
+  // admission: no deadline, so both are computed.  (Casting such a wait
+  // to clock ticks is undefined; on x86-64 it yields a deadline in the
+  // past.)
+  std::string feed = request_line("\"far\"", kFirSource, "analyze", 1e13) + "\n" +
+                     request_line("\"farther\"", kFirSource, "analyze", 1e300) +
+                     "\n";
+  std::istringstream in(feed);
+  std::ostringstream out;
+  server.serve_streams(in, out);
+
+  auto lines = lines_of(out.str());
+  ASSERT_EQ(lines.size(), 2u) << out.str();
+  for (const char* id : {"\"far\"", "\"farther\""}) {
+    auto r = response_for(lines, id);
+    ASSERT_TRUE(r.has_value()) << out.str();
+    EXPECT_EQ(wire_status(*r), 0) << id << ": " << out.str();
+  }
+  EXPECT_EQ(server.metrics().counter("serve.timeout"), 0);
+}
+
 // ---- socket transport ------------------------------------------------------
 
 std::string test_socket_path(const char* name) {

@@ -264,6 +264,14 @@ TEST(Cli, NumbersParseWholeValuesOnly) {
   EXPECT_EQ(n, -12);
 }
 
+TEST(Cli, NonFiniteDoublesAreRefused) {
+  for (const char* value : {"inf", "-inf", "INF", "nan", "-nan", "infinity", "1e400"}) {
+    EXPECT_FALSE(parse_number<double>(value).has_value()) << value;
+  }
+  EXPECT_EQ(parse_number<double>("1e300"), 1e300);
+  EXPECT_EQ(parse_number<double>("-0.5"), -0.5);
+}
+
 TEST(Cli, NumberRangeAndFirstErrorWins) {
   int workers = 1;
   Cli cli("prog");

@@ -4,7 +4,6 @@
 #include <random>
 
 #include "analysis/reuse.h"
-#include "analysis/symbolic.h"
 #include "analysis/window.h"
 #include "support/error.h"
 #include "symbolic/derive.h"
@@ -46,33 +45,48 @@ TEST(Poly, MismatchedArityThrows) {
   EXPECT_THROW(Poly::constant(2, 1).eval({5}), InvalidArgument);
 }
 
+// The reuse volume along distance d: prod_k (N_k - |d_k|).
+Poly reuse_poly(const IntVec& d) {
+  std::vector<Int> subs;
+  for (size_t k = 0; k < d.size(); ++k) subs.push_back(checked_abs(d[k]));
+  return SymbolicExpr::clamped_product(subs).interior();
+}
+
+// r full box volumes minus the reuse along each distance.
+Poly distinct_poly(size_t vars, Int r, const std::vector<IntVec>& ds) {
+  Poly out = SymbolicExpr::clamped_product(std::vector<Int>(vars, 0), r).interior();
+  for (const IntVec& d : ds) out = out - reuse_poly(d);
+  return out;
+}
+
 TEST(Symbolic, ReuseMatchesPaperExamples) {
   // Example 2: (N1-1)(N2-2).
-  Poly p = symbolic_reuse(IntVec{1, -2});
+  Poly p = reuse_poly(IntVec{1, -2});
   EXPECT_EQ(p.str(), "N1*N2 - 2*N1 - N2 + 2");
   EXPECT_EQ(p.eval({10, 10}), 72);
   // Example 4: (N1-5)(N2-2) = 120 at 20x10.
-  EXPECT_EQ(symbolic_reuse(IntVec{5, -2}).eval({20, 10}), 120);
+  EXPECT_EQ(reuse_poly(IntVec{5, -2}).eval({20, 10}), 120);
   // Example 5: (N1-1)(N2-3)(N3-3) = 4131 at 10x20x30.
-  EXPECT_EQ(symbolic_reuse(IntVec{1, 3, -3}).eval({10, 20, 30}), 4131);
+  EXPECT_EQ(reuse_poly(IntVec{1, 3, -3}).eval({10, 20, 30}), 4131);
 }
 
 TEST(Symbolic, DistinctFormulas) {
   // Example 2: 2*N1*N2 - (N1-1)(N2-2) -> 128 at 10x10.
-  Poly d = symbolic_distinct_full_dim(2, 2, {IntVec{1, -2}});
+  Poly d = distinct_poly(2, 2, {IntVec{1, -2}});
   EXPECT_EQ(d.eval({10, 10}), 128);
   // Example 3: 4*N1*N2 - [(N1-1)N2 + N1(N2-1) + (N1-1)(N2-1)] -> 139.
-  Poly d3 = symbolic_distinct_full_dim(
-      2, 4, {IntVec{1, 0}, IntVec{0, 1}, IntVec{1, 1}});
+  Poly d3 = distinct_poly(2, 4, {IntVec{1, 0}, IntVec{0, 1}, IntVec{1, 1}});
   EXPECT_EQ(d3.eval({10, 10}), 139);
-  // Example 4/5 kernel forms.
-  EXPECT_EQ(symbolic_distinct_kernel(IntVec{5, -2}).eval({20, 10}), 80);
-  EXPECT_EQ(symbolic_distinct_kernel(IntVec{1, 3, -3}).eval({10, 20, 30}), 1869);
+  // Example 4/5 kernel forms: one box volume minus the kernel reuse.
+  EXPECT_EQ(distinct_poly(2, 1, {IntVec{5, -2}}).eval({20, 10}), 80);
+  EXPECT_EQ(distinct_poly(3, 1, {IntVec{1, 3, -3}}).eval({10, 20, 30}), 1869);
 }
 
 TEST(Symbolic, MwsMatchesPaperExample10) {
-  // 1 + d1(N2-|d2|)(N3-|d3|) + d2(N3-|d3|): 541 at (10,20,30).
-  Poly m = symbolic_mws(IntVec{1, 3, -3});
+  // 1 + d1(N2-|d2|)(N3-|d3|) + d2(N3-|d3|): 541 at (10,20,30).  The chain
+  // window is the exact window; the paper's formula adds the current
+  // iteration's element.
+  Poly m = symbolic_chain_window(IntVec{1, 3, -3}, 3).interior() + 1;
   EXPECT_EQ(m.eval({10, 20, 30}), 541);
   EXPECT_EQ(m.str(), "N2*N3 - 3*N2 + 1");
 }
@@ -87,12 +101,7 @@ TEST(Symbolic, AgreesWithConcreteFunctionsOnRandomInputs) {
     std::vector<Int> bounds;
     for (size_t k = 0; k < n; ++k) bounds.push_back(bnd(rng));
     IntBox box = IntBox::from_upper_bounds(bounds);
-    EXPECT_EQ(symbolic_reuse(d).eval(bounds), reuse_volume(d, box))
-        << d.str();
-    if (!d.is_zero()) {
-      EXPECT_EQ(symbolic_mws(d).eval(bounds), mws_from_reuse_vector(d, box))
-          << d.str();
-    }
+    EXPECT_EQ(reuse_poly(d).eval(bounds), reuse_volume(d, box)) << d.str();
   }
 }
 

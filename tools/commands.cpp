@@ -1062,33 +1062,6 @@ std::string usage() {
 
 namespace {
 
-// Parses "--plan=a b; c d" matrix text (rows split on ';', entries on
-// spaces/commas); nullopt on malformed input.
-std::optional<IntMat> parse_plan_matrix(const std::string& text) {
-  std::vector<std::vector<Int>> rows;
-  std::istringstream row_stream(text);
-  std::string row_text;
-  while (std::getline(row_stream, row_text, ';')) {
-    for (char& c : row_text) {
-      if (c == ',') c = ' ';
-    }
-    std::istringstream cells(row_text);
-    std::vector<Int> row;
-    Int v = 0;
-    while (cells >> v) row.push_back(v);
-    if (!cells.eof()) return std::nullopt;  // non-numeric junk
-    if (row.empty()) return std::nullopt;
-    rows.push_back(std::move(row));
-  }
-  if (rows.empty()) return std::nullopt;
-  IntMat m(rows.size(), rows[0].size());
-  for (size_t r = 0; r < rows.size(); ++r) {
-    if (rows[r].size() != rows[0].size()) return std::nullopt;
-    for (size_t c = 0; c < rows[r].size(); ++c) m(r, c) = rows[r][c];
-  }
-  return m;
-}
-
 // Parses "--capacities=1,64,540" (comma-separated non-negative integers);
 // nullopt on malformed input or an empty list.
 std::optional<std::vector<Int>> parse_capacity_list(const std::string& text) {
@@ -1207,7 +1180,7 @@ const Verb kVerbs[] = {
            l->audit_plan = true;
            return std::string();
          }
-         l->plan = parse_plan_matrix(*v);
+         l->plan = parse_matrix_chunk(*v);
          return l->plan ? std::string() : "bad --plan matrix: " + *v;
        });
      }},
