@@ -234,6 +234,9 @@ echo "== tier 1: ASan+UBSan pass over the input-handling suites =="
 # elimination rows index their buffers by hand.  Plus the trace-engine
 # suites (oracle, liveness, stack distances, programs and the program
 # differential): every exact trace steps u64 addresses through one driver.
+# Plus the prover's suites (the verify corpus, the lattice-space
+# differential and the first 100 cases of the order-oracle sweep): the
+# searches index lattice rows and constraint buffers by hand.
 # A UBSan finding stops the stage (halt_on_error), and float-cast-overflow,
 # which GCC leaves out of "undefined", catches out-of-range double-to-integer
 # casts such as a wire deadline past the clock's range.
@@ -246,7 +249,8 @@ cmake --build build-asan -j "$JOBS" \
   golden_codegen_test golden_verify_test json_test server_test \
   dependence_test fourier_motzkin_test property_lattice_test \
   oracle_test liveness_test stack_distance_test program_test \
-  program_differential_test
+  program_differential_test verify_corpus_test verify_lattice_test \
+  property_verify_test
 ./build-asan/tests/parser_test
 ./build-asan/tests/lint_test
 ./build-asan/tests/cli_tool_test
@@ -269,6 +273,10 @@ cmake --build build-asan -j "$JOBS" \
 ./build-asan/tests/stack_distance_test
 ./build-asan/tests/program_test
 ./build-asan/tests/program_differential_test
+./build-asan/tests/verify_corpus_test
+./build-asan/tests/verify_lattice_test
+./build-asan/tests/property_verify_test \
+  --gtest_filter='Sweep/VerifyProperty.*/?:Sweep/VerifyProperty.*/??'
 
 echo "== tier 1: symbolic-smoke (ASan differential subset + golden check) =="
 # The symbolic closed forms must stay oracle-exact under ASan+UBSan: run

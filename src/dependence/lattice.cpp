@@ -3,7 +3,6 @@
 #include <limits>
 #include <vector>
 
-#include "linalg/normal_form.h"
 #include "polyhedra/scanner.h"
 #include "support/error.h"
 
@@ -59,15 +58,11 @@ LexminPair lexmin_positive_solutions(const IntMat& a, const IntVec& c,
                                      const IntBox& box) {
   require(a.cols() == box.dims(), "lexmin_positive_solutions: shape mismatch");
   LexminPair out;
-  auto sol = solve_diophantine(a, c);
+  std::optional<EchelonCoset> sol = echelon_solutions(a, c);
   if (!sol) return out;
-
-  IntMat h = sol->kernel.empty()
-                 ? IntMat(box.dims(), 0)
-                 : column_hermite(IntMat::from_rows(sol->kernel).transposed()).h;
-  out.forward = echelon_lexmin(sol->particular, h, box);
+  out.forward = echelon_lexmin(sol->particular, sol->basis, box);
   out.backward = c.is_zero() ? out.forward
-                             : echelon_lexmin(-sol->particular, h, box);
+                             : echelon_lexmin(-sol->particular, sol->basis, box);
 
   auto check = [&](const std::optional<IntVec>& d, const IntVec& rhs) {
     ensure(!d || (a * *d == rhs && realizable(*d, box) && d->lex_positive()),

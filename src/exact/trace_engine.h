@@ -319,13 +319,21 @@ Int drive_transformed(const AddressPlan& plan, const LoopNest& nest,
   std::vector<std::uint64_t> addr(nrefs);
   std::vector<std::uint64_t> step(nrefs);
   for (size_t r = 0; r < nrefs; ++r) step[r] = plan.refs[r].coef[n - 1];
+  IntVec image(n);  // T^-1 of a row endpoint, reused across rows
   scan_rows(box.image_constraints(t_inv), [&](const IntVec& u, Int lo, Int hi) {
-    IntVec endpoint = u;  // u[n-1] == lo
-    ensure(box.contains(t_inv * endpoint),
-           "transformed scan left the iteration space");
-    endpoint[n - 1] = hi;
-    ensure(box.contains(t_inv * endpoint),
-           "transformed scan left the iteration space");
+    for (size_t k = 0; k < n; ++k) {  // T^-1 u, with u[n-1] == lo
+      Int acc = 0;
+      for (size_t c = 0; c < n; ++c) {
+        acc = checked_add(acc, checked_mul(t_inv(k, c), u[c]));
+      }
+      image[k] = acc;
+    }
+    ensure(box.contains(image), "transformed scan left the iteration space");
+    for (size_t k = 0; k < n; ++k) {  // the row's other end, u[n-1] == hi
+      image[k] = checked_add(image[k],
+                             checked_mul(t_inv(k, n - 1), checked_sub(hi, lo)));
+    }
+    ensure(box.contains(image), "transformed scan left the iteration space");
     for (size_t r = 0; r < nrefs; ++r) {
       addr[r] = trace_detail::plan_address(plan.refs[r], u);
     }

@@ -31,6 +31,16 @@ std::optional<DiophantineSolution> solve_diophantine(const IntMat& a, const IntV
   return sol;
 }
 
+std::optional<EchelonCoset> echelon_solutions(const IntMat& a, const IntVec& b) {
+  std::optional<DiophantineSolution> sol = solve_diophantine(a, b);
+  if (!sol) return std::nullopt;
+  IntMat basis =
+      sol->kernel.empty()
+          ? IntMat(a.cols(), 0)
+          : column_hermite(IntMat::from_rows(sol->kernel).transposed()).h;
+  return EchelonCoset{std::move(sol->particular), std::move(basis)};
+}
+
 std::optional<std::pair<Int, Int>> solve_linear2(Int a, Int b, Int c) {
   if (a == 0 && b == 0) {
     if (c != 0) return std::nullopt;

@@ -6,12 +6,11 @@
 #include <sstream>
 #include <utility>
 
-#include "polyhedra/fourier_motzkin.h"
-#include "polyhedra/scanner.h"
 #include "support/checked.h"
 #include "support/error.h"
 #include "transform/tiling.h"
 #include "transform/unimodular.h"
+#include "verify/search.h"
 
 namespace lmre {
 
@@ -96,265 +95,6 @@ std::optional<IntMat> parse_matrix_chunk(const std::string& chunk,
 namespace {
 
 // ---------------------------------------------------------------------------
-// Search spaces.  A search space describes candidate dependence instances of
-// one ordered reference pair as a constraint system plus accessors for the
-// iteration difference d = J - I:
-//
-//   * uniform pairs use n variables (d itself): A d == b_src - b_dst plus
-//     realizability |d_k| <= trip_k - 1; any concrete d converts to an
-//     iteration pair placed at the box corner;
-//   * general (non-uniform) pairs use 2n variables z = (I, J) with both
-//     iterations boxed and the element equality A_s I + b_s == A_d J + b_d.
-//
-// Searches add a source-first branch (d lex-positive, decided at level p)
-// and a target condition on the transformed difference T d, then ask
-// Fourier-Motzkin for rational feasibility before scanning for an integer
-// point with a step budget.
-
-struct SearchSpace {
-  ConstraintSystem base;
-  size_t n = 0;         // nest depth
-  bool pairwise = false;  // true: variables (I, J); false: variables d
-
-  SearchSpace(ConstraintSystem b, size_t depth, bool pw)
-      : base(std::move(b)), n(depth), pairwise(pw) {}
-
-  size_t dims() const { return pairwise ? 2 * n : n; }
-
-  // The affine form of d_k = J_k - I_k over the space's variables.
-  AffineExpr delta(size_t k) const {
-    AffineExpr e(dims());
-    if (pairwise) {
-      e.set_coeff(k, -1);
-      e.set_coeff(n + k, 1);
-    } else {
-      e.set_coeff(k, 1);
-    }
-    return e;
-  }
-
-  // The affine form of (T d)_r.
-  AffineExpr trow(const IntMat& t, size_t r) const {
-    AffineExpr e(dims());
-    for (size_t k = 0; k < n; ++k) {
-      Int c = t(r, k);
-      if (c == 0) continue;
-      if (pairwise) {
-        e.set_coeff(k, checked_neg(c));
-        e.set_coeff(n + k, c);
-      } else {
-        e.set_coeff(k, c);
-      }
-    }
-    return e;
-  }
-
-  // Converts a found point into the iteration pair (I, J), source first.
-  std::pair<IntVec, IntVec> to_pair(const IntVec& point, const IntBox& box) const {
-    if (pairwise) {
-      IntVec i(n), j(n);
-      for (size_t k = 0; k < n; ++k) {
-        i[k] = point[k];
-        j[k] = point[n + k];
-      }
-      return {i, j};
-    }
-    // Place I at the corner that keeps both endpoints inside the box.
-    IntVec i(n), j(n);
-    for (size_t k = 0; k < n; ++k) {
-      Int lo = box.range(k).lo;
-      i[k] = point[k] >= 0 ? lo : checked_sub(lo, point[k]);
-      j[k] = checked_add(i[k], point[k]);
-    }
-    return {i, j};
-  }
-};
-
-SearchSpace uniform_space(const ArrayRef& src, const ArrayRef& dst,
-                          const IntBox& box) {
-  const size_t n = box.dims();
-  ConstraintSystem sys(n);
-  for (size_t row = 0; row < src.access.rows(); ++row) {
-    AffineExpr e(src.access.row(row), 0);
-    sys.add_equality(e, checked_sub(src.offset[row], dst.offset[row]));
-  }
-  for (size_t k = 0; k < n; ++k) {
-    Int spread = checked_sub(box.range(k).hi, box.range(k).lo);
-    sys.add_range(AffineExpr::variable(n, k), checked_neg(spread), spread);
-  }
-  return SearchSpace(std::move(sys), n, /*pairwise=*/false);
-}
-
-SearchSpace pair_space(const ArrayRef& src, const ArrayRef& dst,
-                       const IntBox& box) {
-  const size_t n = box.dims();
-  ConstraintSystem sys(2 * n);
-  for (size_t k = 0; k < n; ++k) {
-    const Range& r = box.range(k);
-    sys.add_range(AffineExpr::variable(2 * n, k), r.lo, r.hi);
-    sys.add_range(AffineExpr::variable(2 * n, n + k), r.lo, r.hi);
-  }
-  for (size_t row = 0; row < src.access.rows(); ++row) {
-    AffineExpr e(2 * n);
-    for (size_t k = 0; k < n; ++k) {
-      e.set_coeff(k, src.access(row, k));
-      e.set_coeff(n + k, checked_neg(dst.access(row, k)));
-    }
-    sys.add_equality(e, checked_sub(dst.offset[row], src.offset[row]));
-  }
-  return SearchSpace(std::move(sys), n, /*pairwise=*/true);
-}
-
-// d == 0 on levels before p, d_p >= 1: the branch of "d lex-positive"
-// decided at level p (0-based).
-void add_source_first_branch(const SearchSpace& space, ConstraintSystem& sys,
-                             size_t p) {
-  for (size_t k = 0; k < p; ++k) sys.add_equality(space.delta(k), 0);
-  sys.add(space.delta(p) - 1);
-}
-
-// Per-level constraints of a concrete direction vector (source-first
-// feasibility comes from the vector itself).
-void add_direction_constraints(const SearchSpace& space, ConstraintSystem& sys,
-                               const std::vector<Dir>& dirs) {
-  for (size_t k = 0; k < dirs.size(); ++k) {
-    switch (dirs[k]) {
-      case Dir::kAny:
-        break;
-      case Dir::kLt:  // I_k < J_k, i.e. d_k >= 1
-        sys.add(space.delta(k) - 1);
-        break;
-      case Dir::kEq:
-        sys.add_equality(space.delta(k), 0);
-        break;
-      case Dir::kGt:  // d_k <= -1
-        sys.add(-space.delta(k) - 1);
-        break;
-    }
-  }
-}
-
-struct SearchOutcome {
-  std::optional<std::pair<IntVec, IntVec>> witness;  // (I, J), source first
-  bool complete = true;
-};
-
-// Cap on Fourier-Motzkin elimination growth inside one branch.  Each
-// eliminated variable can square the constraint count, so a pathological
-// pair space stalls in elimination long before the per-point step budget
-// is even consulted; past the cap the polyhedra layer throws and the
-// branch degrades to "undecided" (kUnproven) exactly like an exhausted
-// step budget.  512 is far above anything the well-conditioned systems
-// here produce (tens of constraints).
-constexpr size_t kFmConstraintCap = 512;
-
-// Runs one branch system: rational fast-reject, then a budget-capped
-// integer point search.
-void run_branch(const SearchSpace& space, const ConstraintSystem& sys,
-                const IntBox& box, Int budget, SearchOutcome* out) {
-  if (out->witness.has_value()) return;
-  try {
-    if (!rationally_feasible(sys, kFmConstraintCap)) return;
-    FirstPointResult fp = first_point(sys, budget, kFmConstraintCap);
-    if (fp.point.has_value()) {
-      out->witness = space.to_pair(*fp.point, box);
-    } else if (!fp.complete) {
-      out->complete = false;
-    }
-  } catch (const Error&) {
-    // Overflow or an unbounded projection: treat the branch as undecided.
-    out->complete = false;
-  }
-}
-
-// Is there a source-first dependence instance whose transformed difference
-// is lexicographically NEGATIVE (an execution-order reversal)?
-SearchOutcome find_reversal(const SearchSpace& space, const IntMat& t,
-                            const IntBox& box, Int budget) {
-  SearchOutcome out;
-  for (size_t p = 0; p < space.n && !out.witness; ++p) {
-    for (size_t q = 0; q < space.n && !out.witness; ++q) {
-      ConstraintSystem sys = space.base;
-      add_source_first_branch(space, sys, p);
-      for (size_t r = 0; r < q; ++r) sys.add_equality(space.trow(t, r), 0);
-      sys.add(-space.trow(t, q) - 1);  // (T d)_q <= -1
-      run_branch(space, sys, box, budget, &out);
-    }
-  }
-  return out;
-}
-
-// Is there a source-first dependence instance with (T d)_row <= -1?
-// (Tiling legality: a negative transformed component.)
-SearchOutcome find_negative_component(const SearchSpace& space, const IntMat& t,
-                                      size_t row, const IntBox& box, Int budget) {
-  SearchOutcome out;
-  for (size_t p = 0; p < space.n && !out.witness; ++p) {
-    ConstraintSystem sys = space.base;
-    add_source_first_branch(space, sys, p);
-    sys.add(-space.trow(t, row) - 1);
-    run_branch(space, sys, box, budget, &out);
-  }
-  return out;
-}
-
-// Is there a source-first dependence instance carried at `level` (0-based)
-// of the transformed nest: (T d) zero before `level` and positive at it?
-SearchOutcome find_carried(const SearchSpace& space, const IntMat& t,
-                           size_t level, const IntBox& box, Int budget) {
-  SearchOutcome out;
-  for (size_t p = 0; p < space.n && !out.witness; ++p) {
-    ConstraintSystem sys = space.base;
-    add_source_first_branch(space, sys, p);
-    for (size_t r = 0; r < level; ++r) sys.add_equality(space.trow(t, r), 0);
-    sys.add(space.trow(t, level) - 1);  // (T d)_level >= 1
-    run_branch(space, sys, box, budget, &out);
-  }
-  return out;
-}
-
-// Direction-restricted variants: the source-first branch is replaced by the
-// direction vector's own per-level constraints.
-SearchOutcome find_reversal_dirs(const SearchSpace& space, const IntMat& t,
-                                 const std::vector<Dir>& dirs, const IntBox& box,
-                                 Int budget) {
-  SearchOutcome out;
-  for (size_t q = 0; q < space.n && !out.witness; ++q) {
-    ConstraintSystem sys = space.base;
-    add_direction_constraints(space, sys, dirs);
-    for (size_t r = 0; r < q; ++r) sys.add_equality(space.trow(t, r), 0);
-    sys.add(-space.trow(t, q) - 1);
-    run_branch(space, sys, box, budget, &out);
-  }
-  return out;
-}
-
-SearchOutcome find_negative_component_dirs(const SearchSpace& space,
-                                           const IntMat& t,
-                                           const std::vector<Dir>& dirs,
-                                           size_t row, const IntBox& box,
-                                           Int budget) {
-  SearchOutcome out;
-  ConstraintSystem sys = space.base;
-  add_direction_constraints(space, sys, dirs);
-  sys.add(-space.trow(t, row) - 1);
-  run_branch(space, sys, box, budget, &out);
-  return out;
-}
-
-// Any concrete pair realizing the direction vector (used to materialize a
-// witness once the cone test already proved every such pair reverses).
-SearchOutcome find_any_pair_dirs(const SearchSpace& space,
-                                 const std::vector<Dir>& dirs, const IntBox& box,
-                                 Int budget) {
-  SearchOutcome out;
-  ConstraintSystem sys = space.base;
-  add_direction_constraints(space, sys, dirs);
-  run_branch(space, sys, box, budget, &out);
-  return out;
-}
-
-// ---------------------------------------------------------------------------
 // Cone test: interval of (T d)_r over all d admitted by a direction vector
 // within the box.  '<' confines d_k to [1, spread_k], '=' to {0}, '>' to
 // [-spread_k, -1]; interval arithmetic on the row then proves lex-positivity
@@ -424,19 +164,6 @@ IterationWitness make_witness(const ArrayRef& src, const IntMat& t,
   w.dst_time = t * j;
   w.tiled = tiled;
   return w;
-}
-
-// Places a constant distance vector at the box corner where both endpoints
-// are inside the box (the distance is realizable, so this always fits).
-std::pair<IntVec, IntVec> corner_pair(const IntVec& d, const IntBox& box) {
-  const size_t n = box.dims();
-  IntVec i(n), j(n);
-  for (size_t k = 0; k < n; ++k) {
-    Int lo = box.range(k).lo;
-    i[k] = d[k] >= 0 ? lo : checked_sub(lo, d[k]);
-    j[k] = checked_add(i[k], d[k]);
-  }
-  return {i, j};
 }
 
 bool is_memory(DepKind k) { return k != DepKind::kInput; }
@@ -563,7 +290,7 @@ VerifyResult verify_plan(const LoopNest& nest, const VerifyPlan& plan,
   // --- 1. Listed verdicts for uniformly generated pairs: the analyzer's
   // representative edges (lex-min distance per orientation plus the reuse
   // generators), each judged directly through the combined matrix.
-  std::set<std::tuple<size_t, size_t, std::string>> listed;
+  std::set<std::tuple<size_t, size_t, std::vector<Int>>> listed;
   for (const Dependence& dep : info.deps) {
     DepVerdict v;
     v.src_ref = dep.src_ref;
@@ -590,11 +317,28 @@ VerifyResult verify_plan(const LoopNest& nest, const VerifyPlan& plan,
       v.tile_witness = make_witness(refs[dep.src_ref], t, i, j, /*tiled=*/false);
       break;
     }
-    listed.insert({v.src_ref, v.dst_ref, v.distance.str()});
+    listed.insert({v.src_ref, v.dst_ref, v.distance.data()});
     res.verdicts.push_back(std::move(v));
   }
 
   bool all_searches_complete = true;
+
+  // One search space per ordered same-array pair, built on first use and
+  // shared by every search of this call: the reversal and tiling-row
+  // searches and both DOALL classifications.
+  std::map<std::pair<size_t, size_t>, SearchSpace> spaces;
+  auto space_of = [&](size_t src, size_t dst) -> const SearchSpace& {
+    auto it = spaces.find({src, dst});
+    if (it == spaces.end()) {
+      it = spaces
+               .emplace(std::make_pair(src, dst),
+                        nonuniform.count(refs[src].array) != 0
+                            ? pair_space(refs[src], refs[dst], box)
+                            : lattice_space(refs[src], refs[dst], box))
+               .first;
+    }
+    return it->second;
+  };
 
   // Appends a synthesized distance verdict for a witness pair the
   // representative set did not cover.
@@ -623,21 +367,21 @@ VerifyResult verify_plan(const LoopNest& nest, const VerifyPlan& plan,
       v.tile_witness = make_witness(refs[src], t, i, j, /*tiled=*/false);
       break;
     }
-    listed.insert({src, dst, v.distance.str()});
+    listed.insert({src, dst, v.distance.data()});
     res.verdicts.push_back(std::move(v));
     return res.verdicts.back();
   };
 
   // --- 2. Exact per-pair searches for uniform pairs.  The representatives
   // alone are unsound for legality (the full solution set is a lattice coset
-  // d0 + span(generators)); a Fourier-Motzkin reversal search over the
-  // difference space settles every pair exactly.
+  // p + H t); a Fourier-Motzkin reversal search over the kernel coordinates
+  // t settles every pair exactly.
   for (const auto& [array_id, members] : by_array) {
     if (nonuniform.count(array_id) != 0) continue;
     for (size_t src : members) {
       for (size_t dst : members) {
         DepKind kind = classify(refs[src].kind, refs[dst].kind);
-        SearchSpace space = uniform_space(refs[src], refs[dst], box);
+        const SearchSpace& space = space_of(src, dst);
 
         if (is_memory(kind)) {
           bool already_reversed = std::any_of(
@@ -649,7 +393,7 @@ VerifyResult verify_plan(const LoopNest& nest, const VerifyPlan& plan,
             SearchOutcome out = find_reversal(space, t, box, opts.search_budget);
             if (out.witness.has_value()) {
               auto [i, j] = *out.witness;
-              if (listed.count({src, dst, (j - i).str()}) == 0) {
+              if (listed.count({src, dst, (j - i).data()}) == 0) {
                 append_found(src, dst, i, j, /*reversed=*/true);
               }
             } else if (!out.complete) {
@@ -669,7 +413,7 @@ VerifyResult verify_plan(const LoopNest& nest, const VerifyPlan& plan,
                 find_negative_component(space, t, r, box, opts.search_budget);
             if (out.witness.has_value()) {
               auto [i, j] = *out.witness;
-              if (listed.count({src, dst, (j - i).str()}) == 0) {
+              if (listed.count({src, dst, (j - i).data()}) == 0) {
                 append_found(src, dst, i, j, /*reversed=*/false);
               }
               break;
@@ -692,7 +436,7 @@ VerifyResult verify_plan(const LoopNest& nest, const VerifyPlan& plan,
         DepKind kind = classify(refs[src].kind, refs[dst].kind);
         std::vector<std::vector<Dir>> dirs_list =
             source_first_directions(refs[src], refs[dst], box);
-        SearchSpace space = pair_space(refs[src], refs[dst], box);
+        const SearchSpace& space = space_of(src, dst);
         for (std::vector<Dir>& dirs : dirs_list) {
           DepVerdict v;
           v.src_ref = src;
@@ -846,15 +590,12 @@ VerifyResult verify_plan(const LoopNest& nest, const VerifyPlan& plan,
       if (!carried) {
         // Prove absence per ordered memory pair.
         bool possibly_carried = false;
-        for (const auto& [array_id, members] : by_array) {
-          for (size_t src : members) {
-            for (size_t dst : members) {
+        for (const auto& group : by_array) {
+          for (size_t src : group.second) {
+            for (size_t dst : group.second) {
               if (!is_memory(classify(refs[src].kind, refs[dst].kind))) continue;
-              SearchSpace space = nonuniform.count(array_id) != 0
-                                      ? pair_space(refs[src], refs[dst], box)
-                                      : uniform_space(refs[src], refs[dst], box);
-              SearchOutcome out =
-                  find_carried(space, schedule, l, box, opts.search_budget);
+              SearchOutcome out = find_carried(space_of(src, dst), schedule, l,
+                                               box, opts.search_budget);
               if (out.witness.has_value()) {
                 possibly_carried = true;
               } else if (!out.complete) {

@@ -8,10 +8,10 @@
 // engine derives the dependence set itself (distance vectors where the
 // references are uniformly generated, direction vectors otherwise, Section
 // 2.1/4.2), then settles legality EXACTLY with Fourier-Motzkin searches over
-// the iteration pairs: a verdict is either a lex-positivity proof term, a
-// concrete violation witness (an iteration pair whose order the plan
-// reverses), or -- only when a search exceeds its step budget -- withheld,
-// which callers must treat as "not certified".
+// the dependence instances (search.h): a verdict is either a lex-positivity
+// proof term, a concrete violation witness (an iteration pair whose order
+// the plan reverses), or -- only when a search exceeds its step budget --
+// withheld, which callers must treat as "not certified".
 //
 // Beyond legality the engine classifies every loop level of the original and
 // transformed nest as DOALL-parallel or dependence-carrying, and decides
@@ -124,6 +124,9 @@ struct LevelClass {
 struct VerifyOptions {
   /// Step budget per Fourier-Motzkin witness search branch; an exhausted
   /// budget downgrades the affected verdict to kUnproven (never to legal).
+  /// A uniform pair is searched in its kernel coordinates t (d = p + H t),
+  /// so its steps count values of t; a non-uniform pair's count values of
+  /// the iteration pair (I, J).
   Int search_budget = 200'000;
 
   /// Iteration-count cap for replaying a not-tileable witness pair through
