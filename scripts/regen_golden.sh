@@ -5,15 +5,15 @@
 #   ./scripts/regen_golden.sh [build-dir]
 #
 # Covers tests/golden/batch_loops.json, the byte-exact document
-# `lmre batch --json examples/loops` must produce (golden_batch_test);
-# tests/golden/symbolic_example{6,10}.json, the `lmre analyze --symbolic
-# --json` envelopes pinned by golden_symbolic_test; and
-# tests/golden/verify_example{10,6,8_witness}.json, the `lmre verify
-# --json` certificates pinned by golden_verify_test; the codegen documents
-# pinned by golden_codegen_test; tests/golden/mrc_example*.json, the
-# `lmre mrc --json` envelopes pinned by golden_mrc_test; and
-# tests/golden/cli_*, the `lmre analyze` / `lmre optimize` text and --json
-# documents pinned by golden_cli_test.
+# `lmre batch --json examples/loops` must produce (golden_batch_test), and
+# every file golden_parity_test pins: the `lmre analyze` / `lmre
+# optimize` text documents (tests/golden/cli_*.txt) and the --json
+# documents of analyze, analyze --symbolic, optimize, verify, codegen and
+# mrc (cli_*.json, symbolic_*, verify_*, codegen_*, mrc_*).  Every --json
+# document is the AnalysisSession payload in the verb's envelope, so these
+# goldens also pin what `lmre batch` and `lmre serve` embed for the same
+# requests.  Files whose schema did not change must come out
+# byte-identical; review the diff.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -61,7 +61,7 @@ echo "wrote tests/golden/verify_wide_box.json"
 # Codegen documents (src/codegen): identity-order lowering of the paper's
 # Examples 6, 8 and 10 -- window accounting, buffer plans, and the full
 # generated C unit.  Deterministic, so the whole envelope is pinned
-# (golden_codegen_test).
+# (golden_parity_test).
 "$LMRE" codegen --json tests/golden/example6.loop \
   > tests/golden/codegen_example6.json
 echo "wrote tests/golden/codegen_example6.json"
@@ -74,7 +74,7 @@ echo "wrote tests/golden/codegen_example10.json"
 
 # Miss-ratio curves (src/mrc): exact reuse-distance histograms + curves for
 # the paper's Examples 6, 8 and 10 under the identity order, plus the
-# optimizer's plan for Examples 8 and 10 (golden_mrc_test).  Example 10
+# optimizer's plan for Examples 8 and 10.  Example 10
 # pins the LRU knee at 687 -- every reuse spans exactly 687 distinct
 # elements under the identity order -- against the paper's MWS of 540
 # (the forward-window policy is strictly tighter than LRU).
@@ -96,7 +96,7 @@ echo "wrote tests/golden/mrc_example10_plan.json"
 "$LMRE" mrc --json tests/golden/wide_box.loop > tests/golden/mrc_wide_box.json
 echo "wrote tests/golden/mrc_wide_box.json"
 
-# CLI documents (golden_cli_test): the analyze and optimize verbs, text and
+# CLI documents: the analyze and optimize verbs, text and
 # --json, plus the miss-ratio objective, on the paper's Examples 10 and 6
 # and on the 2^62-element reference box.
 for EX in example10 example6 wide_box; do

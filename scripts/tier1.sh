@@ -2,7 +2,8 @@
 # Tier-1 gate: the standard build + full ctest run, a static-analysis
 # stage (clang-tidy when available + -Werror strict rebuild with a verify
 # smoke), a batch smoke, a cli-smoke (every verb's --json document or
-# refusal, the example binaries' defaults and junk-flag refusal), a serve
+# refusal, each analysis verb's document equal to the serve payload, the
+# example binaries' defaults and junk-flag refusal), a serve
 # smoke (socket round trips byte-identical to batch, overload shedding,
 # single-flight coalescing, graceful SIGTERM drain), a serve-load smoke
 # (CLI TCP round trip byte-identical to the Unix transport + the
@@ -75,8 +76,9 @@ grep -q '"cache.hit_rate": 1' BENCH_runtime.json \
   || { echo "FAIL: warm batch did not hit the cache for every file"; exit 1; }
 
 echo "== tier 1: cli-smoke (--json documents, refusals, example binaries) =="
-# Every verb with a JSON form emits a document python3 parses; every verb
-# without one refuses --json with exit 2.  Each example binary runs with
+# Every verb with a JSON form emits a document python3 parses, and the
+# analysis verbs' documents carry the serve payload; every verb without
+# one refuses --json with exit 2.  Each example binary runs with
 # its defaults and refuses a junk value for its first flag.
 for VERB in version batch analyze optimize lint verify codegen mrc; do
   INPUT=examples/loops/fir.loop
@@ -86,6 +88,25 @@ for VERB in version batch analyze optimize lint verify codegen mrc; do
     || { echo "FAIL: lmre $VERB --json exited nonzero"; exit 1; }
   python3 -m json.tool "$BATCH_CACHE/cli_$VERB.json" >/dev/null \
     || { echo "FAIL: lmre $VERB --json is not a JSON document"; exit 1; }
+done
+# The analysis verbs' --json is the session payload: each document's
+# "result" must parse equal to what `serve --stdio` answers for the same
+# request (the verb's wire kind, the default options).
+for SPEC in analyze:analyze analyze:symbolic:--symbolic optimize:optimize \
+    verify:verify codegen:codegen mrc:mrc; do
+  IFS=: read -r VERB KIND FLAG <<< "$SPEC"
+  # shellcheck disable=SC2086  # FLAG is empty or one flag
+  ./build/tools/lmre "$VERB" --json $FLAG examples/loops/fir.loop \
+    > "$BATCH_CACHE/parity_cli.json"
+  python3 -c 'import json, sys
+print(json.dumps({"id": 1, "kind": sys.argv[1], "source": open(sys.argv[2]).read()}))' \
+    "$KIND" examples/loops/fir.loop \
+    | ./build/tools/lmre serve --stdio > "$BATCH_CACHE/parity_serve.json"
+  python3 -c 'import json, sys
+cli = json.load(open(sys.argv[1]))["result"]
+served = json.load(open(sys.argv[2]))["result"]["result"]
+sys.exit(cli != served)' "$BATCH_CACHE/parity_cli.json" "$BATCH_CACHE/parity_serve.json" \
+    || { echo "FAIL: lmre $VERB${FLAG:+ $FLAG} --json differs from the serve payload"; exit 1; }
 done
 for VERB in distances series request serve figure2; do
   RC=0
@@ -226,8 +247,9 @@ echo "== tier 1: ASan+UBSan pass over the input-handling suites =="
 # support / vector / box suites: the checked arithmetic and the
 # bounds-checked accessors are inline, so a lost check shows here as
 # signed overflow or an out-of-bounds read.  Plus the CLI document suites
-# (golden analyze/optimize/codegen/verify documents, JSON envelopes): the
-# verbs render from the same per-kind handlers batch and serve run.  Plus
+# (every golden CLI document, each --json one byte-compared with the
+# session and serve payloads; JSON envelopes): the verbs render from the
+# same per-kind handlers batch and serve run.  Plus
 # server_test: one socket loop frames untrusted bytes for both the TCP and
 # the Unix-domain transport.  Plus the dependence / Fourier-Motzkin /
 # lex-min differential suites: the echelon lex-min search and the in-place
@@ -245,8 +267,8 @@ export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
 cmake -B build-asan -S . -DLMRE_SANITIZE=address,undefined,float-cast-overflow >/dev/null
 cmake --build build-asan -j "$JOBS" \
   --target parser_test lint_test cli_tool_test minimizer_test report_test \
-  runtime_test support_test vec_mat_test scanner_box_test golden_cli_test \
-  golden_codegen_test golden_verify_test json_test server_test \
+  runtime_test support_test vec_mat_test scanner_box_test golden_parity_test \
+  json_test server_test \
   dependence_test fourier_motzkin_test property_lattice_test \
   oracle_test liveness_test stack_distance_test program_test \
   program_differential_test verify_corpus_test verify_lattice_test \
@@ -260,9 +282,7 @@ cmake --build build-asan -j "$JOBS" \
 ./build-asan/tests/support_test
 ./build-asan/tests/vec_mat_test
 ./build-asan/tests/scanner_box_test
-./build-asan/tests/golden_cli_test
-./build-asan/tests/golden_codegen_test
-./build-asan/tests/golden_verify_test
+./build-asan/tests/golden_parity_test
 ./build-asan/tests/json_test
 ./build-asan/tests/server_test
 ./build-asan/tests/dependence_test
@@ -285,10 +305,10 @@ echo "== tier 1: symbolic-smoke (ASan differential subset + golden check) =="
 # covers it serially and as concurrent requests), then re-pin the golden envelopes for the
 # paper's Example 6 (decline) and Example 10 (Sections 3.2 / 4.3).
 cmake --build build-asan -j "$JOBS" --target property_symbolic_test \
-  golden_symbolic_test symbolic_reject_test
+  golden_parity_test symbolic_reject_test
 ./build-asan/tests/property_symbolic_test \
   --gtest_filter='PropertySymbolic.PaperKernels:PropertySymbolic.Example10ClampingEdges:PropertySymbolic.LoopCorpus'
-./build-asan/tests/golden_symbolic_test
+./build-asan/tests/golden_parity_test --gtest_filter='GoldenSymbolic.*'
 ./build-asan/tests/symbolic_reject_test
 (cd build && ctest -L symbolic --output-on-failure -j "$JOBS") \
   || { echo "FAIL: symbolic-labeled ctest subset"; exit 1; }
@@ -331,9 +351,9 @@ if command -v cc >/dev/null; then
     ./build-asan/tools/lmre codegen --run --json $KERNEL \
       > "$BATCH_CACHE/codegen_smoke.json" \
       || { echo "FAIL: codegen --run exited nonzero on $KERNEL"; exit 1; }
-    grep -q '"identical": true' "$BATCH_CACHE/codegen_smoke.json" \
+    grep -q '"identical":true' "$BATCH_CACHE/codegen_smoke.json" \
       || { echo "FAIL: generated code not bit-identical on $KERNEL"; exit 1; }
-    grep -q '"status": 0' "$BATCH_CACHE/codegen_smoke.json" \
+    grep -q '"status":0' "$BATCH_CACHE/codegen_smoke.json" \
       || { echo "FAIL: generated self-check failed on $KERNEL"; exit 1; }
   done
 else
@@ -352,10 +372,10 @@ echo "== tier 1: mrc-smoke (ASan subset + goldens + sampling error gate) =="
 # MWS is 540; the forward-window policy is strictly tighter than LRU --
 # and bench_mrc --check gates the sampled estimator against its declared
 # error bound (and the exact path against a generous latency ceiling).
-cmake --build build-asan -j "$JOBS" --target property_mrc_test golden_mrc_test
+cmake --build build-asan -j "$JOBS" --target property_mrc_test golden_parity_test
 ./build-asan/tests/property_mrc_test \
   --gtest_filter='Sweep/MrcProperty.*/1:Sweep/MrcProperty.*/2:Sweep/MrcSampledProperty.*/1:MrcSession.*:MrcObjective.*'
-./build-asan/tests/golden_mrc_test
+./build-asan/tests/golden_parity_test --gtest_filter='GoldenMrc.*'
 (cd build && ctest -L mrc --output-on-failure -j "$JOBS") \
   || { echo "FAIL: mrc-labeled ctest subset"; exit 1; }
 ./build/tools/lmre mrc --capacities=540,687 tests/golden/example10.loop \

@@ -315,7 +315,7 @@ void run_generated(CodegenOutcome& outcome, const std::string& cc) {
   outcome.run = compile_and_run(outcome.code.c_source, path);
 }
 
-Json codegen_json(const CodegenOutcome& outcome, bool include_source) {
+Json codegen_json(const CodegenOutcome& outcome) {
   const CodegenResult& cg = outcome.code;
   Json jcg = Json::object();
   jcg.set("plan", outcome.plan.plan.str());
@@ -344,7 +344,7 @@ Json codegen_json(const CodegenOutcome& outcome, bool include_source) {
                    .set("writebacks", b.writebacks));
   }
   jcg.set("buffers", std::move(jbufs));
-  if (include_source) jcg.set("c", cg.c_source);
+  jcg.set("c", cg.c_source);
   if (!outcome.no_compiler.empty()) {
     jcg.set("run", Json::object()
                        .set("compiled", false)

@@ -7,10 +7,10 @@
 // search, certification, emission, miss-ratio curve) under the shared
 // RunOptions, reuses the caller's TraceArena for every oracle run, times
 // each stage into the caller's Metrics, and returns a typed outcome.
-// AnalysisSession (batch, serve) serializes the outcome into its cached
-// payload with the serializers below; the CLI verbs render their text and
-// --json documents from the same outcome.  So the kind semantics -- plan
-// resolution and its certification gate, verify_limit gating, the
+// AnalysisSession (batch, serve, and every CLI verb's --json) serializes
+// the outcome into its cached payload with the serializers below; the CLI
+// verbs render their text from the same outcome.  So the kind semantics --
+// plan resolution and its certification gate, verify_limit gating, the
 // uncertified-plan downgrade -- live here once.
 //
 // A handler throws Refusal when the request cannot be answered as asked
@@ -170,9 +170,9 @@ CodegenOutcome run_codegen(const Program& program,
 void run_generated(CodegenOutcome& outcome, const std::string& cc);
 
 /// The "codegen" section: plan, transform, window accounting, buffer
-/// plans, the C unit (unless !include_source) and the run verdict.  Free
-/// of wall clocks, so identical inputs render identical documents.
-Json codegen_json(const CodegenOutcome& outcome, bool include_source = true);
+/// plans, the C unit and the run verdict.  Free of wall clocks, so
+/// identical inputs render identical documents.
+Json codegen_json(const CodegenOutcome& outcome);
 
 // ---- mrc --------------------------------------------------------------------
 

@@ -385,6 +385,8 @@ TEST(CliVerify, MultiPhaseSourceExitsFailure) {
   EXPECT_NE(out.str().find("single-nest"), std::string::npos);
 }
 
+// --json carries the session's certificate; the independent checker's
+// verdict is part of the text rendering.
 TEST(CliVerify, JsonEmitsCertificateAndCheckerVerdict) {
   std::string path = write_temp("plain_verify.loop", kExample8);
   std::ostringstream out, err;
@@ -393,28 +395,55 @@ TEST(CliVerify, JsonEmitsCertificateAndCheckerVerdict) {
   std::string s = out.str();
   EXPECT_EQ(s.front(), '{');
   EXPECT_NE(s.find("\"command\": \"verify\""), std::string::npos);
-  EXPECT_NE(s.find("\"certified\": true"), std::string::npos);
-  EXPECT_NE(s.find("\"checker\""), std::string::npos);
-  EXPECT_NE(s.find("\"ok\": true"), std::string::npos);
+  EXPECT_NE(s.find("\"certified\":true"), std::string::npos);
+  std::ostringstream text;
+  EXPECT_EQ(run_cli({"verify", "--plan=1 0; 0 1", path}, text, err),
+            ExitCode::kSuccess);
+  EXPECT_NE(text.str().find("checker: ok"), std::string::npos);
+}
+
+// --emit=FILE writes the same C unit under --json, where the payload
+// carries it too.
+TEST(CliCodegen, EmitWritesTheSameUnitWithAndWithoutJson) {
+  std::string path = write_temp("emit_codegen.loop", kExample8);
+  std::string text_c = ::testing::TempDir() + "emit_text.c";
+  std::string json_c = ::testing::TempDir() + "emit_json.c";
+  std::ostringstream text, json, err;
+  EXPECT_EQ(run_cli({"codegen", "--emit=" + text_c, path}, text, err),
+            ExitCode::kSuccess);
+  EXPECT_NE(text.str().find("wrote " + text_c), std::string::npos);
+  EXPECT_EQ(run_cli({"codegen", "--json", "--emit=" + json_c, path}, json, err),
+            ExitCode::kSuccess);
+  EXPECT_EQ(err.str(), "");
+  std::ifstream a(text_c), b(json_c);
+  std::stringstream unit_a, unit_b;
+  unit_a << a.rdbuf();
+  unit_b << b.rdbuf();
+  EXPECT_NE(unit_a.str().find("generated by lmre codegen"), std::string::npos);
+  EXPECT_EQ(unit_a.str(), unit_b.str());
+  EXPECT_NE(json.str().find("\"c\":\"/* generated by lmre codegen"), std::string::npos);
 }
 
 TEST(CliAnalyzeJson, EnvelopeWrapsResult) {
-  std::ostringstream out;
-  EXPECT_EQ(cmd_analyze(kExample8, out, "<input>", /*json=*/true), ExitCode::kSuccess);
+  std::ostringstream out, err;
+  EXPECT_EQ(run_cli({"analyze", "--json", write_temp("analyze_json.loop", kExample8)},
+                    out, err),
+            ExitCode::kSuccess);
   std::string s = out.str();
   EXPECT_NE(s.find("\"schema_version\": 2"), std::string::npos);
   EXPECT_NE(s.find("\"command\": \"analyze\""), std::string::npos);
-  EXPECT_NE(s.find("\"mws_exact\": 44"), std::string::npos);
+  EXPECT_NE(s.find("\"mws_exact\":44"), std::string::npos);
 }
 
 TEST(CliOptimizeJson, EnvelopeWrapsResult) {
-  std::ostringstream out;
-  EXPECT_EQ(cmd_optimize(kExample8, out, "<input>", {}, /*json=*/true),
+  std::ostringstream out, err;
+  EXPECT_EQ(run_cli({"optimize", "--json", write_temp("optimize_json.loop", kExample8)},
+                    out, err),
             ExitCode::kSuccess);
   std::string s = out.str();
   EXPECT_NE(s.find("\"schema_version\": 2"), std::string::npos);
   EXPECT_NE(s.find("\"command\": \"optimize\""), std::string::npos);
-  EXPECT_NE(s.find("\"method\": \"row-minimizer\""), std::string::npos);
+  EXPECT_NE(s.find("\"method\":\"row-minimizer\""), std::string::npos);
 }
 
 // ---- verify_limit gating ----------------------------------------------------
@@ -434,21 +463,23 @@ TEST(CliVerifyLimit, MrcTextRefusesLikeTheSession) {
   EXPECT_EQ(out.str(),
             "mrc needs an exhaustive trace; iteration volume exceeds the "
             "verify limit\n");
-  MrcCliOptions json;
-  json.json = true;
-  std::ostringstream jout;
-  EXPECT_EQ(cmd_mrc(kPastVerifyLimit, json, jout), ExitCode::kFailure);
+  std::ostringstream jout, err;
+  EXPECT_EQ(run_cli({"mrc", "--json", write_temp("mrc_too_large.loop", kPastVerifyLimit)},
+                    jout, err),
+            ExitCode::kFailure);
   EXPECT_NE(jout.str().find("\"too_large\""), std::string::npos);
 }
 
 TEST(CliVerifyLimit, OptimizeJsonMatchesTheSessionPayload) {
-  std::ostringstream out;
-  EXPECT_EQ(cmd_optimize(kPastVerifyLimit, out, "<input>", {}, /*json=*/true),
+  std::ostringstream out, err;
+  EXPECT_EQ(run_cli({"optimize", "--json",
+                     write_temp("optimize_too_large.loop", kPastVerifyLimit)},
+                    out, err),
             ExitCode::kSuccess);
   const std::string s = out.str();
   EXPECT_EQ(s.find("\"mws_before\""), std::string::npos);
   EXPECT_EQ(s.find("\"mws_after\""), std::string::npos);
-  EXPECT_NE(s.find("\"objective_value\": 1500,"), std::string::npos);
+  EXPECT_NE(s.find("\"objective_value\":1500,"), std::string::npos);
 
   AnalysisSession session;
   AnalysisResult res = session.run(

@@ -6,43 +6,18 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <sstream>
 #include <string>
 
+#include "golden_util.h"
 #include "tools/commands.h"
 
 namespace lmre::tools {
 namespace {
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return "";
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
-// The test binary runs from <build>/tests; probe plausible source roots.
-std::string source_root() {
-  for (const char* base : {"", "../", "../../", "../../../"}) {
-    if (!read_file(std::string(base) + "examples/loops/matmult.loop").empty()) {
-      return base;
-    }
-  }
-  return "?";
-}
-
-// Replaces every occurrence of `from` with `to`.
-std::string replace_all(std::string s, const std::string& from,
-                        const std::string& to) {
-  size_t pos = 0;
-  while ((pos = s.find(from, pos)) != std::string::npos) {
-    s.replace(pos, from.size(), to);
-    pos += to.size();
-  }
-  return s;
-}
+using golden::read_file;
+using golden::replace_all;
+using golden::source_root;
 
 TEST(GoldenBatch, JsonDocumentMatchesGolden) {
   std::string root = source_root();

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "golden_util.h"
 #include "support/error.h"
 #include "support/json.h"
 #include "tools/commands.h"
@@ -81,39 +86,82 @@ TEST(Json, EnvelopeShape) {
             "\"schema_version\":2,\"tool\":\"lmre\"}");
 }
 
-TEST(CliJson, AnalyzeEmitsWellFormedDocument) {
-  std::ostringstream out;
-  ExitCode rc = tools::cmd_analyze(R"(
+const char* kExample8 = R"(
     for i = 1 to 25
       for j = 1 to 10
         X[2*i + 5*j + 1] = X[2*i + 5*j + 5];
-  )",
-                                   out, "<input>", /*json=*/true);
+  )";
+
+std::string write_temp(const std::string& name, const std::string& content) {
+  std::string path = ::testing::TempDir() + name;
+  std::ofstream(path) << content;
+  return path;
+}
+
+TEST(CliJson, AnalyzeEmitsWellFormedDocument) {
+  std::ostringstream out, err;
+  ExitCode rc = tools::run_cli(
+      {"analyze", "--json", write_temp("json_analyze.loop", kExample8)}, out, err);
   EXPECT_EQ(rc, ExitCode::kSuccess);
   std::string s = out.str();
   EXPECT_NE(s.find("\"schema_version\": 2"), std::string::npos);
   EXPECT_NE(s.find("\"tool\": \"lmre\""), std::string::npos);
-  EXPECT_NE(s.find("\"mws_exact\": 44"), std::string::npos);
-  EXPECT_NE(s.find("\"distinct_exact\": 94"), std::string::npos);
-  EXPECT_NE(s.find("\"kind\": \"flow\""), std::string::npos);
+  EXPECT_NE(s.find("\"mws_exact\":44"), std::string::npos);
+  EXPECT_NE(s.find("\"distinct_exact\":94"), std::string::npos);
   // Balanced braces (cheap well-formedness check).
   EXPECT_EQ(std::count(s.begin(), s.end(), '{'), std::count(s.begin(), s.end(), '}'));
   EXPECT_EQ(std::count(s.begin(), s.end(), '['), std::count(s.begin(), s.end(), ']'));
 }
 
 TEST(CliJson, OptimizeEmitsTransform) {
-  std::ostringstream out;
-  ExitCode rc = tools::cmd_optimize(R"(
-    for i = 1 to 25
-      for j = 1 to 10
-        X[2*i + 5*j + 1] = X[2*i + 5*j + 5];
-  )",
-                                    out, "<input>", {}, /*json=*/true);
+  std::ostringstream out, err;
+  ExitCode rc = tools::run_cli(
+      {"optimize", "--json", write_temp("json_optimize.loop", kExample8)}, out, err);
   EXPECT_EQ(rc, ExitCode::kSuccess);
   std::string s = out.str();
-  EXPECT_NE(s.find("\"method\": \"row-minimizer\""), std::string::npos);
-  EXPECT_NE(s.find("\"mws_before\": 44"), std::string::npos);
-  EXPECT_NE(s.find("\"mws_after\": 21"), std::string::npos);
+  EXPECT_NE(s.find("\"method\":\"row-minimizer\""), std::string::npos);
+  EXPECT_NE(s.find("\"mws_before\":44"), std::string::npos);
+  EXPECT_NE(s.find("\"mws_after\":21"), std::string::npos);
+}
+
+// A source that does not parse is answered like any other session error: a
+// {"error":{"kind":"parse",...}} document on stdout, nothing on stderr, and
+// the session's status (kDiagnostics) as the exit code.
+TEST(CliJson, ParseErrorIsADocument) {
+  const std::string path = write_temp("json_parse_error.loop", "for i = 1 to\n");
+  for (std::vector<std::string> args :
+       {std::vector<std::string>{"analyze"}, {"analyze", "--symbolic"}, {"optimize"},
+        {"verify"}, {"codegen"}, {"mrc"}}) {
+    args.insert(args.begin() + 1, "--json");
+    args.push_back(path);
+    std::ostringstream out, err;
+    EXPECT_EQ(tools::run_cli(args, out, err), ExitCode::kDiagnostics) << args[0];
+    EXPECT_EQ(err.str(), "") << args[0];
+    const std::string s = out.str();
+    EXPECT_NE(s.find("\"command\": \"" + args[0] + "\""), std::string::npos) << s;
+    EXPECT_NE(s.find("{\"error\":{\"column\":1,\"kind\":\"parse\",\"line\":2,"),
+              std::string::npos)
+        << s;
+  }
+}
+
+// A multi-phase source answers analyze --json with the session's "program"
+// section: the whole-program window and the per-phase handoffs.
+TEST(CliJson, MultiPhaseAnalyzeAnswers) {
+  const std::string root = golden::source_root();
+  if (root == "?") GTEST_SKIP() << "source tree not found from test cwd";
+  std::ostringstream out, err;
+  EXPECT_EQ(tools::run_cli({"analyze", "--json", root + "examples/loops/pipeline.loop"},
+                           out, err),
+            ExitCode::kSuccess);
+  EXPECT_EQ(err.str(), "");
+  const std::string s = out.str();
+  EXPECT_NE(s.find("\"phases\":2"), std::string::npos) << s;
+  EXPECT_NE(s.find("\"program\":{"), std::string::npos) << s;
+  EXPECT_NE(s.find("\"mws_exact\":32"), std::string::npos) << s;
+  EXPECT_NE(s.find("{\"handoff\":32,\"mws\":31,\"name\":\"consume\",\"start\":32}"),
+            std::string::npos)
+      << s;
 }
 
 TEST(CliJson, DispatcherFlag) {

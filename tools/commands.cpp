@@ -40,7 +40,6 @@
 #include "symbolic/derive.h"
 #include "transform/minimizer.h"
 #include "transform/transformed.h"
-#include "verify/certificate.h"
 #include "verify/checker.h"
 #include "verify/verify.h"
 
@@ -48,48 +47,22 @@ namespace lmre::tools {
 
 namespace {
 
-// Lint gate run at the top of every analysis verb: errors abort the command
-// with rendered diagnostics (exit kDiagnostics); warnings are surfaced and
-// the command proceeds.  Returns nullopt to continue.  `command` names the
-// JSON envelope when json is set.
+// Lint gate run at the top of every analysis verb's text rendering: errors
+// abort the command with rendered diagnostics (exit kDiagnostics); warnings
+// are printed and the command proceeds.  Returns nullopt to continue.
 std::optional<ExitCode> lint_gate(const Program& program, const ProgramSourceMap& smap,
-                                  const std::string& file, bool json,
-                                  const std::string& command, std::ostream& out) {
+                                  const std::string& file, std::ostream& out) {
   LintResult lint = lint_program(program, &smap);
-  if (lint.has_errors()) {
-    if (json) {
-      Json doc = Json::object();
-      doc.set("error", "input rejected by lint");
-      doc.set("diagnostics", render_json(lint.diagnostics, file));
-      out << json_envelope(command, std::move(doc)).dump(2) << '\n';
-    } else {
-      out << render_text(lint.diagnostics, file, Severity::kWarning)
-          << render_summary(lint.diagnostics) << '\n';
-    }
-    return ExitCode::kDiagnostics;
-  }
-  // Warnings don't block, but the user should see them (text mode only;
-  // JSON documents keep their schema).
-  if (!json) out << render_text(lint.diagnostics, file, Severity::kWarning);
-  return std::nullopt;
+  out << render_text(lint.diagnostics, file, Severity::kWarning);
+  if (!lint.has_errors()) return std::nullopt;
+  out << render_summary(lint.diagnostics) << '\n';
+  return ExitCode::kDiagnostics;
 }
 
-// Reports a failure the way every analysis verb does: the message as a
-// line of text, or as the "error" of the verb's JSON envelope.
-ExitCode refuse(const std::string& message, ExitCode status, bool json,
-                const std::string& command, std::ostream& out) {
-  if (json) {
-    Json doc = Json::object().set("error", message);
-    out << json_envelope(command, std::move(doc)).dump(2) << '\n';
-  } else {
-    out << message << '\n';
-  }
-  return status;
-}
-
-ExitCode refuse(const Refusal& r, bool json, const std::string& command,
-                std::ostream& out) {
-  return refuse(r.what(), r.status(), json, command, out);
+// Reports a refusal the way every analysis verb's text rendering does.
+ExitCode refuse(const Refusal& r, std::ostream& out) {
+  out << r.what() << '\n';
+  return r.status();
 }
 
 // What a handler runs against from the CLI: the default run options, one
@@ -100,23 +73,32 @@ struct Pipeline {
   Metrics metrics;
 };
 
+// --emit=FILE: writes the C unit; false (with the message on `err`) when
+// the file cannot be written.  An empty path writes nothing.
+bool write_emit_file(const std::string& path, const std::string& c_source,
+                     std::ostream& err) {
+  if (path.empty()) return true;
+  std::ofstream cf(path, std::ios::trunc);
+  if (!cf) {
+    err << "cannot write " << path << '\n';
+    return false;
+  }
+  cf << c_source;
+  return true;
+}
+
 constexpr const char* kExactSkipped =
     "exact window: skipped (iteration volume exceeds the verify limit)\n";
 
 }  // namespace
 
 ExitCode cmd_analyze(const std::string& source, std::ostream& out,
-                     const std::string& file, bool json) {
+                     const std::string& file) {
   ProgramSourceMap smap;
   Program program = parse_program(source, &smap);
-  if (auto rc = lint_gate(program, smap, file, json, "analyze", out)) return *rc;
+  if (auto rc = lint_gate(program, smap, file, out)) return *rc;
   Pipeline p;
-
   if (program.phase_count() > 1) {
-    if (json) {
-      return refuse("analyze --json works on single-nest sources",
-                    ExitCode::kFailure, json, "analyze", out);
-    }
     AnalyzeOutcome a = run_analyze(program, p.run, p.arena, p.metrics);
     out << "multi-phase program, " << a.iterations << " iterations\n";
     if (!a.program) {
@@ -135,90 +117,27 @@ ExitCode cmd_analyze(const std::string& source, std::ostream& out,
   }
 
   const LoopNest& nest = program.phase_nest(0);
-  if (!json) {
-    out << print_nest(nest) << '\n';
-    out << summarize_dependences(analyze_dependences(nest));
-    AnalyzeOutcome a = run_analyze(program, p.run, p.arena, p.metrics);
-    out << '\n' << render(*a.report);
-    if (!a.report->mws_exact_total) out << kExactSkipped;
-    return ExitCode::kSuccess;
-  }
-
-  Json doc = Json::object();
-  doc.set("depth", static_cast<Int>(nest.depth()));
-  doc.set("iterations", nest.iteration_count());
-  Json loops = Json::array();
-  for (size_t k = 0; k < nest.depth(); ++k) {
-    loops.push(Json::object()
-                   .set("var", nest.loop_vars()[k])
-                   .set("lo", nest.bounds().range(k).lo)
-                   .set("hi", nest.bounds().range(k).hi));
-  }
-  doc.set("loops", std::move(loops));
-
-  DependenceInfo info = analyze_dependences(nest);
-  Json deps = Json::array();
-  for (const auto& d : info.deps) {
-    Json dep = Json::object();
-    dep.set("kind", to_string(d.kind));
-    Json dist = Json::array();
-    for (size_t k = 0; k < d.distance.size(); ++k) dist.push(d.distance[k]);
-    dep.set("distance", std::move(dist));
-    dep.set("direction", direction_string(d.distance));
-    dep.set("level", static_cast<Int>(d.level()));
-    deps.push(std::move(dep));
-  }
-  doc.set("dependences", std::move(deps));
-  doc.set("nonuniform", info.has_nonuniform());
-
+  out << print_nest(nest) << '\n';
+  out << summarize_dependences(analyze_dependences(nest));
   AnalyzeOutcome a = run_analyze(program, p.run, p.arena, p.metrics);
-  const MemoryReport& rep = *a.report;
-  Json mem = Json::object();
-  mem.set("default", rep.default_memory);
-  mem.set("distinct_estimate", rep.distinct_estimate_total);
-  if (rep.distinct_exact_total) mem.set("distinct_exact", *rep.distinct_exact_total);
-  if (rep.mws_estimate_total) mem.set("mws_estimate", *rep.mws_estimate_total);
-  if (rep.mws_exact_total) mem.set("mws_exact", *rep.mws_exact_total);
-  Json arrays = Json::array();
-  for (const ArrayReport& ar : rep.arrays) {
-    Json ja = Json::object();
-    ja.set("name", ar.name).set("declared", ar.declared);
-    if (ar.distinct_estimate) ja.set("distinct_estimate", *ar.distinct_estimate);
-    if (ar.distinct_exact) ja.set("distinct_exact", *ar.distinct_exact);
-    if (ar.mws_exact) ja.set("mws_exact", *ar.mws_exact);
-    arrays.push(std::move(ja));
-  }
-  mem.set("arrays", std::move(arrays));
-  doc.set("memory", std::move(mem));
-
-  out << json_envelope("analyze", std::move(doc)).dump(2) << '\n';
+  out << '\n' << render(*a.report);
+  if (!a.report->mws_exact_total) out << kExactSkipped;
   return ExitCode::kSuccess;
 }
 
 ExitCode cmd_optimize(const std::string& source, std::ostream& out,
-                      const std::string& file, const std::string& objective,
-                      bool json) {
+                      const std::string& file, const std::string& objective) {
   ProgramSourceMap smap;
   Program program = parse_program(source, &smap);
-  if (auto rc = lint_gate(program, smap, file, json, "optimize", out)) return *rc;
-  if (json && program.phase_count() > 1) {
-    return refuse("optimize --json works on single-nest sources",
-                  ExitCode::kFailure, json, "optimize", out);
-  }
+  if (auto rc = lint_gate(program, smap, file, out)) return *rc;
   Pipeline p;
   OptimizeOutcome o;
   try {
     o = run_optimize(program, objective, p.run, p.arena, p.metrics);
   } catch (const Refusal& r) {
-    return refuse(r, json, "optimize", out);
+    return refuse(r, out);
   }
   TransformedNest tn(program.phase_nest(0), o.plan.transform);
-  if (json) {
-    Json doc = optimize_json(o).set("transformed_loop", tn.print());
-    out << json_envelope("optimize", std::move(doc)).dump(2) << '\n';
-    return ExitCode::kSuccess;
-  }
-
   if (o.uncertified) {
     out << "plan " << o.uncertified->str()
         << " cannot be certified; downgraded to identity\n";
@@ -271,7 +190,7 @@ ExitCode cmd_series(const std::string& source, std::ostream& out,
   Program program = parse_program(source, &smap);
   // Errors block like every analysis verb; warnings stay out of the CSV.
   std::ostringstream gate;
-  if (auto rc = lint_gate(program, smap, file, /*json=*/false, "series", gate)) {
+  if (auto rc = lint_gate(program, smap, file, gate)) {
     out << gate.str();
     return *rc;
   }
@@ -289,25 +208,18 @@ ExitCode cmd_series(const std::string& source, std::ostream& out,
 }
 
 ExitCode cmd_symbolic(const std::string& source, std::ostream& out,
-                      const std::string& file, bool json) {
+                      const std::string& file) {
   ProgramSourceMap smap;
   Program program = parse_program(source, &smap);
-  if (auto rc = lint_gate(program, smap, file, json, "analyze", out)) return *rc;
+  if (auto rc = lint_gate(program, smap, file, out)) return *rc;
   Pipeline p;
   SymbolicResult sym;
   try {
     sym = run_symbolic(program, p.metrics);
   } catch (const Refusal& r) {
-    return refuse(r, json, "analyze", out);
+    return refuse(r, out);
   }
   const ExitCode rc = sym.usable() ? ExitCode::kSuccess : ExitCode::kDiagnostics;
-  if (json) {
-    Json doc = Json::object();
-    doc.set("symbolic", symbolic_json(sym));
-    out << json_envelope("analyze", std::move(doc)).dump(2) << '\n';
-    return rc;
-  }
-
   out << "symbolic bounds:";
   for (size_t k = 0; k < sym.vars; ++k) {
     out << (k == 0 ? " " : ", ") << sym.bound_names[k] << " = "
@@ -387,64 +299,46 @@ ExitCode cmd_verify(const std::string& source, const VerifyCliOptions& cli,
                     std::ostream& out, const std::string& file) {
   ProgramSourceMap smap;
   Program program = parse_program(source, &smap);
-  if (auto rc = lint_gate(program, smap, file, cli.json, "verify", out)) return *rc;
+  if (auto rc = lint_gate(program, smap, file, out)) return *rc;
   Pipeline p;
   VerifyOutcome v;
   try {
     v = run_verify(program, cli.plan, p.run, p.arena, p.metrics);
   } catch (const Refusal& r) {
-    return refuse(r, cli.json, "verify", out);
+    return refuse(r, out);
   }
   const LoopNest& nest = program.phase_nest(0);
   const VerifyResult& verdict = v.verdict;
   CertificateCheck check = check_certificate(nest, verdict);
 
-  if (cli.json) {
-    Json doc = Json::object();
-    doc.set("verify", certificate_json(nest, verdict));
-    doc.set("diagnostics", render_json(v.diagnostics, file));
-    Json jc = Json::object();
-    jc.set("ok", check.ok)
-        .set("proofs", static_cast<Int>(check.checked_proofs))
-        .set("witnesses", static_cast<Int>(check.checked_witnesses))
-        .set("trusted", static_cast<Int>(check.trusted));
-    if (!check.failures.empty()) {
-      Json fails = Json::array();
-      for (const std::string& f : check.failures) fails.push(f);
-      jc.set("failures", std::move(fails));
+  out << "plan: " << verdict.plan.str() << " (" << v.plan.origin << ")\n";
+  if (verdict.structure_error.empty()) {
+    out << "combined T = " << verdict.combined.str() << '\n'
+        << "legal: " << (verdict.legal ? "yes" : "no")
+        << ", tileable: " << (verdict.tileable ? "yes" : "no")
+        << ", certified: " << (verdict.certified ? "yes" : "no")
+        << ", exact: " << (verdict.exact ? "yes" : "no") << '\n'
+        << "dependences: " << verdict.memory_deps << " memory / "
+        << verdict.total_deps << " total\n";
+    TextTable t;
+    t.header({"nest", "level", "class"});
+    for (const LevelClass& lc : verdict.original_levels) {
+      t.row({"original", std::to_string(lc.level),
+             lc.doall ? "DOALL" : (lc.exact ? "carries deps" : "unproven")});
     }
-    doc.set("checker", std::move(jc));
-    out << json_envelope("verify", std::move(doc)).dump(2) << '\n';
-  } else {
-    out << "plan: " << verdict.plan.str() << " (" << v.plan.origin << ")\n";
-    if (verdict.structure_error.empty()) {
-      out << "combined T = " << verdict.combined.str() << '\n'
-          << "legal: " << (verdict.legal ? "yes" : "no")
-          << ", tileable: " << (verdict.tileable ? "yes" : "no")
-          << ", certified: " << (verdict.certified ? "yes" : "no")
-          << ", exact: " << (verdict.exact ? "yes" : "no") << '\n'
-          << "dependences: " << verdict.memory_deps << " memory / "
-          << verdict.total_deps << " total\n";
-      TextTable t;
-      t.header({"nest", "level", "class"});
-      for (const LevelClass& lc : verdict.original_levels) {
-        t.row({"original", std::to_string(lc.level),
-               lc.doall ? "DOALL" : (lc.exact ? "carries deps" : "unproven")});
-      }
-      for (const LevelClass& lc : verdict.transformed_levels) {
-        t.row({"transformed", std::to_string(lc.level),
-               lc.doall ? "DOALL" : (lc.exact ? "carries deps" : "unproven")});
-      }
-      out << t.render();
+    for (const LevelClass& lc : verdict.transformed_levels) {
+      t.row({"transformed", std::to_string(lc.level),
+             lc.doall ? "DOALL" : (lc.exact ? "carries deps" : "unproven")});
     }
-    out << render_text(v.diagnostics, file)
-        << render_summary(v.diagnostics) << '\n';
-    out << "checker: " << (check.ok ? "ok" : "FAILED") << " ("
-        << check.checked_proofs << " proofs, " << check.checked_witnesses
-        << " witnesses re-validated, " << check.trusted << " trusted)\n";
-    for (const std::string& f : check.failures) {
-      out << "checker: " << f << '\n';
-    }
+    out << t.render();
+  }
+  out << render_text(v.diagnostics, file)
+      << render_summary(v.diagnostics) << '\n';
+  out << "checker: " << (check.ok ? "ok" : "FAILED") << " ("
+      << check.checked_proofs << " proofs, " << check.checked_witnesses
+      << " witnesses re-validated, " << check.trusted << " trusted)\n";
+  for (const std::string& f : check.failures) {
+    out << "checker: " << f << '\n';
   }
   if (!check.ok) return ExitCode::kFailure;
   return verdict.certified ? ExitCode::kSuccess : ExitCode::kDiagnostics;
@@ -455,7 +349,7 @@ ExitCode cmd_codegen(const std::string& source, const CodegenCliOptions& cli,
                      const std::string& file) {
   ProgramSourceMap smap;
   Program program = parse_program(source, &smap);
-  if (auto rc = lint_gate(program, smap, file, cli.json, "codegen", out)) return *rc;
+  if (auto rc = lint_gate(program, smap, file, out)) return *rc;
   Pipeline p;
   AnalysisRequest::Codegen copt;
   copt.plan = cli.plan;
@@ -463,18 +357,11 @@ ExitCode cmd_codegen(const std::string& source, const CodegenCliOptions& cli,
   try {
     outcome = run_codegen(program, copt, p.run, p.arena, p.metrics);
   } catch (const Refusal& r) {
-    return refuse(r, cli.json, "codegen", out);
+    return refuse(r, out);
   }
   const CodegenResult& cg = outcome.code;
 
-  if (!cli.emit_file.empty()) {
-    std::ofstream cf(cli.emit_file, std::ios::trunc);
-    if (!cf) {
-      err << "cannot write " << cli.emit_file << '\n';
-      return ExitCode::kFailure;
-    }
-    cf << cg.c_source;
-  }
+  if (!write_emit_file(cli.emit_file, cg.c_source, err)) return ExitCode::kFailure;
   if (cli.run) {
     run_generated(outcome, cli.cc);
     if (!outcome.no_compiler.empty()) {
@@ -484,82 +371,59 @@ ExitCode cmd_codegen(const std::string& source, const CodegenCliOptions& cli,
   }
   const std::optional<RunVerdict>& run = outcome.run;
 
-  if (cli.json) {
-    Json doc = Json::object();
-    doc.set("codegen", codegen_json(outcome, /*include_source=*/cli.emit_file.empty()));
-    out << json_envelope("codegen", std::move(doc)).dump(2) << '\n';
+  out << "plan: " << outcome.plan.plan.str() << " (" << outcome.plan.origin << ")\n"
+      << "combined T = " << cg.combined.str() << '\n';
+  if (!cg.tile_sizes.empty()) {
+    out << "tile sizes:";
+    for (Int s : cg.tile_sizes) out << ' ' << s;
+    out << '\n';
+  }
+  out << "iterations: " << with_commas(cg.iterations) << '\n'
+      << "window: " << with_commas(cg.window_cells) << " buffer cells vs "
+      << with_commas(cg.original_cells) << " declared (ratio "
+      << cg.footprint_ratio() << "), mws_total " << cg.mws_total << '\n';
+  TextTable t;
+  t.header({"array", "declared", "region", "mws", "modulus", "cold loads",
+            "writebacks"});
+  for (const BufferPlan& b : cg.buffers) {
+    t.row({b.name, with_commas(b.declared), with_commas(b.region),
+           with_commas(b.mws), with_commas(b.modulus),
+           with_commas(b.cold_loads), with_commas(b.writebacks)});
+  }
+  out << t.render();
+  if (run) {
+    out << "run: " << run->status << " (compile " << run->compile_ms
+        << " ms, run " << run->run_ms << " ms)\n"
+        << "  identical " << (run->identical ? "yes" : "no")
+        << ", sink " << (run->sink_match ? "match" : "MISMATCH")
+        << ", mws " << (run->mws_ok ? "ok" : "MISMATCH") << " (measured "
+        << run->mws_measured << ")"
+        << ", traffic " << (run->traffic_ok ? "ok" : "MISMATCH")
+        << " (loads " << run->loads << ", stores " << run->stores
+        << ", reloads " << run->reloads << ")\n";
+    if (!run->ok() && !run->detail.empty()) {
+      out << "  detail: " << run->detail << '\n';
+    }
+  }
+  if (cli.emit_file.empty()) {
+    out << "--- generated C ---\n" << cg.c_source;
   } else {
-    out << "plan: " << outcome.plan.plan.str() << " (" << outcome.plan.origin << ")\n"
-        << "combined T = " << cg.combined.str() << '\n';
-    if (!cg.tile_sizes.empty()) {
-      out << "tile sizes:";
-      for (Int s : cg.tile_sizes) out << ' ' << s;
-      out << '\n';
-    }
-    out << "iterations: " << with_commas(cg.iterations) << '\n'
-        << "window: " << with_commas(cg.window_cells) << " buffer cells vs "
-        << with_commas(cg.original_cells) << " declared (ratio "
-        << cg.footprint_ratio() << "), mws_total " << cg.mws_total << '\n';
-    TextTable t;
-    t.header({"array", "declared", "region", "mws", "modulus", "cold loads",
-              "writebacks"});
-    for (const BufferPlan& b : cg.buffers) {
-      t.row({b.name, with_commas(b.declared), with_commas(b.region),
-             with_commas(b.mws), with_commas(b.modulus),
-             with_commas(b.cold_loads), with_commas(b.writebacks)});
-    }
-    out << t.render();
-    if (run) {
-      out << "run: " << run->status << " (compile " << run->compile_ms
-          << " ms, run " << run->run_ms << " ms)\n"
-          << "  identical " << (run->identical ? "yes" : "no")
-          << ", sink " << (run->sink_match ? "match" : "MISMATCH")
-          << ", mws " << (run->mws_ok ? "ok" : "MISMATCH") << " (measured "
-          << run->mws_measured << ")"
-          << ", traffic " << (run->traffic_ok ? "ok" : "MISMATCH")
-          << " (loads " << run->loads << ", stores " << run->stores
-          << ", reloads " << run->reloads << ")\n";
-      if (!run->ok() && !run->detail.empty()) {
-        out << "  detail: " << run->detail << '\n';
-      }
-    }
-    if (cli.emit_file.empty()) {
-      out << "--- generated C ---\n" << cg.c_source;
-    } else {
-      out << "wrote " << cli.emit_file << '\n';
-    }
+    out << "wrote " << cli.emit_file << '\n';
   }
   return outcome.ok() ? ExitCode::kSuccess : ExitCode::kFailure;
 }
 
 ExitCode cmd_mrc(const std::string& source, const MrcCliOptions& cli,
                  std::ostream& out, const std::string& file) {
-  AnalysisRequest::Mrc mopt;
-  mopt.plan = cli.plan;
-  mopt.sample_rate = cli.sample_rate;
-  mopt.capacities = cli.capacities;
-  if (cli.json) {
-    // The session's payload verbatim, byte-identical to what `lmre batch`
-    // and `lmre serve` embed for the same request (including lint
-    // rejections and volume-gate errors).
-    AnalysisSession session;
-    AnalysisResult res =
-        session.run(AnalysisRequest{source, file, std::move(mopt)});
-    out << json_envelope("mrc", Json::raw(res.payload)).dump(2) << '\n';
-    return res.status;
-  }
-
   ProgramSourceMap smap;
   Program program = parse_program(source, &smap);
-  if (auto rc = lint_gate(program, smap, file, /*json=*/false, "mrc", out)) {
-    return *rc;
-  }
+  if (auto rc = lint_gate(program, smap, file, out)) return *rc;
   Pipeline p;
   MrcOutcome outcome;
   try {
-    outcome = run_mrc(program, mopt, p.run, p.arena, p.metrics);
+    outcome = run_mrc(program, cli, p.run, p.arena, p.metrics);
   } catch (const Refusal& r) {
-    return refuse(r, /*json=*/false, "mrc", out);
+    return refuse(r, out);
   }
   const MrcResult& m = outcome.curve;
 
@@ -1248,6 +1112,33 @@ const Verb kVerbs[] = {
     {"figure2", false, [](Cli&, CliArgs&) {}},
 };
 
+// The session request behind an analysis verb's --json.
+AnalysisRequest::Options session_options(const std::string& verb, const CliArgs& a) {
+  using R = AnalysisRequest;
+  if (verb == "analyze") return a.symbolic ? R::Options{R::Symbolic{}} : R::Analyze{};
+  if (verb == "optimize") return R::Optimize{a.objective};
+  if (verb == "verify") return a.verify;
+  if (verb == "codegen") return R::Codegen{a.codegen.plan, a.codegen.run, a.codegen.cc};
+  return a.mrc;
+}
+
+// An analysis verb's --json: the session payload in the verb's envelope,
+// with the session's status as the exit code.  codegen's --emit=FILE still
+// writes the C unit the payload carries.
+ExitCode print_session_json(const std::string& verb, const AnalysisRequest& req,
+                            const std::string& emit_file, std::ostream& out,
+                            std::ostream& err) {
+  AnalysisResult res = AnalysisSession().run(req);
+  if (!emit_file.empty()) {
+    std::optional<WireValue> doc = parse_wire_json(res.payload, nullptr);
+    const WireValue* cg = doc ? doc->find("codegen") : nullptr;
+    const WireValue* c = cg ? cg->find("c") : nullptr;
+    if (c && !write_emit_file(emit_file, c->text, err)) return ExitCode::kFailure;
+  }
+  out << json_envelope(verb, Json::raw(res.payload)).dump(2) << '\n';
+  return res.status;
+}
+
 const Verb* find_verb(const std::string& name) {
   for (const Verb& v : kVerbs) {
     if (name == v.name) return &v;
@@ -1343,13 +1234,17 @@ ExitCode run_cli(const std::vector<std::string>& args, std::ostream& out,
   auto source = read_source(path, err);
   if (!source) return ExitCode::kFailure;
   const std::string file = path == "-" ? "<stdin>" : path;
-  a.lint.json = a.verify.json = a.codegen.json = a.mrc.json = a.json;
+  if (a.json && name != "lint") {  // lint has no session kind (DESIGN.md §8)
+    AnalysisRequest req{std::move(*source), file, session_options(name, a)};
+    return print_session_json(name, req, a.codegen.emit_file, out, err);
+  }
+  a.lint.json = a.json;
   try {
     if (name == "analyze") {
-      return a.symbolic ? cmd_symbolic(*source, out, file, a.json)
-                        : cmd_analyze(*source, out, file, a.json);
+      return a.symbolic ? cmd_symbolic(*source, out, file)
+                        : cmd_analyze(*source, out, file);
     }
-    if (name == "optimize") return cmd_optimize(*source, out, file, a.objective, a.json);
+    if (name == "optimize") return cmd_optimize(*source, out, file, a.objective);
     if (name == "lint") return cmd_lint(*source, a.lint, out, file);
     if (name == "verify") return cmd_verify(*source, a.verify, out, file);
     if (name == "codegen") return cmd_codegen(*source, a.codegen, out, err, file);

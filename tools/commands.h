@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "linalg/mat.h"
+#include "runtime/session.h"
 #include "support/checked.h"
 #include "support/error.h"
 
@@ -21,31 +22,33 @@ namespace lmre::tools {
 // as ParseError out of the cmd_* functions; run_cli formats them as
 // "file:line:col: error: ..." on the error stream.
 //
-// Every `--json` emitter wraps its payload in the common versioned envelope
+// Every `--json` document is wrapped in the common versioned envelope
 // (json_envelope in support/json.h):
-//   {"schema_version": 1, "tool": "lmre", "command": ..., "result": ...}
+//   {"schema_version": 2, "tool": "lmre", "command": ..., "result": ...}
+// For the analysis verbs (analyze, analyze --symbolic, optimize, verify,
+// codegen, mrc) run_cli maps the flags onto an AnalysisRequest and the
+// result is the AnalysisSession payload, byte-identical to what `lmre
+// batch` and `lmre serve` embed for the same request -- parse errors, lint
+// rejections and refusals included -- with the session's status as the
+// exit code.  The cmd_* functions of those verbs are their text renderings.
 
-/// `lmre analyze [--json] <dsl>`: dependences + memory report (+ program
-/// handoffs for multi-phase sources); --json emits the single-nest report
-/// as an enveloped document.  Lints the input first: errors abort with
-/// diagnostics (exit kDiagnostics), warnings are printed (text mode) and
-/// analysis continues.  `file` names the input in diagnostics.  The exact
-/// columns are measured only within the default verify_limit.
+/// `lmre analyze <dsl>`: dependences + memory report (+ program handoffs
+/// for multi-phase sources).  Lints the input first: errors abort with
+/// diagnostics (exit kDiagnostics), warnings are printed and analysis
+/// continues.  `file` names the input in diagnostics.  The exact columns
+/// are measured only within the default verify_limit.
 ExitCode cmd_analyze(const std::string& source, std::ostream& out,
-                     const std::string& file = "<input>", bool json = false);
+                     const std::string& file = "<input>");
 
-/// `lmre optimize [--json] [--objective=SPEC] <dsl>`: transformation
-/// search, certification, transformed loop, before/after windows (exact
-/// within the default verify_limit).  Lint-gated like cmd_analyze.
-/// `objective` selects the
-/// search metric: ""/"mws" = the paper's window objective,
+/// `lmre optimize [--objective=SPEC] <dsl>`: transformation search,
+/// certification, transformed loop, before/after windows (exact within
+/// the default verify_limit).  Lint-gated like cmd_analyze.  `objective`
+/// selects the search metric: ""/"mws" = the paper's window objective,
 /// "miss-ratio:<capacity>" re-scores the top candidates by exact miss
-/// ratio at that LRU capacity (src/mrc).  The --json document always names
-/// the chosen objective ("objective", "objective_value"); miss-ratio runs
-/// add "objective_capacity" and the before/after miss ratios.
+/// ratio at that LRU capacity (src/mrc).
 ExitCode cmd_optimize(const std::string& source, std::ostream& out,
                       const std::string& file = "<input>",
-                      const std::string& objective = {}, bool json = false);
+                      const std::string& objective = {});
 
 /// Options for `lmre lint`, parsed by run_cli.
 struct LintCliOptions {
@@ -71,28 +74,20 @@ ExitCode cmd_distances(const std::string& source, std::ostream& out);
 ExitCode cmd_series(const std::string& source, std::ostream& out,
                     const std::string& file = "<input>");
 
-/// `lmre analyze --symbolic [--json] <dsl>`: closed-form analysis
-/// (src/symbolic) -- per-array distinct/reuse/window formulas in the
-/// symbolic bounds N1..Nn, evaluated once at the nest's own trip counts.
-/// Never runs the trace oracle, so the cost is independent of the bounds.
-/// Exits kDiagnostics when no array admits a closed form (LMRE-E017);
-/// partial coverage is reported with per-quantity notes and exits
-/// kSuccess.  --json wraps the "symbolic" object (bounds, per-array
-/// formulas with rendered strings + polynomial terms, totals, diagnostics)
-/// that the runtime embeds for batch/serve "symbolic" requests.
+/// `lmre analyze --symbolic <dsl>`: closed-form analysis (src/symbolic) --
+/// per-array distinct/reuse/window formulas in the symbolic bounds
+/// N1..Nn, evaluated once at the nest's own trip counts.  Never runs the
+/// trace oracle, so the cost is independent of the bounds.  Exits
+/// kDiagnostics when no array admits a closed form (LMRE-E017); partial
+/// coverage is reported with per-quantity notes and exits kSuccess.
 ExitCode cmd_symbolic(const std::string& source, std::ostream& out,
-                      const std::string& file = "<input>", bool json = false);
+                      const std::string& file = "<input>");
 
-/// Options for `lmre verify`, parsed by run_cli.
-struct VerifyCliOptions {
-  bool json = false;  ///< emit the certificate in the JSON envelope
-  /// --plan=SPEC: the transform plan to certify, in the verify grammar
-  /// ('|'-separated unimodular steps, optional trailing "tile:4,4").
-  /// Empty (or bare --plan) = audit the plan `lmre optimize` emits.
-  std::string plan;
-};
+/// Options for `lmre verify`: --plan=SPEC, the plan to certify ("" or bare
+/// --plan = audit the plan `lmre optimize` emits).
+using VerifyCliOptions = AnalysisRequest::Verify;
 
-/// `lmre verify [--json] [--plan[=SPEC]] <file|->`: runs the
+/// `lmre verify [--plan[=SPEC]] <file|->`: runs the
 /// dependence-preservation prover (src/verify) over the plan, renders its
 /// diagnostics (LMRE-E013/E019/W014/W020/N016/N021/N022), and re-validates
 /// the certificate with the independent checker.  kSuccess when the plan is
@@ -104,7 +99,6 @@ ExitCode cmd_verify(const std::string& source, const VerifyCliOptions& opts,
 
 /// Options for `lmre codegen`, parsed by run_cli.
 struct CodegenCliOptions {
-  bool json = false;  ///< emit the codegen document in the JSON envelope
   bool run = false;   ///< --run: compile with cc and execute the self-check
   /// --plan[=SPEC]: execution order to emit.  "" = the identity order,
   /// "auto" (bare --plan) = the plan `lmre optimize` emits, anything else
@@ -114,7 +108,7 @@ struct CodegenCliOptions {
   std::string emit_file;  ///< --emit=FILE: write the C unit here
 };
 
-/// `lmre codegen [--json] [--plan[=SPEC]] [--run] [--cc=PATH]
+/// `lmre codegen [--plan[=SPEC]] [--run] [--cc=PATH]
 /// [--emit=FILE] <file|->`: lowers the nest to one standalone C unit
 /// (src/codegen) holding the original nest over full arrays AND the
 /// plan's execution order against window-sized modulo buffers, plus a
@@ -128,25 +122,16 @@ ExitCode cmd_codegen(const std::string& source, const CodegenCliOptions& opts,
                      std::ostream& out, std::ostream& err,
                      const std::string& file = "<input>");
 
-/// Options for `lmre mrc`, parsed by run_cli.
-struct MrcCliOptions {
-  bool json = false;  ///< emit the session's "mrc" payload in the envelope
-  /// --plan[=SPEC]: execution order to measure.  "" = the identity order,
-  /// "auto" (bare --plan) = the plan `lmre optimize` emits, anything else
-  /// = a verify-grammar spec (unimodular steps only; tiling is rejected).
-  std::string plan;
-  double sample_rate = 1.0;     ///< --sample-rate=R in (0, 1]; 1 = exact
-  std::vector<Int> capacities;  ///< --capacities=LIST; empty = auto sweep
-};
+/// Options for `lmre mrc`: --plan[=SPEC] (bare = "auto", the optimizer's
+/// plan), --sample-rate=R and --capacities=LIST.
+using MrcCliOptions = AnalysisRequest::Mrc;
 
-/// `lmre mrc [--json] [--plan[=SPEC]] [--sample-rate=R] [--capacities=LIST]
+/// `lmre mrc [--plan[=SPEC]] [--sample-rate=R] [--capacities=LIST]
 /// <file|->`: reuse-distance histogram and miss-ratio curve (src/mrc) for
 /// the nest under the given execution order -- exact, or SHARDS-sampled at
-/// `--sample-rate` with a declared error bound.  Text mode renders the
-/// curve as a table; --json routes through an AnalysisSession so the
-/// payload is byte-identical to what batch/serve embed for the same
-/// request.  kUsage on a malformed plan/rate/capacity, kFailure when the
-/// trace volume exceeds the verify limit.
+/// `--sample-rate` with a declared error bound -- rendered as a table.
+/// kUsage on a malformed plan, kFailure when the trace volume exceeds the
+/// verify limit.
 ExitCode cmd_mrc(const std::string& source, const MrcCliOptions& opts,
                  std::ostream& out, const std::string& file = "<input>");
 
