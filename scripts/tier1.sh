@@ -108,6 +108,18 @@ served = json.load(open(sys.argv[2]))["result"]["result"]
 sys.exit(cli != served)' "$BATCH_CACHE/parity_cli.json" "$BATCH_CACHE/parity_serve.json" \
     || { echo "FAIL: lmre $VERB${FLAG:+ $FLAG} --json differs from the serve payload"; exit 1; }
 done
+# lint --json answers a parse error with the same error document (and
+# exit code 3) as the session verbs, not a stderr line.
+printf 'array A[10];\nfor i = 1 to\n' > "$BATCH_CACHE/parse_error.loop"
+RC=0
+./build/tools/lmre lint --json "$BATCH_CACHE/parse_error.loop" \
+  > "$BATCH_CACHE/cli_lint_parse.json" 2>"$BATCH_CACHE/cli_lint_parse.err" || RC=$?
+[ "$RC" -eq 3 ] \
+  || { echo "FAIL: lmre lint --json on a parse error exited $RC, not 3"; exit 1; }
+python3 -c 'import json, sys
+doc = json.load(open(sys.argv[1]))
+sys.exit(doc["result"]["error"]["kind"] != "parse")' "$BATCH_CACHE/cli_lint_parse.json" \
+  || { echo "FAIL: lmre lint --json printed no parse-error document"; exit 1; }
 for VERB in distances series request serve figure2; do
   RC=0
   ./build/tools/lmre "$VERB" --json examples/loops/fir.loop </dev/null \
@@ -258,7 +270,9 @@ echo "== tier 1: ASan+UBSan pass over the input-handling suites =="
 # differential): every exact trace steps u64 addresses through one driver.
 # Plus the prover's suites (the verify corpus, the lattice-space
 # differential and the first 100 cases of the order-oracle sweep): the
-# searches index lattice rows and constraint buffers by hand.
+# searches index lattice rows and constraint buffers by hand.  Plus
+# trace_engine_test: signed permutations sweep T * box with the box
+# driver, whose sequence it pins to the polyhedral driver's.
 # A UBSan finding stops the stage (halt_on_error), and float-cast-overflow,
 # which GCC leaves out of "undefined", catches out-of-range double-to-integer
 # casts such as a wire deadline past the clock's range.
@@ -272,7 +286,7 @@ cmake --build build-asan -j "$JOBS" \
   dependence_test fourier_motzkin_test property_lattice_test \
   oracle_test liveness_test stack_distance_test program_test \
   program_differential_test verify_corpus_test verify_lattice_test \
-  property_verify_test
+  property_verify_test trace_engine_test
 ./build-asan/tests/parser_test
 ./build-asan/tests/lint_test
 ./build-asan/tests/cli_tool_test
@@ -297,6 +311,7 @@ cmake --build build-asan -j "$JOBS" \
 ./build-asan/tests/verify_lattice_test
 ./build-asan/tests/property_verify_test \
   --gtest_filter='Sweep/VerifyProperty.*/?:Sweep/VerifyProperty.*/??'
+./build-asan/tests/trace_engine_test
 
 echo "== tier 1: symbolic-smoke (ASan differential subset + golden check) =="
 # The symbolic closed forms must stay oracle-exact under ASan+UBSan: run

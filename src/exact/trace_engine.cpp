@@ -187,6 +187,26 @@ TracePlan plan_trace(const LoopNest& nest, const IntMat* transform,
   plan.t_inv = scan_inverse(nest, transform);
   plan.addr = AddressPlan::build(nest, plan.t_inv ? &*plan.t_inv : nullptr,
                                  liveness_order);
+  if (plan.t_inv && is_signed_permutation(*transform)) {
+    // The scan stays inside the iteration space iff T^-1 maps the corners
+    // of u_box into the box (both are boxes, T^-1 is a signed
+    // permutation): the one check that replaces drive_transformed's
+    // per-row endpoint checks.
+    const IntBox& box = nest.bounds();
+    IntBox u_box = box.image_hull(*transform);
+    IntVec lo(u_box.dims()), hi(u_box.dims());
+    bool empty = false;
+    for (size_t k = 0; k < u_box.dims(); ++k) {
+      lo[k] = u_box.range(k).lo;
+      hi[k] = u_box.range(k).hi;
+      empty = empty || lo[k] > hi[k];
+    }
+    if (!empty) {
+      ensure(box.contains(*plan.t_inv * lo) && box.contains(*plan.t_inv * hi),
+             "transformed scan left the iteration space");
+    }
+    plan.u_box = std::move(u_box);
+  }
   return plan;
 }
 

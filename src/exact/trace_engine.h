@@ -24,7 +24,8 @@
 // Every exact trace takes the same two steps: plan_trace checks and inverts
 // the scan transform and builds the AddressPlan through the inverse, and
 // run_trace prepares the arena, drives each planned nest (drive_box in
-// original order, drive_transformed in transformed order) and finishes the
+// original order and under signed permutations, whose image T * box is a
+// box; drive_transformed under every other transform) and finishes the
 // run.  A multi-phase program is one run over one plan per phase, the
 // plans sharing one store per array name (shared_stores).
 //
@@ -357,12 +358,20 @@ std::optional<IntMat> scan_inverse(const LoopNest& nest, const IntMat* transform
 struct TracePlan {
   const LoopNest* nest = nullptr;
   std::optional<IntMat> t_inv;  ///< T^-1; empty for original order
+  /// T * box when T is a signed permutation: the image is itself a box, so
+  /// drive_box scans it over the plan's u-space coefficients in the same
+  /// lexicographic order drive_transformed would, with no projection and
+  /// no per-row T^-1 arithmetic.
+  std::optional<IntBox> u_box;
   AddressPlan addr;
 };
 
 /// Plans one nest's trace in original (`transform == nullptr`) or
 /// transformed order; see AddressPlan::build for `liveness_order` and the
-/// OverflowError.  Every exact trace of a nest starts here.
+/// OverflowError.  A signed-permutation transform (the identity passed as
+/// a matrix included) gets its u_box, checked once here: T^-1 maps both of
+/// its corners into the iteration box.  Every exact trace of a nest starts
+/// here.
 TracePlan plan_trace(const LoopNest& nest, const IntMat* transform,
                      bool liveness_order);
 
@@ -390,10 +399,14 @@ Int run_trace(const TracePlan* plans, size_t count, TraceArena& arena,
     auto access = [&](size_t r, Int at, std::uint64_t addr) {
       touch(*bufs[r], r, at, addr);
     };
-    ordinal = plan.t_inv
-                  ? drive_transformed(plan.addr, *plan.nest, *plan.t_inv,
-                                      ordinal, access)
-                  : drive_box(plan.addr, plan.nest->bounds(), ordinal, access);
+    if (plan.u_box) {
+      ordinal = drive_box(plan.addr, *plan.u_box, ordinal, access);
+    } else if (plan.t_inv) {
+      ordinal = drive_transformed(plan.addr, *plan.nest, *plan.t_inv, ordinal,
+                                  access);
+    } else {
+      ordinal = drive_box(plan.addr, plan.nest->bounds(), ordinal, access);
+    }
   }
   arena.finish_run(plans[0].addr);
   return ordinal;

@@ -82,4 +82,10 @@ class IntMat {
 
 std::ostream& operator<<(std::ostream& os, const IntMat& m);
 
+/// True when t is a signed permutation matrix (exactly one +-1 per row and
+/// column): loop permutation plus per-loop reversal.  Such a T maps a box
+/// onto a box, which is what lets window formulas compose through it and
+/// the trace engine scan T * box without a polyhedral projection.
+bool is_signed_permutation(const IntMat& t);
+
 }  // namespace lmre

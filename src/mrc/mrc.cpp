@@ -66,24 +66,53 @@ MrcResult compute_mrc(const LoopNest& nest, const MrcOptions& opts,
   }
 
   const bool exact = opts.sample_rate >= 1.0;
-  const double weight = exact ? 1.0 : 1.0 / opts.sample_rate;
   DistanceVisitOptions vopts;
   vopts.transform = opts.transform;
   vopts.sample_rate = opts.sample_rate;
   vopts.seed = opts.seed;
   Int sampled_elements = 0;
-  visit_stack_distances(nest, vopts, arena, [&](size_t r, Int distance) {
-    if (distance == 0) ++sampled_elements;
-    // SHARDS rescaling: a distance measured among a rate-R sample of the
-    // elements estimates R times fewer distinct elements than the truth.
-    const Int d = exact || distance == 0
-                      ? distance
-                      : std::max<Int>(1, std::llround(
-                                            static_cast<double>(distance) *
-                                            (1.0 / opts.sample_rate)));
-    res.aggregate.add(d, weight);
-    res.arrays[slot_of[r]].hist.add(d, weight);
-  });
+  if (exact) {
+    // Exact mode counts each distance (0 = cold) in dense integer vectors,
+    // one for the aggregate and one per array curve, grown to the largest
+    // distance seen, and folds them into the bins once: every weight is 1,
+    // so a bin's sum of ones is exactly its count.
+    std::vector<std::vector<Int>> counts(res.arrays.size() + 1);
+    std::vector<Int>& all = counts.back();
+    visit_stack_distances(nest, vopts, arena, [&](size_t r, Int distance) {
+      const auto d = static_cast<size_t>(distance);
+      std::vector<Int>& mine = counts[slot_of[r]];
+      if (d >= all.size()) all.resize(d + 1, 0);
+      if (d >= mine.size()) mine.resize(all.size(), 0);
+      ++all[d];
+      ++mine[d];
+    });
+    auto fold = [](const std::vector<Int>& count, MrcHistogram& hist) {
+      for (size_t d = 0; d < count.size(); ++d) {
+        if (count[d] > 0) {
+          hist.add(static_cast<Int>(d), static_cast<double>(count[d]));
+        }
+      }
+    };
+    for (size_t a = 0; a < res.arrays.size(); ++a) {
+      fold(counts[a], res.arrays[a].hist);
+    }
+    fold(all, res.aggregate);
+    sampled_elements = all.empty() ? 0 : all[0];
+  } else {
+    const double weight = 1.0 / opts.sample_rate;
+    visit_stack_distances(nest, vopts, arena, [&](size_t r, Int distance) {
+      if (distance == 0) ++sampled_elements;
+      // SHARDS rescaling: a distance measured among a rate-R sample of the
+      // elements estimates R times fewer distinct elements than the truth.
+      const Int d = distance == 0
+                        ? distance
+                        : std::max<Int>(1, std::llround(
+                                              static_cast<double>(distance) *
+                                              (1.0 / opts.sample_rate)));
+      res.aggregate.add(d, weight);
+      res.arrays[slot_of[r]].hist.add(d, weight);
+    });
+  }
 
   // Totals are exact regardless of sampling: every iteration issues every
   // reference.

@@ -42,6 +42,22 @@ ConstraintSystem IntBox::image_constraints(const IntMat& t_inv) const {
   return sys;
 }
 
+IntBox IntBox::image_hull(const IntMat& t) const {
+  const size_t n = dims();
+  std::vector<Range> ranges(n);
+  for (size_t r = 0; r < n; ++r) {
+    Int lo = 0, hi = 0;
+    for (size_t c = 0; c < n; ++c) {
+      const Int a = t(r, c);
+      const Range& x = ranges_[c];
+      lo = checked_add(lo, checked_mul(a, a >= 0 ? x.lo : x.hi));
+      hi = checked_add(hi, checked_mul(a, a >= 0 ? x.hi : x.lo));
+    }
+    ranges[r] = Range{lo, hi};
+  }
+  return IntBox(std::move(ranges));
+}
+
 std::string IntBox::str() const {
   std::ostringstream os;
   for (size_t i = 0; i < ranges_.size(); ++i) {

@@ -54,6 +54,12 @@ class IntBox {
   /// i = T^-1 u.  `t_inv` is T^-1 (dims() x dims()).
   ConstraintSystem image_constraints(const IntMat& t_inv) const;
 
+  /// The interval hull of the image T * box: per row of `t`, the range of
+  /// u_r = t.row(r) . i over the box.  Exactly the image when T is a
+  /// signed permutation; a superset (the sweep of the transformed scan)
+  /// otherwise.  Overflow-checked.
+  IntBox image_hull(const IntMat& t) const;
+
   std::string str() const;
 
  private:

@@ -38,7 +38,10 @@ ResolvedPlan resolve_plan(const LoopNest& nest, const std::string& spec,
     OptimizeResult opt;
     {
       Metrics::ScopedTimer t = metrics.time("stage.optimize");
-      opt = optimize_locality(nest, minimizer_options(run), arena);
+      r.deps = analyze_dependences(nest);
+      MinimizerOptions mopts = minimizer_options(run);
+      mopts.deps = &*r.deps;
+      opt = optimize_locality(nest, mopts, arena);
     }
     r.plan.steps = {opt.transform};
     r.origin = "optimize plan (method '" + opt.method + "')";
@@ -145,11 +148,18 @@ OptimizeOutcome run_optimize(const Program& program, const std::string& objectiv
   OptimizeOutcome o;
   o.objective = *spec;
   OptimizeResult& plan = o.plan;
+  // One dependence analysis serves the search, its scores and the audit.
+  DependenceInfo deps;
+  MinimizerOptions mopts = minimizer_options(run);
+  mopts.deps = &deps;
   {
     Metrics::ScopedTimer t = metrics.time("stage.optimize");
     if (spec->miss_ratio) {
-      o.miss_ratio = optimize_miss_ratio(nest, spec->capacity,
-                                         minimizer_options(run), arena);
+      // Past the verify limit the objective is refused before any analysis.
+      if (nest.iteration_count() <= run.verify_limit) {
+        deps = analyze_dependences(nest);
+        o.miss_ratio = optimize_miss_ratio(nest, spec->capacity, mopts, arena);
+      }
       if (!o.miss_ratio) {
         throw Refusal("too_large", ExitCode::kFailure,
                       "miss-ratio objective needs exact re-scoring; "
@@ -157,9 +167,10 @@ OptimizeOutcome run_optimize(const Program& program, const std::string& objectiv
       }
       plan.transform = o.miss_ratio->transform;
       plan.method = o.miss_ratio->method;
-      plan.predicted_mws = predicted_mws_after(nest, plan.transform);
+      plan.predicted_mws = predicted_mws_after(nest, deps, plan.transform);
     } else {
-      plan = optimize_locality(nest, minimizer_options(run), arena);
+      deps = analyze_dependences(nest);
+      plan = optimize_locality(nest, mopts, arena);
     }
   }
   // Independent legality audit of the winning plan: the minimizer only
@@ -168,9 +179,11 @@ OptimizeOutcome run_optimize(const Program& program, const std::string& objectiv
   // refused under --strict, downgraded to the identity otherwise.
   VerifyPlan vplan;
   vplan.steps = {plan.transform};
+  VerifyOptions vopts;
+  vopts.deps = &deps;
   {
     Metrics::ScopedTimer t = metrics.time("stage.verify");
-    o.verdict = verify_plan(nest, vplan);
+    o.verdict = verify_plan(nest, vplan, vopts);
   }
   if (!o.verdict.certified) {
     if (run.strict) {
@@ -181,7 +194,8 @@ OptimizeOutcome run_optimize(const Program& program, const std::string& objectiv
     o.uncertified = plan.transform;
     plan.transform = IntMat::identity(nest.depth());
     plan.method = "identity (uncertified plan downgraded)";
-    plan.predicted_mws = predicted_mws_after(nest, plan.transform);
+    plan.predicted_mws = predicted_mws_after(nest, deps, plan.transform);
+    plan.mws_exact = plan.mws_identity;
   }
   // Symbolic window formula for the shipped plan: exact through signed
   // permutations, the paper's eq. (2) estimate for other 2-D plans.
@@ -197,21 +211,23 @@ OptimizeOutcome run_optimize(const Program& program, const std::string& objectiv
     }
   } catch (const Error&) {
   }
+  // The MWS re-score already traced both orders; trace again only where
+  // it did not run (the miss-ratio objective).
   if (nest.iteration_count() <= run.verify_limit) {
-    o.mws_before = simulate(nest, /*unused=*/1, arena).mws_total;
+    o.mws_before = plan.mws_identity
+                       ? *plan.mws_identity
+                       : simulate(nest, /*unused=*/1, arena).mws_total;
   }
   if (transformed_scan_volume(nest, plan.transform) <= run.verify_limit) {
-    o.mws_after = simulate_transformed(nest, plan.transform, arena).mws_total;
+    o.mws_after = plan.mws_exact
+                      ? *plan.mws_exact
+                      : simulate_transformed(nest, plan.transform, arena).mws_total;
   }
   if (spec->miss_ratio) {
-    // Re-measure on the shipped transform so a downgrade reports the
-    // shipped plan's ratio, not the refused one's.
-    MrcOptions mo;
-    const bool ident = plan.transform == IntMat::identity(nest.depth());
-    mo.transform = ident ? nullptr : &plan.transform;
-    Metrics::ScopedTimer t = metrics.time("stage.mrc");
-    o.miss_ratio_after =
-        compute_mrc(nest, mo, arena).aggregate.miss_ratio(spec->capacity);
+    // The re-score measured every order that can ship: a downgrade ships
+    // the identity, whose ratio is the baseline.
+    o.miss_ratio_after = o.uncertified ? o.miss_ratio->miss_ratio_before
+                                       : o.miss_ratio->miss_ratio_after;
   }
   return o;
 }
@@ -264,7 +280,7 @@ VerifyOutcome run_verify(const Program& program, const std::string& plan_spec,
                         metrics);
   {
     Metrics::ScopedTimer t = metrics.time("stage.verify");
-    v.verdict = verify_plan(nest, v.plan.plan);
+    v.verdict = verify_plan(nest, v.plan.plan, v.plan.verify_options());
   }
   DiagnosticEngine engine;
   emit_verify_diagnostics(nest, v.verdict, v.plan.origin,
@@ -287,7 +303,7 @@ CodegenOutcome run_codegen(const Program& program,
     VerifyResult verdict;
     {
       Metrics::ScopedTimer t = metrics.time("stage.verify");
-      verdict = verify_plan(nest, cg.plan.plan);
+      verdict = verify_plan(nest, cg.plan.plan, cg.plan.verify_options());
     }
     if (!verdict.certified) {
       throw Refusal("uncertified", ExitCode::kDiagnostics,

@@ -68,6 +68,16 @@ struct ResolvedPlan {
   VerifyPlan plan;     ///< no steps = the identity order
   std::string origin;  ///< "identity plan", "supplied plan", "optimize plan (method 'M')"
   std::string method;  ///< the optimizer's method when it chose the plan
+  /// The nest's dependences when the optimizer chose the plan (its search
+  /// analyzed them); empty otherwise.
+  std::optional<DependenceInfo> deps;
+
+  /// The prover's options: over `deps` when the search left them.
+  VerifyOptions verify_options() const {
+    VerifyOptions opts;
+    if (deps) opts.deps = &*deps;
+    return opts;
+  }
 };
 
 /// Resolves a plan spec: the identity, the optimizer's plan (searched with
@@ -107,7 +117,8 @@ struct OptimizeOutcome {
   VerifyResult verdict;                     ///< prover's verdict on the winner
   std::optional<IntMat> uncertified;        ///< the refused winner, when downgraded
   /// Exact windows of the original and shipped orders, each measured only
-  /// when its trace volume is within run.verify_limit.
+  /// when its trace volume is within run.verify_limit (taken from the
+  /// search's oracle re-score when it ran, traced here otherwise).
   std::optional<Int> mws_before;
   std::optional<Int> mws_after;
   /// Miss-ratio objective: the shipped plan's ratio at the capacity.

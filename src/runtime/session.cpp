@@ -65,14 +65,6 @@ namespace {
 // changes so stale disk caches invalidate themselves.
 constexpr const char* kHashSalt = "lmre-result-v4";
 
-Json error_json(const char* kind, const std::string& message, int line = 0,
-                int column = 0) {
-  Json err = Json::object();
-  err.set("kind", kind).set("message", message);
-  if (line > 0) err.set("line", line).set("column", column);
-  return Json::object().set("error", std::move(err));
-}
-
 // File-name-free diagnostic record (the cache key ignores file names, so
 // the payload must too; callers attach the name when rendering).
 Json diag_json(const Diagnostic& d) {
@@ -323,6 +315,14 @@ std::string AnalysisSession::compute_payload(const AnalysisRequest& req,
         .set("kind", to_string(req.kind()))
         .dump();
   }
+}
+
+Json error_json(const char* kind, const std::string& message, int line,
+                int column) {
+  Json err = Json::object();
+  err.set("kind", kind).set("message", message);
+  if (line > 0) err.set("line", line).set("column", column);
+  return Json::object().set("error", std::move(err));
 }
 
 std::shared_ptr<const CachedEntry> AnalysisSession::recall_resident(

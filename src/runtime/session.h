@@ -188,6 +188,11 @@ std::optional<AnalysisRequest::Kind> kind_from_string(std::string_view name);
 /// and error messages.
 std::string kind_names_joined(const char* sep = "|");
 
+/// A failed request's payload body: {"error": {"kind": KIND, "message":
+/// M}}, plus "line" and "column" when `line` > 0 (parse errors).
+Json error_json(const char* kind, const std::string& message, int line = 0,
+                int column = 0);
+
 struct AnalysisResult {
   ExitCode status = ExitCode::kSuccess;
   std::uint64_t key = 0;   ///< content hash the result was cached under

@@ -337,27 +337,6 @@ SymbolicWindow symbolic_chain_window(const IntVec& d, size_t vars,
   return win;
 }
 
-bool is_signed_permutation(const IntMat& t) {
-  if (t.rows() != t.cols()) return false;
-  const size_t n = t.rows();
-  std::vector<int> col_used(n, 0);
-  for (size_t r = 0; r < n; ++r) {
-    int nonzero = 0;
-    for (size_t c = 0; c < n; ++c) {
-      Int v = t(r, c);
-      if (v == 0) continue;
-      if (v != 1 && v != -1) return false;
-      ++nonzero;
-      ++col_used[c];
-    }
-    if (nonzero != 1) return false;
-  }
-  for (size_t c = 0; c < n; ++c) {
-    if (col_used[c] != 1) return false;
-  }
-  return true;
-}
-
 SymbolicResult symbolic_analysis(const LoopNest& nest) {
   WindowPlan plan;
   plan.axes = identity_axes(nest.depth());

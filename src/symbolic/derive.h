@@ -107,10 +107,6 @@ SymbolicWindow symbolic_chain_window(const IntVec& d, size_t vars);
 SymbolicWindow symbolic_chain_window(const IntVec& d, size_t vars,
                                      const std::vector<size_t>& axes);
 
-/// True when t is a signed permutation matrix (exactly one +-1 per row and
-/// column): the class of transforms window formulas compose through.
-bool is_signed_permutation(const IntMat& t);
-
 /// Symbolic analysis of the nest as written.
 SymbolicResult symbolic_analysis(const LoopNest& nest);
 

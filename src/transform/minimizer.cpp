@@ -231,77 +231,89 @@ std::optional<IntMat> embedding_transform(const LoopNest& nest,
   return std::nullopt;
 }
 
-namespace {
-
-// Transformed-space extents: exact for signed permutations, bounding box
-// otherwise.
-IntBox transformed_box(const IntBox& box, const IntMat& t) {
-  const size_t n = box.dims();
-  std::vector<Range> ranges(n);
-  for (size_t r = 0; r < n; ++r) {
-    // u_r = sum_c t(r,c) * i_c; interval arithmetic over the box.
-    Int lo = 0, hi = 0;
-    for (size_t c = 0; c < n; ++c) {
-      Int a = t(r, c);
-      if (a >= 0) {
-        lo = checked_add(lo, checked_mul(a, box.range(c).lo));
-        hi = checked_add(hi, checked_mul(a, box.range(c).hi));
-      } else {
-        lo = checked_add(lo, checked_mul(a, box.range(c).hi));
-        hi = checked_add(hi, checked_mul(a, box.range(c).lo));
-      }
-    }
-    ranges[r] = Range{lo, hi};
-  }
-  return IntBox(std::move(ranges));
-}
-
-}  // namespace
-
 Int transformed_scan_volume(const LoopNest& nest, const IntMat& t) {
-  return transformed_box(nest.bounds(), t).volume();
+  return nest.bounds().image_hull(t).volume();
 }
 
 Int predicted_mws_after(const LoopNest& nest, const IntMat& t) {
   return predicted_mws_after(nest, analyze_dependences(nest), t);
 }
 
-Int predicted_mws_after(const LoopNest& nest, const DependenceInfo& info,
-                        const IntMat& t) {
-  const std::vector<ArrayRef> refs = nest.all_refs();
-  IntBox tbox = transformed_box(nest.bounds(), t);
+namespace {
 
-  Int total = 0;
-  for (ArrayId id = 0; id < nest.arrays().size(); ++id) {
-    std::vector<ArrayRef> arefs = nest.refs_to(id);
-    if (arefs.empty()) continue;
-    bool uniform = true;
-    for (size_t i = 1; i < arefs.size(); ++i) {
-      if (!arefs[i].uniformly_generated_with(arefs[0])) uniform = false;
-    }
-    if (!uniform) continue;  // constant under transformation; omit from score
-
-    if (nest.depth() == 2 && nest.array(id).dims() == 1) {
-      total = checked_add(total, mws2_estimate(arefs[0].access.row(0), nest.bounds(),
-                                               t(0, 0), t(0, 1)).ceil());
-      continue;
-    }
-
-    // Dominant transformed reuse vector, capped by the array's distinct
-    // count (the window cannot exceed the elements ever touched).
-    std::optional<IntVec> dom;
-    for (const auto& dep : info.deps) {
-      if (refs[dep.src_ref].array != id) continue;
-      IntVec td = t * dep.distance;
-      if (!td.lex_positive()) td = -td;
-      if (!dom || dom->lex_less(td)) dom = td;
-    }
-    if (dom) {
-      Int cap = estimate_distinct(nest, id).distinct;
-      total = checked_add(total, std::min(mws_from_reuse_vector(*dom, tbox), cap));
+// predicted_mws_after's per-array inputs, none of which depends on T: which
+// arrays score (referenced, uniformly generated), each one's eq.-(2) row
+// or reuse distances, and -- computed on first use, then kept -- its
+// distinct-count cap.  One scorer serves every candidate of a search.
+class MwsScorer {
+ public:
+  MwsScorer(const LoopNest& nest, const DependenceInfo& info) : nest_(nest) {
+    const std::vector<ArrayRef> refs = nest.all_refs();
+    for (ArrayId id = 0; id < nest.arrays().size(); ++id) {
+      std::vector<ArrayRef> arefs = nest.refs_to(id);
+      if (arefs.empty()) continue;
+      bool uniform = true;
+      for (size_t i = 1; i < arefs.size(); ++i) {
+        if (!arefs[i].uniformly_generated_with(arefs[0])) uniform = false;
+      }
+      if (!uniform) continue;  // constant under transformation; omit from score
+      Term term;
+      term.id = id;
+      term.row2 = nest.depth() == 2 && nest.array(id).dims() == 1;
+      if (term.row2) {
+        term.alpha = arefs[0].access.row(0);
+      } else {
+        for (const auto& dep : info.deps) {
+          if (refs[dep.src_ref].array == id) term.distances.push_back(&dep.distance);
+        }
+      }
+      terms_.push_back(std::move(term));
     }
   }
-  return total;
+
+  Int score(const IntMat& t) {
+    IntBox tbox = nest_.bounds().image_hull(t);
+    Int total = 0;
+    for (Term& term : terms_) {
+      if (term.row2) {
+        total = checked_add(total, mws2_estimate(term.alpha, nest_.bounds(),
+                                                 t(0, 0), t(0, 1)).ceil());
+        continue;
+      }
+      // Dominant transformed reuse vector, capped by the array's distinct
+      // count (the window cannot exceed the elements ever touched).
+      std::optional<IntVec> dom;
+      for (const IntVec* d : term.distances) {
+        IntVec td = t * *d;
+        if (!td.lex_positive()) td = -td;
+        if (!dom || dom->lex_less(td)) dom = td;
+      }
+      if (dom) {
+        if (!term.cap) term.cap = estimate_distinct(nest_, term.id).distinct;
+        total = checked_add(total,
+                            std::min(mws_from_reuse_vector(*dom, tbox), *term.cap));
+      }
+    }
+    return total;
+  }
+
+ private:
+  struct Term {
+    ArrayId id = 0;
+    bool row2 = false;  ///< 1-d array in a 2-deep nest: eq. (2) over row 0
+    IntVec alpha;       ///< its subscript row (row2)
+    std::vector<const IntVec*> distances;  ///< its reuse distances (!row2)
+    std::optional<Int> cap;                ///< its distinct count, once used
+  };
+  const LoopNest& nest_;
+  std::vector<Term> terms_;
+};
+
+}  // namespace
+
+Int predicted_mws_after(const LoopNest& nest, const DependenceInfo& info,
+                        const IntMat& t) {
+  return MwsScorer(nest, info).score(t);
 }
 
 OptimizeResult optimize_locality(const LoopNest& nest, const MinimizerOptions& opts) {
@@ -314,13 +326,16 @@ std::vector<CandidatePlan> candidate_plans(const LoopNest& nest,
   const size_t n = nest.depth();
   // The dependences are a property of the nest, not of a candidate: one
   // analysis serves the legality filter, the scoring and both searches.
-  DependenceInfo info = analyze_dependences(nest);
+  std::optional<DependenceInfo> own;
+  const DependenceInfo& info =
+      opts.deps ? *opts.deps : own.emplace(analyze_dependences(nest));
   std::vector<IntVec> memory = info.distance_vectors(/*include_input=*/false);
 
+  MwsScorer scorer(nest, info);
   std::vector<CandidatePlan> candidates;
   auto consider = [&](const IntMat& t, const std::string& method) {
     if (!is_legal(t, memory)) return;
-    candidates.push_back(CandidatePlan{t, method, predicted_mws_after(nest, info, t)});
+    candidates.push_back(CandidatePlan{t, method, scorer.score(t)});
   };
 
   consider(IntMat::identity(n), "identity");
@@ -360,6 +375,8 @@ OptimizeResult optimize_locality(const LoopNest& nest,
                                  const MinimizerOptions& opts,
                                  TraceArena& arena) {
   std::vector<CandidatePlan> candidates = candidate_plans(nest, opts);
+  const CandidatePlan* best = &candidates.front();
+  OptimizeResult res;
 
   // The analytic score ranks depth-2 candidates well, but for deeper nests
   // (bounding-box extents, dominant-vector choice) it can misrank; rescore
@@ -393,21 +410,22 @@ OptimizeResult optimize_locality(const LoopNest& nest,
     }
     // Every candidate reuses the caller's arena, so a verify loop touches
     // a single allocation footprint.
-    const CandidatePlan* best = nullptr;
-    Int best_exact = 0;
+    const IntMat identity = IntMat::identity(nest.depth());
+    best = nullptr;
     for (const CandidatePlan* c : unique) {
       const Int exact = simulate_transformed(nest, c->t, arena).mws_total;
-      if (!best || exact < best_exact) {
+      if (c->t == identity) res.mws_identity = exact;
+      if (!best || exact < *res.mws_exact) {
         best = c;
-        best_exact = exact;
+        res.mws_exact = exact;
       }
     }
     ensure(best != nullptr, "exact verification examined no candidate");
-    return OptimizeResult{best->t, best->method, best->score};
   }
-
-  return OptimizeResult{candidates.front().t, candidates.front().method,
-                        candidates.front().score};
+  res.transform = best->t;
+  res.method = best->method;
+  res.predicted_mws = best->score;
+  return res;
 }
 
 MinimizerOptions minimizer_options(const RunOptions& run) {

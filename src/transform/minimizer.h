@@ -56,6 +56,11 @@ struct MinimizerOptions {
   /// transformed_scan_volume) are skipped individually.
   Int verify_top_k = 8;
   Int verify_iteration_limit = 2'000'000;
+
+  /// The nest's dependence analysis (analyze_dependences(nest)) when the
+  /// caller already has it, e.g. to hand the same analysis to the prover;
+  /// null: candidate_plans analyzes the nest itself.
+  const DependenceInfo* deps = nullptr;
 };
 
 struct MinimizerResult {
@@ -105,6 +110,11 @@ struct OptimizeResult {
   IntMat transform;
   std::string method;  ///< "identity", "row-minimizer", "embedding(X)", "permutation"
   Int predicted_mws = 0;
+  /// The exact MWS the oracle re-score measured for the identity order and
+  /// for the chosen plan; empty when no re-score ran (verify_top_k == 0 or
+  /// the nest past verify_iteration_limit).
+  std::optional<Int> mws_identity;
+  std::optional<Int> mws_exact;
 };
 
 /// One legal transformation from the enumeration, with its analytic score.
@@ -118,7 +128,8 @@ struct CandidatePlan {
 /// signed permutations, the depth-2 row minimizer, and per-array
 /// embeddings, legality-filtered against the memory dependences, scored by
 /// predicted_mws_after, and stably sorted best-first.  The nest's
-/// dependences are analyzed once and shared by every candidate.  The
+/// dependences (opts.deps, or analyzed here once) are shared by every
+/// candidate.  The
 /// identity is always present, so the result is never empty.
 /// optimize_locality and the miss-ratio objective both re-score prefixes
 /// of this list.

@@ -279,7 +279,11 @@ VerifyResult verify_plan(const LoopNest& nest, const VerifyPlan& plan,
   const IntMat identity = IntMat::identity(n);
 
   const std::vector<ArrayRef> refs = nest.all_refs();
-  DependenceInfo info = analyze_dependences(nest);
+  // Analyzed here, when the caller has no analysis, only once the plan is
+  // known to be structurally sound.
+  std::optional<DependenceInfo> own;
+  const DependenceInfo& info =
+      opts.deps ? *opts.deps : own.emplace(analyze_dependences(nest));
   const std::set<ArrayId> nonuniform(info.nonuniform_arrays.begin(),
                                      info.nonuniform_arrays.end());
 

@@ -132,6 +132,11 @@ struct VerifyOptions {
   /// Iteration-count cap for replaying a not-tileable witness pair through
   /// the concrete tiled order to upgrade it into an order-reversal witness.
   Int tiled_replay_limit = 20'000;
+
+  /// The nest's dependence analysis (analyze_dependences(nest)) when the
+  /// caller already has it -- a request that searched for the plan proves
+  /// it over the same analysis; null: the prover analyzes the nest itself.
+  const DependenceInfo* deps = nullptr;
 };
 
 struct VerifyResult {
@@ -160,8 +165,8 @@ struct VerifyResult {
   size_t total_deps = 0;   ///< all verdicts including input reuse
 };
 
-/// Proves or refutes dependence preservation of `plan` over the nest's own
-/// re-derived dependence set.  Never throws on analyzable input; overflow
+/// Proves or refutes dependence preservation of `plan` over the nest's
+/// dependence set (opts.deps, or re-derived here).  Never throws on analyzable input; overflow
 /// or unbounded-search conditions surface as kUnproven verdicts.
 VerifyResult verify_plan(const LoopNest& nest, const VerifyPlan& plan,
                          const VerifyOptions& opts = {});

@@ -822,6 +822,30 @@ TEST(CliJson, ServeRefusesJson) {
   expect_json_refused({"serve", "--stdio", "--json"});
 }
 
+TEST(CliJson, LintParseErrorIsADocument) {
+  // lint --json answers a parse error with the error document the other
+  // --json verbs print, on stdout, with the parse-error exit code.
+  const std::string file =
+      write_temp("json_lint_parse.loop", "array A[10];\nfor i = 1 to\n");
+  std::ostringstream out, err;
+  EXPECT_EQ(run_cli({"lint", "--json", file}, out, err), ExitCode::kDiagnostics);
+  EXPECT_TRUE(err.str().empty()) << err.str();
+  const std::string doc = out.str();
+  EXPECT_NE(doc.find("\"command\": \"lint\""), std::string::npos) << doc;
+  EXPECT_NE(doc.find("\"kind\": \"parse\""), std::string::npos) << doc;
+  EXPECT_NE(doc.find("\"line\": 3"), std::string::npos) << doc;
+  EXPECT_NE(doc.find("\"message\": \"expected integer, got '<end of input>'\""),
+            std::string::npos)
+      << doc;
+  // verify --json reports the same error.
+  std::ostringstream vout, verr;
+  EXPECT_EQ(run_cli({"verify", "--json", file}, vout, verr), ExitCode::kDiagnostics);
+  EXPECT_NE(vout.str().find("\"kind\":\"parse\",\"line\":3,"
+                            "\"message\":\"expected integer, got '<end of input>'\""),
+            std::string::npos)
+      << vout.str();
+}
+
 TEST(CliLint, SubscriptOverflowIsOneE009) {
   std::ostringstream out;
   LintCliOptions opts;

@@ -11,6 +11,8 @@
 //       cold vs warm session caches,
 // and the dense Fenwick stack-distance path reproduces the retained
 // MRU-list reference engine bin for bin, in original and transformed order.
+// Exact mode's dense distance counts fold into the same bins as one
+// histogram add per access, on these nests and the shared nest corpus.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +27,7 @@
 #include "ir/builder.h"
 #include "ir/parser.h"
 #include "mrc/mrc.h"
+#include "nest_corpus.h"
 #include "runtime/session.h"
 
 namespace lmre {
@@ -84,6 +87,45 @@ void expect_profile_eq(const StackDistanceProfile& got,
   EXPECT_EQ(got.histogram, want.histogram);
 }
 
+// Exact mode through one MrcHistogram::add per access -- the fold that
+// compute_mrc's dense integer counts replace.
+MrcResult per_access_mrc(const LoopNest& nest, const IntMat* transform) {
+  MrcResult res;
+  std::vector<size_t> array_slot(nest.arrays().size(), SIZE_MAX);
+  for (ArrayId id = 0; id < nest.arrays().size(); ++id) {
+    if (nest.refs_to(id).empty()) continue;
+    array_slot[id] = res.arrays.size();
+    res.arrays.push_back(MrcArrayCurve{nest.array(id).name, 0, {}});
+  }
+  const std::vector<ArrayRef> refs = nest.all_refs();
+  DistanceVisitOptions opts;
+  opts.transform = transform;
+  TraceArena arena;
+  visit_stack_distances(nest, opts, arena, [&](size_t r, Int distance) {
+    res.aggregate.add(distance, 1.0);
+    res.arrays[array_slot[refs[r].array]].hist.add(distance, 1.0);
+  });
+  return res;
+}
+
+// compute_mrc's exact curves equal the per-access fold, bin for bin.
+void expect_dense_counts_match(const LoopNest& nest, const IntMat* transform,
+                               const std::string& what) {
+  SCOPED_TRACE(what + (transform ? " t=" + transform->str() : ""));
+  MrcOptions opts;
+  opts.transform = transform;
+  const MrcResult dense = compute_mrc(nest, opts);
+  const MrcResult want = per_access_mrc(nest, transform);
+  EXPECT_EQ(dense.aggregate.cold, want.aggregate.cold);
+  EXPECT_EQ(dense.aggregate.bins, want.aggregate.bins);
+  ASSERT_EQ(dense.arrays.size(), want.arrays.size());
+  for (size_t a = 0; a < want.arrays.size(); ++a) {
+    EXPECT_EQ(dense.arrays[a].hist.cold, want.arrays[a].hist.cold) << a;
+    EXPECT_EQ(dense.arrays[a].hist.bins, want.arrays[a].hist.bins) << a;
+  }
+  EXPECT_EQ(static_cast<double>(dense.sampled_elements), want.aggregate.cold);
+}
+
 // (a) + (b) + dense-vs-reference differential on one nest.
 void check_exact_properties(const LoopNest& nest, const std::string& what) {
   SCOPED_TRACE(what);
@@ -125,10 +167,12 @@ void check_exact_properties(const LoopNest& nest, const std::string& what) {
   EXPECT_DOUBLE_EQ(m.aggregate.misses(m.knee), m.aggregate.cold);
   EXPECT_EQ(profile.lru_misses(oracle.distinct_total), profile.cold_accesses);
 
-  // Dense engine == MRU-list reference under every transform.
+  // Dense engine == MRU-list reference, and dense counts == per-access
+  // bins, under every transform.
   for (const IntMat& t : transforms_for(nest.depth())) {
     expect_profile_eq(stack_distances(nest, &t),
                       stack_distances_reference(nest, &t), "t=" + t.str());
+    expect_dense_counts_match(nest, &t, "");
   }
 }
 
@@ -174,6 +218,17 @@ void check_determinism(const LoopNest& nest, TraceArena& shared,
   const std::string s1 = mrc_json(compute_mrc(nest, opts, shared), caps).dump();
   const std::string s2 = mrc_json(compute_mrc(nest, opts, shared), caps).dump();
   EXPECT_EQ(s1, s2);
+}
+
+TEST(MrcExactCounts, DenseCountsEqualPerAccessBinsOnTheCorpus) {
+  const std::vector<test::NamedNest> corpus = test::nest_corpus();
+  ASSERT_GT(corpus.size(), 80u);
+  for (const auto& [name, nest] : corpus) {
+    expect_dense_counts_match(nest, nullptr, name);
+    for (const IntMat& t : transforms_for(nest.depth())) {
+      expect_dense_counts_match(nest, &t, name);
+    }
+  }
 }
 
 class MrcProperty : public ::testing::TestWithParam<int> {};

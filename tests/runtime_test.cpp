@@ -17,7 +17,12 @@
 #include <thread>
 #include <vector>
 
+#include "exact/oracle.h"
+#include "exact/trace_engine.h"
+#include "ir/parser.h"
+#include "nest_corpus.h"
 #include "runtime/cache.h"
+#include "runtime/handlers.h"
 #include "runtime/metrics.h"
 #include "runtime/session.h"
 #include "support/error.h"
@@ -387,6 +392,77 @@ TEST(Session, DowngradedOptimizeReportsTheIdentitysPrediction) {
   std::optional<Int> after = int_field(r.payload, "mws_after");
   ASSERT_TRUE(after.has_value()) << r.payload;
   EXPECT_EQ(int_field(r.payload, "objective_value"), after) << r.payload;
+}
+
+// optimize reports the windows its search's oracle re-score measured;
+// each must equal a fresh trace of its order.
+void expect_optimize_windows_fresh(const LoopNest& nest, const std::string& what) {
+  Program program;
+  program.add_phase("main", nest);
+  const RunOptions run;
+  TraceArena arena;
+  Metrics metrics;
+  const OptimizeOutcome o = run_optimize(program, "", run, arena, metrics);
+  ASSERT_TRUE(o.mws_before.has_value()) << what;
+  EXPECT_EQ(*o.mws_before, simulate(nest).mws_total) << what;
+  ASSERT_TRUE(o.mws_after.has_value()) << what;
+  EXPECT_EQ(*o.mws_after, simulate_transformed(nest, o.plan.transform).mws_total)
+      << what << " T=" << o.plan.transform.str();
+}
+
+TEST(Handlers, OptimizeWindowsEqualFreshTracesOnTheCorpus) {
+  const std::vector<test::NamedNest> corpus = test::nest_corpus();
+  ASSERT_GT(corpus.size(), 80u);
+  for (const auto& [name, nest] : corpus) expect_optimize_windows_fresh(nest, name);
+}
+
+TEST(Handlers, DowngradedOptimizeReportsTheIdentitysWindow) {
+  // The downgrade case of Session.DowngradedOptimizeReportsTheIdentitysPrediction:
+  // the shipped order is the identity, so both windows are the original's.
+  const Program program = parse_program(
+      "array B[28]; array C[29];\n"
+      "for i = 0 to 10\n  for j = 1 to 9\n    for k = 0 to 9\n"
+      "      B[i + 2*j - 1] = C[i + j + k] + B[i + 2*j - 1];\n");
+  const LoopNest& nest = program.phase_nest(0);
+  TraceArena arena;
+  Metrics metrics;
+  const OptimizeOutcome o = run_optimize(program, "", RunOptions{}, arena, metrics);
+  ASSERT_TRUE(o.uncertified.has_value());
+  EXPECT_EQ(o.plan.transform, IntMat::identity(3));
+  const Int identity = simulate(nest).mws_total;
+  EXPECT_EQ(o.mws_before, identity);
+  EXPECT_EQ(o.mws_after, identity);
+  EXPECT_NE(simulate_transformed(nest, *o.uncertified).mws_total, identity);
+  expect_optimize_windows_fresh(nest, "downgrade");
+}
+
+// The miss-ratio objective reports the shipped order's ratio from its
+// re-score; it must equal a fresh curve of that order.
+void expect_miss_ratio_fresh(const Program& program, const std::string& what) {
+  const LoopNest& nest = program.phase_nest(0);
+  TraceArena arena;
+  Metrics metrics;
+  const OptimizeOutcome o =
+      run_optimize(program, "miss-ratio:8", RunOptions{}, arena, metrics);
+  MrcOptions mo;
+  const bool ident = o.plan.transform == IntMat::identity(nest.depth());
+  mo.transform = ident ? nullptr : &o.plan.transform;
+  ASSERT_TRUE(o.miss_ratio_after.has_value()) << what;
+  EXPECT_EQ(*o.miss_ratio_after, compute_mrc(nest, mo).aggregate.miss_ratio(8))
+      << what << " T=" << o.plan.transform.str();
+}
+
+TEST(Handlers, MissRatioAfterEqualsAFreshCurve) {
+  for (const auto& [name, nest] : test::nest_corpus()) {
+    Program program;
+    program.add_phase("main", nest);
+    expect_miss_ratio_fresh(program, name);
+  }
+  expect_miss_ratio_fresh(
+      parse_program("array B[28]; array C[29];\n"
+                    "for i = 0 to 10\n  for j = 1 to 9\n    for k = 0 to 9\n"
+                    "      B[i + 2*j - 1] = C[i + j + k] + B[i + 2*j - 1];\n"),
+      "downgrade");
 }
 
 TEST(Session, FreshSessionWarmsFromDiskCache) {

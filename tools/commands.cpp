@@ -269,7 +269,16 @@ ExitCode cmd_symbolic(const std::string& source, std::ostream& out,
 ExitCode cmd_lint(const std::string& source, const LintCliOptions& cli,
                   std::ostream& out, const std::string& file) {
   ProgramSourceMap smap;
-  Program program = parse_program(source, &smap);
+  Program program;
+  try {
+    program = parse_program(source, &smap);
+  } catch (const ParseError& e) {
+    if (!cli.json) throw;
+    // The same parse-error document every other --json verb prints.
+    Json doc = error_json("parse", e.message(), e.line(), e.column());
+    out << json_envelope("lint", doc.set("kind", "lint")).dump(2) << '\n';
+    return ExitCode::kDiagnostics;
+  }
 
   LintOptions opts;
   if (cli.plan) {
