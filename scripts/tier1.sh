@@ -276,6 +276,8 @@ echo "== tier 1: ASan+UBSan pass over the input-handling suites =="
 # A UBSan finding stops the stage (halt_on_error), and float-cast-overflow,
 # which GCC leaves out of "undefined", catches out-of-range double-to-integer
 # casts such as a wire deadline past the clock's range.
+# Plus payload_order_test: every payload object is streamed through the
+# JsonWriter into its response string, each key written by hand in order.
 # (check_alloc_test replaces operator new and stays out of this stage.)
 export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
 cmake -B build-asan -S . -DLMRE_SANITIZE=address,undefined,float-cast-overflow >/dev/null
@@ -286,7 +288,7 @@ cmake --build build-asan -j "$JOBS" \
   dependence_test fourier_motzkin_test property_lattice_test \
   oracle_test liveness_test stack_distance_test program_test \
   program_differential_test verify_corpus_test verify_lattice_test \
-  property_verify_test trace_engine_test
+  property_verify_test trace_engine_test payload_order_test lmre_cli
 ./build-asan/tests/parser_test
 ./build-asan/tests/lint_test
 ./build-asan/tests/cli_tool_test
@@ -312,6 +314,35 @@ cmake --build build-asan -j "$JOBS" \
 ./build-asan/tests/property_verify_test \
   --gtest_filter='Sweep/VerifyProperty.*/?:Sweep/VerifyProperty.*/??'
 ./build-asan/tests/trace_engine_test
+./build-asan/tests/payload_order_test
+# Nests deeper than the inline storage of IntVec (8 entries) and IntMat
+# (16): their heap-spill paths run under the sanitizers end to end.  The
+# 9-deep nest's iteration and distance vectors spill; analyze, codegen,
+# mrc and verify (with an explicit 9 x 9 plan) run on it.  The optimizer's
+# search grows factorially with depth, so optimize and verify's default
+# audit (which runs the optimizer) take a 6-deep nest, whose 6 x 6
+# transforms spill.  The references are uniformly generated: at depth 9
+# the prover's non-uniform path alone takes seconds.
+deep_nest() {
+  echo "array A[5][5];"
+  for d in $(seq 1 "$1"); do printf '%*sfor i%d = 1 to 2\n' $((d - 1)) '' "$d"; done
+  printf '%*sA[i1 + i2][i%d + 1] = A[i1 + i2][i%d] + A[i1 + i2][i%d + 2];\n' \
+    "$1" '' "$1" "$1" "$1"
+}
+deep_nest 9 > "$BATCH_CACHE/deep9.loop"
+deep_nest 6 > "$BATCH_CACHE/deep6.loop"
+IDENTITY9="$(python3 -c 'print("; ".join(" ".join("1" if r == c else "0"
+  for c in range(9)) for r in range(9)))')"
+for SPEC in "analyze:deep9" "codegen:deep9" "mrc:deep9" "verify:deep9:--plan=$IDENTITY9" \
+    "optimize:deep6" "verify:deep6"; do
+  IFS=: read -r VERB NEST FLAG <<< "$SPEC"
+  # shellcheck disable=SC2086  # FLAG is empty or one flag
+  ./build-asan/tools/lmre "$VERB" --json ${FLAG:+"$FLAG"} "$BATCH_CACHE/$NEST.loop" \
+    > "$BATCH_CACHE/deep_$VERB.json" \
+    || { echo "FAIL: lmre $VERB on the $NEST nest under ASan+UBSan"; exit 1; }
+  python3 -m json.tool "$BATCH_CACHE/deep_$VERB.json" >/dev/null \
+    || { echo "FAIL: lmre $VERB on the $NEST nest printed no JSON document"; exit 1; }
+done
 
 echo "== tier 1: symbolic-smoke (ASan differential subset + golden check) =="
 # The symbolic closed forms must stay oracle-exact under ASan+UBSan: run

@@ -14,7 +14,7 @@ namespace {
 struct Interval {
   Int first, last;  // live on [first, last] (ordinals); last > first
   ArrayId array;
-  std::vector<Int> index;
+  IntVec index;
 };
 
 // Collects the live intervals of every element touched in more than one
@@ -22,7 +22,7 @@ struct Interval {
 std::vector<Interval> live_intervals(const LoopNest& nest, const IntMat* t) {
   struct Key {
     ArrayId array;
-    std::vector<Int> index;
+    IntVec index;
     bool operator==(const Key& o) const {
       return array == o.array && index == o.index;
     }
@@ -40,7 +40,7 @@ std::vector<Interval> live_intervals(const LoopNest& nest, const IntMat* t) {
   visit_iterations(nest, t, [&](Int ordinal, const IntVec& iter) {
     for (const auto& stmt : nest.statements()) {
       for (const auto& ref : stmt.refs) {
-        Key key{ref.array, ref.index_at(iter).data()};
+        Key key{ref.array, ref.index_at(iter)};
         auto [it, inserted] = touch.try_emplace(key, std::make_pair(ordinal, ordinal));
         if (!inserted) it->second.second = ordinal;
       }
@@ -124,7 +124,7 @@ ModuloBuffer min_modulo_buffer(const LoopNest& nest,
   // Per array: smallest M with no two same-residue overlapping intervals.
   std::map<ArrayId, std::vector<std::pair<std::pair<Int, Int>, Int>>> by_array;
   for (const auto& iv : intervals) {
-    Int addr = layouts.at(iv.array).address(IntVec{std::vector<Int>(iv.index)});
+    Int addr = layouts.at(iv.array).address(iv.index);
     by_array[iv.array].push_back({{iv.first, iv.last}, addr});
   }
   for (auto& [array, items] : by_array) {

@@ -55,7 +55,7 @@ Int best_anchor_reuse(const std::vector<ArrayRef>& refs, const IntBox& box) {
 }  // namespace
 
 DistinctEstimate estimate_distinct(const LoopNest& nest, ArrayId array) {
-  std::vector<ArrayRef> refs = nest.refs_to(array);
+  const std::vector<ArrayRef>& refs = nest.refs_to(array);
   require(!refs.empty(), "estimate_distinct: array is not referenced");
   for (size_t i = 1; i < refs.size(); ++i) {
     if (!refs[i].uniformly_generated_with(refs[0])) {
@@ -162,7 +162,7 @@ DistinctEstimate estimate_distinct(const LoopNest& nest, ArrayId array) {
 }
 
 Int distinct_exact_inclusion_exclusion(const LoopNest& nest, ArrayId array) {
-  std::vector<ArrayRef> refs = nest.refs_to(array);
+  const std::vector<ArrayRef>& refs = nest.refs_to(array);
   require(!refs.empty(), "distinct_exact_ie: array is not referenced");
   for (size_t i = 1; i < refs.size(); ++i) {
     if (!refs[i].uniformly_generated_with(refs[0])) {
@@ -237,7 +237,7 @@ Int distinct_exact_inclusion_exclusion(const LoopNest& nest, ArrayId array) {
 Int estimate_distinct_total(const LoopNest& nest) {
   Int total = 0;
   for (ArrayId id = 0; id < nest.arrays().size(); ++id) {
-    std::vector<ArrayRef> refs = nest.refs_to(id);
+    const std::vector<ArrayRef>& refs = nest.refs_to(id);
     if (refs.empty()) continue;
     bool uniform = true;
     for (size_t i = 1; i < refs.size(); ++i) {

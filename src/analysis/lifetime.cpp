@@ -31,13 +31,13 @@ struct ReuseChain {
 };
 
 std::optional<ReuseChain> dominant_chain(const LoopNest& nest, ArrayId array) {
-  std::vector<ArrayRef> refs = nest.refs_to(array);
+  const std::vector<ArrayRef>& refs = nest.refs_to(array);
   if (refs.empty()) return std::nullopt;
   for (size_t i = 1; i < refs.size(); ++i) {
     if (!refs[i].uniformly_generated_with(refs[0])) return std::nullopt;
   }
   DependenceInfo info = analyze_dependences(nest);
-  const std::vector<ArrayRef> all = nest.all_refs();
+  const std::vector<ArrayRef>& all = nest.all_refs();
   std::optional<IntVec> best;
   for (const auto& dep : info.deps) {
     if (all[dep.src_ref].array != array) continue;
@@ -76,7 +76,7 @@ std::optional<Int> estimate_max_lifetime(const LoopNest& nest, ArrayId array) {
 }
 
 std::optional<Int> lifetime_window_cap(const LoopNest& nest, ArrayId array) {
-  std::vector<ArrayRef> refs = nest.refs_to(array);
+  const std::vector<ArrayRef>& refs = nest.refs_to(array);
   if (refs.size() != 1) return std::nullopt;
   auto v = reuse_direction(refs[0].access);
   if (!v) return std::nullopt;

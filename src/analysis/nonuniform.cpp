@@ -27,7 +27,7 @@ Int gap_count(const IntVec& coeffs) {
 }  // namespace
 
 NonUniformBounds nonuniform_bounds(const LoopNest& nest, ArrayId array) {
-  std::vector<ArrayRef> refs = nest.refs_to(array);
+  const std::vector<ArrayRef>& refs = nest.refs_to(array);
   require(!refs.empty(), "nonuniform_bounds: array is not referenced");
   const IntBox& box = nest.bounds();
   const size_t d = nest.array(array).dims();

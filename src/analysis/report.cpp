@@ -23,7 +23,7 @@ MemoryReport report_from(const LoopNest& nest, const std::optional<TraceStats>& 
   std::optional<DependenceInfo> deps;
   bool mws_total_known = true;
   for (ArrayId id = 0; id < nest.arrays().size(); ++id) {
-    std::vector<ArrayRef> refs = nest.refs_to(id);
+    const std::vector<ArrayRef>& refs = nest.refs_to(id);
     if (refs.empty()) continue;
     ArrayReport ar;
     ar.name = nest.array(id).name;

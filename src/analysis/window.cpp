@@ -84,7 +84,7 @@ namespace {
 std::optional<IntVec> dominant_reuse_vector(const LoopNest& nest,
                                            const DependenceInfo& info, ArrayId array) {
   std::optional<IntVec> best;
-  const std::vector<ArrayRef> refs = nest.all_refs();
+  const std::vector<ArrayRef>& refs = nest.all_refs();
   for (const auto& dep : info.deps) {
     if (refs[dep.src_ref].array != array) continue;
     if (!best || best->lex_less(dep.distance)) best = dep.distance;
@@ -101,7 +101,7 @@ std::optional<Int> estimate_mws_array(const LoopNest& nest, ArrayId array) {
 
 std::optional<Int> estimate_mws_array(const LoopNest& nest,
                                       std::optional<DependenceInfo>& deps, ArrayId array) {
-  std::vector<ArrayRef> refs = nest.refs_to(array);
+  const std::vector<ArrayRef>& refs = nest.refs_to(array);
   require(!refs.empty(), "estimate_mws_array: array not referenced");
   for (size_t i = 1; i < refs.size(); ++i) {
     if (!refs[i].uniformly_generated_with(refs[0])) return std::nullopt;

@@ -9,6 +9,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "exact/trace_engine.h"
 #include "layout/layout.h"
 #include "polyhedra/scanner.h"
 #include "support/error.h"
@@ -100,9 +101,28 @@ struct ArrayPlan {
   std::string cname;
   LayoutSpec layout;
   Int region;
-  std::unordered_map<Int, size_t> index;  // addr -> elems slot
-  std::vector<ElemInfo> elems;            // first-access order
-  BufferPlan out;
+  // addr -> elems slot: a slot per region address when the trace engine
+  // would keep this array's store dense, a hash map otherwise (so a sparse
+  // nest over a huge region allocates only what it touches).
+  bool dense = false;
+  std::vector<std::uint32_t> slot = {};
+  std::unordered_map<Int, size_t> index = {};
+  std::vector<ElemInfo> elems = {};  // first-access order
+  BufferPlan out = {};
+
+  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+
+  // The element at `addr`: its slot, and whether this access is its first.
+  std::pair<size_t, bool> find_or_add(Int addr) {
+    if (dense) {
+      std::uint32_t& s = slot[static_cast<size_t>(addr)];
+      if (s != kNoSlot) return {s, false};
+      s = static_cast<std::uint32_t>(elems.size());
+      return {s, true};
+    }
+    auto ins = index.emplace(addr, elems.size());
+    return {ins.first->second, ins.second};
+  }
 };
 
 // Linearized reference: position in the body plus address forms over the
@@ -176,13 +196,16 @@ CodegenResult emit_c(const LoopNest& nest, const VerifyPlan& plan,
       if (arr_slot.count(ref.array)) continue;
       arr_slot[ref.array] = arrays.size();
       LayoutSpec layout = LayoutSpec::fit(nest, ref.array);
-      Int region = layout.size();
-      arrays.push_back(ArrayPlan{ref.array,
-                                 c_ident(nest.array(ref.array).name), layout,
-                                 region,
-                                 {},
-                                 {},
-                                 BufferPlan{}});
+      const Int region = layout.size();
+      ArrayPlan& ap = arrays.emplace_back(ArrayPlan{
+          ref.array, c_ident(nest.array(ref.array).name), std::move(layout), region});
+      Int accesses = 0;  // saturates: it only steers the index choice
+      if (__builtin_mul_overflow(static_cast<Int>(nest.refs_to(ref.array).size()),
+                                 nest.iteration_count(), &accesses)) {
+        accesses = INT64_MAX;
+      }
+      ap.dense = dense_store(ap.region, accesses);
+      if (ap.dense) ap.slot.assign(static_cast<size_t>(ap.region), ArrayPlan::kNoSlot);
     }
   }
   // Deterministic emission order: by ArrayId.
@@ -196,7 +219,7 @@ CodegenResult emit_c(const LoopNest& nest, const VerifyPlan& plan,
   for (size_t si = 0; si < nest.statements().size(); ++si) {
     for (const ArrayRef& ref : nest.statements()[si].refs) {
       const ArrayPlan& ap = arrays[arr_slot[ref.array]];
-      std::vector<Int> lo(ap.layout.origin().data());
+      std::vector<Int> lo = ap.layout.origin().to_vector();
       std::vector<Int> stride(ap.layout.extents().size(), 1);
       for (size_t d = stride.size(); d-- > 1;) {
         stride[d - 1] = checked_mul(stride[d], ap.layout.extents()[d]);
@@ -287,8 +310,8 @@ CodegenResult emit_c(const LoopNest& nest, const VerifyPlan& plan,
     }
     ArrayPlan& ap = arrays[rp.arr_slot];
     require(addr >= 0 && addr < ap.region, "codegen: address out of region");
-    auto ins = ap.index.emplace(addr, ap.elems.size());
-    if (ins.second) {
+    auto [slot, first] = ap.find_or_add(addr);
+    if (first) {
       ElemInfo e;
       e.addr = addr;
       e.first_t = e.last_t = t;
@@ -297,7 +320,7 @@ CodegenResult emit_c(const LoopNest& nest, const VerifyPlan& plan,
       e.written = rp.write;
       ap.elems.push_back(e);
     } else {
-      ElemInfo& e = ap.elems[ins.first->second];
+      ElemInfo& e = ap.elems[slot];
       e.last_t = t;
       e.last_it = it;
       e.written = e.written || rp.write;

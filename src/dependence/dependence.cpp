@@ -62,17 +62,17 @@ std::string summarize_dependences(const DependenceInfo& info) {
 
 DependenceInfo analyze_dependences(const LoopNest& nest) {
   DependenceInfo info;
-  const std::vector<ArrayRef> refs = nest.all_refs();
+  const std::vector<ArrayRef>& refs = nest.all_refs();
   const IntBox& box = nest.bounds();
 
   // Group reference indices by array.
   std::map<ArrayId, std::vector<size_t>> by_array;
   for (size_t i = 0; i < refs.size(); ++i) by_array[refs[i].array].push_back(i);
 
-  std::set<std::tuple<size_t, size_t, int, std::vector<Int>>> seen;
+  std::set<std::tuple<size_t, size_t, int, IntVec>> seen;
   auto add_edge = [&](size_t src, size_t dst, DepKind kind, const IntVec& dist) {
     ensure(dist.lex_positive(), "dependence distance must be lex-positive");
-    auto key = std::make_tuple(src, dst, static_cast<int>(kind), dist.data());
+    auto key = std::make_tuple(src, dst, static_cast<int>(kind), dist);
     if (seen.insert(key).second) info.deps.push_back(Dependence{src, dst, kind, dist});
   };
 

@@ -16,7 +16,7 @@ namespace {
 // Key for one touched element: array id + full index vector.
 struct ElementKey {
   ArrayId array;
-  std::vector<Int> index;
+  IntVec index;
   bool operator==(const ElementKey& o) const {
     return array == o.array && index == o.index;
   }
@@ -50,8 +50,7 @@ struct Trace {
     for (const auto& stmt : nest.statements()) {
       for (const auto& ref : stmt.refs) {
         ++total_accesses;
-        IntVec idx = ref.index_at(iter);
-        ElementKey key{ref.array, idx.data()};
+        ElementKey key{ref.array, ref.index_at(iter)};
         auto [it, inserted] = touch.try_emplace(key, FirstLast{ordinal, ordinal});
         if (inserted) {
           ++distinct[ref.array];
@@ -167,8 +166,7 @@ TraceStats simulate_order(const LoopNest& nest, const std::vector<IntVec>& order
     for (const auto& stmt : nest.statements()) {
       for (const auto& ref : stmt.refs) {
         ++trace.total_accesses;
-        IntVec idx = ref.index_at(iter);
-        ElementKey key{ref.array, idx.data()};
+        ElementKey key{ref.array, ref.index_at(iter)};
         auto [it, inserted] = trace.touch.try_emplace(key, FirstLast{ordinal, ordinal});
         if (inserted) {
           ++trace.distinct[ref.array];
@@ -234,12 +232,12 @@ LivenessStats min_memory_liveness(const LoopNest& nest, const IntMat* transform)
       // the store happens, so "A[i] = A[i] + ..." reads the OLD value.
       for (const auto& ref : stmt.refs) {
         if (ref.is_write()) continue;
-        ElementKey key{ref.array, ref.index_at(iter).data()};
+        ElementKey key{ref.array, ref.index_at(iter)};
         history[key].push_back(Access{ordinal, false});
       }
       for (const auto& ref : stmt.refs) {
         if (!ref.is_write()) continue;
-        ElementKey key{ref.array, ref.index_at(iter).data()};
+        ElementKey key{ref.array, ref.index_at(iter)};
         history[key].push_back(Access{ordinal, true});
       }
     }
@@ -328,7 +326,7 @@ TraceStats simulate_general(const GeneralNest& nest) {
     for (const auto& stmt : nest.statements()) {
       for (const auto& ref : stmt.refs) {
         ++trace.total_accesses;
-        ElementKey key{ref.array, ref.index_at(iter).data()};
+        ElementKey key{ref.array, ref.index_at(iter)};
         auto [it, inserted] = trace.touch.try_emplace(key, FirstLast{ordinal, ordinal});
         if (inserted) {
           ++trace.distinct[ref.array];

@@ -53,7 +53,7 @@ StackDistanceProfile stack_distances_reference(const LoopNest& nest,
                                                const IntMat* transform) {
   // Classic stack algorithm: a list ordered most-recent-first; the distance
   // of a re-access is its 1-based position in the list.
-  using Element = std::pair<ArrayId, std::vector<Int>>;
+  using Element = std::pair<ArrayId, IntVec>;
   std::list<Element> stack;
   std::map<Element, std::list<Element>::iterator> where;
 
@@ -62,7 +62,7 @@ StackDistanceProfile stack_distances_reference(const LoopNest& nest,
     for (const auto& stmt : nest.statements()) {
       for (const auto& ref : stmt.refs) {
         ++profile.total_accesses;
-        Element key{ref.array, ref.index_at(iter).data()};
+        Element key{ref.array, ref.index_at(iter)};
         auto it = where.find(key);
         if (it == where.end()) {
           ++profile.cold_accesses;

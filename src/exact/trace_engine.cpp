@@ -41,7 +41,7 @@ std::vector<AddressPlan::Store> shared_stores(
     const Int iterations = nest.depth() == 0 ? 0 : box.volume();
     (*store_of)[k].assign(nest.arrays().size(), SIZE_MAX);
     for (ArrayId id = 0; id < nest.arrays().size(); ++id) {
-      const std::vector<ArrayRef> refs = nest.refs_to(id);
+      const std::vector<ArrayRef>& refs = nest.refs_to(id);
       if (refs.empty()) continue;
       const std::string& name = nest.array(id).name;
       const size_t si =
@@ -99,12 +99,15 @@ std::vector<AddressPlan::Store> shared_stores(
                             "' overflows 64-bit arithmetic");
       }
     }
-    st.dense = st.volume <= kDenseCapElems &&
-               (st.volume <= kDenseMinElems ||
-                st.volume <= kDenseAccessFactor *
-                                 std::min(st.accesses, kDenseCapElems));
+    st.dense = dense_store(st.volume, st.accesses);
   }
   return stores;
+}
+
+bool dense_store(Int volume, Int accesses) {
+  return volume <= kDenseCapElems &&
+         (volume <= kDenseMinElems ||
+          volume <= kDenseAccessFactor * std::min(accesses, kDenseCapElems));
 }
 
 AddressPlan AddressPlan::build(const LoopNest& nest, const IntMat* t_inv,

@@ -105,6 +105,12 @@ struct AddressPlan {
                            const std::vector<size_t>& store_of);
 };
 
+/// The dense-path rule: true when a store of `volume` elements, into which
+/// `accesses` accesses will be traced, is kept as flat vectors over its box
+/// rather than a linear-probe table.  emit_c indexes its elements by the
+/// same rule.
+bool dense_store(Int volume, Int accesses);
+
 /// The one store set of nests traced as one run (the phases of a program):
 /// arrays are unified by name, in order of first reference; each name's box
 /// is the union of its reference boxes over every nest, and its traced

@@ -67,6 +67,13 @@ LoopNest::LoopNest(std::vector<std::string> loop_vars, IntBox bounds,
       arrays_(std::move(arrays)),
       statements_(std::move(statements)) {
   validate();
+  refs_by_array_.resize(arrays_.size());
+  for (const auto& s : statements_) {
+    for (const auto& r : s.refs) {
+      all_refs_.push_back(r);
+      refs_by_array_[r.array].push_back(r);
+    }
+  }
 }
 
 const Array& LoopNest::array(ArrayId id) const {
@@ -74,19 +81,9 @@ const Array& LoopNest::array(ArrayId id) const {
   return arrays_[id];
 }
 
-std::vector<ArrayRef> LoopNest::all_refs() const {
-  std::vector<ArrayRef> out;
-  for (const auto& s : statements_)
-    for (const auto& r : s.refs) out.push_back(r);
-  return out;
-}
-
-std::vector<ArrayRef> LoopNest::refs_to(ArrayId id) const {
-  std::vector<ArrayRef> out;
-  for (const auto& s : statements_)
-    for (const auto& r : s.refs)
-      if (r.array == id) out.push_back(r);
-  return out;
+const std::vector<ArrayRef>& LoopNest::refs_to(ArrayId id) const {
+  static const std::vector<ArrayRef> kNone;
+  return id < refs_by_array_.size() ? refs_by_array_[id] : kNone;
 }
 
 Int LoopNest::default_memory() const {

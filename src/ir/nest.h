@@ -84,11 +84,13 @@ class LoopNest {
   /// Total number of iterations.
   Int iteration_count() const { return bounds_.volume(); }
 
-  /// All references (across statements) in execution order.
-  std::vector<ArrayRef> all_refs() const;
+  /// All references (across statements) in execution order.  Built once
+  /// by the constructor: the nest is immutable.
+  const std::vector<ArrayRef>& all_refs() const { return all_refs_; }
 
-  /// All references to a given array, in execution order.
-  std::vector<ArrayRef> refs_to(ArrayId id) const;
+  /// All references to a given array, in execution order (empty for an
+  /// array the body never touches).
+  const std::vector<ArrayRef>& refs_to(ArrayId id) const;
 
   /// Sum of declared sizes over all arrays referenced in the body.
   Int default_memory() const;
@@ -102,6 +104,8 @@ class LoopNest {
   IntBox bounds_;
   std::vector<Array> arrays_;
   std::vector<Statement> statements_;
+  std::vector<ArrayRef> all_refs_;
+  std::vector<std::vector<ArrayRef>> refs_by_array_;  ///< indexed by ArrayId
 };
 
 }  // namespace lmre

@@ -46,7 +46,7 @@ LayoutSpec LayoutSpec::blocked(IntVec origin, std::vector<Int> extents,
 
 LayoutSpec LayoutSpec::fit(const LoopNest& nest, ArrayId array, LayoutKind kind,
                            std::vector<Int> block) {
-  std::vector<ArrayRef> refs = nest.refs_to(array);
+  const std::vector<ArrayRef>& refs = nest.refs_to(array);
   require(!refs.empty(), "LayoutSpec::fit: array is not referenced");
   const size_t d = nest.array(array).dims();
   IntVec origin(d);

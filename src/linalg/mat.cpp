@@ -1,5 +1,6 @@
 #include "linalg/mat.h"
 
+#include <algorithm>
 #include <ostream>
 #include <sstream>
 
@@ -7,13 +8,14 @@
 
 namespace lmre {
 
-IntMat::IntMat(std::initializer_list<std::initializer_list<Int>> init) {
-  rows_ = init.size();
-  cols_ = rows_ ? init.begin()->size() : 0;
-  v_.reserve(rows_ * cols_);
+IntMat::IntMat(std::initializer_list<std::initializer_list<Int>> init)
+    : rows_(init.size()),
+      cols_(rows_ ? init.begin()->size() : 0),
+      v_(rows_ * cols_) {
+  Int* out = v_.data();
   for (const auto& row : init) {
     require(row.size() == cols_, "IntMat rows of unequal length");
-    for (Int x : row) v_.push_back(x);
+    out = std::copy(row.begin(), row.end(), out);
   }
 }
 
@@ -57,14 +59,18 @@ void IntMat::set_row(size_t r, const IntVec& v) {
 IntMat IntMat::operator+(const IntMat& o) const {
   require(rows_ == o.rows_ && cols_ == o.cols_, "IntMat size mismatch in +");
   IntMat m(rows_, cols_);
-  for (size_t i = 0; i < v_.size(); ++i) m.v_[i] = checked_add(v_[i], o.v_[i]);
+  const Int *a = v_.data(), *b = o.v_.data();
+  Int* out = m.v_.data();
+  for (size_t i = 0; i < v_.size(); ++i) out[i] = checked_add(a[i], b[i]);
   return m;
 }
 
 IntMat IntMat::operator-(const IntMat& o) const {
   require(rows_ == o.rows_ && cols_ == o.cols_, "IntMat size mismatch in -");
   IntMat m(rows_, cols_);
-  for (size_t i = 0; i < v_.size(); ++i) m.v_[i] = checked_sub(v_[i], o.v_[i]);
+  const Int *a = v_.data(), *b = o.v_.data();
+  Int* out = m.v_.data();
+  for (size_t i = 0; i < v_.size(); ++i) out[i] = checked_sub(a[i], b[i]);
   return m;
 }
 
@@ -95,7 +101,9 @@ IntVec IntMat::operator*(const IntVec& x) const {
 
 IntMat IntMat::operator*(Int s) const {
   IntMat m(rows_, cols_);
-  for (size_t i = 0; i < v_.size(); ++i) m.v_[i] = checked_mul(v_[i], s);
+  const Int* a = v_.data();
+  Int* out = m.v_.data();
+  for (size_t i = 0; i < v_.size(); ++i) out[i] = checked_mul(a[i], s);
   return m;
 }
 

@@ -4,7 +4,9 @@
 //
 // IntMat represents access (data reference) matrices, unimodular
 // transformation matrices, and the coefficient matrices of linear systems.
-// Storage is dense row-major; all arithmetic is overflow-checked.
+// Storage is dense row-major; all arithmetic is overflow-checked.  Up to
+// IntMat::kInline entries (a 4 x 4 transform) live inline, with no heap
+// allocation; larger matrices spill to the heap.
 
 #include <initializer_list>
 #include <iosfwd>
@@ -18,8 +20,11 @@ namespace lmre {
 
 class IntMat {
  public:
+  /// Entries kept inline; larger matrices allocate.
+  static constexpr size_t kInline = 16;
+
   IntMat() : rows_(0), cols_(0) {}
-  IntMat(size_t rows, size_t cols) : rows_(rows), cols_(cols), v_(rows * cols, 0) {}
+  IntMat(size_t rows, size_t cols) : rows_(rows), cols_(cols), v_(rows * cols) {}
 
   /// Builds from nested initializer lists; all rows must be equal length.
   IntMat(std::initializer_list<std::initializer_list<Int>> init);
@@ -32,8 +37,8 @@ class IntMat {
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
 
-  Int& operator()(size_t r, size_t c) { return v_[r * cols_ + c]; }
-  Int operator()(size_t r, size_t c) const { return v_[r * cols_ + c]; }
+  Int& operator()(size_t r, size_t c) { return v_.data()[r * cols_ + c]; }
+  Int operator()(size_t r, size_t c) const { return v_.data()[r * cols_ + c]; }
 
   /// Bounds-checked element access.
   Int at(size_t r, size_t c) const;
@@ -77,7 +82,7 @@ class IntMat {
 
  private:
   size_t rows_, cols_;
-  std::vector<Int> v_;
+  InlineInts<kInline> v_;
 };
 
 std::ostream& operator<<(std::ostream& os, const IntMat& m);

@@ -30,7 +30,7 @@ std::string ref_str(const LoopNest& nest, const ArrayRef& ref) {
 
 // First reference (in all_refs order) touching `array`, with its index.
 size_t first_ref_index(const LoopNest& nest, ArrayId array) {
-  std::vector<ArrayRef> refs = nest.all_refs();
+  const std::vector<ArrayRef>& refs = nest.all_refs();
   for (size_t i = 0; i < refs.size(); ++i) {
     if (refs[i].array == array) return i;
   }
@@ -57,7 +57,7 @@ std::vector<std::pair<ArrayId, std::vector<ArrayRef>>> referenced_arrays(
     const LoopNest& nest) {
   std::vector<std::pair<ArrayId, std::vector<ArrayRef>>> out;
   for (ArrayId id = 0; id < nest.arrays().size(); ++id) {
-    std::vector<ArrayRef> refs = nest.refs_to(id);
+    const std::vector<ArrayRef>& refs = nest.refs_to(id);
     if (!refs.empty()) out.emplace_back(id, std::move(refs));
   }
   return out;
@@ -99,7 +99,7 @@ SourceSpan array_span(const CheckContext& ctx, const std::string& name) {
 //   reaches below 0                   -> N015 note (relocatable-window idiom)
 void check_subscript_bounds(const CheckContext& ctx, DiagnosticEngine& out) {
   const LoopNest& nest = ctx.nest;
-  std::vector<ArrayRef> refs = nest.all_refs();
+  const std::vector<ArrayRef>& refs = nest.all_refs();
   std::set<std::string> seen;  // dedupe identical findings from repeated refs
   for (size_t i = 0; i < refs.size(); ++i) {
     const Array& arr = nest.array(refs[i].array);
@@ -282,7 +282,7 @@ void check_array_usage(const CheckContext& ctx, DiagnosticEngine& out) {
   const LoopNest& nest = ctx.nest;
   for (ArrayId id = 0; id < nest.arrays().size(); ++id) {
     const std::string& name = nest.array(id).name;
-    std::vector<ArrayRef> refs = nest.refs_to(id);
+    const std::vector<ArrayRef>& refs = nest.refs_to(id);
     if (refs.empty()) {
       out.warning("LMRE-W010",
                   "array '" + name + "' is declared but never referenced",

@@ -47,7 +47,7 @@ MrcResult compute_mrc(const LoopNest& nest, const MrcOptions& opts,
                       TraceArena& arena) {
   require(opts.sample_rate > 0.0 && opts.sample_rate <= 1.0,
           "compute_mrc: sample rate must be in (0, 1]");
-  const std::vector<ArrayRef> refs = nest.all_refs();
+  const std::vector<ArrayRef>& refs = nest.all_refs();
 
   MrcResult res;
   res.sample_rate = opts.sample_rate;
@@ -153,91 +153,91 @@ namespace {
 
 /// Integral weights in exact mode keep the envelopes byte-stable; sampled
 /// weights stay doubles (shortest-round-trip emission is deterministic).
-Json weight_json(double v, bool exact) {
-  return exact ? Json::number(static_cast<Int>(std::llround(v)))
-               : Json::number(v);
+void weight_json(JsonWriter& w, double v, bool exact) {
+  if (exact) {
+    w.value(static_cast<Int>(std::llround(v)));
+  } else {
+    w.value(v);
+  }
 }
 
-Json histogram_json(const MrcHistogram& h, bool exact) {
-  Json jh = Json::object();
-  jh.set("cold", weight_json(h.cold, exact));
-  jh.set("total", weight_json(h.total, /*exact=*/true));
-  Json bins = Json::array();
+void histogram_json(JsonWriter& w, const MrcHistogram& h, bool exact) {
+  w.begin_object().key("bins").begin_array();
   // Power-of-two buckets above the exact-bin knee: distance d > limit
   // lands in (2^k, 2^(k+1)] with 2^k < d <= 2^(k+1).
   std::map<Int, std::pair<Int, double>> coarse;  // lo -> (hi, weight)
-  for (const auto& [d, w] : h.bins) {
+  for (const auto& [d, wt] : h.bins) {
     if (d <= kMrcExactBinLimit) {
-      Json bin = Json::array();
-      bin.push(d);
-      bin.push(weight_json(w, exact));
-      bins.push(std::move(bin));
+      w.begin_array().value(d);
+      weight_json(w, wt, exact);
+      w.end_array();
       continue;
     }
     const int k = std::bit_width(static_cast<std::uint64_t>(d - 1)) - 1;
     const Int lo = (Int{1} << k) + 1;
     auto& bucket = coarse[lo];
     bucket.first = Int{1} << (k + 1);
-    bucket.second += w;
+    bucket.second += wt;
   }
-  Json buckets = Json::array();
+  w.end_array().key("buckets").begin_array();
   for (const auto& [lo, hw] : coarse) {
-    Json bucket = Json::array();
-    bucket.push(lo);
-    bucket.push(hw.first);
-    bucket.push(weight_json(hw.second, exact));
-    buckets.push(std::move(bucket));
+    w.begin_array().value(lo).value(hw.first);
+    weight_json(w, hw.second, exact);
+    w.end_array();
   }
-  jh.set("bins", std::move(bins));
-  jh.set("buckets", std::move(buckets));
-  return jh;
+  w.end_array().key("cold");
+  weight_json(w, h.cold, exact);
+  w.key("total");
+  weight_json(w, h.total, /*exact=*/true);
+  w.end_object();
 }
 
 }  // namespace
 
-Json mrc_json(const MrcResult& r, const std::vector<Int>& capacities) {
+void mrc_json(JsonWriter& w, const MrcResult& r, const std::vector<Int>& capacities,
+              const MrcOrder* order) {
   const bool exact = r.sample_rate >= 1.0;
-  Json j = Json::object();
-  j.set("exact", exact);
-  j.set("sample_rate", Json::number(r.sample_rate));
-  j.set("accesses",
-        Json::number(static_cast<Int>(std::llround(r.aggregate.total))));
-  j.set("cold_misses", weight_json(r.aggregate.cold, exact));
-  j.set("distinct", weight_json(r.aggregate.cold, exact));
-  if (!exact) {
-    j.set("sampled_elements", r.sampled_elements);
-    j.set("error_bound", r.error_bound);
-  }
-  j.set("knee", r.knee);
-  j.set("histogram", histogram_json(r.aggregate, exact));
-
-  Json arrays = Json::array();
+  w.begin_object()
+      .field("accesses", static_cast<Int>(std::llround(r.aggregate.total)))
+      .key("arrays")
+      .begin_array();
   for (const MrcArrayCurve& a : r.arrays) {
-    Json ja = Json::object();
-    ja.set("name", a.name);
-    ja.set("refs", a.refs);
-    ja.set("accesses",
-           Json::number(static_cast<Int>(std::llround(a.hist.total))));
-    ja.set("distinct", weight_json(a.hist.cold, exact));
-    ja.set("knee", a.hist.max_distance());
-    ja.set("histogram", histogram_json(a.hist, exact));
-    arrays.push(std::move(ja));
+    w.begin_object()
+        .field("accesses", static_cast<Int>(std::llround(a.hist.total)))
+        .key("distinct");
+    weight_json(w, a.hist.cold, exact);
+    w.key("histogram");
+    histogram_json(w, a.hist, exact);
+    w.field("knee", a.hist.max_distance())
+        .field("name", a.name)
+        .field("refs", a.refs)
+        .end_object();
   }
-  j.set("arrays", std::move(arrays));
-
-  Json curve = Json::array();
+  w.end_array().key("cold_misses");
+  weight_json(w, r.aggregate.cold, exact);
+  w.key("curve").begin_array();
   for (Int c : capacities) {
     const double misses = r.aggregate.misses(c);
-    Json point = Json::object();
-    point.set("capacity", c);
-    point.set("misses", weight_json(misses, exact));
-    point.set("capacity_misses",
-              weight_json(std::max(0.0, misses - r.aggregate.cold), exact));
-    point.set("miss_ratio", Json::number(r.aggregate.miss_ratio(c)));
-    curve.push(std::move(point));
+    w.begin_object().field("capacity", c).key("capacity_misses");
+    weight_json(w, std::max(0.0, misses - r.aggregate.cold), exact);
+    w.field("miss_ratio", r.aggregate.miss_ratio(c)).key("misses");
+    weight_json(w, misses, exact);
+    w.end_object();
   }
-  j.set("curve", std::move(curve));
-  return j;
+  w.end_array().key("distinct");
+  weight_json(w, r.aggregate.cold, exact);
+  if (!exact) w.field("error_bound", r.error_bound);
+  w.field("exact", exact).key("histogram");
+  histogram_json(w, r.aggregate, exact);
+  w.field("knee", r.knee);
+  if (order) {
+    if (!order->method.empty()) w.field("method", order->method);
+    w.field("plan", order->plan);
+  }
+  w.field("sample_rate", r.sample_rate);
+  if (!exact) w.field("sampled_elements", r.sampled_elements);
+  if (order) w.key("transform").matrix(*order->transform);
+  w.end_object();
 }
 
 double mrc_curve_error(const MrcResult& sampled, const MrcResult& exact,

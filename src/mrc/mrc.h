@@ -41,7 +41,7 @@
 
 #include "ir/nest.h"
 #include "linalg/mat.h"
-#include "support/json.h"
+#include "support/json_writer.h"
 #include "transform/minimizer.h"
 
 namespace lmre {
@@ -116,12 +116,21 @@ MrcResult compute_mrc(const LoopNest& nest, const MrcOptions& opts = {});
 /// knee, plus the knee itself.
 std::vector<Int> default_mrc_capacities(const MrcResult& r);
 
-/// The JSON payload shared by `lmre mrc --json`, the session's "mrc" kind,
-/// and the goldens: histogram (exact bins <= kMrcExactBinLimit, power-of-
-/// two buckets above), per-array slices, and the miss-ratio curve at
-/// `capacities` with the cold/capacity split.  Exact-mode weights are
-/// emitted as integers so envelopes stay byte-stable.
-Json mrc_json(const MrcResult& r, const std::vector<Int>& capacities);
+/// The execution order a curve was measured in, as the payload names it.
+struct MrcOrder {
+  std::string plan;           ///< the plan spec ("" = identity order)
+  std::string method;         ///< the optimizer's method; omitted when empty
+  const IntMat* transform{};  ///< the combined matrix
+};
+
+/// Writes the JSON payload shared by `lmre mrc --json`, the session's "mrc"
+/// kind, and the goldens: histogram (exact bins <= kMrcExactBinLimit,
+/// power-of-two buckets above), per-array slices, and the miss-ratio curve
+/// at `capacities` with the cold/capacity split, plus the measured order's
+/// plan, method and transform when `order` is given.  Exact-mode weights
+/// are emitted as integers so envelopes stay byte-stable.
+void mrc_json(JsonWriter& w, const MrcResult& r, const std::vector<Int>& capacities,
+              const MrcOrder* order = nullptr);
 
 /// The declared-accuracy contract for sampled curves (DESIGN.md §14), used
 /// by property_mrc_test and gated by `bench_mrc --check`.  Spatial sampling

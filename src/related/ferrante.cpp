@@ -8,7 +8,7 @@
 namespace lmre {
 
 FerranteEstimate ferrante_estimate(const LoopNest& nest, ArrayId array) {
-  std::vector<ArrayRef> refs = nest.refs_to(array);
+  const std::vector<ArrayRef>& refs = nest.refs_to(array);
   require(!refs.empty(), "ferrante_estimate: array is not referenced");
   const IntBox& box = nest.bounds();
   const size_t d = nest.array(array).dims();

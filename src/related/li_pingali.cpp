@@ -9,7 +9,7 @@ namespace lmre {
 std::optional<LiPingaliResult> li_pingali_transform(const LoopNest& nest,
                                                     ArrayId array) {
   if (nest.depth() != 2) return std::nullopt;  // the paper's comparison scope
-  std::vector<ArrayRef> refs = nest.refs_to(array);
+  const std::vector<ArrayRef>& refs = nest.refs_to(array);
   if (refs.empty() || nest.array(array).dims() != 1) return std::nullopt;
   for (size_t i = 1; i < refs.size(); ++i) {
     if (!refs[i].uniformly_generated_with(refs[0])) return std::nullopt;

@@ -58,12 +58,12 @@ std::vector<DependenceWindow> dependence_windows(const LoopNest& nest) {
 
 Int per_dependence_cost(const LoopNest& nest) {
   DependenceInfo info = analyze_dependences(nest);
-  const std::vector<ArrayRef> refs = nest.all_refs();
-  std::set<std::pair<ArrayId, std::vector<Int>>> seen;
+  const std::vector<ArrayRef>& refs = nest.all_refs();
+  std::set<std::pair<ArrayId, IntVec>> seen;
   Int total = 0;
   for (const auto& dep : info.deps) {
     ArrayId array = refs[dep.src_ref].array;
-    if (!seen.insert({array, dep.distance.data()}).second) continue;
+    if (!seen.insert({array, dep.distance}).second) continue;
     total = checked_add(total, ordinal_distance(dep.distance, nest.bounds()));
   }
   return total;

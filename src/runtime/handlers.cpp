@@ -6,20 +6,6 @@
 
 namespace lmre {
 
-namespace {
-
-Json transform_json(const IntMat& t) {
-  Json rows = Json::array();
-  for (size_t r = 0; r < t.rows(); ++r) {
-    Json row = Json::array();
-    for (size_t c = 0; c < t.cols(); ++c) row.push(t(r, c));
-    rows.push(std::move(row));
-  }
-  return rows;
-}
-
-}  // namespace
-
 const LoopNest& single_nest(const Program& program, const char* what) {
   if (program.phase_count() != 1) {
     throw Refusal("unsupported", ExitCode::kFailure,
@@ -85,54 +71,60 @@ AnalyzeOutcome run_analyze(const Program& program, const RunOptions& run,
   return out;
 }
 
-Json analysis_json(const Program& program, const AnalyzeOutcome& outcome) {
-  Json doc = Json::object();
+void analysis_json(JsonWriter& w, const Program& program,
+                   const AnalyzeOutcome& outcome) {
+  w.begin_object();
   if (!outcome.report) {
-    doc.set("iterations", outcome.iterations);
-    if (!outcome.program) return doc.set("exact_skipped", true);
-    const ProgramStats& stats = *outcome.program;
-    doc.set("default_memory", stats.default_memory);
-    doc.set("distinct_exact", stats.distinct_total);
-    doc.set("mws_exact", stats.mws_total);
-    Json phases = Json::array();
-    for (size_t k = 0; k < program.phase_count(); ++k) {
-      phases.push(Json::object()
-                      .set("name", program.phase_name(k))
-                      .set("start", stats.phase_start[k])
-                      .set("handoff", stats.handoff[k])
-                      .set("mws", stats.phase_mws[k]));
+    if (!outcome.program) {
+      w.field("exact_skipped", true).field("iterations", outcome.iterations);
+      w.end_object();
+      return;
     }
-    return doc.set("phases", std::move(phases));
+    const ProgramStats& stats = *outcome.program;
+    w.field("default_memory", stats.default_memory)
+        .field("distinct_exact", stats.distinct_total)
+        .field("iterations", outcome.iterations)
+        .field("mws_exact", stats.mws_total)
+        .key("phases")
+        .begin_array();
+    for (size_t k = 0; k < program.phase_count(); ++k) {
+      w.begin_object()
+          .field("handoff", stats.handoff[k])
+          .field("mws", stats.phase_mws[k])
+          .field("name", program.phase_name(k))
+          .field("start", stats.phase_start[k])
+          .end_object();
+    }
+    w.end_array().end_object();
+    return;
   }
 
   const LoopNest& nest = program.phase_nest(0);
   const MemoryReport& rep = *outcome.report;
-  doc.set("depth", static_cast<Int>(nest.depth()));
-  doc.set("iterations", nest.iteration_count());
-  doc.set("default_memory", rep.default_memory);
-  doc.set("distinct_estimate", rep.distinct_estimate_total);
-  if (rep.mws_estimate_total) doc.set("mws_estimate", *rep.mws_estimate_total);
-  if (rep.mws_exact_total) {
-    doc.set("distinct_exact", *rep.distinct_exact_total);
-    doc.set("mws_exact", *rep.mws_exact_total);
-  } else {
-    doc.set("exact_skipped", true);
-  }
-  Json arrays = Json::array();
+  w.key("arrays").begin_array();
   for (const ArrayReport& ar : rep.arrays) {
-    Json ja = Json::object();
-    ja.set("name", ar.name).set("declared", ar.declared);
-    if (ar.distinct_estimate) ja.set("distinct_estimate", *ar.distinct_estimate);
-    if (ar.distinct_upper) ja.set("distinct_upper", *ar.distinct_upper);
-    if (ar.distinct_lower) ja.set("distinct_lower", *ar.distinct_lower);
-    if (ar.mws_estimate) ja.set("mws_estimate", *ar.mws_estimate);
-    if (ar.mws_exact) {
-      ja.set("distinct_exact", *ar.distinct_exact);
-      ja.set("mws_exact", *ar.mws_exact);
-    }
-    arrays.push(std::move(ja));
+    w.begin_object().field("declared", ar.declared);
+    if (ar.distinct_estimate) w.field("distinct_estimate", *ar.distinct_estimate);
+    if (ar.mws_exact) w.field("distinct_exact", *ar.distinct_exact);
+    if (ar.distinct_lower) w.field("distinct_lower", *ar.distinct_lower);
+    if (ar.distinct_upper) w.field("distinct_upper", *ar.distinct_upper);
+    if (ar.mws_estimate) w.field("mws_estimate", *ar.mws_estimate);
+    if (ar.mws_exact) w.field("mws_exact", *ar.mws_exact);
+    w.field("name", ar.name).end_object();
   }
-  return doc.set("arrays", std::move(arrays));
+  w.end_array()
+      .field("default_memory", rep.default_memory)
+      .field("depth", static_cast<Int>(nest.depth()))
+      .field("distinct_estimate", rep.distinct_estimate_total);
+  if (rep.mws_exact_total) {
+    w.field("distinct_exact", *rep.distinct_exact_total);
+  } else {
+    w.field("exact_skipped", true);
+  }
+  w.field("iterations", nest.iteration_count());
+  if (rep.mws_estimate_total) w.field("mws_estimate", *rep.mws_estimate_total);
+  if (rep.mws_exact_total) w.field("mws_exact", *rep.mws_exact_total);
+  w.end_object();
 }
 
 OptimizeOutcome run_optimize(const Program& program, const std::string& objective,
@@ -232,37 +224,38 @@ OptimizeOutcome run_optimize(const Program& program, const std::string& objectiv
   return o;
 }
 
-Json optimize_json(const OptimizeOutcome& o) {
-  Json doc = Json::object();
-  doc.set("certified", o.verdict.certified);
-  if (o.uncertified) {
-    doc.set("downgraded", true);
-    doc.set("uncertified_transform", transform_json(*o.uncertified));
+void optimize_json(JsonWriter& w, const OptimizeOutcome& o) {
+  const bool miss_ratio = o.objective.miss_ratio;
+  w.begin_object().field("certified", o.verdict.certified);
+  if (o.uncertified) w.field("downgraded", true);
+  w.field("method", o.plan.method);
+  if (miss_ratio) {
+    w.field("miss_ratio_after", *o.miss_ratio_after)
+        .field("miss_ratio_before", o.miss_ratio->miss_ratio_before);
   }
-  doc.set("method", o.plan.method);
-  doc.set("transform", transform_json(o.plan.transform));
-  if (o.symbolic_window) doc.set("symbolic_window", *o.symbolic_window);
-  if (o.symbolic_window_value) {
-    doc.set("symbolic_window_value", *o.symbolic_window_value);
-  }
-  if (o.symbolic_window_estimate) {
-    doc.set("symbolic_window_estimate", *o.symbolic_window_estimate);
-  }
-  if (o.mws_before) doc.set("mws_before", *o.mws_before);
-  if (o.mws_after) doc.set("mws_after", *o.mws_after);
+  if (o.mws_after) w.field("mws_after", *o.mws_after);
+  if (o.mws_before) w.field("mws_before", *o.mws_before);
   // The chosen objective, named and valued, in every optimize document:
   // miss-ratio runs stay distinguishable from MWS runs.
-  doc.set("objective", o.objective.name());
-  if (o.objective.miss_ratio) {
-    doc.set("objective_capacity", o.objective.capacity);
-    doc.set("objective_value", Json::number(*o.miss_ratio_after));
-    doc.set("miss_ratio_before", Json::number(o.miss_ratio->miss_ratio_before));
-    doc.set("miss_ratio_after", Json::number(*o.miss_ratio_after));
+  w.field("objective", o.objective.name());
+  if (miss_ratio) {
+    w.field("objective_capacity", o.objective.capacity)
+        .field("objective_value", *o.miss_ratio_after);
   } else {
     // Exact when measured, the analytic prediction otherwise.
-    doc.set("objective_value", o.mws_after ? *o.mws_after : o.plan.predicted_mws);
+    w.field("objective_value", o.mws_after ? *o.mws_after : o.plan.predicted_mws);
   }
-  return doc;
+  w.field("predicted_mws", o.plan.predicted_mws);
+  if (o.symbolic_window) w.field("symbolic_window", *o.symbolic_window);
+  if (o.symbolic_window_estimate) {
+    w.field("symbolic_window_estimate", *o.symbolic_window_estimate);
+  }
+  if (o.symbolic_window_value) {
+    w.field("symbolic_window_value", *o.symbolic_window_value);
+  }
+  w.key("transform").matrix(o.plan.transform);
+  if (o.uncertified) w.key("uncertified_transform").matrix(*o.uncertified);
+  w.end_object();
 }
 
 SymbolicResult run_symbolic(const Program& program, Metrics& metrics) {
@@ -331,59 +324,55 @@ void run_generated(CodegenOutcome& outcome, const std::string& cc) {
   outcome.run = compile_and_run(outcome.code.c_source, path);
 }
 
-Json codegen_json(const CodegenOutcome& outcome) {
+void codegen_json(JsonWriter& w, const CodegenOutcome& outcome) {
   const CodegenResult& cg = outcome.code;
-  Json jcg = Json::object();
-  jcg.set("plan", outcome.plan.plan.str());
-  jcg.set("certified", true);
-  jcg.set("transform", transform_json(cg.combined));
-  if (!cg.tile_sizes.empty()) {
-    Json jt = Json::array();
-    for (Int s : cg.tile_sizes) jt.push(s);
-    jcg.set("tile_sizes", std::move(jt));
-  }
-  jcg.set("iterations", cg.iterations);
-  jcg.set("original_cells", cg.original_cells);
-  jcg.set("window_cells", cg.window_cells);
-  jcg.set("mws_total", cg.mws_total);
-  jcg.set("footprint_ratio", cg.footprint_ratio());
-  Json jbufs = Json::array();
+  w.begin_object().key("buffers").begin_array();
   for (const BufferPlan& b : cg.buffers) {
-    jbufs.push(Json::object()
-                   .set("name", b.name)
-                   .set("declared", b.declared)
-                   .set("region", b.region)
-                   .set("mws", b.mws)
-                   .set("modulus", b.modulus)
-                   .set("collision_free", b.collision_free)
-                   .set("cold_loads", b.cold_loads)
-                   .set("writebacks", b.writebacks));
+    w.begin_object()
+        .field("cold_loads", b.cold_loads)
+        .field("collision_free", b.collision_free)
+        .field("declared", b.declared)
+        .field("modulus", b.modulus)
+        .field("mws", b.mws)
+        .field("name", b.name)
+        .field("region", b.region)
+        .field("writebacks", b.writebacks)
+        .end_object();
   }
-  jcg.set("buffers", std::move(jbufs));
-  jcg.set("c", cg.c_source);
+  w.end_array()
+      .field("c", cg.c_source)
+      .field("certified", true)
+      .field("footprint_ratio", cg.footprint_ratio())
+      .field("iterations", cg.iterations)
+      .field("mws_total", cg.mws_total)
+      .field("original_cells", cg.original_cells)
+      .field("plan", outcome.plan.plan.str());
   if (!outcome.no_compiler.empty()) {
-    jcg.set("run", Json::object()
-                       .set("compiled", false)
-                       .set("detail", outcome.no_compiler));
+    w.key("run")
+        .begin_object()
+        .field("compiled", false)
+        .field("detail", outcome.no_compiler)
+        .end_object();
   } else if (const std::optional<RunVerdict>& v = outcome.run) {
     // The verdict is deterministic (its counters depend only on the source
     // and the plan); the wall clocks stay out.
-    Json jr = Json::object();
-    jr.set("compiled", v->compiled)
-        .set("ran", v->ran)
-        .set("identical", v->identical)
-        .set("sink_match", v->sink_match)
-        .set("mws_ok", v->mws_ok)
-        .set("traffic_ok", v->traffic_ok)
-        .set("status", v->status)
-        .set("loads", v->loads)
-        .set("stores", v->stores)
-        .set("reloads", v->reloads)
-        .set("mws_measured", v->mws_measured);
-    if (!v->ok()) jr.set("detail", v->detail);
-    jcg.set("run", std::move(jr));
+    w.key("run").begin_object().field("compiled", v->compiled);
+    if (!v->ok()) w.field("detail", v->detail);
+    w.field("identical", v->identical)
+        .field("loads", v->loads)
+        .field("mws_measured", v->mws_measured)
+        .field("mws_ok", v->mws_ok)
+        .field("ran", v->ran)
+        .field("reloads", v->reloads)
+        .field("sink_match", v->sink_match)
+        .field("status", v->status)
+        .field("stores", v->stores)
+        .field("traffic_ok", v->traffic_ok)
+        .end_object();
   }
-  return jcg;
+  if (!cg.tile_sizes.empty()) w.key("tile_sizes").int_array(cg.tile_sizes);
+  w.key("transform").matrix(cg.combined).field("window_cells", cg.window_cells);
+  w.end_object();
 }
 
 MrcOutcome run_mrc(const Program& program, const AnalysisRequest::Mrc& opts,
@@ -431,12 +420,10 @@ MrcOutcome run_mrc(const Program& program, const AnalysisRequest::Mrc& opts,
   return m;
 }
 
-Json mrc_json(const MrcOutcome& outcome) {
-  Json jm = mrc_json(outcome.curve, outcome.capacities);
-  jm.set("plan", outcome.plan.plan.str());
-  if (!outcome.plan.method.empty()) jm.set("method", outcome.plan.method);
-  jm.set("transform", transform_json(outcome.transform));
-  return jm;
+void mrc_json(JsonWriter& w, const MrcOutcome& outcome) {
+  const MrcOrder order{outcome.plan.plan.str(), outcome.plan.method,
+                       &outcome.transform};
+  mrc_json(w, outcome.curve, outcome.capacities, &order);
 }
 
 }  // namespace lmre

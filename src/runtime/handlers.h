@@ -7,8 +7,9 @@
 // search, certification, emission, miss-ratio curve) under the shared
 // RunOptions, reuses the caller's TraceArena for every oracle run, times
 // each stage into the caller's Metrics, and returns a typed outcome.
-// AnalysisSession (batch, serve, and every CLI verb's --json) serializes
-// the outcome into its cached payload with the serializers below; the CLI
+// AnalysisSession (batch, serve, and every CLI verb's --json) writes the
+// outcome into its cached payload with the serializers below, each of
+// which streams one JSON value through a JsonWriter (keys ascending); the CLI
 // verbs render their text from the same outcome.  So the kind semantics --
 // plan resolution and its certification gate, verify_limit gating, the
 // uncertified-plan downgrade -- live here once.
@@ -30,7 +31,7 @@
 #include "program/program.h"
 #include "runtime/metrics.h"
 #include "runtime/session.h"
-#include "support/json.h"
+#include "support/json_writer.h"
 #include "support/options.h"
 #include "symbolic/derive.h"
 #include "transform/minimizer.h"
@@ -104,7 +105,8 @@ AnalyzeOutcome run_analyze(const Program& program, const RunOptions& run,
 
 /// The payload section: "analysis" for a nest (report.has_value()),
 /// "program" for a multi-phase source.
-Json analysis_json(const Program& program, const AnalyzeOutcome& outcome);
+void analysis_json(JsonWriter& w, const Program& program,
+                   const AnalyzeOutcome& outcome);
 
 // ---- optimize ---------------------------------------------------------------
 
@@ -137,8 +139,8 @@ OptimizeOutcome run_optimize(const Program& program, const std::string& objectiv
                              const RunOptions& run, TraceArena& arena,
                              Metrics& metrics);
 
-/// The "optimize" section, less the analytic "predicted_mws".
-Json optimize_json(const OptimizeOutcome& outcome);
+/// The "optimize" section.
+void optimize_json(JsonWriter& w, const OptimizeOutcome& outcome);
 
 // ---- symbolic ---------------------------------------------------------------
 
@@ -183,7 +185,7 @@ void run_generated(CodegenOutcome& outcome, const std::string& cc);
 /// The "codegen" section: plan, transform, window accounting, buffer
 /// plans, the C unit and the run verdict.  Free of wall clocks, so
 /// identical inputs render identical documents.
-Json codegen_json(const CodegenOutcome& outcome);
+void codegen_json(JsonWriter& w, const CodegenOutcome& outcome);
 
 // ---- mrc --------------------------------------------------------------------
 
@@ -200,6 +202,6 @@ MrcOutcome run_mrc(const Program& program, const AnalysisRequest::Mrc& opts,
                    const RunOptions& run, TraceArena& arena, Metrics& metrics);
 
 /// The "mrc" section: mrc_json of the curve plus plan, method, transform.
-Json mrc_json(const MrcOutcome& outcome);
+void mrc_json(JsonWriter& w, const MrcOutcome& outcome);
 
 }  // namespace lmre

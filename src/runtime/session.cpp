@@ -8,6 +8,7 @@
 #include "lint/lint.h"
 #include "program/program.h"
 #include "runtime/handlers.h"
+#include "support/json_writer.h"
 #include "support/parallel_for.h"
 #include "symbolic/derive.h"
 #include "verify/certificate.h"
@@ -65,24 +66,34 @@ namespace {
 // changes so stale disk caches invalidate themselves.
 constexpr const char* kHashSalt = "lmre-result-v4";
 
-// File-name-free diagnostic record (the cache key ignores file names, so
+// First capacity of a payload string: most payloads fit, and a codegen
+// payload's C source grows it a few times at most.
+constexpr size_t kPayloadReserve = 2048;
+
+// File-name-free diagnostic records (the cache key ignores file names, so
 // the payload must too; callers attach the name when rendering).
-Json diag_json(const Diagnostic& d) {
-  Json j = Json::object();
-  j.set("id", d.id).set("severity", to_string(d.severity)).set("message", d.message);
-  if (d.span.valid()) j.set("line", d.span.line).set("column", d.span.column);
-  if (!d.phase.empty()) j.set("phase", d.phase);
-  return j;
+void diags_json(JsonWriter& w, const std::vector<Diagnostic>& diags) {
+  w.begin_array();
+  for (const Diagnostic& d : diags) {
+    w.begin_object();
+    if (d.span.valid()) w.field("column", d.span.column);
+    w.field("id", d.id);
+    if (d.span.valid()) w.field("line", d.span.line);
+    w.field("message", d.message);
+    if (!d.phase.empty()) w.field("phase", d.phase);
+    w.field("severity", to_string(d.severity));
+    w.end_object();
+  }
+  w.end_array();
 }
 
-Json lint_json(const LintResult& lint) {
-  Json diags = Json::array();
-  for (const auto& d : lint.diagnostics) diags.push(diag_json(d));
-  return Json::object()
-      .set("errors", static_cast<Int>(lint.count(Severity::kError)))
-      .set("warnings", static_cast<Int>(lint.count(Severity::kWarning)))
-      .set("notes", static_cast<Int>(lint.count(Severity::kNote)))
-      .set("diagnostics", std::move(diags));
+void lint_json(JsonWriter& w, const LintResult& lint) {
+  w.begin_object().key("diagnostics");
+  diags_json(w, lint.diagnostics);
+  w.field("errors", static_cast<Int>(lint.count(Severity::kError)))
+      .field("notes", static_cast<Int>(lint.count(Severity::kNote)))
+      .field("warnings", static_cast<Int>(lint.count(Severity::kWarning)))
+      .end_object();
 }
 
 // Folds a request's dense-engine instrumentation into the shared registry
@@ -117,54 +128,100 @@ class OracleStatsExporter {
   const TraceArena& arena_;
 };
 
-// Runs the request kind's handler and adds its sections to `result`;
-// returns the payload's status.
-ExitCode add_kind_payload(const AnalysisRequest& req, const Program& program,
-                          const RunOptions& stage, TraceArena& arena,
-                          Metrics& metrics, Json& result) {
+// Every section a request's kind adds to its payload, computed before any
+// of the payload is written (the sections interleave with the common keys
+// in key order).
+struct KindOutcome {
+  ExitCode status = ExitCode::kSuccess;
+  std::optional<AnalyzeOutcome> analyze;
+  std::optional<CodegenOutcome> codegen;
+  std::optional<MrcOutcome> mrc;
+  std::optional<OptimizeOutcome> optimize;
+  std::optional<SymbolicResult> symbolic;
+  std::optional<VerifyOutcome> verify;
+};
+
+// Runs the request kind's handlers.
+KindOutcome run_kind(const AnalysisRequest& req, const Program& program,
+                     const RunOptions& stage, TraceArena& arena,
+                     Metrics& metrics) {
   using Kind = AnalysisRequest::Kind;
+  KindOutcome k;
   switch (req.kind()) {
     case Kind::kLint:
-      return ExitCode::kSuccess;
-    case Kind::kSymbolic: {
-      SymbolicResult sym = run_symbolic(program, metrics);
-      result.set("symbolic", symbolic_json(sym));
-      return sym.usable() ? ExitCode::kSuccess : ExitCode::kDiagnostics;
-    }
-    case Kind::kVerify: {
-      VerifyOutcome v = run_verify(program, req.verify()->plan, stage, arena, metrics);
-      Json diags = Json::array();
-      for (const Diagnostic& d : v.diagnostics) diags.push(diag_json(d));
-      result.set("verify", certificate_json(program.phase_nest(0), v.verdict));
-      result.set("verify_diagnostics", std::move(diags));
-      return v.verdict.certified ? ExitCode::kSuccess : ExitCode::kDiagnostics;
-    }
-    case Kind::kCodegen: {
-      CodegenOutcome cg = run_codegen(program, *req.codegen(), stage, arena, metrics);
-      result.set("codegen", codegen_json(cg));
-      return cg.ok() ? ExitCode::kSuccess : ExitCode::kFailure;
-    }
+      break;
+    case Kind::kSymbolic:
+      k.symbolic = run_symbolic(program, metrics);
+      if (!k.symbolic->usable()) k.status = ExitCode::kDiagnostics;
+      break;
+    case Kind::kVerify:
+      k.verify = run_verify(program, req.verify()->plan, stage, arena, metrics);
+      if (!k.verify->verdict.certified) k.status = ExitCode::kDiagnostics;
+      break;
+    case Kind::kCodegen:
+      k.codegen = run_codegen(program, *req.codegen(), stage, arena, metrics);
+      if (!k.codegen->ok()) k.status = ExitCode::kFailure;
+      break;
     case Kind::kMrc:
-      result.set("mrc", mrc_json(run_mrc(program, *req.mrc(), stage, arena, metrics)));
-      return ExitCode::kSuccess;
+      k.mrc = run_mrc(program, *req.mrc(), stage, arena, metrics);
+      break;
     case Kind::kAnalyze:
-    case Kind::kFull: {
-      AnalyzeOutcome a = run_analyze(program, stage, arena, metrics);
-      result.set(a.report ? "analysis" : "program", analysis_json(program, a));
+    case Kind::kFull:
+      k.analyze = run_analyze(program, stage, arena, metrics);
       // kFull on a program: the analysis section is the result.
-      if (req.kind() == Kind::kAnalyze || !a.report) return ExitCode::kSuccess;
+      if (req.kind() == Kind::kAnalyze || !k.analyze->report) break;
       [[fallthrough]];
-    }
     case Kind::kOptimize: {
       const AnalysisRequest::Optimize* o = req.optimize();
-      OptimizeOutcome opt = run_optimize(program, o ? o->objective : std::string(),
-                                         stage, arena, metrics);
-      result.set("optimize",
-                 optimize_json(opt).set("predicted_mws", opt.plan.predicted_mws));
-      return ExitCode::kSuccess;
+      k.optimize = run_optimize(program, o ? o->objective : std::string(), stage,
+                                arena, metrics);
+      break;
     }
   }
-  return ExitCode::kSuccess;
+  return k;
+}
+
+// The payload object: the common keys (kind, lint, phases) and the kind's
+// sections, in ascending key order.
+void payload_json(JsonWriter& w, AnalysisRequest::Kind kind,
+                  const Program& program, const LintResult& lint,
+                  const KindOutcome& k) {
+  const bool program_section = k.analyze && !k.analyze->report;
+  w.begin_object();
+  if (k.analyze && !program_section) {
+    w.key("analysis");
+    analysis_json(w, program, *k.analyze);
+  }
+  if (k.codegen) {
+    w.key("codegen");
+    codegen_json(w, *k.codegen);
+  }
+  w.field("kind", to_string(kind)).key("lint");
+  lint_json(w, lint);
+  if (k.mrc) {
+    w.key("mrc");
+    mrc_json(w, *k.mrc);
+  }
+  if (k.optimize) {
+    w.key("optimize");
+    optimize_json(w, *k.optimize);
+  }
+  w.field("phases", static_cast<Int>(program.phase_count()));
+  if (program_section) {
+    w.key("program");
+    analysis_json(w, program, *k.analyze);
+  }
+  if (k.symbolic) {
+    w.key("symbolic");
+    symbolic_json(w, *k.symbolic);
+  }
+  if (k.verify) {
+    w.key("verify");
+    certificate_json(w, program.phase_nest(0), k.verify->verdict);
+    w.key("verify_diagnostics");
+    diags_json(w, k.verify->diagnostics);
+  }
+  w.end_object();
 }
 
 }  // namespace
@@ -268,8 +325,6 @@ std::uint64_t AnalysisSession::request_key(const AnalysisRequest& req) const {
 std::string AnalysisSession::compute_payload(const AnalysisRequest& req,
                                              ExitCode* status) {
   *status = ExitCode::kSuccess;
-  Json result = Json::object();
-  result.set("kind", to_string(req.kind()));
   // One reusable arena per request: every oracle call below (analysis
   // simulate, optimize verify loop, before/after re-scoring) shares its
   // allocation footprint, and the exporter publishes the instrumentation.
@@ -282,20 +337,24 @@ std::string AnalysisSession::compute_payload(const AnalysisRequest& req,
       Metrics::ScopedTimer t = metrics_->time("stage.parse");
       program = parse_program(req.source, &smap);
     }
-    result.set("phases", static_cast<Int>(program.phase_count()));
 
     LintResult lint;
     {
       Metrics::ScopedTimer t = metrics_->time("stage.lint");
       lint = lint_program(program, &smap);
     }
-    result.set("lint", lint_json(lint));
+    KindOutcome outcome;
     if (lint.has_errors() || (opts_.run.strict && lint.has_warnings())) {
-      *status = ExitCode::kDiagnostics;
-      return result.dump();
+      outcome.status = ExitCode::kDiagnostics;
+    } else {
+      outcome = run_kind(req, program, opts_.run, arena, *metrics_);
     }
-    *status = add_kind_payload(req, program, opts_.run, arena, *metrics_, result);
-    return result.dump();
+    std::string payload;
+    payload.reserve(kPayloadReserve);
+    JsonWriter w(payload);
+    payload_json(w, req.kind(), program, lint, outcome);
+    *status = outcome.status;
+    return payload;
   } catch (const Refusal& e) {
     *status = e.status();
     return error_json(e.code(), e.what()).set("kind", to_string(req.kind())).dump();

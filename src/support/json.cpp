@@ -1,9 +1,11 @@
 #include "support/json.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
 #include "support/error.h"
+#include "support/json_writer.h"
 
 namespace lmre {
 
@@ -96,25 +98,7 @@ size_t Json::size() const {
 std::string Json::escape(const std::string& s) {
   std::string out;
   out.reserve(s.size() + 2);
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
+  append_json_escaped(out, s);
   return out;
 }
 
@@ -134,7 +118,9 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
   } else if (std::holds_alternative<bool>(value_)) {
     out += std::get<bool>(value_) ? "true" : "false";
   } else if (std::holds_alternative<Int>(value_)) {
-    out += std::to_string(std::get<Int>(value_));
+    char buf[24];
+    const auto res = std::to_chars(buf, buf + sizeof buf, std::get<Int>(value_));
+    out.append(buf, res.ptr);
   } else if (std::holds_alternative<double>(value_)) {
     double v = std::get<double>(value_);
     ensure(std::isfinite(v), "Json: non-finite double");
@@ -143,7 +129,7 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
     out += buf;
   } else if (std::holds_alternative<std::string>(value_)) {
     out += '"';
-    out += escape(std::get<std::string>(value_));
+    append_json_escaped(out, std::get<std::string>(value_));
     out += '"';
   } else if (std::holds_alternative<Raw>(value_)) {
     out += std::get<Raw>(value_).text;
@@ -160,7 +146,7 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
       first = false;
       newline_indent(out, indent, depth + 1);
       out += '"';
-      out += escape(k);
+      append_json_escaped(out, k);
       out += indent > 0 ? "\": " : "\":";
       v.dump_to(out, indent, depth + 1);
     }

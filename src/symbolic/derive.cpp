@@ -117,7 +117,7 @@ SymbolicArrayResult derive_array(const LoopNest& nest, ArrayId id,
   SymbolicArrayResult out;
   out.id = id;
   out.name = nest.array(id).name;
-  std::vector<ArrayRef> refs = nest.refs_to(id);
+  const std::vector<ArrayRef>& refs = nest.refs_to(id);
   out.ref_count = static_cast<Int>(refs.size());
 
   for (const ArrayRef& r : refs) {
@@ -369,7 +369,7 @@ SymbolicResult symbolic_analysis_transformed(const LoopNest& nest, const IntMat&
     // The paper's eq. (2) estimate for 2-deep uniformly generated 1-d
     // array references under first row (a, b).
     for (const SymbolicArrayResult& a : res.arrays) {
-      const std::vector<ArrayRef> refs = nest.refs_to(a.id);
+      const std::vector<ArrayRef>& refs = nest.refs_to(a.id);
       if (refs.empty() || refs.front().access.rows() != 1) continue;
       bool uniform = true;
       for (const ArrayRef& r : refs) {
@@ -403,85 +403,107 @@ SymbolicResult symbolic_analysis_transformed(const LoopNest& nest, const IntMat&
 
 namespace {
 
-Json expr_value_json(const SymbolicExpr& e, const std::vector<Int>& at) {
-  Json j = e.to_json();
-  j.set("value", e.eval(at));
-  return j;
+// A formula's interior polynomial and its value at the nest's bounds.
+struct Evaluated {
+  Poly interior;
+  Int value = 0;
+};
+
+template <typename Formula>
+Evaluated evaluate(const Formula& f, const std::vector<Int>& at) {
+  Poly interior = f.interior();
+  return Evaluated{std::move(interior), f.eval(at)};
 }
 
-Json window_value_json(const SymbolicWindow& w, const std::vector<Int>& at) {
-  Json j = w.to_json();
-  j.set("value", w.eval(at));
-  return j;
+template <typename Formula>
+std::optional<Evaluated> evaluate(const std::optional<Formula>& f,
+                                  const std::vector<Int>& at) {
+  if (!f) return std::nullopt;
+  return evaluate(*f, at);
+}
+
+// {"branches": [...] (windows only), "polynomial", "rendered", "terms",
+// "value"}; terms lists the interior polynomial's {coef, exps} pairs.
+void formula_json(JsonWriter& w, const Evaluated& e, const std::string& rendered,
+                  const SymbolicWindow* window = nullptr) {
+  w.begin_object();
+  if (window) {
+    w.key("branches").begin_array();
+    for (const SymbolicExpr& b : window->branches()) w.value(b.str());
+    w.end_array();
+  }
+  w.field("polynomial", e.interior.str()).field("rendered", rendered);
+  w.key("terms").begin_array();
+  for (const PolyTerm& t : e.interior.terms()) {
+    w.begin_object().field("coef", t.coef).key("exps").int_array(t.exps).end_object();
+  }
+  w.end_array().field("value", e.value).end_object();
 }
 
 }  // namespace
 
-Json symbolic_json(const SymbolicResult& r) {
-  Json doc = Json::object();
-  Json bounds = Json::array();
-  for (size_t k = 0; k < r.vars; ++k) {
-    bounds.push(Json::object()
-                    .set("name", r.bound_names[k])
-                    .set("value", r.bound_values[k]));
-  }
-  doc.set("bounds", std::move(bounds));
-  doc.set("usable", r.usable());
-
-  Json arrays = Json::array();
+void symbolic_json(JsonWriter& w, const SymbolicResult& r) {
+  const std::vector<Int>& at = r.bound_values;
+  w.begin_object().key("arrays").begin_array();
   for (const SymbolicArrayResult& a : r.arrays) {
-    Json ja = Json::object();
-    ja.set("name", a.name).set("refs", a.ref_count);
-    if (a.distinct) ja.set("distinct", expr_value_json(*a.distinct, r.bound_values));
-    if (a.reuse) ja.set("reuse", expr_value_json(*a.reuse, r.bound_values));
-    if (a.window) ja.set("window", window_value_json(*a.window, r.bound_values));
-    Json deps = Json::array();
+    // An array's formulas are evaluated before its dependence volumes,
+    // which sort first: an overflow fails the document at the first
+    // formula in evaluation order (distinct, reuse, window, volumes, then
+    // the totals), whatever the key order.
+    const std::optional<Evaluated> distinct = evaluate(a.distinct, at);
+    const std::optional<Evaluated> reuse = evaluate(a.reuse, at);
+    const std::optional<Evaluated> window = evaluate(a.window, at);
+    w.begin_object().key("dependences").begin_array();
     for (const SymbolicDependence& d : a.dependences) {
-      Json dist = Json::array();
-      for (size_t k = 0; k < d.distance.size(); ++k) dist.push(d.distance[k]);
-      deps.push(Json::object()
-                    .set("distance", std::move(dist))
-                    .set("volume", expr_value_json(d.volume, r.bound_values)));
+      w.begin_object().key("distance").int_array(d.distance).key("volume");
+      formula_json(w, evaluate(d.volume, at), d.volume.str());
+      w.end_object();
     }
-    ja.set("dependences", std::move(deps));
+    w.end_array();
+    if (distinct) formula_json(w.key("distinct"), *distinct, a.distinct->str());
+    w.field("name", a.name);
     if (!a.notes.empty()) {
-      Json notes = Json::array();
-      for (const std::string& note : a.notes) notes.push(note);
-      ja.set("notes", std::move(notes));
+      w.key("notes").begin_array();
+      for (const std::string& note : a.notes) w.value(note);
+      w.end_array();
     }
-    arrays.push(std::move(ja));
+    w.field("refs", a.ref_count);
+    if (reuse) formula_json(w.key("reuse"), *reuse, a.reuse->str());
+    if (window) formula_json(w.key("window"), *window, a.window->str(), &*a.window);
+    w.end_object();
   }
-  doc.set("arrays", std::move(arrays));
-
-  if (r.distinct_total) {
-    doc.set("distinct_total", expr_value_json(*r.distinct_total, r.bound_values));
+  w.end_array().key("bounds").begin_array();
+  for (size_t k = 0; k < r.vars; ++k) {
+    w.begin_object()
+        .field("name", r.bound_names[k])
+        .field("value", r.bound_values[k])
+        .end_object();
   }
-  if (r.reuse_total) {
-    doc.set("reuse_total", expr_value_json(*r.reuse_total, r.bound_values));
-  }
-  if (r.window_total) {
-    doc.set("window_total", window_value_json(*r.window_total, r.bound_values));
-  }
-  if (r.plan) {
-    Json rows = Json::array();
-    for (size_t i = 0; i < r.plan->rows(); ++i) {
-      Json row = Json::array();
-      for (size_t j = 0; j < r.plan->cols(); ++j) row.push((*r.plan)(i, j));
-      rows.push(std::move(row));
-    }
-    doc.set("plan", std::move(rows));
-  }
-  if (r.window_estimate) doc.set("window_estimate", *r.window_estimate);
-
-  Json diags = Json::array();
+  w.end_array().key("diagnostics").begin_array();
   for (const Diagnostic& d : r.diagnostics) {
-    diags.push(Json::object()
-                   .set("id", d.id)
-                   .set("severity", to_string(d.severity))
-                   .set("message", d.message));
+    w.begin_object()
+        .field("id", d.id)
+        .field("message", d.message)
+        .field("severity", to_string(d.severity))
+        .end_object();
   }
-  doc.set("diagnostics", std::move(diags));
-  return doc;
+  w.end_array();
+  if (r.distinct_total) {
+    formula_json(w.key("distinct_total"), evaluate(*r.distinct_total, at),
+                 r.distinct_total->str());
+  }
+  if (r.plan) w.key("plan").matrix(*r.plan);
+  if (r.reuse_total) {
+    formula_json(w.key("reuse_total"), evaluate(*r.reuse_total, at),
+                 r.reuse_total->str());
+  }
+  w.field("usable", r.usable());
+  if (r.window_estimate) w.field("window_estimate", *r.window_estimate);
+  if (r.window_total) {
+    formula_json(w.key("window_total"), evaluate(*r.window_total, at),
+                 r.window_total->str(), &*r.window_total);
+  }
+  w.end_object();
 }
 
 }  // namespace lmre

@@ -38,6 +38,7 @@
 
 #include "diag/diagnostic.h"
 #include "ir/nest.h"
+#include "support/json_writer.h"
 #include "symbolic/expr.h"
 
 namespace lmre {
@@ -116,9 +117,9 @@ SymbolicResult symbolic_analysis(const LoopNest& nest);
 /// 2-D plans.  Throws InvalidArgument when t is not unimodular n x n.
 SymbolicResult symbolic_analysis_transformed(const LoopNest& nest, const IntMat& t);
 
-/// JSON document for a SymbolicResult: bounds, per-array formulas
-/// (rendered string + interior polynomial terms), totals, evaluated values
-/// at the nest's own bounds, and the decline diagnostics.
-Json symbolic_json(const SymbolicResult& r);
+/// Writes the JSON document for a SymbolicResult: bounds, per-array
+/// formulas (rendered string + interior polynomial terms), totals,
+/// evaluated values at the nest's own bounds, and the decline diagnostics.
+void symbolic_json(JsonWriter& w, const SymbolicResult& r);
 
 }  // namespace lmre

@@ -179,20 +179,6 @@ std::string SymbolicExpr::str() const {
   return os.str();
 }
 
-Json SymbolicExpr::to_json() const {
-  Poly p = interior();
-  Json terms = Json::array();
-  for (const PolyTerm& t : p.terms()) {
-    Json exps = Json::array();
-    for (Int e : t.exps) exps.push(e);
-    terms.push(Json::object().set("coef", t.coef).set("exps", std::move(exps)));
-  }
-  return Json::object()
-      .set("rendered", str())
-      .set("polynomial", p.str())
-      .set("terms", std::move(terms));
-}
-
 SymbolicWindow SymbolicWindow::zero(size_t vars) {
   return SymbolicWindow(SymbolicExpr(vars));
 }
@@ -231,15 +217,6 @@ std::string SymbolicWindow::str() const {
   }
   os << ')';
   return os.str();
-}
-
-Json SymbolicWindow::to_json() const {
-  Json j = branches_.back().to_json();
-  j.set("rendered", str());
-  Json bs = Json::array();
-  for (const SymbolicExpr& b : branches_) bs.push(b.str());
-  j.set("branches", std::move(bs));
-  return j;
 }
 
 }  // namespace lmre

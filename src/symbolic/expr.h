@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "support/checked.h"
-#include "support/json.h"
 #include "symbolic/poly.h"
 
 namespace lmre {
@@ -88,10 +87,6 @@ class SymbolicExpr {
   /// factors are implicitly clamped at zero (see file comment).
   std::string str() const;
 
-  /// {"rendered": str(), "polynomial": interior().str(), "terms": [...]}
-  /// where terms lists the interior polynomial's {coef, exps} pairs.
-  Json to_json() const;
-
  private:
   // canonical factor list -> coefficient; zero coefficients never stored.
   std::map<std::vector<SymbolicFactor>, Int> terms_;
@@ -123,9 +118,6 @@ class SymbolicWindow {
 
   /// "min(a, b, ...)", or the single branch's rendering.
   std::string str() const;
-
-  /// Like SymbolicExpr::to_json, plus "branches": [rendered, ...].
-  Json to_json() const;
 
  private:
   std::vector<SymbolicExpr> branches_;

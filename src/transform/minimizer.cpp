@@ -26,7 +26,7 @@ std::vector<RowTarget> row_targets(const LoopNest& nest) {
   std::vector<RowTarget> targets;
   if (nest.depth() != 2) return targets;
   for (ArrayId id = 0; id < nest.arrays().size(); ++id) {
-    std::vector<ArrayRef> refs = nest.refs_to(id);
+    const std::vector<ArrayRef>& refs = nest.refs_to(id);
     if (refs.empty() || nest.array(id).dims() != 1) continue;
     bool uniform = true;
     for (size_t i = 1; i < refs.size(); ++i) {
@@ -198,7 +198,7 @@ std::optional<IntMat> embedding_transform(const LoopNest& nest, ArrayId array) {
 
 std::optional<IntMat> embedding_transform(const LoopNest& nest,
                                           const DependenceInfo& info, ArrayId array) {
-  std::vector<ArrayRef> refs = nest.refs_to(array);
+  const std::vector<ArrayRef>& refs = nest.refs_to(array);
   if (refs.empty()) return std::nullopt;
   for (size_t i = 1; i < refs.size(); ++i) {
     if (!refs[i].uniformly_generated_with(refs[0])) return std::nullopt;
@@ -248,9 +248,9 @@ namespace {
 class MwsScorer {
  public:
   MwsScorer(const LoopNest& nest, const DependenceInfo& info) : nest_(nest) {
-    const std::vector<ArrayRef> refs = nest.all_refs();
+    const std::vector<ArrayRef>& refs = nest.all_refs();
     for (ArrayId id = 0; id < nest.arrays().size(); ++id) {
-      std::vector<ArrayRef> arefs = nest.refs_to(id);
+      const std::vector<ArrayRef>& arefs = nest.refs_to(id);
       if (arefs.empty()) continue;
       bool uniform = true;
       for (size_t i = 1; i < arefs.size(); ++i) {

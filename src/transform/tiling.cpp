@@ -77,7 +77,7 @@ TilingReport analyze_tiling(const LoopNest& nest, const IntMat& t,
 
   std::optional<IntVec> current_tile;
   Int tile_iters = 0;
-  std::set<std::pair<ArrayId, std::vector<Int>>> footprint;
+  std::set<std::pair<ArrayId, IntVec>> footprint;
   auto close_tile = [&]() {
     if (!current_tile) return;
     rep.tiles += 1;
@@ -97,7 +97,7 @@ TilingReport analyze_tiling(const LoopNest& nest, const IntMat& t,
     ++tile_iters;
     for (const auto& stmt : nest.statements()) {
       for (const auto& ref : stmt.refs) {
-        footprint.emplace(ref.array, ref.index_at(iter).data());
+        footprint.emplace(ref.array, ref.index_at(iter));
       }
     }
   }

@@ -4,18 +4,6 @@ namespace lmre {
 
 namespace {
 
-Json vec_json(const IntVec& v) {
-  Json a = Json::array();
-  for (size_t i = 0; i < v.size(); ++i) a.push(v[i]);
-  return a;
-}
-
-Json mat_json(const IntMat& m) {
-  Json rows = Json::array();
-  for (size_t r = 0; r < m.rows(); ++r) rows.push(vec_json(m.row(r)));
-  return rows;
-}
-
 const char* status_str(DepStatus s) {
   switch (s) {
     case DepStatus::kPreserved: return "preserved";
@@ -35,118 +23,116 @@ const char* proof_str(ProofKind p) {
   return "?";
 }
 
-Json witness_json(const IterationWitness& w) {
-  Json j = Json::object();
-  j.set("src_iter", vec_json(w.src_iter));
-  j.set("dst_iter", vec_json(w.dst_iter));
-  j.set("element", vec_json(w.element));
-  j.set("src_time", vec_json(w.src_time));
-  j.set("dst_time", vec_json(w.dst_time));
-  j.set("tiled", w.tiled);
-  return j;
+void witness_json(JsonWriter& w, const IterationWitness& wit) {
+  w.begin_object();
+  w.key("dst_iter").int_array(wit.dst_iter);
+  w.key("dst_time").int_array(wit.dst_time);
+  w.key("element").int_array(wit.element);
+  w.key("src_iter").int_array(wit.src_iter);
+  w.key("src_time").int_array(wit.src_time);
+  w.field("tiled", wit.tiled).end_object();
 }
 
-Json levels_json(const std::vector<LevelClass>& levels) {
-  Json arr = Json::array();
+void levels_json(JsonWriter& w, const std::vector<LevelClass>& levels) {
+  w.begin_array();
   for (const LevelClass& lc : levels) {
-    Json j = Json::object();
-    j.set("level", static_cast<Int>(lc.level));
-    j.set("doall", lc.doall);
-    j.set("exact", lc.exact);
-    Json carriers = Json::array();
-    for (Int c : lc.carriers) carriers.push(c);
-    j.set("carriers", std::move(carriers));
-    arr.push(std::move(j));
+    w.begin_object()
+        .key("carriers")
+        .int_array(lc.carriers)
+        .field("doall", lc.doall)
+        .field("exact", lc.exact)
+        .field("level", static_cast<Int>(lc.level))
+        .end_object();
   }
-  return arr;
+  w.end_array();
+}
+
+void dependence_json(JsonWriter& w, const LoopNest& nest, const DepVerdict& v) {
+  const bool distance = v.basis == DepBasis::kDistance;
+  w.begin_object()
+      .field("array", nest.array(v.array).name)
+      .field("basis", distance ? "distance" : "direction");
+  if (distance) {
+    w.key("distance").int_array(v.distance);
+  } else {
+    w.field("direction", direction_vector_string(v.directions));
+  }
+  w.field("dst_ref", static_cast<Int>(v.dst_ref)).field("kind", to_string(v.kind));
+  if (!v.tileable) {
+    w.field("negative_component", static_cast<Int>(v.negative_component));
+  }
+  if (v.status == DepStatus::kPreserved && v.proof != ProofKind::kNone) {
+    w.key("proof").begin_object().field("kind", proof_str(v.proof));
+    if (v.proof == ProofKind::kPivot) {
+      w.field("level", static_cast<Int>(v.proof_level));
+    }
+    w.end_object();
+  }
+  w.field("src_ref", static_cast<Int>(v.src_ref)).field("status", status_str(v.status));
+  if (!v.tileable && v.tile_witness.has_value()) {
+    w.key("tile_witness");
+    witness_json(w, *v.tile_witness);
+  }
+  w.field("tileable", v.tileable);
+  if (distance) w.key("transformed").int_array(v.transformed);
+  if (v.witness.has_value()) {
+    w.key("witness");
+    witness_json(w, *v.witness);
+  }
+  w.end_object();
 }
 
 }  // namespace
 
-Json certificate_json(const LoopNest& nest, const VerifyResult& res) {
-  Json cert = Json::object();
-
-  Json plan = Json::object();
-  Json steps = Json::array();
-  for (const IntMat& s : res.plan.steps) steps.push(mat_json(s));
-  plan.set("steps", std::move(steps));
-  if (res.plan.has_tiling()) {
-    Json tiles = Json::array();
-    for (Int s : res.plan.tile_sizes) tiles.push(s);
-    plan.set("tile", std::move(tiles));
-  }
-  plan.set("spec", res.plan.str());
-  if (res.structure_error.empty()) plan.set("combined", mat_json(res.combined));
-  cert.set("plan", std::move(plan));
-
-  cert.set("depth", static_cast<Int>(nest.depth()));
-  Json bounds = Json::array();
+void certificate_json(JsonWriter& w, const LoopNest& nest, const VerifyResult& res) {
+  const bool structural = res.structure_error.empty();
+  w.begin_object().key("bounds").begin_array();
   for (size_t k = 0; k < nest.depth(); ++k) {
-    Json r = Json::array();
-    r.push(nest.bounds().range(k).lo);
-    r.push(nest.bounds().range(k).hi);
-    bounds.push(std::move(r));
+    w.begin_array()
+        .value(nest.bounds().range(k).lo)
+        .value(nest.bounds().range(k).hi)
+        .end_array();
   }
-  cert.set("bounds", std::move(bounds));
-
-  if (!res.structure_error.empty()) {
-    cert.set("structure_error", res.structure_error);
-    cert.set("certified", false);
-    return cert;
+  w.end_array().field("certified", structural && res.certified);
+  if (structural) {
+    w.key("counts")
+        .begin_object()
+        .field("memory", static_cast<Int>(res.memory_deps))
+        .field("total", static_cast<Int>(res.total_deps))
+        .end_object();
+    w.key("dependences").begin_array();
+    for (const DepVerdict& v : res.verdicts) dependence_json(w, nest, v);
+    w.end_array();
+  }
+  w.field("depth", static_cast<Int>(nest.depth()));
+  if (structural) {
+    w.field("direction_only", res.direction_only)
+        .field("exact", res.exact)
+        .field("legal", res.legal)
+        .key("levels")
+        .begin_object()
+        .key("original");
+    levels_json(w, res.original_levels);
+    w.key("transformed");
+    levels_json(w, res.transformed_levels);
+    w.end_object();
   }
 
-  cert.set("certified", res.certified);
-  cert.set("legal", res.legal);
-  cert.set("tileable", res.tileable);
-  cert.set("exact", res.exact);
-  cert.set("direction_only", res.direction_only);
+  w.key("plan").begin_object();
+  if (structural) w.key("combined").matrix(res.combined);
+  w.field("spec", res.plan.str()).key("steps").begin_array();
+  for (const IntMat& s : res.plan.steps) w.matrix(s);
+  w.end_array();
+  if (res.plan.has_tiling()) w.key("tile").int_array(res.plan.tile_sizes);
+  w.end_object();
 
-  Json deps = Json::array();
-  for (const DepVerdict& v : res.verdicts) {
-    Json j = Json::object();
-    j.set("src_ref", static_cast<Int>(v.src_ref));
-    j.set("dst_ref", static_cast<Int>(v.dst_ref));
-    j.set("array", nest.array(v.array).name);
-    j.set("kind", to_string(v.kind));
-    j.set("basis", v.basis == DepBasis::kDistance ? "distance" : "direction");
-    if (v.basis == DepBasis::kDistance) {
-      j.set("distance", vec_json(v.distance));
-      j.set("transformed", vec_json(v.transformed));
-    } else {
-      j.set("direction", direction_vector_string(v.directions));
-    }
-    j.set("status", status_str(v.status));
-    if (v.status == DepStatus::kPreserved && v.proof != ProofKind::kNone) {
-      Json proof = Json::object();
-      proof.set("kind", proof_str(v.proof));
-      if (v.proof == ProofKind::kPivot) {
-        proof.set("level", static_cast<Int>(v.proof_level));
-      }
-      j.set("proof", std::move(proof));
-    }
-    if (v.witness.has_value()) j.set("witness", witness_json(*v.witness));
-    j.set("tileable", v.tileable);
-    if (!v.tileable) {
-      j.set("negative_component", static_cast<Int>(v.negative_component));
-      if (v.tile_witness.has_value()) {
-        j.set("tile_witness", witness_json(*v.tile_witness));
-      }
-    }
-    deps.push(std::move(j));
+  if (!structural) {
+    w.field("structure_error", res.structure_error).end_object();
+    return;
   }
-  cert.set("dependences", std::move(deps));
-
-  Json levels = Json::object();
-  levels.set("original", levels_json(res.original_levels));
-  levels.set("transformed", levels_json(res.transformed_levels));
-  cert.set("levels", std::move(levels));
-  cert.set("wavefront_race_free", res.wavefront_race_free);
-
-  Json counts = Json::object();
-  counts.set("memory", static_cast<Int>(res.memory_deps));
-  counts.set("total", static_cast<Int>(res.total_deps));
-  cert.set("counts", std::move(counts));
-  return cert;
+  w.field("tileable", res.tileable)
+      .field("wavefront_race_free", res.wavefront_race_free)
+      .end_object();
 }
 
 }  // namespace lmre

@@ -11,12 +11,12 @@
 // replay contract.
 
 #include "ir/nest.h"
-#include "support/json.h"
+#include "support/json_writer.h"
 #include "verify/verify.h"
 
 namespace lmre {
 
-/// Serializes the result; stable key order (Json objects sort keys).
-Json certificate_json(const LoopNest& nest, const VerifyResult& res);
+/// Writes the certificate object (keys in ascending order).
+void certificate_json(JsonWriter& w, const LoopNest& nest, const VerifyResult& res);
 
 }  // namespace lmre

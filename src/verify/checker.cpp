@@ -83,7 +83,7 @@ CertificateCheck check_certificate(const LoopNest& nest, const VerifyResult& res
   CertificateCheck check;
   const size_t n = nest.depth();
   const IntBox& box = nest.bounds();
-  const std::vector<ArrayRef> refs = nest.all_refs();
+  const std::vector<ArrayRef>& refs = nest.all_refs();
 
   if (!res.structure_error.empty()) {
     // A structurally rejected plan certifies nothing; only the flag matters.

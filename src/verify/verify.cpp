@@ -278,7 +278,7 @@ VerifyResult verify_plan(const LoopNest& nest, const VerifyPlan& plan,
   const IntMat& t = res.combined;
   const IntMat identity = IntMat::identity(n);
 
-  const std::vector<ArrayRef> refs = nest.all_refs();
+  const std::vector<ArrayRef>& refs = nest.all_refs();
   // Analyzed here, when the caller has no analysis, only once the plan is
   // known to be structurally sound.
   std::optional<DependenceInfo> own;
@@ -294,7 +294,7 @@ VerifyResult verify_plan(const LoopNest& nest, const VerifyPlan& plan,
   // --- 1. Listed verdicts for uniformly generated pairs: the analyzer's
   // representative edges (lex-min distance per orientation plus the reuse
   // generators), each judged directly through the combined matrix.
-  std::set<std::tuple<size_t, size_t, std::vector<Int>>> listed;
+  std::set<std::tuple<size_t, size_t, IntVec>> listed;
   for (const Dependence& dep : info.deps) {
     DepVerdict v;
     v.src_ref = dep.src_ref;
@@ -321,7 +321,7 @@ VerifyResult verify_plan(const LoopNest& nest, const VerifyPlan& plan,
       v.tile_witness = make_witness(refs[dep.src_ref], t, i, j, /*tiled=*/false);
       break;
     }
-    listed.insert({v.src_ref, v.dst_ref, v.distance.data()});
+    listed.insert({v.src_ref, v.dst_ref, v.distance});
     res.verdicts.push_back(std::move(v));
   }
 
@@ -371,7 +371,7 @@ VerifyResult verify_plan(const LoopNest& nest, const VerifyPlan& plan,
       v.tile_witness = make_witness(refs[src], t, i, j, /*tiled=*/false);
       break;
     }
-    listed.insert({src, dst, v.distance.data()});
+    listed.insert({src, dst, v.distance});
     res.verdicts.push_back(std::move(v));
     return res.verdicts.back();
   };
@@ -397,7 +397,7 @@ VerifyResult verify_plan(const LoopNest& nest, const VerifyPlan& plan,
             SearchOutcome out = find_reversal(space, t, box, opts.search_budget);
             if (out.witness.has_value()) {
               auto [i, j] = *out.witness;
-              if (listed.count({src, dst, (j - i).data()}) == 0) {
+              if (listed.count({src, dst, j - i}) == 0) {
                 append_found(src, dst, i, j, /*reversed=*/true);
               }
             } else if (!out.complete) {
@@ -417,7 +417,7 @@ VerifyResult verify_plan(const LoopNest& nest, const VerifyPlan& plan,
                 find_negative_component(space, t, r, box, opts.search_budget);
             if (out.witness.has_value()) {
               auto [i, j] = *out.witness;
-              if (listed.count({src, dst, (j - i).data()}) == 0) {
+              if (listed.count({src, dst, j - i}) == 0) {
                 append_found(src, dst, i, j, /*reversed=*/false);
               }
               break;
@@ -540,8 +540,8 @@ VerifyResult verify_plan(const LoopNest& nest, const VerifyPlan& plan,
       nest.iteration_count() <= opts.tiled_replay_limit) {
     try {
       std::vector<IntVec> order = tiled_order(nest, t, plan.tile_sizes);
-      std::map<std::vector<Int>, size_t> position;
-      for (size_t p = 0; p < order.size(); ++p) position[order[p].data()] = p;
+      std::map<IntVec, size_t> position;
+      for (size_t p = 0; p < order.size(); ++p) position[order[p]] = p;
       for (DepVerdict& v : res.verdicts) {
         if (v.tileable || !v.tile_witness.has_value()) continue;
         if (v.basis == DepBasis::kDistance) {
@@ -551,7 +551,7 @@ VerifyResult verify_plan(const LoopNest& nest, const VerifyPlan& plan,
           // schedule visits destination-first.
           for (size_t p = 0; p < order.size(); ++p) {
             IntVec dst = order[p] + v.distance;
-            auto di = position.find(dst.data());
+            auto di = position.find(dst);
             if (di != position.end() && di->second < p) {
               v.tile_witness =
                   make_witness(refs[v.src_ref], t, order[p], dst, /*tiled=*/true);
@@ -560,8 +560,8 @@ VerifyResult verify_plan(const LoopNest& nest, const VerifyPlan& plan,
           }
           continue;
         }
-        auto si = position.find(v.tile_witness->src_iter.data());
-        auto di = position.find(v.tile_witness->dst_iter.data());
+        auto si = position.find(v.tile_witness->src_iter);
+        auto di = position.find(v.tile_witness->dst_iter);
         if (si != position.end() && di != position.end() &&
             di->second < si->second) {
           v.tile_witness->tiled = true;

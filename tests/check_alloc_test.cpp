@@ -2,7 +2,10 @@
 // message, the checked_* arithmetic, floor_div/ceil_div and the
 // bounds-checked IntVec::at / IntBox::range run tens of millions of times
 // per cold request, so their success path has to stay one compare -- no
-// std::string built for a message that is never thrown.
+// std::string built for a message that is never thrown.  Likewise the
+// small integer vectors and matrices of every nest lmre sees live inline,
+// and the payload writer appends into its response string, so neither
+// touches the heap.
 //
 // This binary replaces the global operator new with a counting one that
 // only counts while a test holds an AllocCounter.  It is not run under
@@ -11,14 +14,19 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "linalg/mat.h"
 #include "linalg/vec.h"
 #include "polyhedra/box.h"
 #include "support/checked.h"
 #include "support/error.h"
+#include "support/json_writer.h"
 
 namespace {
 
@@ -120,6 +128,67 @@ TEST(CheckAlloc, CheckedArithmeticAndAccessorsDoNotAllocate) {
       t = checked_sub(t, ceil_div(t, -3));
       g_sink = t;
     }
+    seen = counter.count();
+  }
+  EXPECT_EQ(seen, 0);
+}
+
+TEST(CheckAlloc, InlineVectorAndMatrixArithmeticDoesNotAllocate) {
+  // Every size up to the inline capacities: 8-entry vectors, 4 x 4
+  // matrices.
+  const IntVec v{3, -5, 7, 1, 0, 2, -1, 4};
+  const IntMat t{{1, 2, 0, 0}, {0, 1, 0, 0}, {0, 0, 1, 3}, {0, 0, 0, 1}};
+  volatile Int seed = 2;
+  long seen = 0;
+  {
+    AllocCounter counter;
+    for (Int i = 0; i < kIterations / 10; ++i) {
+      IntVec a = v * seed;
+      IntVec b = a - v;
+      IntVec c = -(a + b);
+      const IntVec copy = c;
+      c = b;  // equal lengths: copied in place
+      IntVec d(4);
+      d[static_cast<size_t>(i % 4)] = c.dot(copy);
+      IntVec u = t * d;
+      IntMat m = t * t;
+      m = m + t;
+      IntMat moved = std::move(m);
+      const bool less = copy < c;
+      g_sink = u[0] + moved(3, 3) + (less ? 1 : 0) + IntMat::identity(3)(2, 2) +
+               moved.transposed()(0, 1) + t.inverse_unimodular()(0, 1);
+    }
+    seen = counter.count();
+  }
+  EXPECT_EQ(seen, 0);
+}
+
+TEST(CheckAlloc, WriterIntoAReservedStringDoesNotAllocate) {
+  const std::string text(200, 'x');  // longer than the small-string buffer
+  const std::vector<Int> ints{1, -2, INT64_MIN};
+  std::string out;
+  out.reserve(1 << 16);
+  long seen = 0;
+  {
+    AllocCounter counter;
+    for (int i = 0; i < 100; ++i) {
+      out.clear();
+      JsonWriter w(out);
+      w.begin_object()
+          .field("a", Int{i})
+          .field("b", true)
+          .field("c", 0.25 * i)
+          .field("d", "quote \" and \\ and \n")
+          .field("e", text)
+          .key("f")
+          .int_array(ints)
+          .key("g")
+          .matrix(IntMat{{1, 2}, {3, 4}})
+          .key("h")
+          .raw("{}")
+          .end_object();
+    }
+    g_sink_ptr = out.data();
     seen = counter.count();
   }
   EXPECT_EQ(seen, 0);

@@ -35,7 +35,7 @@ std::set<std::vector<Int>> brute_force(const ConstraintSystem& sys, Int lo, Int 
 
 std::set<std::vector<Int>> scanned(const ConstraintSystem& sys) {
   std::set<std::vector<Int>> pts;
-  scan(sys, [&](const IntVec& p) { pts.insert(p.data()); });
+  scan(sys, [&](const IntVec& p) { pts.insert(p.to_vector()); });
   return pts;
 }
 

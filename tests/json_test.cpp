@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -9,6 +13,7 @@
 #include "golden_util.h"
 #include "support/error.h"
 #include "support/json.h"
+#include "support/json_writer.h"
 #include "tools/commands.h"
 
 namespace lmre {
@@ -170,6 +175,168 @@ TEST(CliJson, DispatcherFlag) {
   // rely on the unreadable-file path keeping exit codes sane instead.
   EXPECT_EQ(tools::run_cli({"analyze", "--json"}, out, err), ExitCode::kUsage);
 }
+
+// ---- JsonWriter against Json::dump ----------------------------------------
+
+// A 2 x 2 matrix shape for JsonWriter::matrix: m(r, c) = 2r + c.
+struct IntMatLike {
+  size_t rows() const { return 2; }
+  size_t cols() const { return 2; }
+  Int operator()(size_t r, size_t c) const { return static_cast<Int>(2 * r + c); }
+};
+
+// Object keys for the random documents: literals needing no escaping, in
+// ascending byte order (a proper prefix first, ' ' below the letters).
+constexpr const char* kKeys[] = {"", "a", "a b", "alpha", "b", "beta", "c_d", "gamma", "z"};
+
+// Strings over every byte class the escaper treats differently: control
+// characters, '"' and '\', DEL, printable ASCII, and UTF-8 (and stray high)
+// bytes, which pass through untouched.
+std::string random_string(std::mt19937_64& rng) {
+  static const std::vector<std::string> kPieces = {
+      "\x01", "\x1f", "\b", "\f", "\n", "\r", "\t", std::string(1, '\0'), "\"",
+      "\\", "\x7f", "plain text ", "/", "\xc3\xa9", "\xe2\x82\xac",
+      "\xf0\x9f\x98\x80", "\xff"};
+  std::string s;
+  const size_t n = rng() % 12;
+  for (size_t i = 0; i < n; ++i) s += kPieces[rng() % kPieces.size()];
+  return s;
+}
+
+Int random_int(std::mt19937_64& rng) {
+  switch (rng() % 5) {
+    case 0: return INT64_MIN;
+    case 1: return INT64_MAX;
+    case 2: return 0;
+    case 3: return static_cast<Int>(rng() % 2001) - 1000;
+    default: return static_cast<Int>(rng());
+  }
+}
+
+double random_double(std::mt19937_64& rng) {
+  switch (rng() % 4) {
+    case 0: return -0.0;
+    case 1: return 0.1 * static_cast<double>(rng() % 100);
+    case 2: return std::ldexp(static_cast<double>(rng() % 1000000) - 500000.0,
+                              static_cast<int>(rng() % 200) - 100);
+    default: {
+      double d = std::bit_cast<double>(rng());  // any finite bit pattern
+      return std::isfinite(d) ? d : 1e308;
+    }
+  }
+}
+
+// Writes one random value through `w` and returns the same value as a tree.
+Json random_value(std::mt19937_64& rng, JsonWriter& w, int depth) {
+  const unsigned pick = static_cast<unsigned>(rng() % (depth < 4 ? 8 : 5));
+  switch (pick) {
+    case 0: {
+      const bool b = rng() % 2 == 0;
+      w.value(b);
+      return Json::boolean(b);
+    }
+    case 1: {
+      const Int v = random_int(rng);
+      w.value(v);
+      return Json::number(v);
+    }
+    case 2: {
+      const double v = random_double(rng);
+      w.value(v);
+      return Json::number(v);
+    }
+    case 3: {
+      const std::string s = random_string(rng);
+      w.value(s);
+      return Json::string(s);
+    }
+    case 4: {
+      const std::string text = rng() % 2 ? "[1,{\"x\":\"y\"}]" : "{}";
+      w.raw(text);
+      return Json::raw(text);
+    }
+    case 5:
+    case 6: {
+      Json obj = Json::object();
+      w.begin_object();
+      for (const char* k : kKeys) {  // a random ascending subset, maybe empty
+        if (rng() % 3 != 0) continue;
+        w.key(k);
+        obj.set(k, random_value(rng, w, depth + 1));
+      }
+      w.end_object();
+      return obj;
+    }
+    default: {
+      Json arr = Json::array();
+      w.begin_array();
+      const size_t n = rng() % 4;
+      for (size_t i = 0; i < n; ++i) arr.push(random_value(rng, w, depth + 1));
+      w.end_array();
+      return arr;
+    }
+  }
+}
+
+TEST(JsonWriter, MatchesJsonDumpOnRandomDocuments) {
+  for (std::uint64_t seed = 0; seed < 2000; ++seed) {
+    std::mt19937_64 rng(seed);
+    std::string out;
+    JsonWriter w(out);
+    const Json tree = random_value(rng, w, 0);
+    ASSERT_EQ(out, tree.dump()) << "seed " << seed;
+  }
+}
+
+TEST(JsonWriter, EscapesEveryByteAsJsonDoes) {
+  for (int c = 0; c < 256; ++c) {
+    const std::string s = "a" + std::string(1, static_cast<char>(c)) + "b";
+    std::string out;
+    append_json_escaped(out, s);
+    EXPECT_EQ(out, Json::escape(s)) << "byte " << c;
+    EXPECT_EQ("\"" + out + "\"", Json::string(s).dump()) << "byte " << c;
+  }
+  std::string out = "kept:";
+  append_json_escaped(out, "");
+  EXPECT_EQ(out, "kept:");
+}
+
+TEST(JsonWriter, EmptyContainersAndShorthands) {
+  std::string out;
+  JsonWriter w(out);
+  w.begin_object()
+      .key("a")
+      .begin_array()
+      .end_array()
+      .key("b")
+      .begin_object()
+      .end_object()
+      .key("c")
+      .int_array(std::vector<Int>{1, -2})
+      .key("d")
+      .matrix(IntMatLike{})
+      .field("e", "str")
+      .field("f", 7)
+      .end_object();
+  EXPECT_EQ(out, "{\"a\":[],\"b\":{},\"c\":[1,-2],\"d\":[[0,1],[2,3]],\"e\":\"str\",\"f\":7}");
+}
+
+TEST(JsonWriter, NonFiniteDoubleThrows) {
+  std::string out;
+  JsonWriter w(out);
+  w.begin_array();
+  EXPECT_THROW(w.value(std::nan("")), Error);
+  EXPECT_THROW(w.value(HUGE_VAL), Error);
+}
+
+#ifndef NDEBUG
+TEST(JsonWriter, KeysOutOfOrderThrowInDebugBuilds) {
+  std::string out;
+  JsonWriter w(out);
+  w.begin_object().field("b", 1);
+  EXPECT_THROW(w.key("a"), Error);
+}
+#endif
 
 }  // namespace
 }  // namespace lmre

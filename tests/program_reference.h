@@ -54,7 +54,7 @@ inline ProgramStats simulate_program_reference(const Program& program) {
       Int global_ordinal = base + ordinal;
       for (const auto& stmt : nest.statements()) {
         for (const auto& ref : stmt.refs) {
-          Key key{nest.array(ref.array).name, ref.index_at(iter).data()};
+          Key key{nest.array(ref.array).name, ref.index_at(iter).to_vector()};
           auto [it, inserted] =
               touch.try_emplace(key, std::make_pair(global_ordinal, global_ordinal));
           if (inserted) {

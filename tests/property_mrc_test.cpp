@@ -204,6 +204,14 @@ void check_sampled_error(const LoopNest& nest, double rate,
   }
 }
 
+// The payload text mrc_json writes for a curve.
+std::string mrc_text(const MrcResult& r, const std::vector<Int>& caps) {
+  std::string out;
+  JsonWriter w(out);
+  mrc_json(w, r, caps);
+  return out;
+}
+
 // (d) determinism: same inputs, same bytes -- fresh arena vs reused arena,
 // and repeated sampled runs with one seed.
 void check_determinism(const LoopNest& nest, TraceArena& shared,
@@ -211,12 +219,12 @@ void check_determinism(const LoopNest& nest, TraceArena& shared,
   SCOPED_TRACE(what);
   MrcOptions opts;
   std::vector<Int> caps = default_mrc_capacities(compute_mrc(nest));
-  const std::string fresh = mrc_json(compute_mrc(nest), caps).dump();
-  const std::string warm = mrc_json(compute_mrc(nest, opts, shared), caps).dump();
+  const std::string fresh = mrc_text(compute_mrc(nest), caps);
+  const std::string warm = mrc_text(compute_mrc(nest, opts, shared), caps);
   EXPECT_EQ(fresh, warm);
   opts.sample_rate = 0.1;
-  const std::string s1 = mrc_json(compute_mrc(nest, opts, shared), caps).dump();
-  const std::string s2 = mrc_json(compute_mrc(nest, opts, shared), caps).dump();
+  const std::string s1 = mrc_text(compute_mrc(nest, opts, shared), caps);
+  const std::string s2 = mrc_text(compute_mrc(nest, opts, shared), caps);
   EXPECT_EQ(s1, s2);
 }
 

@@ -167,7 +167,7 @@ std::vector<Reversal> oracle_reversals(
   // element -> iterations touching it, per reference.
   std::vector<std::map<std::vector<Int>, std::vector<IntVec>>> touched(refs.size());
   for (size_t r = 0; r < refs.size(); ++r) {
-    for (const IntVec& p : pts) touched[r][refs[r].index_at(p).data()].push_back(p);
+    for (const IntVec& p : pts) touched[r][refs[r].index_at(p).to_vector()].push_back(p);
   }
   for (size_t r1 = 0; r1 < refs.size(); ++r1) {
     for (size_t r2 = 0; r2 < refs.size(); ++r2) {
@@ -179,7 +179,7 @@ std::vector<Reversal> oracle_reversals(
         for (const IntVec& i : iters) {
           for (const IntVec& j : it->second) {
             if (!i.lex_less(j)) continue;  // source strictly first
-            if (schedule.at(j.data()) < schedule.at(i.data())) {
+            if (schedule.at(j.to_vector()) < schedule.at(i.to_vector())) {
               out.push_back({r1, r2, i, j});
             }
           }
@@ -199,7 +199,7 @@ std::map<std::vector<Int>, size_t> plan_schedule(const LoopNest& nest,
   IntMat t = plan.combined(nest.depth());
   if (plan.has_tiling()) {
     std::vector<IntVec> order = tiled_order(nest, t, plan.tile_sizes);
-    for (size_t p = 0; p < order.size(); ++p) schedule[order[p].data()] = p;
+    for (size_t p = 0; p < order.size(); ++p) schedule[order[p].to_vector()] = p;
     return schedule;
   }
   std::vector<IntVec> times;
@@ -215,7 +215,7 @@ std::map<std::vector<Int>, size_t> plan_schedule(const LoopNest& nest,
                            return a.lex_less(b);
                          }) -
         times.begin());
-    schedule[p.data()] = rank;
+    schedule[p.to_vector()] = rank;
   }
   return schedule;
 }
@@ -293,16 +293,16 @@ void check_case(int seed, size_t depth) {
     if (v.status != DepStatus::kReversed || !v.witness.has_value()) continue;
     const IterationWitness& w = *v.witness;
     ASSERT_TRUE(w.src_iter.lex_less(w.dst_iter)) << "seed " << seed;
-    auto si = schedule.find(w.src_iter.data());
-    auto di = schedule.find(w.dst_iter.data());
+    auto si = schedule.find(w.src_iter.to_vector());
+    auto di = schedule.find(w.dst_iter.to_vector());
     if (!plan.has_tiling()) {
       ASSERT_NE(si, schedule.end());
       ASSERT_NE(di, schedule.end());
       EXPECT_LT(di->second, si->second)
           << "seed " << seed << ": witness does not replay, plan " << plan.str();
     }
-    EXPECT_EQ(nest.all_refs()[v.src_ref].index_at(w.src_iter).data(),
-              nest.all_refs()[v.dst_ref].index_at(w.dst_iter).data())
+    EXPECT_EQ(nest.all_refs()[v.src_ref].index_at(w.src_iter).to_vector(),
+              nest.all_refs()[v.dst_ref].index_at(w.dst_iter).to_vector())
         << "seed " << seed << ": witness endpoints touch different elements";
   }
 }
@@ -323,6 +323,14 @@ INSTANTIATE_TEST_SUITE_P(Sweep, VerifyProperty, ::testing::Range(0, 300));
 // Determinism: the same case re-proved from 4 concurrent workers serializes
 // to the byte-identical certificate produced serially.
 
+// The certificate text certificate_json writes for a verdict.
+std::string certificate_text(const LoopNest& nest, const VerifyResult& res) {
+  std::string out;
+  JsonWriter w(out);
+  certificate_json(w, nest, res);
+  return out;
+}
+
 TEST(VerifyPropertyThreads, CertificatesAreByteIdenticalAcrossThreads) {
   const int kCases = 40;
   std::vector<std::string> serial(kCases);
@@ -331,14 +339,14 @@ TEST(VerifyPropertyThreads, CertificatesAreByteIdenticalAcrossThreads) {
     LoopNest nest = random_nest(rng, s % 2 == 0 ? 2 : 3);
     VerifyPlan plan = random_plan(rng, nest.depth());
     serial[static_cast<size_t>(s)] =
-        certificate_json(nest, verify_plan(nest, plan, test_options())).dump();
+        certificate_text(nest, verify_plan(nest, plan, test_options()));
   }
   std::vector<std::string> threaded = parallel_map<std::string>(
       kCases, /*threads=*/4, [&](Int s) {
         auto rng = rng_for(static_cast<int>(s));
         LoopNest nest = random_nest(rng, s % 2 == 0 ? 2 : 3);
         VerifyPlan plan = random_plan(rng, nest.depth());
-        return certificate_json(nest, verify_plan(nest, plan, test_options())).dump();
+        return certificate_text(nest, verify_plan(nest, plan, test_options()));
       });
   for (int s = 0; s < kCases; ++s) {
     EXPECT_EQ(serial[static_cast<size_t>(s)], threaded[static_cast<size_t>(s)])

@@ -71,8 +71,8 @@ TEST(Redundancy, PreservesIntegerPointsRandomized) {
     ConstraintSystem out = remove_redundant(sys);
     EXPECT_LE(out.size(), sys.size());
     std::set<std::vector<Int>> a, b;
-    scan(sys, [&](const IntVec& p) { a.insert(p.data()); });
-    scan(out, [&](const IntVec& p) { b.insert(p.data()); });
+    scan(sys, [&](const IntVec& p) { a.insert(p.to_vector()); });
+    scan(out, [&](const IntVec& p) { b.insert(p.to_vector()); });
     EXPECT_EQ(a, b) << "iter " << iter;
   }
 }

@@ -48,7 +48,7 @@ TEST(IntBox, Str) {
 TEST(Scanner, VisitsLexicographically) {
   IntBox box = IntBox::from_upper_bounds({2, 2});
   std::vector<std::vector<Int>> visited;
-  scan(box.to_constraints(), [&](const IntVec& p) { visited.push_back(p.data()); });
+  scan(box.to_constraints(), [&](const IntVec& p) { visited.push_back(p.to_vector()); });
   ASSERT_EQ(visited.size(), 4u);
   EXPECT_EQ(visited[0], (std::vector<Int>{1, 1}));
   EXPECT_EQ(visited[1], (std::vector<Int>{1, 2}));

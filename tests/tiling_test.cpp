@@ -21,7 +21,7 @@ TEST(TiledOrder, IsAPermutationOfTheIterationSpace) {
   std::set<std::vector<Int>> seen;
   for (const auto& p : order) {
     EXPECT_TRUE(nest.bounds().contains(p));
-    EXPECT_TRUE(seen.insert(p.data()).second) << "duplicate " << p.str();
+    EXPECT_TRUE(seen.insert(p.to_vector()).second) << "duplicate " << p.str();
   }
 }
 
@@ -53,7 +53,7 @@ TEST(TiledOrder, GroupsByTile) {
   std::set<std::vector<Int>> first_tile(
       {{1, 1}, {1, 2}, {2, 1}, {2, 2}});
   for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(first_tile.count(order[static_cast<size_t>(i)].data()))
+    EXPECT_TRUE(first_tile.count(order[static_cast<size_t>(i)].to_vector()))
         << order[static_cast<size_t>(i)].str();
   }
 }

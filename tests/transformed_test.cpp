@@ -84,12 +84,12 @@ TEST(Transformed, AddressMultisetPreserved) {
   IntMat t{{1, 2}, {0, 1}};
   std::map<std::vector<Int>, int> orig_counts, tr_counts;
   scan(nest.bounds().to_constraints(), [&](const IntVec& i) {
-    for (const auto& r : nest.all_refs()) orig_counts[r.index_at(i).data()]++;
+    for (const auto& r : nest.all_refs()) orig_counts[r.index_at(i).to_vector()]++;
   });
   TransformedNest tn(nest, t);
   scan(tn.space(), [&](const IntVec& u) {
     IntVec i = tn.inverse() * u;
-    for (const auto& r : nest.all_refs()) tr_counts[r.index_at(i).data()]++;
+    for (const auto& r : nest.all_refs()) tr_counts[r.index_at(i).to_vector()]++;
   });
   EXPECT_EQ(orig_counts, tr_counts);
 }

@@ -1243,7 +1243,9 @@ ExitCode run_cli(const std::vector<std::string>& args, std::ostream& out,
   auto source = read_source(path, err);
   if (!source) return ExitCode::kFailure;
   const std::string file = path == "-" ? "<stdin>" : path;
-  if (a.json && name != "lint") {  // lint has no session kind (DESIGN.md §8)
+  // lint renders outside the session: DESIGN.md §8, "Verbs without a
+  // session kind".
+  if (a.json && name != "lint") {
     AnalysisRequest req{std::move(*source), file, session_options(name, a)};
     return print_session_json(name, req, a.codegen.emit_file, out, err);
   }
