@@ -71,6 +71,23 @@ echo "wrote tests/golden/codegen_example8.json"
 "$LMRE" codegen --json tests/golden/example10.loop \
   > tests/golden/codegen_example10.json
 echo "wrote tests/golden/codegen_example10.json"
+# One codegen row per trace drive: the optimizer's plans (Example 8's is a
+# general T, Example 10's a skew), the 2^62-element box's sparse store, and
+# tiled identity, skew and signed-permutation orders.
+"$LMRE" codegen --json --plan examples/loops/example8.loop \
+  > tests/golden/codegen_example8_plan.json
+"$LMRE" codegen --json --plan tests/golden/example10.loop \
+  > tests/golden/codegen_example10_plan.json
+"$LMRE" codegen --json tests/golden/wide_box.loop \
+  > tests/golden/codegen_wide_box.json
+"$LMRE" codegen --json --plan=tile:4,4 examples/loops/2point.loop \
+  > tests/golden/codegen_2point_tile.json
+"$LMRE" codegen --json --plan="1 0; 1 1 | tile:4,8" examples/loops/2point.loop \
+  > tests/golden/codegen_2point_skew_tile.json
+"$LMRE" codegen --json --plan="0 1; 1 0 | tile:5,3" examples/loops/row_sum.loop \
+  > tests/golden/codegen_row_sum_interchange_tile.json
+echo "wrote tests/golden/codegen_{example8_plan,example10_plan,wide_box}.json"
+echo "wrote tests/golden/codegen_{2point_tile,2point_skew_tile,row_sum_interchange_tile}.json"
 
 # Miss-ratio curves (src/mrc): exact reuse-distance histograms + curves for
 # the paper's Examples 6, 8 and 10 under the identity order, plus the

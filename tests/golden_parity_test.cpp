@@ -29,6 +29,12 @@
 //                                         iteration-pair witnesses (exit 3);
 //   codegen_example{6,8,10}.json          identity-order C units with
 //                                         window-sized buffers;
+//   codegen_<ex>_<plan>.json              one row per trace drive: the
+//                                         optimizer's plans for Examples
+//                                         8 (a general T) and 10, the
+//                                         wide box's sparse store, and
+//                                         tiled identity, skew and signed
+//                                         permutation plans;
 //   mrc_<ex>[_plan].json                  miss-ratio curves, identity and
 //                                         the optimizer's plan; Example 10
 //                                         pins the LRU knee at 687 against
@@ -75,6 +81,8 @@ std::vector<Row> rows() {
   const std::string ex8 = "examples/loops/example8.loop";
   const std::string ex10 = "tests/golden/example10.loop";
   const std::string wide = "tests/golden/wide_box.loop";
+  const std::string two_point = "examples/loops/2point.loop";
+  const std::string row_sum = "examples/loops/row_sum.loop";
   const std::string caps = "--capacities=1,64,128,540,687,1024";
   const std::string caps_json = "\"capacities\":[1,64,128,540,687,1024]";
   std::vector<Row> r = {
@@ -101,6 +109,24 @@ std::vector<Row> rows() {
        "codegen_example8.json", ok, "codegen"},
       {"GoldenCodegen", "Example10PaperWindow", {"codegen", "--json"}, ex10,
        "codegen_example10.json", ok, "codegen"},
+      {"GoldenCodegen", "Example8OptimizerPlan", {"codegen", "--json", "--plan"},
+       ex8, "codegen_example8_plan.json", ok, "codegen", R"({"plan":"auto"})"},
+      {"GoldenCodegen", "Example10OptimizerPlan",
+       {"codegen", "--json", "--plan"}, ex10, "codegen_example10_plan.json", ok,
+       "codegen", R"({"plan":"auto"})"},
+      {"GoldenCodegen", "WideBoxSparseStore", {"codegen", "--json"}, wide,
+       "codegen_wide_box.json", ok, "codegen"},
+      {"GoldenCodegen", "TwoPointTiledIdentity",
+       {"codegen", "--json", "--plan=tile:4,4"}, two_point,
+       "codegen_2point_tile.json", ok, "codegen", R"({"plan":"tile:4,4"})"},
+      {"GoldenCodegen", "TwoPointTiledSkew",
+       {"codegen", "--json", "--plan=1 0; 1 1 | tile:4,8"}, two_point,
+       "codegen_2point_skew_tile.json", ok, "codegen",
+       R"({"plan":"1 0; 1 1 | tile:4,8"})"},
+      {"GoldenCodegen", "RowSumTiledInterchange",
+       {"codegen", "--json", "--plan=0 1; 1 0 | tile:5,3"}, row_sum,
+       "codegen_row_sum_interchange_tile.json", ok, "codegen",
+       R"({"plan":"0 1; 1 0 | tile:5,3"})"},
       {"GoldenMrc", "Example6NonUniformIdentity", {"mrc", "--json"}, ex6,
        "mrc_example6.json", ok, "mrc"},
       {"GoldenMrc", "Example8Identity", {"mrc", "--json"}, ex8,
