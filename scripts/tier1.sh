@@ -383,6 +383,7 @@ fi
 echo "== tier 1: codegen smoke (ASan emission + system-cc round trip) =="
 # The C backend under ASan+UBSan emits two paper kernels end to end --
 # fir.loop under the optimizer's plan and example8.loop in identity order
+# -- plus two tiled plans (2point.loop skewed, row_sum.loop interchanged)
 # -- and the system cc compiles and executes each generated unit, whose
 # embedded self-check must report bit-identity, the predicted window and
 # clean traffic (status 0).  When the container has no C compiler the
@@ -401,6 +402,18 @@ if command -v cc >/dev/null; then
       || { echo "FAIL: generated code not bit-identical on $KERNEL"; exit 1; }
     grep -q '"status":0' "$BATCH_CACHE/codegen_smoke.json" \
       || { echo "FAIL: generated self-check failed on $KERNEL"; exit 1; }
+  done
+  # Tiled plans, whose specs hold spaces (FILE:PLAN, one argument each): a
+  # tiled skew (the polyhedral tiled drive) and a tiled interchange (a
+  # signed permutation, checked by its u_box corners).
+  for CASE in "2point.loop:1 0; 1 1 | tile:4,8" "row_sum.loop:0 1; 1 0 | tile:5,3"; do
+    ./build-asan/tools/lmre codegen --run --json "--plan=${CASE#*:}" \
+      "examples/loops/${CASE%%:*}" > "$BATCH_CACHE/codegen_smoke.json" \
+      || { echo "FAIL: codegen --run exited nonzero on $CASE"; exit 1; }
+    grep -q '"identical":true' "$BATCH_CACHE/codegen_smoke.json" \
+      || { echo "FAIL: generated code not bit-identical on $CASE"; exit 1; }
+    grep -q '"status":0' "$BATCH_CACHE/codegen_smoke.json" \
+      || { echo "FAIL: generated self-check failed on $CASE"; exit 1; }
   done
 else
   echo "SKIP: no system C compiler on PATH; codegen round trip not run"

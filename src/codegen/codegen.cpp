@@ -3,15 +3,11 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdint>
-#include <functional>
 #include <sstream>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "exact/trace_engine.h"
-#include "layout/layout.h"
-#include "polyhedra/scanner.h"
 #include "support/error.h"
 #include "support/text.h"
 #include "transform/transformed.h"
@@ -22,15 +18,10 @@ namespace {
 
 using U64 = std::uint64_t;
 
-// splitmix64: the seed mixer both the host (salt derivation) and the
-// emitted C (array initialization) use.  Fixed constants, no host state,
-// so emission is byte-deterministic.
-U64 mix64(U64 x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
+// splitmix64 (the engine's bucket hash): the seed mixer both the host
+// (salt derivation) and the emitted C (array initialization, lm_mix64)
+// use.  Fixed constants, no host state, so emission is byte-deterministic.
+U64 mix64(U64 x) { return trace_detail::mix_addr(x); }
 
 std::string u64_lit(U64 v) { return std::to_string(v) + "ull"; }
 
@@ -86,43 +77,20 @@ std::string bounds_c(const std::vector<Bound>& bs,
   return out;
 }
 
-// Per-element access history from the host walk of the emitted order.
-// Times are access ordinals (t), iterations are point ordinals (it).
+// One element's accesses in the emitted order, as access ordinals
+// t = iteration * refs-per-iteration + ref (the engine's liveness order).
 struct ElemInfo {
   Int addr = 0;
   Int first_t = 0, last_t = 0;
-  Int first_it = 0, last_it = 0;
-  bool first_read = false;
   bool written = false;
 };
 
 struct ArrayPlan {
   ArrayId id;
   std::string cname;
-  LayoutSpec layout;
   Int region;
-  // addr -> elems slot: a slot per region address when the trace engine
-  // would keep this array's store dense, a hash map otherwise (so a sparse
-  // nest over a huge region allocates only what it touches).
-  bool dense = false;
-  std::vector<std::uint32_t> slot = {};
-  std::unordered_map<Int, size_t> index = {};
   std::vector<ElemInfo> elems = {};  // first-access order
   BufferPlan out = {};
-
-  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
-
-  // The element at `addr`: its slot, and whether this access is its first.
-  std::pair<size_t, bool> find_or_add(Int addr) {
-    if (dense) {
-      std::uint32_t& s = slot[static_cast<size_t>(addr)];
-      if (s != kNoSlot) return {s, false};
-      s = static_cast<std::uint32_t>(elems.size());
-      return {s, true};
-    }
-    auto ins = index.emplace(addr, elems.size());
-    return {ins.first->second, ins.second};
-  }
 };
 
 // Linearized reference: position in the body plus address forms over the
@@ -188,46 +156,51 @@ CodegenResult emit_c(const LoopNest& nest, const VerifyPlan& plan,
   const IntMat& t_inv = tn.inverse();
   LoopBounds fm = tn.bounds();
 
-  // --- referenced arrays and linearized references ---------------------
+  // --- host walk of the emitted execution order ------------------------
+  // The engine traces the order the generated C runs: each statement's
+  // reads before its writes, tile by tile when the plan tiles (the tile
+  // loops below come from the same hull).  Every touch records its access
+  // ordinal and tags written elements.
+  const TracePlan trace =
+      plan_trace(nest, &res.combined, /*liveness_order=*/true, tiles);
+  const std::vector<AddressPlan::Ref>& prefs = trace.addr.refs;
+  const Int nrefs = static_cast<Int>(prefs.size());
+  TraceArena arena;
+  const Int iters = run_trace(
+      trace, arena, /*with_state=*/true,
+      [&](TraceArena::StoreBuf& s, size_t r, Int ordinal, std::uint64_t a) {
+        const size_t i = trace_detail::touch_first_last(s, a, ordinal * nrefs + r);
+        if (prefs[r].is_write) (s.dense ? s.tag : s.ktag)[i] = 1;
+      });
+  if (iters == 0) throw UnsupportedError("codegen: empty iteration space");
+  res.iterations = iters;
+
+  // --- referenced arrays (ArrayId order) and linearized references -----
   std::vector<ArrayPlan> arrays;
-  std::unordered_map<ArrayId, size_t> arr_slot;
-  for (const Statement& stmt : nest.statements()) {
-    for (const ArrayRef& ref : stmt.refs) {
-      if (arr_slot.count(ref.array)) continue;
-      arr_slot[ref.array] = arrays.size();
-      LayoutSpec layout = LayoutSpec::fit(nest, ref.array);
-      const Int region = layout.size();
-      ArrayPlan& ap = arrays.emplace_back(ArrayPlan{
-          ref.array, c_ident(nest.array(ref.array).name), std::move(layout), region});
-      Int accesses = 0;  // saturates: it only steers the index choice
-      if (__builtin_mul_overflow(static_cast<Int>(nest.refs_to(ref.array).size()),
-                                 nest.iteration_count(), &accesses)) {
-        accesses = INT64_MAX;
-      }
-      ap.dense = dense_store(ap.region, accesses);
-      if (ap.dense) ap.slot.assign(static_cast<size_t>(ap.region), ArrayPlan::kNoSlot);
-    }
+  std::vector<size_t> arr_slot(nest.arrays().size());
+  for (size_t si = 0; si < trace.addr.stores.size(); ++si) {
+    const AddressPlan::Store& st = trace.addr.stores[si];
+    arr_slot[st.array] = si;
+    ArrayPlan& ap = arrays.emplace_back(
+        ArrayPlan{st.array, c_ident(nest.array(st.array).name), st.volume});
+    trace_detail::for_each_tagged(
+        arena.store(si), [&](std::uint64_t a, Int first, Int last, unsigned char tag) {
+          ap.elems.push_back({static_cast<Int>(a), first, last, tag != 0});
+        });
+    std::sort(ap.elems.begin(), ap.elems.end(),
+              [](const ElemInfo& x, const ElemInfo& y) { return x.first_t < y.first_t; });
   }
-  // Deterministic emission order: by ArrayId.
-  std::sort(arrays.begin(), arrays.end(),
-            [](const ArrayPlan& a, const ArrayPlan& b) { return a.id < b.id; });
-  for (size_t s = 0; s < arrays.size(); ++s) arr_slot[arrays[s].id] = s;
 
   // refs[stmt] split into emitted access order: reads first, then writes.
   std::vector<std::vector<RefPlan>> reads(nest.statements().size());
   std::vector<std::vector<RefPlan>> writes(nest.statements().size());
   for (size_t si = 0; si < nest.statements().size(); ++si) {
     for (const ArrayRef& ref : nest.statements()[si].refs) {
-      const ArrayPlan& ap = arrays[arr_slot[ref.array]];
-      std::vector<Int> lo = ap.layout.origin().to_vector();
-      std::vector<Int> stride(ap.layout.extents().size(), 1);
-      for (size_t d = stride.size(); d-- > 1;) {
-        stride[d - 1] = checked_mul(stride[d], ap.layout.extents()[d]);
-      }
+      const AddressPlan::Store& st = trace.addr.stores[arr_slot[ref.array]];
       RefPlan rp;
       rp.arr_slot = arr_slot[ref.array];
       rp.write = ref.is_write();
-      ref.linearize(lo, stride, &rp.coef_i, &rp.c0);
+      ref.linearize(st.lo, st.stride, &rp.coef_i, &rp.c0);
       rp.coef_u = IntVec(n);
       for (size_t k = 0; k < n; ++k) {
         Int acc = 0;
@@ -240,125 +213,35 @@ CodegenResult emit_c(const LoopNest& nest, const VerifyPlan& plan,
     }
   }
 
-  // --- host walk of the emitted execution order ------------------------
-  // Pass 1: transformed-space extent (tile anchor) and iteration count.
-  bool any = false;
-  IntVec base(n), umax(n);
-  Int iters = 0;
-  scan(fm, [&](const IntVec& u) {
-    if (!any) {
-      base = u;
-      umax = u;
-      any = true;
-    } else {
-      for (size_t k = 0; k < n; ++k) {
-        base[k] = std::min(base[k], u[k]);
-        umax[k] = std::max(umax[k], u[k]);
-      }
-    }
-    ++iters;
-  });
-  if (!any) throw UnsupportedError("codegen: empty iteration space");
-  res.iterations = iters;
-
-  // The emitted order: plain lexicographic scan of the FM bounds, or --
-  // with tiling -- tiles (anchored at the space's per-axis minimum) in
-  // lexicographic order, lexicographic within each tile.  The generated C
-  // loops below mirror this walk shape for shape.
-  auto for_each_point = [&](const std::function<void(const IntVec&)>& fn) {
-    if (tiles.empty()) {
-      scan(fm, fn);
-      return;
-    }
-    IntVec u(n), tau(n);
-    std::function<void(size_t)> point = [&](size_t k) {
-      if (k == n) {
-        fn(u);
-        return;
-      }
-      Int lo, hi;
-      if (!fm.range(k, u, lo, hi)) return;
-      Int tb = checked_add(base[k], checked_mul(tau[k], tiles[k]));
-      Int plo = std::max(lo, tb);
-      Int phi = std::min(hi, checked_add(tb, tiles[k] - 1));
-      for (Int v = plo; v <= phi; ++v) {
-        u[k] = v;
-        point(k + 1);
-      }
-      u[k] = 0;
-    };
-    std::function<void(size_t)> tile = [&](size_t k) {
-      if (k == n) {
-        point(0);
-        return;
-      }
-      Int tmax = floor_div(checked_sub(umax[k], base[k]), tiles[k]);
-      for (Int tv = 0; tv <= tmax; ++tv) {
-        tau[k] = tv;
-        tile(k + 1);
-      }
-    };
-    tile(0);
-  };
-
-  // Pass 2: per-element first/last access times in that order.
-  Int it = 0, t = 0;
-  auto touch = [&](const RefPlan& rp, const IntVec& u) {
-    Int addr = rp.c0;
-    for (size_t k = 0; k < n; ++k) {
-      addr = checked_add(addr, checked_mul(rp.coef_u[k], u[k]));
-    }
-    ArrayPlan& ap = arrays[rp.arr_slot];
-    require(addr >= 0 && addr < ap.region, "codegen: address out of region");
-    auto [slot, first] = ap.find_or_add(addr);
-    if (first) {
-      ElemInfo e;
-      e.addr = addr;
-      e.first_t = e.last_t = t;
-      e.first_it = e.last_it = it;
-      e.first_read = !rp.write;
-      e.written = rp.write;
-      ap.elems.push_back(e);
-    } else {
-      ElemInfo& e = ap.elems[slot];
-      e.last_t = t;
-      e.last_it = it;
-      e.written = e.written || rp.write;
-    }
-    ++t;
-  };
-  for_each_point([&](const IntVec& u) {
-    for (size_t si = 0; si < nest.statements().size(); ++si) {
-      for (const RefPlan& rp : reads[si]) touch(rp, u);
-      for (const RefPlan& rp : writes[si]) touch(rp, u);
-    }
-    ++it;
-  });
-
   // --- window sweep, traffic prediction, modulus search ----------------
+  auto peak_of = [](const std::vector<Int>& delta) {
+    Int cur = 0, peak = 0;
+    for (Int d : delta) peak = std::max(peak, cur += d);
+    return peak;
+  };
   std::vector<Int> total_delta(static_cast<size_t>(iters) + 1, 0);
+  Int pred_loads = 0, pred_stores = 0;
   for (ArrayPlan& ap : arrays) {
     std::vector<Int> delta(static_cast<size_t>(iters) + 1, 0);
     for (const ElemInfo& e : ap.elems) {
-      if (e.first_read) ap.out.cold_loads++;
-      if (e.written) ap.out.writebacks++;
-      if (e.last_it > e.first_it) {
-        delta[static_cast<size_t>(e.first_it)]++;
-        delta[static_cast<size_t>(e.last_it)]--;
-        total_delta[static_cast<size_t>(e.first_it)]++;
-        total_delta[static_cast<size_t>(e.last_it)]--;
+      if (!prefs[static_cast<size_t>(e.first_t % nrefs)].is_write) {
+        ap.out.cold_loads++;
       }
-    }
-    Int cur = 0, peak = 0;
-    for (Int d : delta) {
-      cur += d;
-      peak = std::max(peak, cur);
+      if (e.written) ap.out.writebacks++;
+      const size_t first_it = static_cast<size_t>(e.first_t / nrefs);
+      const size_t last_it = static_cast<size_t>(e.last_t / nrefs);
+      if (last_it > first_it) {
+        delta[first_it]++;
+        delta[last_it]--;
+        total_delta[first_it]++;
+        total_delta[last_it]--;
+      }
     }
     ap.out.array = ap.id;
     ap.out.name = nest.array(ap.id).name;
     ap.out.declared = nest.array(ap.id).declared_size();
     ap.out.region = ap.region;
-    ap.out.mws = peak;
+    ap.out.mws = peak_of(delta);
 
     // Smallest modulus >= the window with no two live elements sharing a
     // slot (closed access-time spans per residue class must be disjoint).
@@ -380,21 +263,10 @@ CodegenResult emit_c(const LoopNest& nest, const VerifyPlan& plan,
 
     res.original_cells = checked_add(res.original_cells, ap.out.declared);
     res.window_cells = checked_add(res.window_cells, ap.out.modulus);
-  }
-  {
-    Int cur = 0, peak = 0;
-    for (Int d : total_delta) {
-      cur += d;
-      peak = std::max(peak, cur);
-    }
-    res.mws_total = peak;
-  }
-
-  Int pred_loads = 0, pred_stores = 0;
-  for (const ArrayPlan& ap : arrays) {
     pred_loads = checked_add(pred_loads, ap.out.cold_loads);
     pred_stores = checked_add(pred_stores, ap.out.writebacks);
   }
+  res.mws_total = peak_of(total_delta);
 
   // --- emission ---------------------------------------------------------
   const std::string stem = "lm_" + c_ident(opts.stem);
@@ -528,12 +400,14 @@ CodegenResult emit_c(const LoopNest& nest, const VerifyPlan& plan,
   os << "}\n\n";
 
   // Loop headers of the transformed (optionally tiled) nest; returns the
-  // body indent.  Mirrors for_each_point above exactly.
+  // body indent.  The engine's walk above ran exactly this order
+  // (scan_tiled_rows from the plan's hull when tiled).
   auto emit_exec_loops = [&](std::ostringstream& o) {
     std::string ind = "  ";
     if (!tiles.empty()) {
       for (size_t k = 0; k < n; ++k) {
-        Int tmax = floor_div(checked_sub(umax[k], base[k]), tiles[k]);
+        const Range& h = trace.hull.range(k);
+        Int tmax = floor_div(checked_sub(h.hi, h.lo), tiles[k]);
         o << ind << "for (int64_t t" << k << " = 0; t" << k << " <= " << tmax
           << "; ++t" << k << ") {\n";
         ind += "  ";
@@ -543,11 +417,11 @@ CodegenResult emit_c(const LoopNest& nest, const VerifyPlan& plan,
       std::string lo = bounds_c(fm.lowers[k], unames, true);
       std::string hi = bounds_c(fm.uppers[k], unames, false);
       if (!tiles.empty()) {
-        std::string tb = "(" + std::to_string(base[k]) + " + t" +
+        const Int base = trace.hull.range(k).lo;
+        std::string tb = "(" + std::to_string(base) + " + t" +
                          std::to_string(k) + "*" + std::to_string(tiles[k]) +
                          ")";
-        std::string te = "(" +
-                         std::to_string(checked_add(base[k], tiles[k] - 1)) +
+        std::string te = "(" + std::to_string(checked_add(base, tiles[k] - 1)) +
                          " + t" + std::to_string(k) + "*" +
                          std::to_string(tiles[k]) + ")";
         lo = "lm_max(" + lo + ", " + tb + ")";

@@ -21,6 +21,15 @@ size_t next_pow2(size_t n) {
   return p;
 }
 
+// True when a store of `volume` elements, into which `accesses` accesses
+// will be traced, is kept as flat vectors over its box rather than a
+// linear-probe table.
+bool dense_store(Int volume, Int accesses) {
+  return volume <= kDenseCapElems &&
+         (volume <= kDenseMinElems ||
+          volume <= kDenseAccessFactor * std::min(accesses, kDenseCapElems));
+}
+
 }  // namespace
 
 std::vector<AddressPlan::Store> shared_stores(
@@ -104,12 +113,6 @@ std::vector<AddressPlan::Store> shared_stores(
   return stores;
 }
 
-bool dense_store(Int volume, Int accesses) {
-  return volume <= kDenseCapElems &&
-         (volume <= kDenseMinElems ||
-          volume <= kDenseAccessFactor * std::min(accesses, kDenseCapElems));
-}
-
 AddressPlan AddressPlan::build(const LoopNest& nest, const IntMat* t_inv,
                                bool liveness_order) {
   std::vector<std::vector<size_t>> store_of;
@@ -184,32 +187,48 @@ std::optional<IntMat> scan_inverse(const LoopNest& nest,
 }
 
 TracePlan plan_trace(const LoopNest& nest, const IntMat* transform,
-                     bool liveness_order) {
+                     bool liveness_order, const std::vector<Int>& tile_sizes) {
+  IntMat identity;
+  if (!tile_sizes.empty()) {
+    require(tile_sizes.size() == nest.depth(), "exact trace: tile rank mismatch");
+    for (Int s : tile_sizes) require(s >= 1, "exact trace: tile sizes must be >= 1");
+    if (transform == nullptr) {
+      identity = IntMat::identity(nest.depth());
+      transform = &identity;
+    }
+  }
   TracePlan plan;
   plan.nest = &nest;
   plan.t_inv = scan_inverse(nest, transform);
   plan.addr = AddressPlan::build(nest, plan.t_inv ? &*plan.t_inv : nullptr,
                                  liveness_order);
-  if (plan.t_inv && is_signed_permutation(*transform)) {
+  if (!plan.t_inv) return plan;
+  const bool box_image = is_signed_permutation(*transform);
+  if (tile_sizes.empty() && !box_image) return plan;
+  const IntBox& box = nest.bounds();
+  IntBox hull = box.image_hull(*transform);
+  if (box_image) {
     // The scan stays inside the iteration space iff T^-1 maps the corners
     // of u_box into the box (both are boxes, T^-1 is a signed
-    // permutation): the one check that replaces drive_transformed's
-    // per-row endpoint checks.
-    const IntBox& box = nest.bounds();
-    IntBox u_box = box.image_hull(*transform);
-    IntVec lo(u_box.dims()), hi(u_box.dims());
+    // permutation): the one check that replaces the per-row endpoint
+    // checks.
+    IntVec lo(hull.dims()), hi(hull.dims());
     bool empty = false;
-    for (size_t k = 0; k < u_box.dims(); ++k) {
-      lo[k] = u_box.range(k).lo;
-      hi[k] = u_box.range(k).hi;
+    for (size_t k = 0; k < hull.dims(); ++k) {
+      lo[k] = hull.range(k).lo;
+      hi[k] = hull.range(k).hi;
       empty = empty || lo[k] > hi[k];
     }
     if (!empty) {
       ensure(box.contains(*plan.t_inv * lo) && box.contains(*plan.t_inv * hi),
              "transformed scan left the iteration space");
     }
-    plan.u_box = std::move(u_box);
   }
+  if (!tile_sizes.empty()) {
+    plan.tiles = tile_sizes;
+    plan.hull = hull;
+  }
+  if (box_image) plan.u_box = std::move(hull);
   return plan;
 }
 

@@ -25,9 +25,10 @@
 // the scan transform and builds the AddressPlan through the inverse, and
 // run_trace prepares the arena, drives each planned nest (drive_box in
 // original order and under signed permutations, whose image T * box is a
-// box; drive_transformed under every other transform) and finishes the
-// run.  A multi-phase program is one run over one plan per phase, the
-// plans sharing one store per array name (shared_stores).
+// box; drive_transformed under every other transform; drive_tiled when the
+// plan tiles) and finishes the run.  A multi-phase program is one run over
+// one plan per phase, the plans sharing one store per array name
+// (shared_stores).
 //
 // A TraceArena owns the flat storage and is reusable across runs: evaluating
 // k candidate transforms against one nest touches one allocation footprint
@@ -104,12 +105,6 @@ struct AddressPlan {
                            bool liveness_order, std::vector<Store> stores,
                            const std::vector<size_t>& store_of);
 };
-
-/// The dense-path rule: true when a store of `volume` elements, into which
-/// `accesses` accesses will be traced, is kept as flat vectors over its box
-/// rather than a linear-probe table.  emit_c indexes its elements by the
-/// same rule.
-bool dense_store(Int volume, Int accesses);
 
 /// The one store set of nests traced as one run (the phases of a program):
 /// arrays are unified by name, in order of first reference; each name's box
@@ -216,9 +211,11 @@ inline size_t upsert_slot(TraceArena::StoreBuf& s, std::uint64_t addr,
   return static_cast<size_t>(i);
 }
 
-/// Records a first/last touch at `addr` with ordinal `ordinal`.
-inline void touch_first_last(TraceArena::StoreBuf& s, std::uint64_t addr,
-                             Int ordinal) {
+/// Records a first/last touch at `addr` with ordinal `ordinal`.  Returns
+/// the element's slot: its index into the dense vectors, or into the
+/// table's when the store is sparse.
+inline size_t touch_first_last(TraceArena::StoreBuf& s, std::uint64_t addr,
+                               Int ordinal) {
   if (s.dense) {
     if (s.last[addr] < 0) {
       s.first[addr] = ordinal;
@@ -227,12 +224,13 @@ inline void touch_first_last(TraceArena::StoreBuf& s, std::uint64_t addr,
     } else {
       s.last[addr] = ordinal;
     }
-    return;
+    return static_cast<size_t>(addr);
   }
   bool inserted = false;
   size_t slot = upsert_slot(s, addr, &inserted);
   if (inserted) s.kfirst[slot] = ordinal;
   s.klast[slot] = ordinal;
+  return slot;
 }
 
 /// Visits every touched element of a store as fn(first, last).
@@ -246,6 +244,21 @@ void for_each_touched(const TraceArena::StoreBuf& s, Fn&& fn) {
   }
   for (size_t i = 0; i < s.keys.size(); ++i) {
     if (s.keys[i] != 0) fn(s.kfirst[i], s.klast[i]);
+  }
+}
+
+/// Visits every touched element of a `with_state` store as
+/// fn(addr, first, last, tag).
+template <class Fn>
+void for_each_tagged(const TraceArena::StoreBuf& s, Fn&& fn) {
+  if (s.dense) {
+    for (size_t a = 0; a < static_cast<size_t>(s.volume); ++a) {
+      if (s.last[a] >= 0) fn(static_cast<std::uint64_t>(a), s.first[a], s.last[a], s.tag[a]);
+    }
+    return;
+  }
+  for (size_t i = 0; i < s.keys.size(); ++i) {
+    if (s.keys[i] != 0) fn(s.keys[i] - 1, s.kfirst[i], s.klast[i], s.ktag[i]);
   }
 }
 
@@ -309,52 +322,6 @@ Int drive_box(const AddressPlan& plan, const IntBox& box, Int ordinal,
   }
 }
 
-/// Drives the transformed-order scan: u ranges over T * box in
-/// lexicographic order, rows come from the polyhedral scanner, and each
-/// row's addresses step incrementally in u-space (the plan's coefficients
-/// are already composed through T^-1).  Row endpoints are mapped back
-/// through `t_inv` and checked against the box -- the box is convex, so
-/// endpoint containment covers the whole row.  Ordinals start at
-/// `ordinal`; returns the ordinal after the last iteration.
-template <class TouchFn>
-Int drive_transformed(const AddressPlan& plan, const LoopNest& nest,
-                      const IntMat& t_inv, Int ordinal, TouchFn&& touch) {
-  const IntBox& box = nest.bounds();
-  const size_t n = nest.depth();
-  if (n == 0) return ordinal;
-  const size_t nrefs = plan.refs.size();
-  std::vector<std::uint64_t> addr(nrefs);
-  std::vector<std::uint64_t> step(nrefs);
-  for (size_t r = 0; r < nrefs; ++r) step[r] = plan.refs[r].coef[n - 1];
-  IntVec image(n);  // T^-1 of a row endpoint, reused across rows
-  scan_rows(box.image_constraints(t_inv), [&](const IntVec& u, Int lo, Int hi) {
-    for (size_t k = 0; k < n; ++k) {  // T^-1 u, with u[n-1] == lo
-      Int acc = 0;
-      for (size_t c = 0; c < n; ++c) {
-        acc = checked_add(acc, checked_mul(t_inv(k, c), u[c]));
-      }
-      image[k] = acc;
-    }
-    ensure(box.contains(image), "transformed scan left the iteration space");
-    for (size_t k = 0; k < n; ++k) {  // the row's other end, u[n-1] == hi
-      image[k] = checked_add(image[k],
-                             checked_mul(t_inv(k, n - 1), checked_sub(hi, lo)));
-    }
-    ensure(box.contains(image), "transformed scan left the iteration space");
-    for (size_t r = 0; r < nrefs; ++r) {
-      addr[r] = trace_detail::plan_address(plan.refs[r], u);
-    }
-    for (Int j = lo; j <= hi; ++j) {
-      for (size_t r = 0; r < nrefs; ++r) {
-        touch(r, ordinal, addr[r]);
-        addr[r] += step[r];
-      }
-      ++ordinal;
-    }
-  });
-  return ordinal;
-}
-
 /// The inverse of a scan transform, after checking that it is square, as
 /// deep as the nest and unimodular; nullopt (original order) for null.
 std::optional<IntMat> scan_inverse(const LoopNest& nest, const IntMat* transform);
@@ -369,17 +336,103 @@ struct TracePlan {
   /// lexicographic order drive_transformed would, with no projection and
   /// no per-row T^-1 arithmetic.
   std::optional<IntBox> u_box;
+  /// Tile edge sizes on the u axes; empty for an untiled scan.  A tiled
+  /// plan runs drive_tiled, its tiles anchored at `hull`'s lower corner.
+  std::vector<Int> tiles;
+  IntBox hull;  ///< box.image_hull(T), tiled plans only
   AddressPlan addr;
 };
+
+namespace trace_detail {
+
+/// The polyhedral drives' row loop: `scan(row)` feeds row(u, lo, hi) per
+/// innermost row of u-space.  With `check_rows`, each row's endpoints are
+/// mapped back through `t_inv` and checked against the box -- the box is
+/// convex, so endpoint containment covers the whole row.  Each row's
+/// addresses then step incrementally in u-space (the plan's coefficients
+/// are already composed through T^-1).  Returns the ordinal after the last
+/// iteration.
+template <class ScanFn, class TouchFn>
+Int drive_rows(const AddressPlan& plan, const IntBox& box, const IntMat& t_inv,
+               bool check_rows, Int ordinal, ScanFn&& scan, TouchFn&& touch) {
+  const size_t n = box.dims();
+  const size_t nrefs = plan.refs.size();
+  std::vector<std::uint64_t> addr(nrefs);
+  std::vector<std::uint64_t> step(nrefs);
+  for (size_t r = 0; r < nrefs; ++r) step[r] = plan.refs[r].coef[n - 1];
+  IntVec image(n);  // T^-1 of a row endpoint, reused across rows
+  scan([&](const IntVec& u, Int lo, Int hi) {
+    if (check_rows) {
+      for (size_t k = 0; k < n; ++k) {  // T^-1 u, with u[n-1] == lo
+        Int acc = 0;
+        for (size_t c = 0; c < n; ++c) {
+          acc = checked_add(acc, checked_mul(t_inv(k, c), u[c]));
+        }
+        image[k] = acc;
+      }
+      ensure(box.contains(image), "transformed scan left the iteration space");
+      for (size_t k = 0; k < n; ++k) {  // the row's other end, u[n-1] == hi
+        image[k] = checked_add(
+            image[k], checked_mul(t_inv(k, n - 1), checked_sub(hi, lo)));
+      }
+      ensure(box.contains(image), "transformed scan left the iteration space");
+    }
+    for (size_t r = 0; r < nrefs; ++r) addr[r] = plan_address(plan.refs[r], u);
+    for (Int j = lo; j <= hi; ++j) {
+      for (size_t r = 0; r < nrefs; ++r) {
+        touch(r, ordinal, addr[r]);
+        addr[r] += step[r];
+      }
+      ++ordinal;
+    }
+  });
+  return ordinal;
+}
+
+}  // namespace trace_detail
+
+/// Drives the transformed-order scan: u ranges over T * box in
+/// lexicographic order, rows come from the polyhedral scanner, and every
+/// row's endpoints are checked against the box (trace_detail::drive_rows).
+/// Ordinals start at `ordinal`; returns the ordinal after the last
+/// iteration.
+template <class TouchFn>
+Int drive_transformed(const AddressPlan& plan, const LoopNest& nest,
+                      const IntMat& t_inv, Int ordinal, TouchFn&& touch) {
+  if (nest.depth() == 0) return ordinal;
+  const IntBox& box = nest.bounds();
+  return trace_detail::drive_rows(
+      plan, box, t_inv, /*check_rows=*/true, ordinal,
+      [&](auto&& row) { scan_rows(box.image_constraints(t_inv), row); }, touch);
+}
+
+/// Drives a tiled plan: the rows of T * box in scan_tiled_rows' order,
+/// tiled by plan.tiles from plan.hull.  Rows are checked as in
+/// drive_transformed unless the plan has a u_box, whose corners
+/// plan_trace already checked.
+template <class TouchFn>
+Int drive_tiled(const TracePlan& plan, Int ordinal, TouchFn&& touch) {
+  const IntBox& box = plan.nest->bounds();
+  const IntMat& t_inv = *plan.t_inv;
+  return trace_detail::drive_rows(
+      plan.addr, box, t_inv, /*check_rows=*/!plan.u_box, ordinal,
+      [&](auto&& row) {
+        scan_tiled_rows(extract_loop_bounds(box.image_constraints(t_inv)),
+                        plan.hull, plan.tiles, row);
+      },
+      touch);
+}
 
 /// Plans one nest's trace in original (`transform == nullptr`) or
 /// transformed order; see AddressPlan::build for `liveness_order` and the
 /// OverflowError.  A signed-permutation transform (the identity passed as
 /// a matrix included) gets its u_box, checked once here: T^-1 maps both of
-/// its corners into the iteration box.  Every exact trace of a nest starts
-/// here.
+/// its corners into the iteration box.  Non-empty `tile_sizes` (one per
+/// loop, each >= 1) make the plan tiled; a null transform then stands for
+/// the identity.  Every exact trace of a nest starts here.
 TracePlan plan_trace(const LoopNest& nest, const IntMat* transform,
-                     bool liveness_order);
+                     bool liveness_order,
+                     const std::vector<Int>& tile_sizes = {});
 
 /// Runs planned traces, in order, as one execution into `arena`: prepares
 /// the stores (the plans share one store set -- one plan, or the phases of
@@ -405,7 +458,9 @@ Int run_trace(const TracePlan* plans, size_t count, TraceArena& arena,
     auto access = [&](size_t r, Int at, std::uint64_t addr) {
       touch(*bufs[r], r, at, addr);
     };
-    if (plan.u_box) {
+    if (!plan.tiles.empty()) {
+      ordinal = drive_tiled(plan, ordinal, access);
+    } else if (plan.u_box) {
       ordinal = drive_box(plan.addr, *plan.u_box, ordinal, access);
     } else if (plan.t_inv) {
       ordinal = drive_transformed(plan.addr, *plan.nest, *plan.t_inv, ordinal,

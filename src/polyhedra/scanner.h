@@ -6,8 +6,11 @@
 // every integer point of the (possibly transformed) iteration space in
 // lexicographic order.
 
+#include <algorithm>
 #include <optional>
+#include <vector>
 
+#include "polyhedra/box.h"
 #include "polyhedra/constraint.h"
 #include "polyhedra/fourier_motzkin.h"
 
@@ -15,14 +18,21 @@ namespace lmre {
 
 namespace scan_detail {
 
-// Visits the non-empty innermost rows of levels >= `level` under the outer
-// prefix already in `point`, as visit(point, lo, hi) with point's innermost
-// level set to lo.  Levels at and below `level` read 0 on return.
+// Visits the non-empty rows of level `last` under the prefix of levels
+// < `level` already in `point`, as visit(point, lo, hi) with point[last]
+// set to lo; levels after `last` are not scanned.  A non-null `tile`
+// clamps each level k to tile[k].  Levels at and below `level` read 0 on
+// return.
 template <class RowFn>
-void rows(const LoopBounds& bounds, size_t level, IntVec& point, RowFn& visit) {
+void rows(const LoopBounds& bounds, const std::vector<Range>* tile, size_t level,
+          size_t last, IntVec& point, RowFn& visit) {
   Int lo, hi;
   if (!bounds.range(level, point, lo, hi)) return;
-  if (level + 1 == bounds.depth()) {
+  if (tile != nullptr) {
+    lo = std::max(lo, (*tile)[level].lo);
+    hi = std::min(hi, (*tile)[level].hi);
+  }
+  if (level == last) {
     if (lo > hi) return;
     point[level] = lo;
     visit(point, lo, hi);
@@ -31,9 +41,46 @@ void rows(const LoopBounds& bounds, size_t level, IntVec& point, RowFn& visit) {
   }
   for (Int v = lo; v <= hi; ++v) {
     point[level] = v;
-    rows(bounds, level + 1, point, visit);
+    rows(bounds, tile, level + 1, last, point, visit);
   }
   point[level] = 0;
+}
+
+// Visits, in lexicographic order, the tiles of levels >= `level` under the
+// outer tiles already in `tile` (later levels unclamped), scanning each
+// tile's innermost rows.  A level's tiles are the union of the tile spans
+// of its rows under the outer tiles, so the empty tiles of a skewed hull
+// are never entered.
+template <class RowFn>
+void tiles(const LoopBounds& bounds, const IntBox& hull, const std::vector<Int>& sizes,
+           size_t level, std::vector<Range>& tile, IntVec& point, RowFn& visit) {
+  const size_t n = bounds.depth();
+  if (level == n) {
+    rows(bounds, &tile, 0, n - 1, point, visit);
+    return;
+  }
+  const Int base = hull.range(level).lo;
+  const Int s = sizes[level];
+  std::vector<Range> spans;  // tile coordinates met by each row
+  Int hi = INT64_MIN;
+  auto span = [&](const IntVec&, Int l, Int h) {
+    spans.push_back(Range{floor_div(checked_sub(l, base), s),
+                          floor_div(checked_sub(h, base), s)});
+    hi = std::max(hi, h);
+  };
+  rows(bounds, &tile, 0, level, point, span);
+  std::sort(spans.begin(), spans.end(),
+            [](const Range& a, const Range& b) { return a.lo < b.lo; });
+  Int next = INT64_MIN;  // the first tile coordinate not yet visited
+  for (const Range& sp : spans) {
+    for (Int t = std::max(sp.lo, next); t <= sp.hi; ++t) {
+      const Int first = checked_add(base, checked_mul(t, s));  // <= hi
+      tile[level] = Range{first, first + std::min(s - 1, checked_sub(hi, first))};
+      tiles(bounds, hull, sizes, level + 1, tile, point, visit);
+    }
+    next = std::max(next, checked_add(sp.hi, 1));
+  }
+  tile[level] = Range{INT64_MIN, INT64_MAX};
 }
 
 }  // namespace scan_detail
@@ -49,7 +96,25 @@ template <class RowFn>
 void scan_rows(const LoopBounds& bounds, RowFn&& visit) {
   if (bounds.known_empty || bounds.depth() == 0) return;
   IntVec point(bounds.depth());
-  scan_detail::rows(bounds, 0, point, visit);
+  scan_detail::rows(bounds, nullptr, 0, bounds.depth() - 1, point, visit);
+}
+
+/// The tiled order of per-level bounds, one innermost row at a time as in
+/// scan_rows.  Tiles of edge sizes `sizes` (each >= 1) partition `hull`, a
+/// box holding every point of the bounds, from its lower corner: tile tau
+/// spans [lo_k + tau_k s_k, lo_k + tau_k s_k + s_k - 1] on axis k.  Tiles
+/// come in lexicographic order of tau; inside a tile, rows come in
+/// lexicographic order with every level clamped to the tile.  Under a
+/// unimodular T over an iteration box, hull = box.image_hull(T) anchors
+/// the tiles at the per-axis minimum of T * box.
+template <class RowFn>
+void scan_tiled_rows(const LoopBounds& bounds, const IntBox& hull,
+                     const std::vector<Int>& sizes, RowFn&& visit) {
+  const size_t n = bounds.depth();
+  if (bounds.known_empty || n == 0) return;
+  std::vector<Range> tile(n, Range{INT64_MIN, INT64_MAX});
+  IntVec point(n);
+  scan_detail::tiles(bounds, hull, sizes, 0, tile, point, visit);
 }
 
 /// Convenience: extracts bounds from the system and scans rows.

@@ -1,6 +1,7 @@
 #include "transform/tiling.h"
 
 #include <algorithm>
+#include <optional>
 #include <set>
 
 #include "polyhedra/scanner.h"
@@ -28,27 +29,15 @@ std::vector<IntVec> tiled_order(const LoopNest& nest, const IntMat& t,
   for (Int s : tile_sizes) require(s >= 1, "tiled_order: tile sizes must be >= 1");
 
   TransformedNest tn(nest, t);
-  // Collect transformed points; anchor tiles at the lexicographic minimum.
-  std::vector<IntVec> points;
-  scan(tn.space(), [&](const IntVec& u) { points.push_back(u); });
-  if (points.empty()) return {};
-  IntVec base = points.front();
-  for (const auto& u : points) {
-    for (size_t k = 0; k < u.size(); ++k) base[k] = std::min(base[k], u[k]);
-  }
-
-  std::stable_sort(points.begin(), points.end(),
-                   [&](const IntVec& a, const IntVec& b) {
-                     IntVec ta = tile_of(a, base, tile_sizes);
-                     IntVec tb = tile_of(b, base, tile_sizes);
-                     if (ta != tb) return ta.lex_less(tb);
-                     return a.lex_less(b);
-                   });
-
+  const IntMat& inv = tn.inverse();
   std::vector<IntVec> order;
-  order.reserve(points.size());
-  const IntMat inv = tn.inverse();
-  for (const auto& u : points) order.push_back(inv * u);
+  scan_tiled_rows(tn.bounds(), nest.bounds().image_hull(t), tile_sizes,
+                  [&](IntVec& u, Int lo, Int hi) {
+                    for (Int v = lo; v <= hi; ++v) {
+                      u[u.size() - 1] = v;
+                      order.push_back(inv * u);
+                    }
+                  });
   return order;
 }
 
@@ -60,20 +49,10 @@ TilingReport analyze_tiling(const LoopNest& nest, const IntMat& t,
   rep.mws_tiled = rep.stats.mws_total;
 
   // Per-tile populations and footprints: replay the order, cutting at tile
-  // boundaries (recomputed the same way tiled_order grouped them).
-  TransformedNest tn(nest, t);
+  // boundaries (tiles are anchored where scan_tiled_rows anchors them).
   IntVec base(nest.depth());
-  {
-    bool first = true;
-    scan(tn.space(), [&](const IntVec& u) {
-      if (first) {
-        base = u;
-        first = false;
-      } else {
-        for (size_t k = 0; k < u.size(); ++k) base[k] = std::min(base[k], u[k]);
-      }
-    });
-  }
+  const IntBox hull = nest.bounds().image_hull(t);
+  for (size_t k = 0; k < base.size(); ++k) base[k] = hull.range(k).lo;
 
   std::optional<IntVec> current_tile;
   Int tile_iters = 0;

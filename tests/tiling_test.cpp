@@ -10,6 +10,8 @@
 #include "transform/tiling.h"
 #include "transform/unimodular.h"
 #include "support/error.h"
+#include "nest_corpus.h"
+#include "tiling_reference.h"
 
 namespace lmre {
 namespace {
@@ -55,6 +57,38 @@ TEST(TiledOrder, GroupsByTile) {
   for (int i = 0; i < 4; ++i) {
     EXPECT_TRUE(first_tile.count(order[static_cast<size_t>(i)].to_vector()))
         << order[static_cast<size_t>(i)].str();
+  }
+}
+
+TEST(TiledOrder, MatchesTheSortBasedReferenceOverTheCorpus) {
+  const std::vector<test::NamedNest> corpus = test::nest_corpus();
+  ASSERT_GT(corpus.size(), 80u);
+  int cases = 0;
+  for (const auto& [name, nest] : corpus) {
+    for (const IntMat& t : test::tiling_transforms(nest.depth())) {
+      for (const std::vector<Int>& sizes : test::tiling_sizes(nest, t)) {
+        const std::vector<IntVec> got = tiled_order(nest, t, sizes);
+        const std::vector<IntVec> want = test::tiled_order_reference(nest, t, sizes);
+        ASSERT_EQ(got.size(), want.size()) << name << " T=" << t.str();
+        for (size_t i = 0; i < got.size(); ++i) {
+          ASSERT_EQ(got[i], want[i]) << name << " T=" << t.str() << " point #" << i;
+        }
+        ++cases;
+      }
+    }
+  }
+  EXPECT_GT(cases, 900);
+}
+
+TEST(TiledOrder, SteepSkewEntersOnlyNonEmptyTiles) {
+  // T * box spans 4 x ~5e12 with 20 points: a walk over every tile of the
+  // hull would take about 10^13 steps.
+  LoopNest nest = codes::example_2(4, 5);
+  const IntMat skew{{1, 0}, {1'000'000'000'000, 1}};
+  for (const std::vector<Int>& sizes : {std::vector<Int>{1, 1}, {2, 3}}) {
+    const std::vector<IntVec> got = tiled_order(nest, skew, sizes);
+    EXPECT_EQ(got.size(), 20u);
+    EXPECT_EQ(got, test::tiled_order_reference(nest, skew, sizes));
   }
 }
 

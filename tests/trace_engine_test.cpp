@@ -6,6 +6,10 @@
 // and without the liveness access order, that sweep must visit exactly the
 // (ref, ordinal, addr) sequence drive_transformed visits over the same
 // plan -- plus depth 1, negative bounds and an empty range.
+//
+// The tiled drive against the sort-based tiled order: a tiled plan's
+// first/last run must give the TraceStats the hash-map reference gives
+// over tests/tiling_reference.h's order, on dense and sparse stores.
 
 #include <gtest/gtest.h>
 
@@ -15,9 +19,11 @@
 #include <string>
 #include <vector>
 
+#include "exact/reference.h"
 #include "exact/trace_engine.h"
 #include "ir/builder.h"
 #include "nest_corpus.h"
+#include "tiling_reference.h"
 
 namespace lmre {
 namespace {
@@ -167,6 +173,124 @@ TEST(BoxDrive, OtherTransformsKeepThePolyhedralDrive) {
   EXPECT_FALSE(plan.u_box.has_value());
   EXPECT_TRUE(plan.t_inv.has_value());
   EXPECT_FALSE(plan_trace(nest, nullptr, false).u_box.has_value());
+}
+
+// TraceStats of a finished first/last run, by the oracle's arithmetic.
+TraceStats stats_of_run(const AddressPlan& plan, TraceArena& arena, Int iterations) {
+  TraceStats s;
+  s.iterations = iterations;
+  s.total_accesses = iterations * static_cast<Int>(plan.refs.size());
+  std::vector<Int> ref_count(plan.stores.size(), 0);
+  for (const auto& r : plan.refs) ++ref_count[r.store];
+  std::vector<Int> total(static_cast<size_t>(iterations) + 1, 0);
+  for (size_t si = 0; si < plan.stores.size(); ++si) {
+    const ArrayId array = plan.stores[si].array;
+    const TraceArena::StoreBuf& b = arena.store(si);
+    if (b.touched > 0) s.distinct[array] = b.touched;
+    s.distinct_total += b.touched;
+    s.reuse[array] = ref_count[si] * iterations - b.touched;
+    std::vector<Int> d(total.size(), 0);
+    bool live = false;
+    trace_detail::for_each_touched(b, [&](Int first, Int last) {
+      if (first == last) return;
+      live = true;
+      ++d[static_cast<size_t>(first)];
+      --d[static_cast<size_t>(last)];
+      ++total[static_cast<size_t>(first)];
+      --total[static_cast<size_t>(last)];
+    });
+    Int cur = 0, best = 0;
+    for (Int v : d) best = std::max(best, cur += v);
+    if (live || b.touched > 0) s.mws[array] = best;
+  }
+  s.reuse_total = s.total_accesses - s.distinct_total;
+  Int cur = 0;
+  for (Int v : total) s.mws_total = std::max(s.mws_total, cur += v);
+  return s;
+}
+
+// Runs the tiled plan of (t, sizes) and checks its stats against the
+// reference order's; returns the plan's sparse store count.
+int expect_tiled_drive_matches(const LoopNest& nest, const IntMat& t,
+                               const std::vector<Int>& sizes, const std::string& what,
+                               TraceArena& arena) {
+  const TracePlan plan = plan_trace(nest, &t, /*liveness_order=*/false, sizes);
+  const Int iterations = run_trace(plan, arena, /*with_state=*/false,
+                                   [](TraceArena::StoreBuf& s, size_t, Int ordinal,
+                                      std::uint64_t addr) {
+                                     trace_detail::touch_first_last(s, addr, ordinal);
+                                   });
+  const TraceStats got = stats_of_run(plan.addr, arena, iterations);
+  const TraceStats want =
+      reference::simulate_order(nest, test::tiled_order_reference(nest, t, sizes));
+  EXPECT_EQ(got.iterations, want.iterations) << what;
+  EXPECT_EQ(got.total_accesses, want.total_accesses) << what;
+  EXPECT_EQ(got.distinct_total, want.distinct_total) << what;
+  EXPECT_EQ(got.distinct, want.distinct) << what;
+  EXPECT_EQ(got.reuse_total, want.reuse_total) << what;
+  EXPECT_EQ(got.reuse, want.reuse) << what;
+  EXPECT_EQ(got.mws_total, want.mws_total) << what;
+  EXPECT_EQ(got.mws, want.mws) << what;
+  int sparse = 0;
+  for (const AddressPlan::Store& st : plan.addr.stores) sparse += st.dense ? 0 : 1;
+  return sparse;
+}
+
+TEST(TiledDrive, MatchesTheReferenceTiledOrderOverTheCorpus) {
+  const std::vector<test::NamedNest> corpus = test::nest_corpus();
+  ASSERT_GT(corpus.size(), 80u);
+  TraceArena arena;
+  for (const auto& [name, nest] : corpus) {
+    for (const IntMat& t : test::tiling_transforms(nest.depth())) {
+      for (const std::vector<Int>& sizes : test::tiling_sizes(nest, t)) {
+        expect_tiled_drive_matches(nest, t, sizes, name + " T=" + t.str(), arena);
+      }
+    }
+  }
+}
+
+TEST(TiledDrive, SparseStoresIncludingTheWideBox) {
+  // tests/golden/wide_box.loop: a 2^62-element reference box, 4 elements.
+  const Int s = 2147483647;
+  NestBuilder wide;
+  wide.loop("i", 1, 2).loop("j", 1, 2);
+  ArrayId a = wide.array("A", {s + 1, s + 1});
+  wide.statement().write(a, {{s, 0}, {0, s}}, {0, 0}).read(a, {{s, 0}, {0, 0}}, {0, s});
+  // A strided stream whose box is far larger than its 2 x 42 accesses.
+  NestBuilder strided;
+  strided.loop("i", 1, 6).loop("j", 1, 7);
+  ArrayId x = strided.array("X", {8000});
+  strided.statement()
+      .write(x, IntMat{{1000, 3}}, IntVec{0})
+      .read(x, IntMat{{1000, 3}}, IntVec{-5});
+  TraceArena arena;
+  for (const LoopNest& nest : {wide.build(), strided.build()}) {
+    for (const IntMat& t : test::tiling_transforms(2)) {
+      for (const std::vector<Int>& sizes : test::tiling_sizes(nest, t)) {
+        EXPECT_EQ(expect_tiled_drive_matches(nest, t, sizes,
+                                             nest.array(0).name + " T=" + t.str(), arena),
+                  1);
+      }
+    }
+  }
+}
+
+TEST(TiledDrive, PlansKeepTheirRowChecks) {
+  NestBuilder b;
+  b.loop("i", 1, 5).loop("j", 1, 6);
+  ArrayId a = b.array("A", {20});
+  b.statement().write(a, {{1, 1}}, {0}).read(a, {{1, 1}}, {1});
+  const LoopNest nest = b.build();
+  const IntMat skew{{1, 1}, {0, 1}};
+  const TracePlan skewed = plan_trace(nest, &skew, false, {2, 3});
+  EXPECT_EQ(skewed.tiles, (std::vector<Int>{2, 3}));
+  EXPECT_FALSE(skewed.u_box.has_value());
+  // A null transform with tiles stands for the identity, a box image.
+  const TracePlan plain = plan_trace(nest, nullptr, false, {2, 3});
+  ASSERT_TRUE(plain.t_inv.has_value());
+  EXPECT_TRUE(plain.u_box.has_value());
+  EXPECT_THROW(plan_trace(nest, nullptr, false, {2}), InvalidArgument);
+  EXPECT_THROW(plan_trace(nest, nullptr, false, {0, 2}), InvalidArgument);
 }
 
 }  // namespace
